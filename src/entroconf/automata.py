@@ -126,6 +126,32 @@ def _out_map(transitions: Mapping[tuple[object, str], object]) -> dict:
     return out
 
 
+def _reachable(seeds, successors) -> dict:
+    """Everything reachable from seeds through successors(state).
+
+    The states are the keys of the result, in breadth-first discovery order
+    with the seeds first.
+    """
+    found = dict.fromkeys(seeds)
+    queue = deque(found)
+    while queue:
+        for state in successors(queue.popleft()):
+            if state not in found:
+                found[state] = None
+                queue.append(state)
+    return found
+
+
+def _bfs_order(initial, out: Mapping[object, list]) -> dict[object, int]:
+    """Number the states reachable from initial 0..n-1 in BFS order.
+
+    out maps a state to its (label, target) pairs sorted by label, so the
+    numbering depends only on the automaton, not on how it was built.
+    """
+    found = _reachable((initial,), lambda s: (dst for _, dst in out.get(s, ())))
+    return {state: number for number, state in enumerate(found)}
+
+
 def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
     """Renumber states 0..n-1 by BFS from initial, labels in sorted order.
 
@@ -133,22 +159,17 @@ def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
     its isomorphism class, which keeps downstream numerics reproducible.
     """
     out = _out_map(transitions)
-    order: dict[object, int] = {initial: 0}
-    queue = deque([initial])
-    new_transitions: dict[tuple[int, str], int] = {}
-    while queue:
-        src = queue.popleft()
-        for label, dst in out.get(src, ()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-            new_transitions[(order[src], label)] = order[dst]
+    order = _bfs_order(initial, out)
     return Dfa(
-        states=frozenset(range(len(order))),
+        states=frozenset(order.values()),
         alphabet=frozenset(alphabet),
         initial=0,
         accepting=frozenset(order[s] for s in accepting if s in order),
-        transitions=new_transitions,
+        transitions={
+            (order[src], label): order[dst]
+            for src in order
+            for label, dst in out.get(src, ())
+        },
     )
 
 
@@ -192,27 +213,12 @@ def trim(a: Dfa) -> Dfa:
     The language is unchanged. When no accepting state is reachable the
     canonical empty automaton (single useless initial state) is returned.
     """
-    out = _out_map(a.transitions)
-    reachable = {a.initial}
-    queue = deque([a.initial])
-    while queue:
-        src = queue.popleft()
-        for _, dst in out.get(src, ()):
-            if dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
     rev: dict[object, list[object]] = {}
     for (src, _), dst in a.transitions.items():
         rev.setdefault(dst, []).append(src)
-    coreachable = set(a.accepting)
-    queue = deque(a.accepting)
-    while queue:
-        dst = queue.popleft()
-        for src in rev.get(dst, ()):
-            if src not in coreachable:
-                coreachable.add(src)
-                queue.append(src)
-    useful = reachable & coreachable
+    # forward reachability is left to _canonical, which drops what the
+    # initial state cannot reach
+    useful = _reachable(a.accepting, lambda s: rev.get(s, ()))
     if a.initial not in useful:
         return _empty_dfa(a.alphabet)
     kept = {
@@ -220,7 +226,7 @@ def trim(a: Dfa) -> Dfa:
         for (src, label), dst in a.transitions.items()
         if src in useful and dst in useful
     }
-    return _canonical(a.initial, a.accepting & useful, kept, a.alphabet)
+    return _canonical(a.initial, a.accepting, kept, a.alphabet)
 
 
 def product(a: Dfa, b: Dfa) -> Dfa:
@@ -266,16 +272,8 @@ def determinize(n: Nfa, max_states: int = 10**6) -> Dfa:
         else:
             labeled.setdefault((src, label), set()).add(dst)
 
-    def closure(states: set) -> frozenset:
-        todo = list(states)
-        closed = set(states)
-        while todo:
-            s = todo.pop()
-            for t in eps.get(s, ()):
-                if t not in closed:
-                    closed.add(t)
-                    todo.append(t)
-        return frozenset(closed)
+    def closure(states) -> frozenset:
+        return frozenset(_reachable(states, lambda s: eps.get(s, ())))
 
     start = closure({n.initial})
     subsets = {start}

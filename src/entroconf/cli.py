@@ -27,7 +27,6 @@ from .errors import (
     NumericalError,
     SemanticError,
     SkipsWithoutCpm,
-    UnboundedModel,
     UnknownOption,
     UsageError,
 )
@@ -104,7 +103,7 @@ options:
   -srel <n>                  allowed skips per relevant trace (-cpmp/-cpmr only)
   -sret <n>                  allowed skips per retrieved trace (-cpmp/-cpmr only)
   --silent, -s               print the bare value only
-  -t                         skip the model boundedness test
+  -t                         accepted and ignored (nets are checked while explored)
   --help, -h                 show this message
   --version, -v              show the version string
 
@@ -124,7 +123,6 @@ class RunConfig:
     skips_rel: int | None = None
     skips_ret: int | None = None
     silent: bool = False
-    skip_checks: bool = False
     show_help: bool = False
     show_version: bool = False
 
@@ -192,7 +190,9 @@ def parse_args(argv: list[str]) -> RunConfig:
         elif argument in ("-v", "--version"):
             cfg.show_version = True
         elif argument == "-t":
-            cfg.skip_checks = True
+            # accepted so that existing scripts keep working; boundedness
+            # is checked while a net is explored, so there is nothing to skip
+            pass
         else:
             raise UnknownOption(f"unrecognized option {argument!r}")
     if cfg.show_help or cfg.show_version:
@@ -223,9 +223,10 @@ def _describe(artifact) -> str:
 
 
 def validate_inputs(cfg: RunConfig, rel, ret) -> tuple:
-    """Enforce the measure/format compatibility matrix and boundedness.
+    """Enforce the measure/format compatibility matrix.
 
-    Returns the artifact pair unchanged when everything checks out.
+    Returns the artifact pair unchanged when everything checks out. Nets
+    are checked for boundedness later, while they are explored.
     """
     measure = cfg.measure
 
@@ -265,12 +266,6 @@ def validate_inputs(cfg: RunConfig, rel, ret) -> tuple:
         )
     elif measure == "bounded":
         require("-rel", rel, isinstance(rel, PetriNet), "a Petri net model")
-    if measure != "bounded" and not cfg.skip_checks:
-        for artifact in (rel, ret):
-            if isinstance(artifact, PetriNet) and not is_bounded(artifact):
-                raise UnboundedModel(
-                    "process models must be bounded (bypass the test with -t)"
-                )
     return rel, ret
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .automata import EventLog, Trace
+from .automata import EventLog, Trace, _reachable
 from .errors import (
     DanglingArc,
     DeadEndNode,
@@ -35,15 +35,12 @@ from .errors import (
     MissingConceptName,
     NonPositiveWeight,
     ParseError,
-    SilentTransitionUnsupported,
     StochasticSumViolation,
     UnknownExtension,
     UnreachableNode,
 )
 from .petri import Marking, PetriNet, StochasticPetriNet
-from .stochastic import Sdfa
-
-_SUM_TOLERANCE = Fraction(1, 10**9)
+from .stochastic import _SUM_TOLERANCE, Sdfa
 
 # transitions carrying this ProM marker are silent regardless of their name
 _INVISIBLE = "$invisible$"
@@ -85,6 +82,16 @@ def _parse_number(token: str, context: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{context}: cannot read number {token!r}") from None
+
+
+def _parse_count(token: str, context: str) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{context}: cannot read integer {token!r}") from None
+    if value < 0:
+        raise ParseError(f"{context}: negative count {value}")
+    return value
 
 
 # --- XES ---------------------------------------------------------------
@@ -152,7 +159,9 @@ def _parse_net_elements(root: ET.Element):
             if ident is None:
                 raise ParseError("place without id")
             marking_text = _child_text(el, "initialMarking")
-            places[ident] = int(marking_text) if marking_text else 0
+            places[ident] = (
+                _parse_count(marking_text, f"place {ident}") if marking_text else 0
+            )
         elif tag == "transition":
             ident = el.get("id")
             if ident is None:
@@ -178,7 +187,11 @@ def _parse_net_elements(root: ET.Element):
             if source is None or target is None:
                 raise ParseError("arc without source or target")
             inscription = _child_text(el, "inscription")
-            multiplicity = int(inscription) if inscription else 1
+            multiplicity = (
+                _parse_count(inscription, f"arc {source}->{target}")
+                if inscription
+                else 1
+            )
             key = (source, target)
             arcs[key] = arcs.get(key, 0) + multiplicity
         elif tag == "finalmarkings":
@@ -196,7 +209,8 @@ def _parse_net_elements(root: ET.Element):
                     count_text = _child_text(place_el, "text")
                     if count_text is None:
                         count_text = place_el.text or "1"
-                    tokens[idref] = tokens.get(idref, 0) + int(count_text)
+                    count = _parse_count(count_text, f"final marking of {idref}")
+                    tokens[idref] = tokens.get(idref, 0) + count
                 finals.append(Marking.of(tokens))
     for source, target in arcs:
         for endpoint in (source, target):
@@ -230,11 +244,6 @@ def parse_spnml(text: str) -> StochasticPetriNet:
     A transition without a weight annotation gets weight 1.
     """
     places, transitions, weights, arcs, finals = _parse_net_elements(_parse_xml(text))
-    silent = sorted(t for t, label in transitions.items() if label is None)
-    if silent:
-        raise SilentTransitionUnsupported(
-            f"stochastic nets cannot contain silent transitions: {', '.join(silent)}"
-        )
     for ident, weight in weights.items():
         if weight is not None and weight <= 0:
             raise NonPositiveWeight(f"transition {ident} has weight {weight}")
@@ -410,12 +419,7 @@ def read_dfg(text: str) -> Dfg:
                 raise ParseError(f"line {line_number}: node {fields[1]} redeclared")
             nodes[fields[1]] = fields[2]
         elif kind == "arc" and len(fields) == 4:
-            try:
-                frequency = int(fields[3])
-            except ValueError:
-                raise ParseError(
-                    f"line {line_number}: cannot read frequency {fields[3]!r}"
-                ) from None
+            frequency = _parse_count(fields[3], f"line {line_number}")
             if frequency < 1:
                 raise ParseError(f"line {line_number}: frequency must be positive")
             if (fields[1], fields[2]) in arcs:
@@ -445,14 +449,8 @@ def read_dfg(text: str) -> Dfg:
             raise DeadEndNode(f"node {node} ({label}) has no outgoing arc")
     if source not in outgoing:
         raise DeadEndNode("the source has no outgoing arc")
-    reached = {source}
-    frontier = [source]
-    while frontier:
-        for dst in outgoing.get(frontier.pop(), ()):
-            if dst not in reached:
-                reached.add(dst)
-                frontier.append(dst)
-    unreachable = sorted(set(nodes) - reached)
+    reached = _reachable((source,), lambda node: outgoing.get(node, ()))
+    unreachable = sorted(set(nodes) - reached.keys())
     if unreachable:
         raise UnreachableNode(f"unreachable from the source: {', '.join(unreachable)}")
     return Dfg(nodes=nodes, arcs=arcs, source=source, sink=sink)

@@ -1,9 +1,10 @@
-"""Petri net semantics: boundedness, reachability graphs, and conversion of
+"""Petri net semantics: reachability graphs, boundedness, and conversion of
 nets to the automata the measures consume.
 
-Boundedness is decided natively by a coverability search (a strictly
-covering ancestor marking is a pump and proves unboundedness), so no
-external model checker is involved.
+Boundedness is decided natively, inside the one breadth-first exploration
+that builds the reachability graph: a new marking that strictly covers one
+of its ancestors is a pump and proves unboundedness, so neither an external
+model checker nor a second pass over the net is involved.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     NondeterministicStochasticModel,
     SilentTransitionUnsupported,
     StateSpaceExceeded,
+    UnboundedModel,
 )
 from .stochastic import Sdfa, _canonical_sdfa
 
@@ -138,51 +140,39 @@ def _initial_vector(net: PetriNet, order: list[str]) -> tuple[int, ...]:
 
 
 def is_bounded(net: PetriNet) -> bool:
-    """Whether the reachability set is finite.
+    """Whether the reachability set is finite, decided by reachability_graph.
 
-    Depth-first coverability search keeping the whole ancestor chain of
-    each node: a marking equal to an ancestor closes the branch, a marking
-    strictly covering an ancestor can be pumped forever and settles the
-    question. By Dickson's lemma every infinite chain would contain such a
-    pair, so the search always terminates.
+    A bounded net with more than DEFAULT_NODE_CAP markings raises
+    StateSpaceExceeded instead of returning.
     """
-    order, rules = _firing_data(net)
-    start = _initial_vector(net, order)
-    stack: list[tuple[tuple[int, ...], tuple | None]] = [(start, None)]
-    while stack:
-        marking, parent = stack.pop()
-        ancestor = parent
-        repeated = False
-        while ancestor is not None:
-            seen = ancestor[0]
-            if seen == marking:
-                repeated = True
-                break
-            if all(a <= b for a, b in zip(seen, marking)):
-                return False
-            ancestor = ancestor[1]
-        if repeated:
-            continue
-        chain = (marking, parent)
-        for _, pre, post in rules:
-            if all(have >= need for have, need in zip(marking, pre)):
-                successor = tuple(
-                    have - need + gain
-                    for have, need, gain in zip(marking, pre, post)
-                )
-                stack.append((successor, chain))
+    try:
+        reachability_graph(net)
+    except UnboundedModel:
+        return False
     return True
 
 
 def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> ReachabilityGraph:
     """Breadth-first exploration of all reachable markings.
 
-    Assumes a bounded net (or a caller who accepts StateSpaceExceeded when
-    the node cap is hit).
+    Raises UnboundedModel as soon as a newly found marking covers one of
+    its ancestors in the BFS tree. That is sound: the ancestor reaches the
+    new marking, and the new marking differs from every marking found so
+    far, so the cover is strict and the firing sequence between the two can
+    repeat forever, adding tokens each time (Karp & Miller, 1969). It is
+    complete: an unbounded net has infinitely many reachable markings, so
+    its BFS tree, which branches at most once per transition, has an
+    infinite branch (König's lemma), and on that branch some marking covers
+    an earlier one (Dickson's lemma). Raises StateSpaceExceeded once more
+    than max_nodes markings are found without such a cover.
     """
     order, rules = _firing_data(net)
+
+    def to_marking(vector: tuple[int, ...]) -> Marking:
+        return Marking.of(dict(zip(order, vector)))
+
     start = _initial_vector(net, order)
-    seen = {start}
+    parent: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
     queue = deque([start])
     edges = set()
     while queue:
@@ -194,19 +184,26 @@ def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> Reac
                 have - need + gain for have, need, gain in zip(marking, pre, post)
             )
             edges.add((marking, t, successor))
-            if successor not in seen:
-                if len(seen) >= max_nodes:
-                    raise StateSpaceExceeded(
-                        f"reachability graph exceeded {max_nodes} markings"
+            if successor in parent:
+                continue
+            ancestor = marking
+            while ancestor is not None:
+                if all(a <= b for a, b in zip(ancestor, successor)):
+                    raise UnboundedModel(
+                        "the net is not bounded: from the reachable marking "
+                        f"{to_marking(ancestor).as_dict()} it reaches a marking "
+                        "that strictly covers it"
                     )
-                seen.add(successor)
-                queue.append(successor)
-
-    def to_marking(vector: tuple[int, ...]) -> Marking:
-        return Marking.of(dict(zip(order, vector)))
+                ancestor = parent[ancestor]
+            if len(parent) >= max_nodes:
+                raise StateSpaceExceeded(
+                    f"reachability graph exceeded {max_nodes} markings"
+                )
+            parent[successor] = marking
+            queue.append(successor)
 
     return ReachabilityGraph(
-        nodes=frozenset(to_marking(v) for v in seen),
+        nodes=frozenset(to_marking(v) for v in parent),
         initial=to_marking(start),
         edges=frozenset((to_marking(a), t, to_marking(b)) for a, t, b in edges),
     )

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .automata import EventLog, Trace
+from .automata import EventLog, Trace, _bfs_order, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall
 
@@ -92,32 +92,22 @@ class RelevanceValue:
 
 
 def _canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
-    # BFS renumbering, labels in sorted order; same discipline as for plain
-    # automata so repeated constructions are bit-identical
-    out: dict[object, list[tuple[str, object, Fraction]]] = {}
-    for (src, label), (dst, prob) in transitions.items():
-        out.setdefault(src, []).append((label, dst, prob))
-    for edges in out.values():
-        edges.sort(key=lambda e: e[0])
-    order: dict[object, int] = {initial: 0}
-    queue = deque([initial])
-    new_transitions: dict[tuple[int, str], tuple[int, Fraction]] = {}
-    while queue:
-        src = queue.popleft()
-        for label, dst, prob in out.get(src, ()):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
-            new_transitions[(order[src], label)] = (order[dst], prob)
-    new_termination = {
-        order[s]: p for s, p in termination.items() if s in order and p > 0
-    }
+    # the numbering of automata._canonical, so repeated constructions are
+    # bit-identical
+    out = _out_map({key: dst for key, (dst, _) in transitions.items()})
+    order = _bfs_order(initial, out)
     return Sdfa(
-        states=frozenset(range(len(order))),
+        states=frozenset(order.values()),
         alphabet=frozenset(alphabet),
         initial=0,
-        transitions=new_transitions,
-        termination=new_termination,
+        transitions={
+            (order[src], label): (order[dst], transitions[src, label][1])
+            for src in order
+            for label, dst in out.get(src, ())
+        },
+        termination={
+            order[s]: p for s, p in termination.items() if s in order and p > 0
+        },
     )
 
 
@@ -153,37 +143,6 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     return _canonical_sdfa((), transitions, termination, log.alphabet)
 
 
-def _reachable(a: Sdfa) -> list:
-    """States reachable along positive-probability edges, in BFS order."""
-    seen = {a.initial}
-    order = [a.initial]
-    queue = deque([a.initial])
-    while queue:
-        src = queue.popleft()
-        for _, dst, _ in a.out_edges(src):
-            if dst not in seen:
-                seen.add(dst)
-                order.append(dst)
-                queue.append(dst)
-    return order
-
-
-def _termination_reachable(a: Sdfa, within: set) -> set:
-    reverse: dict[object, set] = {}
-    for (src, _), (dst, prob) in a.transitions.items():
-        if prob > 0 and src in within and dst in within:
-            reverse.setdefault(dst, set()).add(src)
-    found = {s for s in within if a.termination.get(s, Fraction(0)) > 0}
-    queue = deque(found)
-    while queue:
-        dst = queue.popleft()
-        for src in reverse.get(dst, ()):
-            if src not in found:
-                found.add(src)
-                queue.append(src)
-    return found
-
-
 def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     """Shannon entropy in bits of the trace distribution of an SDFA.
 
@@ -194,16 +153,23 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     state can reach positive termination, so that is checked up front
     (NonTerminatingSdfa) instead of letting the iteration run away.
     """
-    order = _reachable(a)
-    position = {s: i for i, s in enumerate(order)}
-    if set(order) - _termination_reachable(a, set(order)):
+    reachable = _reachable(
+        (a.initial,), lambda s: (dst for _, dst, _ in a.out_edges(s))
+    )
+    position = {s: i for i, s in enumerate(reachable)}
+    reverse: dict[object, list] = {}
+    for (src, _), (dst, prob) in a.transitions.items():
+        if prob > 0 and src in position:
+            reverse.setdefault(dst, []).append(src)
+    terminating = [s for s in position if a.termination.get(s, Fraction(0)) > 0]
+    if len(_reachable(terminating, lambda s: reverse.get(s, ()))) < len(position):
         raise NonTerminatingSdfa(
             "a reachable state has no positive-probability path to termination"
         )
-    n = len(order)
+    n = len(position)
     p = np.zeros((n, n))
     local = np.zeros(n)
-    for i, state in enumerate(order):
+    for state, i in position.items():
         h = 0.0
         for _, dst, prob in a.out_edges(state):
             q = float(prob)
@@ -268,17 +234,10 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
                 queue.append(dst)
 
     # surviving = pairs that still reach positive termination
-    reverse: dict[tuple, set] = {}
+    reverse: dict[tuple, list] = {}
     for (src, _), (dst, _) in transitions.items():
-        reverse.setdefault(dst, set()).add(src)
-    surviving = set(termination)
-    queue = deque(surviving)
-    while queue:
-        dst = queue.popleft()
-        for src in reverse.get(dst, ()):
-            if src not in surviving:
-                surviving.add(src)
-                queue.append(src)
+        reverse.setdefault(dst, []).append(src)
+    surviving = _reachable(termination, lambda s: reverse.get(s, ()))
     if start not in surviving:
         raise EmptyConjunction("no trace has positive probability in both inputs")
 

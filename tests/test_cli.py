@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
+import entroconf
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
     ConflictingMeasures,
@@ -20,6 +23,17 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """`python -m entroconf` in a child process that imports this package."""
+    package_root = Path(entroconf.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "entroconf", *(str(a) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+
+
 def test_parse_args_accepts_both_spellings():
     cfg = parse_args(["-emp", "-rel=a.xes", "--retrieved", "b.pnml"])
     assert cfg.measure == "emp"
@@ -33,7 +47,6 @@ def test_parse_args_accepts_both_spellings():
     assert cfg.measure == "cpmr"
     assert (cfg.skips_rel, cfg.skips_ret) == (3, 0)
     assert cfg.silent
-    assert cfg.skip_checks
 
 
 def test_parse_args_rejections():
@@ -209,6 +222,16 @@ def test_input_errors_exit_2(capsys, fixtures, tmp_path):
     assert err.startswith("input error: ")
 
 
+def test_unreadable_net_number_exits_2(fixtures, tmp_path):
+    broken = tmp_path / "N.pnml"
+    text = (fixtures / "N.pnml").read_text()
+    broken.write_text(text.replace("<text>1</text>", "<text>x</text>", 1))
+    result = run_module("-b", "-rel", broken)
+    assert result.returncode == 2
+    assert result.stderr.startswith("input error: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_semantic_rejections_exit_3(capsys, fixtures):
     cases = [
         ("-emp", fixtures / "E.xes", fixtures / "A.sdfa"),
@@ -240,22 +263,12 @@ def test_skipping_the_boundedness_test_on_a_bounded_net(capsys, fixtures):
 
 
 def test_module_entry_point(fixtures):
-    result = subprocess.run(
-        [sys.executable, "-m", "entroconf", "--version"],
-        capture_output=True,
-        text=True,
-    )
+    result = run_module("--version")
     assert result.returncode == 0
     assert result.stdout == VERSION + "\n"
 
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "entroconf",
-            "-emp", "-rel", str(fixtures / "E.xes"),
-            "-ret", str(fixtures / "N.pnml"), "-s",
-        ],
-        capture_output=True,
-        text=True,
+    result = run_module(
+        "-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "N.pnml", "-s"
     )
     assert result.returncode == 0
     assert result.stdout == "0.776\n"

@@ -128,6 +128,28 @@ def test_pnml_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "place, arc, final",
+    [
+        ("<initialMarking><text>x</text></initialMarking>", "", "1"),
+        ("", "<inscription><text>x</text></inscription>", "1"),
+        ("", "", "x"),
+        ("", "", "-1"),
+    ],
+    ids=["initial-marking", "inscription", "final-marking", "negative-final-marking"],
+)
+def test_pnml_integer_fields(place, arc, final):
+    text = (
+        f'<pnml><net><page><place id="p">{place}</place>'
+        '<transition id="t"><name><text>a</text></name></transition>'
+        f'<arc id="a" source="p" target="t">{arc}</arc></page>'
+        f'<finalmarkings><marking><place idref="p"><text>{final}</text></place>'
+        "</marking></finalmarkings></net></pnml>"
+    )
+    with pytest.raises(ParseError):
+        parse_pnml(text)
+
+
 def test_spnml_round_trip(fixtures):
     net = load_artifact(fixtures / "N.spnml")
     assert parse_spnml(serialize_spnml(net)) == net

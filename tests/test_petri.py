@@ -9,6 +9,7 @@ from entroconf.errors import (
     NondeterministicStochasticModel,
     SilentTransitionUnsupported,
     StateSpaceExceeded,
+    UnboundedModel,
 )
 from entroconf.petri import (
     Marking,
@@ -46,6 +47,32 @@ NET = PetriNet(
     arcs=NET_ARCS,
     initial_marking=Marking.of({"p0": 1}),
 )
+
+
+# emits a token on every firing, from the empty marking on
+GENERATOR = PetriNet(
+    places=frozenset({"p"}),
+    transitions={"t": "a"},
+    arcs={("t", "p"): 1},
+    initial_marking=Marking.of({}),
+)
+
+
+def parallel_chains(k: int) -> PetriNet:
+    """k independent branches of two transitions each: 3**k markings."""
+    places = {f"b{i}_{j}" for i in range(k) for j in range(3)}
+    transitions = {f"t{i}_{j}": f"a{i}{j}" for i in range(k) for j in range(2)}
+    arcs = {}
+    for i in range(k):
+        for j in range(2):
+            arcs[(f"b{i}_{j}", f"t{i}_{j}")] = 1
+            arcs[(f"t{i}_{j}", f"b{i}_{j + 1}")] = 1
+    return PetriNet(
+        places=frozenset(places),
+        transitions=transitions,
+        arcs=arcs,
+        initial_marking=Marking.of({f"b{i}_0": 1 for i in range(k)}),
+    )
 
 
 def weighted(net: PetriNet, **weights) -> StochasticPetriNet:
@@ -201,13 +228,7 @@ def test_single_transition_net_language():
 
 def test_boundedness_of_reference_nets():
     assert is_bounded(NET)
-    generator = PetriNet(
-        places=frozenset({"p"}),
-        transitions={"t": "a"},
-        arcs={("t", "p"): 1},
-        initial_marking=Marking.of({}),
-    )
-    assert not is_bounded(generator)
+    assert not is_bounded(GENERATOR)
     idle = PetriNet(
         places=frozenset({"p"}),
         transitions={},
@@ -223,6 +244,8 @@ def test_boundedness_of_reference_nets():
         initial_marking=Marking.of({"p0": 1}),
     )
     assert not is_bounded(pump)
+    # every interleaving of six independent branches: 729 markings
+    assert is_bounded(parallel_chains(6))
 
 
 def test_boundedness_agrees_with_exhaustive_search():
@@ -235,6 +258,16 @@ def test_boundedness_agrees_with_exhaustive_search():
 def test_reachability_graph_node_cap():
     with pytest.raises(StateSpaceExceeded):
         reachability_graph(NET, max_nodes=2)
+    chains = parallel_chains(6)
+    assert len(reachability_graph(chains, max_nodes=729).nodes) == 729
+    with pytest.raises(StateSpaceExceeded):
+        reachability_graph(chains, max_nodes=728)
+
+
+def test_reachability_graph_rejects_unbounded_nets():
+    # the pump shows within a few markings, long before the cap
+    with pytest.raises(UnboundedModel, match="bounded"):
+        reachability_graph(GENERATOR, max_nodes=1_000)
 
 
 def test_stochastic_net_validation():
