@@ -78,10 +78,20 @@ def _child_text(element: ET.Element, tag: str) -> str | None:
 
 
 def _parse_number(token: str, context: str) -> Fraction:
+    # Fraction("1e99999999") spends minutes building the power of ten
+    if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
+        raise ParseError(f"{context}: exponent of {token!r} out of range")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{context}: cannot read number {token!r}") from None
+
+
+def _parse_probability(token: str, context: str) -> Fraction:
+    value = _parse_number(token, context)
+    if not 0 <= value <= 1:
+        raise ParseError(f"{context}: probability {token} outside [0, 1]")
+    return value
 
 
 def _parse_count(token: str, context: str) -> int:
@@ -341,14 +351,16 @@ def parse_sdfa(text: str) -> Sdfa:
         elif kind == "state" and len(fields) == 3:
             if fields[1] in termination:
                 raise ParseError(f"line {line_number}: state {fields[1]} redeclared")
-            termination[fields[1]] = _parse_number(fields[2], f"line {line_number}")
+            termination[fields[1]] = _parse_probability(
+                fields[2], f"line {line_number}"
+            )
         elif kind == "arc" and len(fields) == 5:
             arcs.append(
                 (
                     fields[1],
                     fields[2],
                     fields[3],
-                    _parse_number(fields[4], f"line {line_number}"),
+                    _parse_probability(fields[4], f"line {line_number}"),
                 )
             )
         else:
@@ -362,8 +374,6 @@ def parse_sdfa(text: str) -> Sdfa:
         for endpoint in (src, dst):
             if endpoint not in termination:
                 raise ParseError(f"arc endpoint {endpoint} is not declared")
-        if not 0 <= probability <= 1:
-            raise ParseError(f"arc probability {probability} outside [0, 1]")
         if (src, label) in transitions:
             raise DuplicateTransition(f"second arc for label {label!r} at state {src}")
         transitions[(src, label)] = (dst, probability)
@@ -373,7 +383,7 @@ def parse_sdfa(text: str) -> Sdfa:
     for state, total in sorted(sums.items()):
         if abs(total - 1) > _SUM_TOLERANCE:
             raise StochasticSumViolation(
-                f"probabilities at state {state} sum to {total}, not 1"
+                f"probabilities at state {state} sum to {float(total):.12g}, not 1"
             )
     return Sdfa(
         states=frozenset(termination),
@@ -521,6 +531,6 @@ def load_artifact(path: str | Path):
         )
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parser(text)

@@ -17,19 +17,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import norm, spsolve
 
 from .automata import EventLog, Trace, _bfs_order, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall
 
 _SUM_TOLERANCE = Fraction(1, 10**9)
-_FIXED_POINT_TOL = 1e-12
-_MAX_SWEEPS = 10**7
+_BACKWARD_ERROR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class Sdfa:
     initial: object
     transitions: Mapping[tuple[object, str], tuple[object, Fraction]]
     termination: Mapping[object, Fraction]
+    # state -> its positive-probability (label, dst, prob) edges by label
+    _out: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -54,32 +57,32 @@ class Sdfa:
         for value in sums.values():
             if not 0 <= value <= 1:
                 raise ValueError("termination probability outside [0, 1]")
-        for (src, _), (dst, prob) in self.transitions.items():
+        out: dict = {}
+        for (src, label), (dst, prob) in self.transitions.items():
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoint missing from state set")
             if not 0 <= prob <= 1:
                 raise ValueError("transition probability outside [0, 1]")
             sums[src] += prob
+            if prob > 0:
+                out.setdefault(src, []).append((label, dst, prob))
         for state, total in sums.items():
             if abs(total - 1) > _SUM_TOLERANCE:
                 raise ValueError(
                     f"probabilities at state {state!r} sum to {total}, not 1"
                 )
+        # labels are unique per state, so the tuples sort by label alone
+        object.__setattr__(self, "_out", {s: sorted(e) for s, e in out.items()})
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
         """Positive-probability outgoing edges, sorted by label."""
-        edges = [
-            (label, dst, prob)
-            for (src, label), (dst, prob) in self.transitions.items()
-            if src == state and prob > 0
-        ]
-        edges.sort(key=lambda e: e[0])
-        return edges
+        return list(self._out.get(state, ()))
 
 
 @dataclass(frozen=True)
 class StochasticEntropy:
     bits: float
+    residual: float  # normwise backward error of the visit-count solve
 
 
 @dataclass(frozen=True)
@@ -143,58 +146,62 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     return _canonical_sdfa((), transitions, termination, log.alphabet)
 
 
+def _log2(value: Fraction) -> float:
+    # math.log2 on the integer parts keeps huge/tiny fractions in range
+    return math.log2(value.numerator) - math.log2(value.denominator)
+
+
+def _plog2p(p: Fraction) -> float:
+    # -p log2 p without float(p)'s rounding near 1 or its underflow near 0
+    q = float(p)
+    return -q * (math.log1p(float(p - 1)) / math.log(2) if q > 0.5 else _log2(p))
+
+
 def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     """Shannon entropy in bits of the trace distribution of an SDFA.
 
     H = sum over states of (expected visit count) * (local entropy of the
-    state's outgoing-plus-termination distribution). Visit counts are the
-    fixed point of c = e_initial + c P, iterated until the max-norm change
-    drops below 1e-12; the fixed point exists only when every reachable
-    state can reach positive termination, so that is checked up front
-    (NonTerminatingSdfa) instead of letting the iteration run away.
+    state's outgoing-plus-termination distribution). The counts c solve
+    (I - P)^T c = e_initial in one sparse direct solve, with each diagonal
+    1 - p(self-loop) taken on the exact fraction. I - P is nonsingular only
+    when every reachable state can reach positive termination, so that is
+    checked up front (NonTerminatingSdfa). NotConverged when the residual,
+    the backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of A =
+    (I - P)^T, exceeds 1e-9.
     """
-    reachable = _reachable(
-        (a.initial,), lambda s: (dst for _, dst, _ in a.out_edges(s))
-    )
+    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
     position = {s: i for i, s in enumerate(reachable)}
+    n = len(position)
     reverse: dict[object, list] = {}
-    for (src, _), (dst, prob) in a.transitions.items():
-        if prob > 0 and src in position:
-            reverse.setdefault(dst, []).append(src)
+    entries = []  # (row, column, value) of (I - P)^T
+    local = np.zeros(n)
+    for state, i in position.items():
+        stay, h = Fraction(0), 0.0
+        for _, dst, prob in a.out_edges(state):
+            h += _plog2p(prob)
+            reverse.setdefault(dst, []).append(state)
+            if dst == state:
+                stay += prob
+            else:
+                entries.append((position[dst], i, -float(prob)))
+        entries.append((i, i, float(1 - stay)))
+        term = a.termination.get(state, Fraction(0))
+        local[i] = h + _plog2p(term) if term > 0 else h
     terminating = [s for s in position if a.termination.get(s, Fraction(0)) > 0]
-    if len(_reachable(terminating, lambda s: reverse.get(s, ()))) < len(position):
+    if len(_reachable(terminating, lambda s: reverse.get(s, ()))) < n:
         raise NonTerminatingSdfa(
             "a reachable state has no positive-probability path to termination"
         )
-    n = len(position)
-    p = np.zeros((n, n))
-    local = np.zeros(n)
-    for state, i in position.items():
-        h = 0.0
-        for _, dst, prob in a.out_edges(state):
-            q = float(prob)
-            p[i, position[dst]] += q
-            h -= q * math.log2(q)
-        term = a.termination.get(state, Fraction(0))
-        if term > 0:
-            q = float(term)
-            h -= q * math.log2(q)
-        local[i] = h
+    rows, columns, values = zip(*entries)
+    system = csc_matrix((values, (rows, columns)), shape=(n, n))
     e_initial = np.zeros(n)
     e_initial[0] = 1.0
-    counts = np.zeros(n)
-    for _ in range(_MAX_SWEEPS):
-        updated = e_initial + counts @ p
-        if float(np.abs(updated - counts).max()) < _FIXED_POINT_TOL:
-            counts = updated
-            break
-        counts = updated
-    else:
-        raise NotConverged(
-            f"visit-count fixed point not within {_FIXED_POINT_TOL} "
-            f"after {_MAX_SWEEPS} sweeps"
-        )
-    return StochasticEntropy(float(counts @ local))
+    counts = spsolve(system, e_initial)
+    error = np.abs(system @ counts - e_initial).max()
+    residual = float(error / (norm(system, np.inf) * np.abs(counts).max() + 1.0))
+    if not residual <= _BACKWARD_ERROR_TOL:
+        raise NotConverged(f"visit-count solve has backward error {residual:.3g}")
+    return StochasticEntropy(float(counts @ local), residual)
 
 
 def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
@@ -220,9 +227,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
             and structure.termination.get(ss, Fraction(0)) > 0
         ):
             termination[pair] = prob_source.termination[sp]
-        structure_out = {
-            label: dst for label, dst, _ in structure.out_edges(ss)
-        }
+        structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
         for label, dst_p, prob in prob_source.out_edges(sp):
             dst_s = structure_out.get(label)
             if dst_s is None:
@@ -302,11 +307,6 @@ def trace_probability(a: Sdfa, t: Trace) -> Fraction:
         if prob == 0:
             return Fraction(0)
     return prob * a.termination.get(state, Fraction(0))
-
-
-def _log2(value: Fraction) -> float:
-    # math.log2 on the integer parts keeps huge/tiny fractions in range
-    return math.log2(value.numerator) - math.log2(value.denominator)
 
 
 def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:

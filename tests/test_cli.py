@@ -1,10 +1,14 @@
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import entroconf
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
@@ -221,6 +225,12 @@ def test_input_errors_exit_2(capsys, fixtures, tmp_path):
     assert code == 2
     assert err.startswith("input error: ")
 
+    latin1 = tmp_path / "latin1.sdfa"
+    latin1.write_bytes(b"initial s0\nstate s0 1\n# caf\xe9\n")
+    code, _, err = invoke(capsys, "-r", "-rel", fixtures / "E.xes", "-ret", latin1)
+    assert code == 2
+    assert err.startswith("input error: ")
+
 
 def test_unreadable_net_number_exits_2(fixtures, tmp_path):
     broken = tmp_path / "N.pnml"
@@ -230,6 +240,43 @@ def test_unreadable_net_number_exits_2(fixtures, tmp_path):
     assert result.returncode == 2
     assert result.stderr.startswith("input error: ")
     assert "Traceback" not in result.stderr
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+SDFA_LINES = (FIXTURES / "A.sdfa").read_text().splitlines()
+# "state s1" or "arc s1 s2 b" -> the probability that ends that line of A.sdfa
+SDFA_NUMBERS = dict(
+    line.rsplit(" ", 1) for line in SDFA_LINES if line.startswith(("state ", "arc "))
+)
+NUMBER_TOKENS = st.one_of(
+    st.sampled_from(sorted(set(SDFA_NUMBERS.values())) + ["-1", "2"]),
+    st.fractions().map(str),
+    st.floats().map(repr),
+    st.text(
+        st.characters(exclude_categories=("Z", "C"), exclude_characters="#"),
+        min_size=1,
+        max_size=8,
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example({"state s1": "-1", "arc s1 s2 b": "1", "arc s1 s4 c": "1"})
+@example({"state s1": "1e5000"})  # too many digits to print as a Fraction
+@example({"arc s1 s2 b": "1e-5000"})
+@example({"arc s1 s2 b": "1e99999999"})
+@given(st.dictionaries(st.sampled_from(sorted(SDFA_NUMBERS)), NUMBER_TOKENS))
+def test_mutated_sdfa_numbers_exit_with_a_documented_code(mutations):
+    lines = []
+    for line in SDFA_LINES:
+        key = line.rsplit(" ", 1)[0]
+        lines.append(f"{key} {mutations[key]}" if key in mutations else line)
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "mutated.sdfa"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = main(["-r", "-rel", str(FIXTURES / "E.xes"), "-ret", str(model)])
+    assert code in {0, 2, 3, 4}
 
 
 def test_semantic_rejections_exit_3(capsys, fixtures):

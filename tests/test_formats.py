@@ -210,6 +210,9 @@ def test_sdfa_errors():
         parse_sdfa("initial s0\nstate s0 1\narc s0 ghost go 0\n")
     with pytest.raises(ParseError):
         parse_sdfa("initial s0\nstate s0 1\nstate s1 0\narc s0 s1 go 3/2\n")
+    with pytest.raises(ParseError):
+        # the sum is 1, but only with a negative termination
+        parse_sdfa("initial s0\nstate s0 -1\narc s0 s0 a 1\narc s0 s0 b 1\n")
     with pytest.raises(DuplicateTransition):
         parse_sdfa(
             "initial s0\nstate s0 0\nstate s1 1\n"

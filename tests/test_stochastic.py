@@ -85,6 +85,14 @@ def test_sdfa_validation():
             {},
         )
 
+    # out-edges skip zero arcs and sort by label whatever the insertion order
+    arcs = {**MODEL.transitions, (1, "a"): (0, Fraction(0))}
+    shuffled = list(arcs.items())
+    random.Random(7).shuffle(shuffled)
+    built = Sdfa(MODEL.states, MODEL.alphabet, 0, dict(shuffled), MODEL.termination)
+    assert built.out_edges(1) == [("b", 2, Fraction(1, 2)), ("c", 4, Fraction(1, 2))]
+    assert built == Sdfa(MODEL.states, MODEL.alphabet, 0, arcs, MODEL.termination)
+
 
 def test_log_to_sdfa_splits_on_first_symbols():
     coded = log_to_sdfa(EventLog.from_traces([("a",), ("b",)]))
@@ -148,6 +156,17 @@ def test_entropy_of_simple_distributions():
     )
     assert sdfa_entropy(geometric).bits == pytest.approx(2.0, abs=1e-9)
 
+    # a branch whose probability underflows a float adds no entropy
+    tiny = Fraction(1, 10**400)
+    rare = Sdfa(
+        frozenset({0, 1}),
+        frozenset({"a"}),
+        0,
+        {(0, "a"): (1, tiny)},
+        {0: 1 - tiny, 1: Fraction(1)},
+    )
+    assert sdfa_entropy(rare).bits == 0.0
+
 
 def test_entropy_of_reference_model():
     value = sdfa_entropy(MODEL).bits
@@ -162,6 +181,34 @@ def test_entropy_matches_enumeration_on_random_models():
         value = sdfa_entropy(model).bits
         assert value == pytest.approx(oracles.enumerate_entropy(model), abs=1e-6)
         assert value == pytest.approx(oracles.exact_sdfa_entropy(model), abs=1e-9)
+
+
+@pytest.mark.parametrize("eps", ["1e-3", "1e-5", "1e-7", "1e-9", "1e-12"])
+def test_entropy_of_a_loop_that_rarely_exits(eps):
+    # geometric number of visits, mean 1/eps: H = h(eps) / eps
+    exit_ = Fraction(eps)
+    loop = Sdfa(
+        frozenset({0}), frozenset({"a"}), 0, {(0, "a"): (0, 1 - exit_)}, {0: exit_}
+    )
+    e = float(exit_)
+    h = -(1 - e) * math.log1p(-e) / math.log(2) - e * math.log2(e)
+    value = sdfa_entropy(loop)
+    assert value.bits == pytest.approx(h / e, rel=1e-9)
+    assert value.residual <= 1e-9
+
+
+def test_entropy_of_a_slow_cycle_matches_exact_counts():
+    # a -> b -> c around three states, leaving only after c with probability 1e-6
+    exit_ = Fraction(1, 10**6)
+    cycle = Sdfa(
+        frozenset(range(3)),
+        frozenset("abc"),
+        0,
+        {(0, "a"): (1, Fraction(1)), (1, "b"): (2, Fraction(1)), (2, "c"): (0, 1 - exit_)},
+        {2: exit_},
+    )
+    expected = oracles.exact_sdfa_entropy(cycle)
+    assert sdfa_entropy(cycle).bits == pytest.approx(expected, rel=1e-9)
 
 
 def test_entropy_rejects_states_that_cannot_stop():
