@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import EmptyLog, StateSpaceExceeded
 
@@ -111,10 +112,14 @@ class Nfa:
 
 @dataclass(frozen=True)
 class ShortCircuitGraph:
-    """Adjacency counts of a trimmed DFA plus one back edge per accepting state."""
+    """Adjacency counts of a trimmed DFA plus one back edge per accepting state.
+
+    The adjacency is a node_count x node_count int64 csr_matrix; entry
+    [i, j] counts the edges from state i to state j.
+    """
 
     node_count: int
-    adjacency: np.ndarray = field(compare=False)
+    adjacency: csr_matrix = field(compare=False)
 
 
 def _out_map(transitions: Mapping[tuple[object, str], object]) -> dict:
@@ -347,20 +352,20 @@ def skip_closure(a: Dfa, k) -> Nfa:
 
 
 def short_circuit(a: Dfa) -> ShortCircuitGraph:
-    """Adjacency matrix of a trimmed DFA with one back edge per accepting state.
+    """Sparse adjacency of a trimmed DFA plus one back edge per accepting state.
 
     The back edges (a fresh symbol, one per accepting state, pointing at the
     initial state) make the graph strongly connected, which is what gives
-    finite languages a well-defined, inclusion-monotone growth rate. An
+    finite languages a well-defined, inclusion-monotone growth rate. Nodes
+    are the states in sorted order; parallel edges add up in one entry. An
     empty-language automaton yields the 0-node graph.
     """
     if not a.accepting:
-        return ShortCircuitGraph(0, np.zeros((0, 0), dtype=np.int64))
+        return ShortCircuitGraph(0, csr_matrix((0, 0), dtype=np.int64))
     index = {s: i for i, s in enumerate(sorted(a.states))}
     n = len(index)
-    m = np.zeros((n, n), dtype=np.int64)
-    for (src, _), dst in a.transitions.items():
-        m[index[src], index[dst]] += 1
-    for acc in a.accepting:
-        m[index[acc], index[a.initial]] += 1
-    return ShortCircuitGraph(n, m)
+    edges = [(index[src], index[dst]) for (src, _), dst in a.transitions.items()]
+    edges += [(index[acc], index[a.initial]) for acc in a.accepting]
+    rows, cols = zip(*edges)
+    counts = np.ones(len(edges), dtype=np.int64)
+    return ShortCircuitGraph(n, csr_matrix((counts, (rows, cols)), shape=(n, n)))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, identity
 from scipy.sparse.csgraph import connected_components
 
 from .automata import (
@@ -57,25 +57,35 @@ def spectral_radius(
 ) -> float:
     """Perron root of a nonnegative square matrix, to relative tolerance tol.
 
-    Power iteration on (M + I) with an all-ones start vector; the +I shift
-    makes periodic graphs (pure cycles) converge. Iteration runs per
-    strongly connected component because the two-sided Rayleigh bounds that
-    certify the tolerance are only valid on irreducible blocks; the radius
-    of the whole matrix is the maximum over components.
+    The matrix may be a dense array-like or a scipy sparse matrix; either
+    way it is stored as CSR without explicit zeros, so only nonzero entries
+    link states. Power iteration on (M + I) with an all-ones start vector;
+    the +I shift makes periodic graphs (pure cycles) converge. Iteration runs
+    per strongly connected component on sparse blocks because the two-sided
+    Rayleigh bounds that certify the tolerance are only valid on irreducible
+    blocks; the radius of the whole matrix is the maximum over components.
     """
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    shape = np.shape(m)
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    if a.min() < 0:
+    a = csr_matrix(m, dtype=float, copy=True)
+    a.eliminate_zeros()
+    if a.nnz and a.data.min() < 0:
         raise ValueError("matrix must be nonnegative")
-    _, labels = connected_components(
-        csr_matrix(a != 0), directed=True, connection="strong"
-    )
+    return _perron_root(a, tol, max_iterations)
+
+
+def _perron_root(
+    a: csr_matrix,
+    tol: float = DEFAULT_TOL,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> float:
+    """spectral_radius of a square nonnegative CSR matrix with no stored zeros."""
+    if a.shape[0] == 0:
+        return 0.0
+    _, labels = connected_components(a, directed=True, connection="strong")
     best = 0.0
     for comp in np.unique(labels):
         idx = np.flatnonzero(labels == comp)
@@ -83,7 +93,7 @@ def spectral_radius(
             # a singleton component's radius is its self-loop count
             best = max(best, float(a[idx[0], idx[0]]))
             continue
-        block = a[np.ix_(idx, idx)].astype(float) + np.eye(idx.size)
+        block = a[idx][:, idx] + identity(idx.size, format="csr")
         v = np.ones(idx.size)
         for _ in range(max_iterations):
             w = block @ v
@@ -106,7 +116,7 @@ def _growth_factor(a: Dfa) -> tuple[float, bool]:
     t = trim(a)
     if not t.accepting:
         return 0.0, True
-    return spectral_radius(short_circuit(t).adjacency), False
+    return _perron_root(short_circuit(t).adjacency), False
 
 
 def topological_entropy(a: Dfa) -> EntropyValue:

@@ -241,7 +241,7 @@ def test_short_circuit_single_accepting_initial():
     dfa = dfa_for(())
     graph = short_circuit(trim(dfa))
     assert graph.node_count == 1
-    assert graph.adjacency.tolist() == [[1]]
+    assert graph.adjacency.toarray().tolist() == [[1]]
 
 
 def test_short_circuit_two_letter_universal_language():
@@ -252,12 +252,12 @@ def test_short_circuit_two_letter_universal_language():
         accepting=frozenset({0}),
         transitions={(0, "a"): 0, (0, "b"): 0},
     )
-    assert short_circuit(trim(dfa)).adjacency.tolist() == [[3]]
+    assert short_circuit(trim(dfa)).adjacency.toarray().tolist() == [[3]]
 
 
 def test_short_circuit_single_word():
     graph = short_circuit(trim(dfa_for(("a",))))
-    assert graph.adjacency.tolist() == [[0, 1], [1, 0]]
+    assert graph.adjacency.toarray().tolist() == [[0, 1], [1, 0]]
 
 
 def test_short_circuit_empty_language_is_zero_nodes():

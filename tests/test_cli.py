@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import example, given, settings
@@ -277,6 +279,39 @@ def test_mutated_sdfa_numbers_exit_with_a_documented_code(mutations):
         with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
             code = main(["-r", "-rel", str(FIXTURES / "E.xes"), "-ret", str(model)])
     assert code in {0, 2, 3, 4}
+
+
+SPNML_TEXT = (FIXTURES / "N.spnml").read_text()
+SPNML_WEIGHTED = ("t0", "t1", "t2")  # the transitions of N.spnml with a <weight>
+
+
+def _with_weights(weights):
+    text = SPNML_TEXT
+    for ident, token in weights.items():
+        start = text.index("<weight>", text.index(f'<transition id="{ident}">'))
+        end = text.index("</weight>", start)
+        text = text[:start] + f"<weight>{escape(token)}" + text[end:]
+    return text
+
+
+@settings(max_examples=30, deadline=None)
+@example({"t2": "1e400"})  # the loop exits with probability ~1e-400
+@given(st.dictionaries(st.sampled_from(SPNML_WEIGHTED), NUMBER_TOKENS))
+def test_mutated_spnml_weights_exit_with_one_line(weights):
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "mutated.spnml"
+        model.write_text(_with_weights(weights), encoding="utf-8")
+        # a warning is shown to the user as extra stderr lines
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+                code = main(["-sp", "-rel", str(FIXTURES / "E.xes"), "-ret", str(model)])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) + len(caught) <= 1, (
+        err.getvalue(),
+        [str(w.message) for w in caught],
+    )
 
 
 def test_semantic_rejections_exit_3(capsys, fixtures):

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from entroconf.automata import (
     UNBOUNDED,
@@ -101,6 +102,32 @@ def test_spectral_radius_matches_dense_eigensolver():
         expected = oracles.perron_root(matrix)
         got = spectral_radius(matrix)
         assert got == pytest.approx(expected, rel=1e-7, abs=1e-9)
+        # sparse input gives the dense-input value, also with every zero
+        # stored explicitly: stored zeros must not link states
+        assert spectral_radius(csr_matrix(matrix)) == got
+        rows, cols = np.indices((size, size)).reshape(2, -1)
+        stored = csr_matrix((np.ravel(matrix), (rows, cols)), shape=(size, size))
+        assert stored.nnz == size * size
+        assert spectral_radius(stored) == got
+
+
+def test_entropy_of_a_large_log_matches_its_closed_form():
+    # ~23k prefix-tree states: every short-circuit cycle is one word plus its
+    # back edge, so the growth root is the lambda >= 1 with
+    # sum over words w of lambda ** -(|w| + 1) = 1
+    rng = random.Random(1600)
+    words = {
+        tuple(rng.choice("abcdefgh") for _ in range(rng.randint(5, 30)))
+        for _ in range(1600)
+    }
+    log = EventLog.from_traces(words)
+    lengths = [len(w) + 1 for w in words]
+    lo, hi = 1.0, 9.0  # at most 8 letters plus one back edge leave a state
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if sum(mid**-k for k in lengths) > 1 else (lo, mid)
+    value = topological_entropy(log_to_dfa(log))
+    assert value.bits_per_symbol == pytest.approx(math.log2((lo + hi) / 2), rel=1e-9)
 
 
 def test_entropy_of_analytic_languages():
