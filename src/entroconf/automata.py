@@ -147,14 +147,34 @@ def _reachable(seeds, successors) -> dict:
     return found
 
 
-def _bfs_order(initial, out: Mapping[object, list]) -> dict[object, int]:
-    """Number the states reachable from initial 0..n-1 in BFS order.
+def _explore(start, successors, max_states=None) -> tuple[dict, dict]:
+    """Breadth-first construction of the automaton reachable from start.
 
-    out maps a state to its (label, target) pairs sorted by label, so the
-    numbering depends only on the automaton, not on how it was built.
+    successors(state) must yield (label, target) pairs sorted by label.
+    States are numbered 0..n-1 in discovery order, which under that
+    precondition is the canonical numbering: it depends only on the
+    automaton, not on how its states are named or its edges stored.
+    Returns the numbering {state: number} and the numbered transitions
+    {(number, label): number}. Raises StateSpaceExceeded when a new state
+    would make more than max_states.
     """
-    found = _reachable((initial,), lambda s: (dst for _, dst in out.get(s, ())))
-    return {state: number for number, state in enumerate(found)}
+    number = {start: 0}
+    transitions = {}
+    queue = deque([start])
+    while queue:
+        state = queue.popleft()
+        src = number[state]
+        for label, target in successors(state):
+            dst = number.get(target)
+            if dst is None:
+                if max_states is not None and len(number) >= max_states:
+                    raise StateSpaceExceeded(
+                        f"state space exceeds the cap of {max_states} states"
+                    )
+                dst = number[target] = len(number)
+                queue.append(target)
+            transitions[src, label] = dst
+    return number, transitions
 
 
 def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
@@ -164,17 +184,13 @@ def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
     its isomorphism class, which keeps downstream numerics reproducible.
     """
     out = _out_map(transitions)
-    order = _bfs_order(initial, out)
+    number, numbered = _explore(initial, lambda s: out.get(s, ()))
     return Dfa(
-        states=frozenset(order.values()),
+        states=frozenset(number.values()),
         alphabet=frozenset(alphabet),
         initial=0,
-        accepting=frozenset(order[s] for s in accepting if s in order),
-        transitions={
-            (order[src], label): order[dst]
-            for src in order
-            for label, dst in out.get(src, ())
-        },
+        accepting=frozenset(number[s] for s in accepting if s in number),
+        transitions=numbered,
     )
 
 
@@ -241,26 +257,26 @@ def product(a: Dfa, b: Dfa) -> Dfa:
     preprocessing: a label missing on one side simply never fires.
     """
     out_a = _out_map(a.transitions)
-    out_b = _out_map(b.transitions)
-    start = (a.initial, b.initial)
-    seen = {start}
-    queue = deque([start])
-    transitions: dict[tuple[tuple, str], tuple] = {}
-    while queue:
-        pair = queue.popleft()
+
+    def successors(pair):
         sa, sb = pair
-        succ_b = dict(out_b.get(sb, ()))
         for label, da in out_a.get(sa, ()):
-            db = succ_b.get(label)
-            if db is None:
-                continue
-            dst = (da, db)
-            transitions[(pair, label)] = dst
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
-    accepting = {p for p in seen if p[0] in a.accepting and p[1] in b.accepting}
-    return _canonical(start, accepting, transitions, a.alphabet & b.alphabet)
+            db = b.transitions.get((sb, label))
+            if db is not None:
+                yield label, (da, db)
+
+    number, transitions = _explore((a.initial, b.initial), successors)
+    return Dfa(
+        states=frozenset(number.values()),
+        alphabet=frozenset(a.alphabet & b.alphabet),
+        initial=0,
+        accepting=frozenset(
+            i
+            for (sa, sb), i in number.items()
+            if sa in a.accepting and sb in b.accepting
+        ),
+        transitions=transitions,
+    )
 
 
 def determinize(n: Nfa, max_states: int = 10**6) -> Dfa:
@@ -270,42 +286,30 @@ def determinize(n: Nfa, max_states: int = 10**6) -> Dfa:
     number of subset states is capped (StateSpaceExceeded beyond it).
     """
     eps: dict[object, set] = {}
-    labeled: dict[tuple[object, str], set] = {}
+    moves: dict[object, dict[str, set]] = {}
     for src, label, dst in n.transitions:
         if label is SILENT:
             eps.setdefault(src, set()).add(dst)
         else:
-            labeled.setdefault((src, label), set()).add(dst)
+            moves.setdefault(src, {}).setdefault(label, set()).add(dst)
 
     def closure(states) -> frozenset:
         return frozenset(_reachable(states, lambda s: eps.get(s, ())))
 
-    start = closure({n.initial})
-    subsets = {start}
-    queue = deque([start])
-    transitions: dict[tuple[frozenset, str], frozenset] = {}
-    while queue:
-        subset = queue.popleft()
-        labels = sorted({label for (s, label) in labeled if s in subset})
-        for label in labels:
-            targets = set()
-            for s in subset:
-                targets |= labeled.get((s, label), set())
-            dst = closure(targets)
-            transitions[(subset, label)] = dst
-            if dst not in subsets:
-                if len(subsets) >= max_states:
-                    raise StateSpaceExceeded(
-                        f"determinization exceeded {max_states} states"
-                    )
-                subsets.add(dst)
-                queue.append(dst)
-    accepting = {subset for subset in subsets if subset & n.accepting}
+    def successors(subset):
+        targets: dict[str, set] = {}
+        for s in subset:
+            for label, dsts in moves.get(s, {}).items():
+                targets.setdefault(label, set()).update(dsts)
+        for label in sorted(targets):
+            yield label, closure(targets[label])
+
+    number, transitions = _explore(closure({n.initial}), successors, max_states)
     dfa = Dfa(
-        states=frozenset(subsets),
+        states=frozenset(number.values()),
         alphabet=n.alphabet,
-        initial=start,
-        accepting=frozenset(accepting),
+        initial=0,
+        accepting=frozenset(i for subset, i in number.items() if subset & n.accepting),
         transitions=transitions,
     )
     return trim(dfa)

@@ -86,13 +86,13 @@ def _perron_root(
     if a.shape[0] == 0:
         return 0.0
     _, labels = connected_components(a, directed=True, connection="strong")
-    best = 0.0
-    for comp in np.unique(labels):
-        idx = np.flatnonzero(labels == comp)
-        if idx.size == 1:
-            # a singleton component's radius is its self-loop count
-            best = max(best, float(a[idx[0], idx[0]]))
-            continue
+    sizes = np.bincount(labels)
+    # a singleton component's radius is its self-loop count
+    best = float(a.diagonal()[sizes[labels] == 1].max(initial=0.0))
+    members = np.argsort(labels, kind="stable")
+    ends = np.cumsum(sizes)
+    for comp in np.flatnonzero(sizes > 1):
+        idx = members[ends[comp] - sizes[comp] : ends[comp]]
         block = a[idx][:, idx] + identity(idx.size, format="csr")
         v = np.ones(idx.size)
         for _ in range(max_iterations):

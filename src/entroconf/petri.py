@@ -9,18 +9,16 @@ model checker nor a second pass over the net is involved.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import SILENT, Dfa, Nfa, determinize
+from .automata import SILENT, Dfa, Nfa, _explore, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
     NondeterministicStochasticModel,
     SilentTransitionUnsupported,
-    StateSpaceExceeded,
     UnboundedModel,
 )
 from .stochastic import Sdfa, _canonical_sdfa
@@ -173,39 +171,35 @@ def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> Reac
 
     start = _initial_vector(net, order)
     parent: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
-    queue = deque([start])
-    edges = set()
-    while queue:
-        marking = queue.popleft()
+
+    def successors(marking):
         for t, pre, post in rules:
             if not all(have >= need for have, need in zip(marking, pre)):
                 continue
             successor = tuple(
                 have - need + gain for have, need, gain in zip(marking, pre, post)
             )
-            edges.add((marking, t, successor))
-            if successor in parent:
-                continue
-            ancestor = marking
-            while ancestor is not None:
-                if all(a <= b for a, b in zip(ancestor, successor)):
-                    raise UnboundedModel(
-                        "the net is not bounded: from the reachable marking "
-                        f"{to_marking(ancestor).as_dict()} it reaches a marking "
-                        "that strictly covers it"
-                    )
-                ancestor = parent[ancestor]
-            if len(parent) >= max_nodes:
-                raise StateSpaceExceeded(
-                    f"reachability graph exceeded {max_nodes} markings"
-                )
-            parent[successor] = marking
-            queue.append(successor)
+            if successor not in parent:
+                ancestor = marking
+                while ancestor is not None:
+                    if all(a <= b for a, b in zip(ancestor, successor)):
+                        raise UnboundedModel(
+                            "the net is not bounded: from the reachable marking "
+                            f"{to_marking(ancestor).as_dict()} it reaches a marking "
+                            "that strictly covers it"
+                        )
+                    ancestor = parent[ancestor]
+                parent[successor] = marking
+            yield t, successor
 
+    number, transitions = _explore(start, successors, max_nodes)
+    markings = [to_marking(v) for v in number]
     return ReachabilityGraph(
-        nodes=frozenset(to_marking(v) for v in parent),
-        initial=to_marking(start),
-        edges=frozenset((to_marking(a), t, to_marking(b)) for a, t, b in edges),
+        nodes=frozenset(markings),
+        initial=markings[0],
+        edges=frozenset(
+            (markings[src], t, markings[dst]) for (src, t), dst in transitions.items()
+        ),
     )
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -26,7 +25,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import MatrixRankWarning, norm, spsolve
 
-from .automata import EventLog, Trace, _bfs_order, _out_map, _reachable
+from .automata import EventLog, Trace, _explore, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall
 
@@ -99,18 +98,18 @@ def _canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
     # the numbering of automata._canonical, so repeated constructions are
     # bit-identical
     out = _out_map({key: dst for key, (dst, _) in transitions.items()})
-    order = _bfs_order(initial, out)
+    number, numbered = _explore(initial, lambda s: out.get(s, ()))
+    states = list(number)
     return Sdfa(
-        states=frozenset(order.values()),
+        states=frozenset(number.values()),
         alphabet=frozenset(alphabet),
         initial=0,
         transitions={
-            (order[src], label): (order[dst], transitions[src, label][1])
-            for src in order
-            for label, dst in out.get(src, ())
+            (src, label): (dst, transitions[states[src], label][1])
+            for (src, label), dst in numbered.items()
         },
         termination={
-            order[s]: p for s, p in termination.items() if s in order and p > 0
+            number[s]: p for s, p in termination.items() if s in number and p > 0
         },
     )
 
@@ -218,36 +217,34 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     result is again a proper distribution. EmptyConjunction when no trace
     has positive probability in both inputs.
     """
-    start = (prob_source.initial, structure.initial)
-    seen = {start}
-    queue = deque([start])
-    transitions: dict[tuple[tuple, str], tuple[tuple, Fraction]] = {}
-    termination: dict[tuple, Fraction] = {}
-    while queue:
-        pair = queue.popleft()
+
+    def successors(pair):
         sp, ss = pair
-        if (
-            prob_source.termination.get(sp, Fraction(0)) > 0
-            and structure.termination.get(ss, Fraction(0)) > 0
-        ):
-            termination[pair] = prob_source.termination[sp]
         structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
-        for label, dst_p, prob in prob_source.out_edges(sp):
+        for label, dst_p, _ in prob_source.out_edges(sp):
             dst_s = structure_out.get(label)
-            if dst_s is None:
-                continue
-            dst = (dst_p, dst_s)
-            transitions[(pair, label)] = (dst, prob)
-            if dst not in seen:
-                seen.add(dst)
-                queue.append(dst)
+            if dst_s is not None:
+                yield label, (dst_p, dst_s)
+
+    number, forward = _explore((prob_source.initial, structure.initial), successors)
+    pairs = list(number)
+    transitions = {
+        (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])
+        for (src, label), dst in forward.items()
+    }
+    termination = {
+        i: prob_source.termination[sp]
+        for i, (sp, ss) in enumerate(pairs)
+        if prob_source.termination.get(sp, Fraction(0)) > 0
+        and structure.termination.get(ss, Fraction(0)) > 0
+    }
 
     # surviving = pairs that still reach positive termination
-    reverse: dict[tuple, list] = {}
+    reverse: dict[int, list] = {}
     for (src, _), (dst, _) in transitions.items():
         reverse.setdefault(dst, []).append(src)
     surviving = _reachable(termination, lambda s: reverse.get(s, ()))
-    if start not in surviving:
+    if 0 not in surviving:
         raise EmptyConjunction("no trace has positive probability in both inputs")
 
     kept = {
@@ -255,7 +252,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
         for key, value in transitions.items()
         if key[0] in surviving and value[0] in surviving
     }
-    mass: dict[tuple, Fraction] = {
+    mass: dict[int, Fraction] = {
         s: termination.get(s, Fraction(0)) for s in surviving
     }
     for (src, _), (_, prob) in kept.items():
@@ -265,7 +262,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     }
     final_termination = {s: p / mass[s] for s, p in termination.items()}
     return _canonical_sdfa(
-        start,
+        0,
         renormalized,
         final_termination,
         prob_source.alphabet & structure.alphabet,

@@ -191,7 +191,7 @@ def test_determinize_preserves_language():
 
 def test_determinize_state_cap():
     dfa = dfa_for(("a", "b"))
-    with pytest.raises(StateSpaceExceeded):
+    with pytest.raises(StateSpaceExceeded, match=r"\b1\b"):
         determinize(skip_closure(dfa, UNBOUNDED), max_states=1)
 
 
@@ -286,6 +286,21 @@ def test_short_circuit_back_edge_per_accepting_state():
             assert graph.adjacency[index[state], index[dfa.initial]] == expected
 
 
+def renamed(a: Dfa, rng) -> Dfa:
+    """a with its states permuted and its transitions stored in shuffled order."""
+    states = sorted(a.states)
+    name = dict(zip(states, rng.sample(states, len(states))))
+    edges = list(a.transitions.items())
+    rng.shuffle(edges)
+    return Dfa(
+        states=frozenset(name.values()),
+        alphabet=a.alphabet,
+        initial=name[a.initial],
+        accepting=frozenset(name[s] for s in a.accepting),
+        transitions={(name[src], label): name[dst] for (src, label), dst in edges},
+    )
+
+
 def test_constructions_are_reproducible():
     rng_a = random.Random(99)
     rng_b = random.Random(99)
@@ -294,3 +309,16 @@ def test_constructions_are_reproducible():
     assert first == second
     assert product(first, first) == product(second, second)
     assert determinize(skip_closure(first, 1)) == determinize(skip_closure(second, 1))
+    # constructions number states canonically: renaming the states of an
+    # input and reordering its transitions changes nothing
+    rng = random.Random(100)
+    for _ in range(20):
+        original = oracles.random_dfa(rng, max_states=8)
+        other = oracles.random_dfa(rng, max_states=8)
+        copy = renamed(original, rng)
+        assert trim(copy) == trim(original)
+        assert product(copy, renamed(other, rng)) == product(original, other)
+        for k in (0, 1, UNBOUNDED):
+            assert determinize(skip_closure(copy, k)) == determinize(
+                skip_closure(original, k)
+            )

@@ -314,6 +314,29 @@ def test_mutated_spnml_weights_exit_with_one_line(weights):
     )
 
 
+DFG_LINES = (FIXTURES / "billing.dfg").read_text().splitlines()
+# "arc start na" -> the frequency that ends that line of billing.dfg
+DFG_ARCS = sorted(line.rsplit(" ", 1)[0] for line in DFG_LINES if line.startswith("arc "))
+
+
+@settings(max_examples=40, deadline=None)
+@example({"arc ne end": "0"})  # the only way out of e
+@given(st.dictionaries(st.sampled_from(DFG_ARCS), NUMBER_TOKENS))
+def test_mutated_dfg_frequencies_exit_with_one_line(frequencies):
+    lines = []
+    for line in DFG_LINES:
+        key = line.rsplit(" ", 1)[0]
+        lines.append(f"{key} {frequencies[key]}" if key in frequencies else line)
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "mutated.dfg"
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+            code = main(["-r", "-rel", str(FIXTURES / "E.xes"), "-ret", str(model)])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
 def test_semantic_rejections_exit_3(capsys, fixtures):
     cases = [
         ("-emp", fixtures / "E.xes", fixtures / "A.sdfa"),

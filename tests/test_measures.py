@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import block_diag, csr_matrix, diags
 
 from entroconf.automata import (
     UNBOUNDED,
@@ -109,6 +109,31 @@ def test_spectral_radius_matches_dense_eigensolver():
         stored = csr_matrix((np.ravel(matrix), (rows, cols)), shape=(size, size))
         assert stored.nnz == size * size
         assert spectral_radius(stored) == got
+
+
+def test_spectral_radius_of_many_small_components():
+    # 80,000 singleton components, each with its own self-loop
+    assert spectral_radius(diags(np.arange(80_000.0))) == 79999.0
+    rng = random.Random(41)
+    for _ in range(20):
+        blocks = []
+        for _ in range(rng.randint(1, 12)):
+            size = rng.choice([1, 1, 2, 3, 4])
+            if size == 1:
+                block = np.array([[rng.choice([0, 1, 2, 3])]])  # self-loop or none
+            else:
+                block = np.zeros((size, size))  # a weighted cycle
+                for i in range(size):
+                    block[i, (i + 1) % size] = rng.randint(1, 3)
+                if size > 2 and rng.random() < 0.5:
+                    block[0, 2] += 1  # a chord
+            blocks.append(block)
+        # a node permutation interleaves the components' members
+        order = list(range(sum(len(b) for b in blocks)))
+        rng.shuffle(order)
+        matrix = block_diag(blocks, format="csr")[order][:, order]
+        expected = oracles.perron_root(matrix.toarray())
+        assert spectral_radius(matrix) == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
 
 def test_entropy_of_a_large_log_matches_its_closed_form():

@@ -256,11 +256,11 @@ def test_boundedness_agrees_with_exhaustive_search():
 
 
 def test_reachability_graph_node_cap():
-    with pytest.raises(StateSpaceExceeded):
+    with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
         reachability_graph(NET, max_nodes=2)
     chains = parallel_chains(6)
     assert len(reachability_graph(chains, max_nodes=729).nodes) == 729
-    with pytest.raises(StateSpaceExceeded):
+    with pytest.raises(StateSpaceExceeded, match=r"\b728\b"):
         reachability_graph(chains, max_nodes=728)
 
 

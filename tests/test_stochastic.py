@@ -242,6 +242,36 @@ def test_conjunction_renormalizes_surviving_mass():
         conjunction(pair, delta("c"))
 
 
+def renamed(a: Sdfa, rng) -> Sdfa:
+    """a with its states permuted and its transitions stored in shuffled order."""
+    states = sorted(a.states)
+    name = dict(zip(states, rng.sample(states, len(states))))
+    edges = list(a.transitions.items())
+    rng.shuffle(edges)
+    return Sdfa(
+        states=frozenset(name.values()),
+        alphabet=a.alphabet,
+        initial=name[a.initial],
+        transitions={
+            (name[src], label): (name[dst], prob) for (src, label), (dst, prob) in edges
+        },
+        termination={name[s]: p for s, p in a.termination.items()},
+    )
+
+
+def test_conjunction_numbers_states_canonically():
+    rng = random.Random(61)
+    for _ in range(25):
+        rel = oracles.random_terminating_sdfa(rng)
+        ret = oracles.random_terminating_sdfa(rng)
+        for source, structure in ((rel, ret), (ret, rel)):
+            try:
+                expected = conjunction(source, structure)
+            except EmptyConjunction:
+                continue
+            assert conjunction(renamed(source, rng), renamed(structure, rng)) == expected
+
+
 def test_stochastic_precision_recall_conventions():
     assert stochastic_precision_recall(MODEL, MODEL) == PrecisionRecall(1.0, 1.0)
 
