@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
-
-import numpy as np
-from scipy.sparse import csr_matrix
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyLog, StateSpaceExceeded
+
+# numpy and scipy are imported inside the numeric kernels, so that runs
+# with no numeric solve (--version, -b, -r) start without them
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 Trace = tuple[str, ...]
 
@@ -364,6 +366,9 @@ def short_circuit(a: Dfa) -> ShortCircuitGraph:
     are the states in sorted order; parallel edges add up in one entry. An
     empty-language automaton yields the 0-node graph.
     """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     if not a.accepting:
         return ShortCircuitGraph(0, csr_matrix((0, 0), dtype=np.int64))
     index = {s: i for i, s in enumerate(sorted(a.states))}

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
+from xml.parsers import expat
 
 from .automata import EventLog, Trace, _reachable
 from .errors import (
@@ -107,28 +108,90 @@ def _parse_count(token: str, context: str) -> int:
 # --- XES ---------------------------------------------------------------
 
 
-def parse_xes(text: str) -> EventLog:
-    """Event log from an XES document; one trace per <trace> element."""
-    root = _parse_xml(text)
+class _LocalNames(dict):
+    """Cache of each raw expat tag's local name ("uri}trace" -> "trace")."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = tag.rpartition("}")[2]
+        return local
+
+
+def _read_xes(parse) -> EventLog:
+    """Event log from one streaming expat pass; parse(parser) feeds the input.
+
+    No tree is built. Each open element's role goes on a stack: "trace" for
+    a <trace> at any depth, "event" for an <event> directly inside one, ""
+    for anything else. Only the open traces' event lists and the open
+    events' names are held. A missing name is reported once the whole
+    document has been read, so that malformed XML takes precedence, as it
+    does when the tree is built first.
+    """
+    parser = expat.ParserCreate(namespace_separator="}")
+    local_names = _LocalNames()
+    roles = [""]  # of the open elements, under a sentinel for the root's parent
+    traces: list[list] = []  # event names of each open trace
+    names: list = []  # concept:name of each open event; None until seen
     counts: dict[Trace, int] = {}
-    for trace_el in root.iter():
-        if _local(trace_el.tag) != "trace":
-            continue
-        events = []
-        for event_el in trace_el:
-            if _local(event_el.tag) != "event":
-                continue
-            name = None
-            for attr in event_el:
-                if attr.get("key") == "concept:name":
-                    name = attr.get("value")
-                    break
+    missing = False
+
+    def start(tag, attrs):
+        parent = roles[-1]
+        if (
+            parent == "event"
+            and names[-1] is None
+            and attrs.get("key") == "concept:name"
+        ):
+            names[-1] = attrs.get("value") or ""
+        local = local_names[tag]
+        if local == "trace":
+            roles.append("trace")
+            traces.append([])
+        elif local == "event" and parent == "trace":
+            roles.append("event")
+            names.append(None)
+        else:
+            roles.append("")
+
+    def end(tag):
+        nonlocal missing
+        role = roles.pop()
+        if role == "event":
+            name = names.pop()
             if not name:
-                raise MissingConceptName("event without a concept:name attribute")
-            events.append(name)
-        trace = tuple(events)
-        counts[trace] = counts.get(trace, 0) + 1
+                missing = True
+            traces[-1].append(name)
+        elif role == "trace":
+            trace = tuple(traces.pop())
+            counts[trace] = counts.get(trace, 0) + 1
+
+    def skipped_entity(entity, is_parameter_entity):
+        # an entity reference no declaration defines, left by expat because
+        # the document has an external DTD it does not read
+        if not is_parameter_entity:
+            raise MalformedXml(f"undefined entity &{entity};")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped_entity
+    try:
+        parse(parser)
+    except (expat.ExpatError, LookupError, ValueError) as exc:
+        # LookupError: a declared encoding Python has no codec for;
+        # ValueError: a declared multi-byte encoding other than UTF-8/16
+        raise MalformedXml(str(exc)) from None
+    if missing:
+        raise MissingConceptName("event without a concept:name attribute")
     return EventLog(counts)
+
+
+def parse_xes(text: str) -> EventLog:
+    """Event log from an XES document; one trace per <trace> element.
+
+    A <trace> counts at any depth; its events are its direct <event>
+    children, and an event's name is the value of its first direct child
+    with key="concept:name".
+    """
+    return _read_xes(lambda parser: parser.Parse(text, True))
 
 
 def serialize_xes(log: EventLog) -> str:
@@ -530,6 +593,10 @@ def load_artifact(path: str | Path):
             f"{path}: expected one of {', '.join(sorted(_PARSERS))}"
         )
     try:
+        if suffix == ".xes":
+            # streamed as bytes, so expat honours the encoding declaration
+            with open(path, "rb") as stream:
+                return _read_xes(lambda parser: parser.ParseFile(stream))
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.sparse import csr_matrix, identity
-from scipy.sparse.csgraph import connected_components
+from typing import TYPE_CHECKING
 
 from .automata import (
     UNBOUNDED,
@@ -27,6 +24,10 @@ from .automata import (
     trim,
 )
 from .errors import NotConverged
+
+# numpy and scipy are imported inside the kernels, as in automata
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERATIONS = 10**6
@@ -65,6 +66,9 @@ def spectral_radius(
     Rayleigh bounds that certify the tolerance are only valid on irreducible
     blocks; the radius of the whole matrix is the maximum over components.
     """
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
@@ -83,6 +87,10 @@ def _perron_root(
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> float:
     """spectral_radius of a square nonnegative CSR matrix with no stored zeros."""
+    import numpy as np
+    from scipy.sparse import identity
+    from scipy.sparse.csgraph import connected_components
+
     if a.shape[0] == 0:
         return 0.0
     _, labels = connected_components(a, directed=True, connection="strong")

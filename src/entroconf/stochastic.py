@@ -21,10 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import MatrixRankWarning, norm, spsolve
-
 from .automata import EventLog, Trace, _explore, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall
@@ -169,6 +165,11 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     the backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of A =
     (I - P)^T, exceeds 1e-9.
     """
+    # imported here, not at module load, as in automata
+    import numpy as np
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import MatrixRankWarning, norm, spsolve
+
     reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
     position = {s: i for i, s in enumerate(reachable)}
     n = len(position)

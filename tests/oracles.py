@@ -11,12 +11,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import xml.etree.ElementTree as ET
 from collections import deque
 from fractions import Fraction
 
 import numpy as np
 
 from entroconf.automata import SILENT, Dfa, EventLog, Nfa, trim
+from entroconf.errors import MalformedXml, MissingConceptName
 from entroconf.petri import Marking, PetriNet
 from entroconf.stochastic import Sdfa
 
@@ -285,6 +287,38 @@ def exhaustive_is_bounded(net: PetriNet, cap: int) -> bool:
                     seen.add(successor)
                     frontier.append(successor)
     return True
+
+
+def tree_parse_xes(text: str) -> EventLog:
+    """parse_xes by building the whole ElementTree and walking it.
+
+    A <trace> counts at any depth; its events are its direct <event>
+    children; an event's name is the value of its first direct child with
+    key="concept:name", and a missing or empty one is an error.
+    """
+    try:
+        root = ET.fromstring(text)
+    except ET.ParseError as exc:
+        raise MalformedXml(str(exc)) from None
+    counts: dict[tuple, int] = {}
+    for trace_el in root.iter():
+        if trace_el.tag.rpartition("}")[2] != "trace":
+            continue
+        events = []
+        for event_el in trace_el:
+            if event_el.tag.rpartition("}")[2] != "event":
+                continue
+            name = None
+            for attr in event_el:
+                if attr.get("key") == "concept:name":
+                    name = attr.get("value")
+                    break
+            if not name:
+                raise MissingConceptName("event without a concept:name attribute")
+            events.append(name)
+        trace = tuple(events)
+        counts[trace] = counts.get(trace, 0) + 1
+    return EventLog(counts)
 
 
 # --- randomized input generators (all take a seeded random.Random) -------

@@ -1,4 +1,6 @@
+import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -234,6 +236,73 @@ def test_input_errors_exit_2(capsys, fixtures, tmp_path):
     assert err.startswith("input error: ")
 
 
+def test_xes_encoding_declaration_is_honoured(capsys, fixtures, tmp_path):
+    body = '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event></trace></log>'
+    declared = tmp_path / "declared.xes"
+    declared.write_bytes(
+        b'<?xml version="1.0" encoding="ISO-8859-1"?>\n' + body.encode("latin-1")
+    )
+    assert entroconf.load_artifact(declared).entries == {("caf\u00e9",): 1}
+    code, out, err = invoke(capsys, "-r", "-rel", declared, "-ret", fixtures / "A.sdfa", "-s")
+    assert (code, err.count("\n")) == (0, 0)
+
+    undeclared = tmp_path / "undeclared.xes"
+    undeclared.write_bytes(body.encode("latin-1"))
+    code, _, err = invoke(capsys, "-r", "-rel", undeclared, "-ret", fixtures / "A.sdfa")
+    assert code == 2
+    assert err.startswith("input error: ")
+    assert len(err.splitlines()) == 1
+
+    bom = tmp_path / "bom.xes"
+    bom.write_bytes(b"\xef\xbb\xbf" + (fixtures / "E.xes").read_bytes())
+    assert entroconf.load_artifact(bom) == entroconf.load_artifact(fixtures / "E.xes")
+    code, out, _ = invoke(capsys, "-r", "-rel", bom, "-ret", fixtures / "A.sdfa", "-s")
+    assert (code, out) == (0, "11.368\n")
+
+
+STARTUP_PROBE = """
+import json, sys
+import entroconf, entroconf.cli
+
+
+def numeric_modules():
+    return sorted(
+        name for name in sys.modules
+        if name in ("numpy", "scipy") or name.startswith(("numpy.", "scipy."))
+    )
+
+
+log, sdfa, net = sys.argv[1:]
+stages = {"import": numeric_modules()}
+entroconf.cli.main(["--version"])
+stages["--version"] = numeric_modules()
+entroconf.cli.main(["-r", "-rel", log, "-ret", sdfa, "-s"])
+stages["-r"] = numeric_modules()
+entroconf.cli.main(["-emp", "-rel", log, "-ret", net, "-s"])
+stages["-emp"] = numeric_modules()
+print(json.dumps(stages))
+"""
+
+
+def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures):
+    package_root = Path(entroconf.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [
+            sys.executable, "-c", STARTUP_PROBE,
+            *(str(fixtures / name) for name in ("E.xes", "A.sdfa", "N.pnml")),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+    *values, report = result.stdout.splitlines()
+    assert values == [VERSION, "11.368", "0.776"]
+    stages = json.loads(report)
+    assert stages["import"] == stages["--version"] == stages["-r"] == []
+    assert {"numpy", "scipy"} <= set(stages["-emp"])
+
+
 def test_unreadable_net_number_exits_2(fixtures, tmp_path):
     broken = tmp_path / "N.pnml"
     text = (fixtures / "N.pnml").read_text()
@@ -335,6 +404,54 @@ def test_mutated_dfg_frequencies_exit_with_one_line(frequencies):
     assert code in {0, 2, 3, 4}
     assert "Traceback" not in err.getvalue()
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+XES_TEXT = (FIXTURES / "E.xes").read_text()
+# every attribute value of E.xes, the XML declaration's version and encoding included
+XES_VALUES = [match.span(1) for match in re.finditer(r'="([^"]*)"', XES_TEXT)]
+VALUE_TOKENS = st.one_of(
+    st.sampled_from(
+        ["", "concept:name", "bogus", "utf-7", "UTF-16", "latin-1", "2.0", "&amp;", "&x;"]
+    ),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def xes_mutants(draw):
+    """E.xes with some attribute values replaced, then some bytes edited."""
+    replacements = draw(
+        st.dictionaries(st.integers(0, len(XES_VALUES) - 1), VALUE_TOKENS, max_size=4)
+    )
+    text = XES_TEXT
+    for index in sorted(replacements, reverse=True):
+        start, end = XES_VALUES[index]
+        text = text[:start] + replacements[index] + text[end:]
+    data = bytearray(text.encode("utf-8"))
+    edits = st.tuples(st.integers(0, len(data)), st.integers(0, 3), st.binary(max_size=3))
+    for position, deleted, inserted in draw(st.lists(edits, max_size=3)):
+        data[position : position + deleted] = inserted
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@example(XES_TEXT.replace("UTF-8", "bogus", 1).encode())  # no codec of that name
+@example(XES_TEXT.replace("UTF-8", "utf-7", 1).encode())  # a multi-byte codec
+@given(xes_mutants())
+def test_mutated_xes_exits_with_one_line(mutant):
+    with tempfile.TemporaryDirectory() as tmp:
+        log = Path(tmp) / "mutated.xes"
+        log.write_bytes(mutant)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+                code = main(["-r", "-rel", str(log), "-ret", str(FIXTURES / "A.sdfa")])
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().splitlines()) + len(caught) <= 1, (
+        err.getvalue(),
+        [str(w.message) for w in caught],
+    )
 
 
 def test_semantic_rejections_exit_3(capsys, fixtures):

@@ -1,7 +1,13 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from xml.sax.saxutils import escape, quoteattr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from entroconf.automata import EventLog
 from entroconf.errors import (
     DanglingArc,
@@ -96,6 +102,136 @@ def test_xes_errors():
         parse_xes('<log><trace><event><string key="other" value="x"/></event></trace></log>')
     with pytest.raises(MissingConceptName):
         parse_xes('<log><trace><event><string key="concept:name" value=""/></event></trace></log>')
+
+
+# Generated XES documents. An element is (tag, attributes, children, prefixed);
+# the namespace mode of the document decides how a prefixed name is written.
+XES_NAMESPACE = "http://www.xes-standard.org/"
+LABELS = st.sampled_from(["a", "b", "c", "caf\u00e9", "a b", "<&>"])
+
+
+@st.composite
+def xes_attributes(draw):
+    """An attribute element: maybe a concept:name, maybe not a <string>."""
+    tag = draw(st.sampled_from(["string", "string", "date", "int", "list", "event", "trace"]))
+    attributes = []
+    key = draw(st.sampled_from(["concept:name", "concept:name", "org:resource", None]))
+    if key is not None:
+        attributes.append((draw(st.sampled_from(["key", "key", "key", "xes:key"])), key))
+    value = draw(st.one_of(LABELS, st.sampled_from(["", None])))
+    if value is not None:
+        attributes.append(("value", value))
+    if draw(st.booleans()):
+        attributes.insert(draw(st.integers(0, len(attributes))), ("id", "x"))
+    return (tag, tuple(attributes), (), draw(st.booleans()))
+
+
+def xes_name(tag):
+    return st.tuples(
+        st.just(tag), LABELS.map(lambda v: (("key", "concept:name"), ("value", v))),
+        st.just(()), st.booleans(),
+    )
+
+
+OTHER_ATTRIBUTES = xes_attributes().filter(lambda e: ("key", "concept:name") not in e[1])
+
+
+def xes_events(inner):
+    # mostly a named event; the name may follow other attributes and be
+    # followed by further children, a nested trace among them
+    name = st.one_of(*[xes_name("string")] * 6, xes_name("date"), xes_attributes())
+    children = st.tuples(
+        st.lists(OTHER_ATTRIBUTES, max_size=2),
+        name.map(lambda e: [e]),
+        st.lists(st.one_of(xes_attributes(), inner), max_size=2),
+    ).map(lambda parts: tuple(parts[0] + parts[1] + parts[2]))
+    return st.tuples(st.just("event"), st.just(()), children, st.booleans())
+
+
+def xes_extend(inner):
+    event = xes_events(inner)
+    members = st.one_of(event, event, event, xes_attributes(), inner)
+    trace = st.tuples(
+        st.just("trace"), st.just(()),
+        st.one_of(st.just(()), *[st.lists(members, min_size=1, max_size=4).map(tuple)] * 4),
+        st.booleans(),
+    )
+    other = st.tuples(
+        st.sampled_from(["list", "meta"]), st.just(()),
+        st.lists(inner, max_size=3).map(tuple), st.booleans(),
+    )
+    return st.one_of(trace, trace, event, other)
+
+
+XES_ELEMENTS = st.recursive(xes_attributes(), xes_extend, max_leaves=12)
+XES_LOGS = st.tuples(
+    st.just("log"), st.just((("xes.version", "1.0"),)),
+    st.lists(st.one_of(*[xes_extend(XES_ELEMENTS)] * 3, xes_attributes()), min_size=1, max_size=5)
+    .map(tuple),
+    st.booleans(),
+)
+XES_ROOTS = st.one_of(XES_LOGS, XES_LOGS, XES_LOGS, xes_extend(XES_ELEMENTS))
+
+
+def render_xes(element, mode, separator, root=True):
+    tag, attributes, children, prefixed = element
+
+    def name(raw, is_prefixed):
+        local = raw.rpartition(":")[2] if mode == "none" else raw
+        return f"xes:{local}" if is_prefixed and mode != "none" else local
+
+    written = [(name(k, False), v) for k, v in attributes]
+    if root and mode == "default":
+        written += [("xmlns", XES_NAMESPACE), ("xmlns:xes", XES_NAMESPACE)]
+    elif root and mode == "prefix":
+        written.append(("xmlns:xes", XES_NAMESPACE))
+    opening = name(tag, prefixed) + "".join(f" {k}={quoteattr(v)}" for k, v in written)
+    if not children:
+        return f"<{opening}/>"
+    inner = separator.join(render_xes(c, mode, separator, False) for c in children)
+    return f"<{opening}>{separator}{inner}{separator}</{name(tag, prefixed)}>"
+
+
+@st.composite
+def xes_documents(draw):
+    mode = draw(st.sampled_from(["none", "none", "default", "prefix", "unbound"]))
+    separator = draw(st.sampled_from(["", "\n  ", escape("text & <more>")]))
+    text = render_xes(draw(XES_ROOTS), mode, separator)
+    if draw(st.booleans()):
+        text = '<?xml version="1.0" encoding="UTF-8"?>\n' + text
+    cut = draw(st.one_of(st.none(), st.none(), st.none(), st.integers(0, len(text) - 1)))
+    return text if cut is None else text[:cut]
+
+
+def read_outcome(read, source):
+    try:
+        return dict(read(source).entries)
+    except InputError as exc:
+        return type(exc)
+
+
+def named(label):
+    return f'<string key="concept:name" value="{label}"/>'
+
+
+@settings(max_examples=300, deadline=None)
+@example(f"<event>{named('')}</event>")  # in no trace, so its empty name is no error
+@example(f"<log><event>{named('a')}</event><trace/></log>")  # an event outside a trace
+@example(f"<log><trace><event>{named('a')}<trace><event>{named('b')}</event></trace></event></trace></log>")
+@example(f"<trace><trace><event>{named('a')}</event></trace><event>{named('b')}</event></trace>")
+@example(f'<log><trace><event><x/><date key="concept:name" value="d"/>{named("a")}</event></trace></log>')
+@example(f"<log><trace><event>{named('')}</event></trace><trace>")  # malformed wins
+@example('<!DOCTYPE log [<!ATTLIST string key CDATA "concept:name">]>'
+         '<log><trace><event><string value="a"/></event></trace></log>')
+@example('<!DOCTYPE log SYSTEM "log.dtd"><log><trace>&undefined;</trace></log>')
+@given(xes_documents())
+def test_streaming_xes_reader_agrees_with_the_tree_reader(text):
+    expected = read_outcome(oracles.tree_parse_xes, text)
+    assert read_outcome(parse_xes, text) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.xes"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_outcome(load_artifact, path) == expected
 
 
 def test_pnml_round_trip(fixtures, net_n):
