@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from typing import NamedTuple
 
 from .automata import EventLog, log_to_dfa
 from .errors import (
     ConflictingMeasures,
-    EntroconfError,
     IncompatibleFormat,
     InputError,
     MissingArgument,
@@ -53,34 +53,38 @@ from .stochastic import (
 
 VERSION = "1.5-reimpl"
 
-_MEASURE_FLAGS = {
-    "-emp": "emp",
-    "-emr": "emr",
-    "-pmp": "pmp",
-    "-pmr": "pmr",
-    "-cpmp": "cpmp",
-    "-cpmr": "cpmr",
-    "-sp": "sp",
-    "-sr": "sr",
-    "-r": "r",
-    "-b": "bounded",
+
+class _Measure(NamedTuple):
+    id: str  # what RunConfig.measure holds
+    name: str  # printed before the value
+    rel: tuple[type, ...]  # artifact types accepted as -rel, matched exactly
+    ret: tuple[type, ...]  # the same for -ret; empty when -ret is not used
+
+
+_LANGUAGE = (EventLog, PetriNet)
+_STOCHASTIC = (EventLog, StochasticPetriNet)
+
+# the one list of measures, keyed by flag; HELP_TEXT describes the same
+_MEASURES = {
+    "-emp": _Measure("emp", "exact matching precision", _LANGUAGE, _LANGUAGE),
+    "-emr": _Measure("emr", "exact matching recall", _LANGUAGE, _LANGUAGE),
+    "-pmp": _Measure("pmp", "partial matching precision", _LANGUAGE, _LANGUAGE),
+    "-pmr": _Measure("pmr", "partial matching recall", _LANGUAGE, _LANGUAGE),
+    "-cpmp": _Measure("cpmp", "controlled partial matching precision", _LANGUAGE, _LANGUAGE),
+    "-cpmr": _Measure("cpmr", "controlled partial matching recall", _LANGUAGE, _LANGUAGE),
+    "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC),
+    "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC),
+    "-r": _Measure("r", "entropic relevance", (EventLog,), (Sdfa,)),
+    "-b": _Measure("bounded", "boundedness", (PetriNet, StochasticPetriNet), ()),
 }
 
-_MEASURE_NAMES = {
-    "emp": "exact matching precision",
-    "emr": "exact matching recall",
-    "pmp": "partial matching precision",
-    "pmr": "partial matching recall",
-    "cpmp": "controlled partial matching precision",
-    "cpmr": "controlled partial matching recall",
-    "sp": "stochastic precision",
-    "sr": "stochastic recall",
-    "r": "entropic relevance",
-    "bounded": "boundedness",
+# how a rejection message names each artifact type
+_KINDS = {
+    EventLog: "an event log (.xes)",
+    PetriNet: "a Petri net (.pnml)",
+    StochasticPetriNet: "a stochastic net (.spnml)",
+    Sdfa: "a stochastic automaton (.sdfa or .dfg)",
 }
-
-_LANGUAGE_MEASURES = {"emp", "emr", "pmp", "pmr", "cpmp", "cpmr"}
-_STOCHASTIC_MEASURES = {"sp", "sr"}
 
 HELP_TEXT = """\
 usage: entroconf <measure> -rel <path> -ret <path> [options]
@@ -127,15 +131,6 @@ class RunConfig:
     show_version: bool = False
 
 
-@dataclass(frozen=True)
-class MeasureReport:
-    measure_name: str
-    value: float
-    units: str
-    elapsed: float
-    diagnostics: dict[str, int] = field(default_factory=dict)
-
-
 def _nonnegative_int(option: str, token: str) -> int:
     try:
         value = int(token)
@@ -144,6 +139,11 @@ def _nonnegative_int(option: str, token: str) -> int:
     if value < 0:
         raise UsageError(f"{option} expects a nonnegative integer, got {value}")
     return value
+
+
+def _selected(cfg: RunConfig) -> tuple[str, _Measure]:
+    """The flag and table entry of the configured measure."""
+    return next((flag, m) for flag, m in _MEASURES.items() if m.id == cfg.measure)
 
 
 def parse_args(argv: list[str]) -> RunConfig:
@@ -159,14 +159,12 @@ def parse_args(argv: list[str]) -> RunConfig:
         argument = argv[index]
         index += 1
         name, _, inline = argument.partition("=")
-        if name in _MEASURE_FLAGS:
+        if name in _MEASURES:
             if inline:
                 raise UnknownOption(f"{name} takes no value")
             if cfg.measure is not None:
-                raise ConflictingMeasures(
-                    f"{name} conflicts with the already selected measure"
-                )
-            cfg.measure = _MEASURE_FLAGS[name]
+                raise ConflictingMeasures(f"{name} conflicts with the already selected measure")
+            cfg.measure = _MEASURES[name].id
             continue
         if name in value_options:
             if not inline:
@@ -199,74 +197,27 @@ def parse_args(argv: list[str]) -> RunConfig:
         return cfg
     if cfg.measure is None:
         raise MissingArgument("select one measure option (see --help)")
-    if cfg.measure not in ("cpmp", "cpmr") and (
-        cfg.skips_rel is not None or cfg.skips_ret is not None
-    ):
+    if not cfg.measure.startswith("cpm") and (cfg.skips_rel, cfg.skips_ret) != (None, None):
         raise SkipsWithoutCpm("-srel/-sret apply only to -cpmp and -cpmr")
     if cfg.rel_path is None:
         raise MissingArgument("--relevant/-rel is required")
-    if cfg.ret_path is None and cfg.measure != "bounded":
+    if cfg.ret_path is None and _selected(cfg)[1].ret:
         raise MissingArgument("--retrieved/-ret is required for this measure")
     return cfg
 
 
-def _describe(artifact) -> str:
-    if isinstance(artifact, EventLog):
-        return "an event log"
-    if isinstance(artifact, StochasticPetriNet):
-        return "a stochastic net"
-    if isinstance(artifact, PetriNet):
-        return "a Petri net"
-    if isinstance(artifact, Sdfa):
-        return "a stochastic automaton"
-    return type(artifact).__name__
+def validate_inputs(cfg: RunConfig, rel, ret) -> None:
+    """Enforce the measure/format compatibility matrix of the measure table.
 
-
-def validate_inputs(cfg: RunConfig, rel, ret) -> tuple:
-    """Enforce the measure/format compatibility matrix.
-
-    Returns the artifact pair unchanged when everything checks out. Nets
-    are checked for boundedness later, while they are explored.
+    Nets are checked for boundedness later, while they are explored.
     """
-    measure = cfg.measure
-
-    def require(side: str, artifact, acceptable: bool, wanted: str) -> None:
-        if not acceptable:
+    flag, measure = _selected(cfg)
+    for side, artifact, accepted in (("-rel", rel, measure.rel), ("-ret", ret, measure.ret)):
+        if accepted and type(artifact) not in accepted:
             raise IncompatibleFormat(
-                f"-{('b' if measure == 'bounded' else measure)} needs {wanted} "
-                f"as {side}, not {_describe(artifact)}"
+                f"{flag} needs {' or '.join(_KINDS[t] for t in accepted)} as {side}, "
+                f"not {_KINDS.get(type(artifact), type(artifact).__name__)}"
             )
-
-    if measure in _LANGUAGE_MEASURES:
-        for side, artifact in (("-rel", rel), ("-ret", ret)):
-            plain_net = isinstance(artifact, PetriNet) and not isinstance(
-                artifact, StochasticPetriNet
-            )
-            require(
-                side,
-                artifact,
-                isinstance(artifact, EventLog) or plain_net,
-                "an event log (.xes) or Petri net (.pnml)",
-            )
-    elif measure in _STOCHASTIC_MEASURES:
-        for side, artifact in (("-rel", rel), ("-ret", ret)):
-            require(
-                side,
-                artifact,
-                isinstance(artifact, (EventLog, StochasticPetriNet)),
-                "an event log (.xes) or stochastic net (.spnml)",
-            )
-    elif measure == "r":
-        require("-rel", rel, isinstance(rel, EventLog), "an event log (.xes)")
-        require(
-            "-ret",
-            ret,
-            isinstance(ret, Sdfa),
-            "a stochastic automaton (.sdfa or .dfg)",
-        )
-    elif measure == "bounded":
-        require("-rel", rel, isinstance(rel, PetriNet), "a Petri net model")
-    return rel, ret
 
 
 def _language_automaton(artifact):
@@ -281,45 +232,38 @@ def _stochastic_automaton(artifact):
     return stochastic_rg_to_sdfa(artifact)
 
 
-def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float, str, dict[str, int]]:
+def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
+    """The value and the size diagnostics, one branch per measure family.
+
+    Boundedness yields its verdict as a bool. A precision/recall measure
+    yields precision when its id ends in "p" and recall otherwise.
+    """
     measure = cfg.measure
-    if measure in _LANGUAGE_MEASURES:
-        dfa_rel = _language_automaton(rel)
-        dfa_ret = _language_automaton(ret)
-        if measure in ("emp", "emr"):
-            pair = exact_precision_recall(dfa_rel, dfa_ret)
-        elif measure in ("pmp", "pmr"):
-            pair = partial_precision_recall(dfa_rel, dfa_ret)
+    if measure == "bounded":
+        sizes = {"places": len(rel.places), "transitions": len(rel.transitions)}
+        return is_bounded(rel), sizes
+    if measure == "r":
+        relevance = entropic_relevance(rel, ret)
+        sizes = {"log_instances": rel.total_instances(), "model_states": len(ret.states)}
+        return relevance.bits, sizes
+    if measure.startswith("s"):
+        automata = _stochastic_automaton(rel), _stochastic_automaton(ret)
+        pair = stochastic_precision_recall(*automata)
+    else:
+        automata = _language_automaton(rel), _language_automaton(ret)
+        if measure.startswith("em"):
+            pair = exact_precision_recall(*automata)
+        elif measure.startswith("pm"):
+            pair = partial_precision_recall(*automata)
         else:
             pair = controlled_partial_precision_recall(
-                dfa_rel,
-                dfa_ret,
-                cfg.skips_rel if cfg.skips_rel is not None else 0,
-                cfg.skips_ret if cfg.skips_ret is not None else 0,
+                *automata, cfg.skips_rel or 0, cfg.skips_ret or 0
             )
-        value = pair.precision if measure.endswith("p") else pair.recall
-        diagnostics = {
-            "relevant_states": len(dfa_rel.states),
-            "retrieved_states": len(dfa_ret.states),
-        }
-        return value, "dimensionless", diagnostics
-    if measure in _STOCHASTIC_MEASURES:
-        sdfa_rel = _stochastic_automaton(rel)
-        sdfa_ret = _stochastic_automaton(ret)
-        pair = stochastic_precision_recall(sdfa_rel, sdfa_ret)
-        value = pair.precision if measure == "sp" else pair.recall
-        diagnostics = {
-            "relevant_states": len(sdfa_rel.states),
-            "retrieved_states": len(sdfa_ret.states),
-        }
-        return value, "dimensionless", diagnostics
-    # entropic relevance
-    relevance = entropic_relevance(rel, ret)
-    diagnostics = {
-        "log_instances": rel.total_instances(),
-        "model_states": len(ret.states),
+    sizes = {
+        "relevant_states": len(automata[0].states),
+        "retrieved_states": len(automata[1].states),
     }
-    return relevance.bits, "bits", diagnostics
+    return (pair.precision if measure.endswith("p") else pair.recall), sizes
 
 
 def _rounded(value: float) -> str:
@@ -342,59 +286,40 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     rel = load_artifact(cfg.rel_path)
     ret = load_artifact(cfg.ret_path) if cfg.ret_path is not None else None
     validate_inputs(cfg, rel, ret)
-
-    if cfg.measure == "bounded":
-        bounded = is_bounded(rel)
-        elapsed = time.perf_counter() - started
-        if cfg.silent:
-            stdout.write(("1" if bounded else "0") + "\n")
-        else:
-            stdout.write(f"boundedness: {'bounded' if bounded else 'unbounded'}\n")
-            stderr.write(
-                f"elapsed: {elapsed:.3f}s places={len(rel.places)} "
-                f"transitions={len(rel.transitions)}\n"
-            )
-        return 0 if bounded else 3
-
-    value, units, diagnostics = _evaluate(cfg, rel, ret)
+    value, sizes = _evaluate(cfg, rel, ret)
     elapsed = time.perf_counter() - started
-    report = MeasureReport(
-        measure_name=_MEASURE_NAMES[cfg.measure],
-        value=value,
-        units=units,
-        elapsed=elapsed,
-        diagnostics=diagnostics,
-    )
-    rendered = _rounded(report.value)
-    if cfg.silent:
-        stdout.write(rendered + "\n")
+    if isinstance(value, bool):
+        bare, shown = str(int(value)), ("bounded" if value else "unbounded")
     else:
-        suffix = " bits" if report.units == "bits" else ""
-        stdout.write(f"{report.measure_name}: {rendered}{suffix}\n")
-        counters = " ".join(f"{k}={v}" for k, v in sorted(report.diagnostics.items()))
-        stderr.write(f"elapsed: {report.elapsed:.3f}s {counters}\n")
-    return 0
+        bare = _rounded(value)
+        shown = bare + (" bits" if cfg.measure == "r" else "")
+    if cfg.silent:
+        stdout.write(bare + "\n")
+    else:
+        stdout.write(f"{_selected(cfg)[1].name}: {shown}\n")
+        counters = " ".join(f"{k}={v}" for k, v in sorted(sizes.items()))
+        stderr.write(f"elapsed: {elapsed:.3f}s {counters}\n")
+    # an unbounded verdict is a semantic rejection
+    return 3 if value is False else 0
+
+
+# exit code and stderr prefix of each error branch; every EntroconfError is in one
+_EXITS = (
+    (UsageError, 1, "usage error"),
+    (InputError, 2, "input error"),
+    (SemanticError, 3, "rejected"),
+    (NumericalError, 4, "numerical failure"),
+)
 
 
 def main(argv: list[str] | None = None) -> int:
     arguments = sys.argv[1:] if argv is None else argv
     try:
         return run(parse_args(arguments))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except SemanticError as exc:
-        print(f"rejected: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except EntroconfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(error for error, _, _ in _EXITS) as exc:
+        code, prefix = next((c, p) for error, c, p in _EXITS if isinstance(exc, error))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

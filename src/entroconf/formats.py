@@ -41,7 +41,7 @@ from .errors import (
     UnreachableNode,
 )
 from .petri import Marking, PetriNet, StochasticPetriNet
-from .stochastic import _SUM_TOLERANCE, Sdfa
+from .stochastic import Sdfa
 
 # transitions carrying this ProM marker are silent regardless of their name
 _INVISIBLE = "$invisible$"
@@ -61,10 +61,11 @@ def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
-def _parse_xml(text: str) -> ET.Element:
+def _parse_xml(text: str | bytes) -> ET.Element:
     try:
         return ET.fromstring(text)
-    except ET.ParseError as exc:
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        # LookupError and ValueError: see _read_xes
         raise MalformedXml(str(exc)) from None
 
 
@@ -96,7 +97,13 @@ def _parse_probability(token: str, context: str) -> Fraction:
 
 
 def _parse_count(token: str, context: str) -> int:
+    digits = token.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
     try:
+        # int() alone would also take "1_0" and non-ASCII digits such as "١"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
         value = int(token)
     except ValueError:
         raise ParseError(f"{context}: cannot read integer {token!r}") from None
@@ -292,7 +299,7 @@ def _parse_net_elements(root: ET.Element):
     return places, transitions, weights, arcs, finals
 
 
-def parse_pnml(text: str) -> PetriNet:
+def parse_pnml(text: str | bytes) -> PetriNet:
     """Petri net from a PNML document.
 
     Missing initialMarking means zero tokens; a transition with an empty
@@ -311,7 +318,7 @@ def parse_pnml(text: str) -> PetriNet:
         raise ParseError(str(exc)) from None
 
 
-def parse_spnml(text: str) -> StochasticPetriNet:
+def parse_spnml(text: str | bytes) -> StochasticPetriNet:
     """Stochastic net: PNML plus a positive weight annotation per transition.
 
     A transition without a weight annotation gets weight 1.
@@ -440,21 +447,17 @@ def parse_sdfa(text: str) -> Sdfa:
         if (src, label) in transitions:
             raise DuplicateTransition(f"second arc for label {label!r} at state {src}")
         transitions[(src, label)] = (dst, probability)
-    sums = dict(termination)
-    for (src, _), (_, probability) in transitions.items():
-        sums[src] += probability
-    for state, total in sorted(sums.items()):
-        if abs(total - 1) > _SUM_TOLERANCE:
-            raise StochasticSumViolation(
-                f"probabilities at state {state} sum to {float(total):.12g}, not 1"
-            )
-    return Sdfa(
-        states=frozenset(termination),
-        alphabet=frozenset(label for _, label in transitions),
-        initial=initial,
-        transitions=transitions,
-        termination={s: p for s, p in termination.items() if p > 0},
-    )
+    try:
+        return Sdfa(
+            states=frozenset(termination),
+            alphabet=frozenset(label for _, label in transitions),
+            initial=initial,
+            transitions=transitions,
+            termination={s: p for s, p in termination.items() if p > 0},
+        )
+    except ValueError as exc:
+        # every other check of Sdfa is made above, with a line number
+        raise StochasticSumViolation(str(exc)) from None
 
 
 def serialize_sdfa(a: Sdfa) -> str:
@@ -597,7 +600,9 @@ def load_artifact(path: str | Path):
             # streamed as bytes, so expat honours the encoding declaration
             with open(path, "rb") as stream:
                 return _read_xes(lambda parser: parser.ParseFile(stream))
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        # the XML parsers take bytes, so the encoding declaration is honoured
+        content = data if suffix in (".pnml", ".spnml") else data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return parser(text)
+    return parser(content)

@@ -62,11 +62,14 @@ class Sdfa:
             sums[src] += prob
             if prob > 0:
                 out.setdefault(src, []).append((label, dst, prob))
-        for state, total in sums.items():
-            if abs(total - 1) > _SUM_TOLERANCE:
-                raise ValueError(
-                    f"probabilities at state {state!r} sum to {total}, not 1"
-                )
+        violations = [s for s, total in sums.items() if abs(total - 1) > _SUM_TOLERANCE]
+        if violations:
+            # the least state by name, so the message does not depend on set order;
+            # a float, since an exact sum can have more digits than str() prints
+            state = min(violations, key=str)
+            raise ValueError(
+                f"probabilities at state {state} sum to {float(sums[state]):.12g}, not 1"
+            )
         # labels are unique per state, so the tuples sort by label alone
         object.__setattr__(self, "_out", {s: sorted(e) for s, e in out.items()})
 

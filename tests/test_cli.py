@@ -18,7 +18,11 @@ import entroconf
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
     ConflictingMeasures,
+    EntroconfError,
+    InputError,
     MissingArgument,
+    NumericalError,
+    SemanticError,
     SkipsWithoutCpm,
     UnknownOption,
     UsageError,
@@ -211,6 +215,13 @@ def test_usage_errors_exit_1(capsys):
     assert err.startswith("usage error: ")
 
 
+def test_every_error_falls_under_an_exit_code():
+    branches = (UsageError, InputError, SemanticError, NumericalError)
+    for error in vars(entroconf.errors).values():
+        if isinstance(error, type) and issubclass(error, EntroconfError):
+            assert error is EntroconfError or issubclass(error, branches), error
+
+
 def test_input_errors_exit_2(capsys, fixtures, tmp_path):
     code, _, err = invoke(
         capsys, "-emp", "-rel", fixtures / "absent.xes", "-ret", fixtures / "N.pnml"
@@ -258,6 +269,23 @@ def test_xes_encoding_declaration_is_honoured(capsys, fixtures, tmp_path):
     assert entroconf.load_artifact(bom) == entroconf.load_artifact(fixtures / "E.xes")
     code, out, _ = invoke(capsys, "-r", "-rel", bom, "-ret", fixtures / "A.sdfa", "-s")
     assert (code, out) == (0, "11.368\n")
+
+
+@pytest.mark.parametrize("name", ["N.pnml", "N.spnml"])
+def test_net_encoding_declaration_is_honoured(capsys, fixtures, tmp_path, name):
+    text = (fixtures / name).read_text().replace("<text>a</text>", "<text>café</text>")
+    declared = tmp_path / name
+    declared.write_bytes(text.replace("UTF-8", "ISO-8859-1", 1).encode("latin-1"))
+    net = entroconf.load_artifact(declared)
+    assert "café" in net.transitions.values()
+    code, out, err = invoke(capsys, "-b", "-rel", declared, "-s")
+    assert (code, out, err) == (0, "1\n", "")
+
+    for encoding in ("bogus", "utf-7"):  # no codec of that name; a multi-byte codec
+        declared.write_bytes(text.replace("UTF-8", encoding, 1).encode("utf-8"))
+        code, _, err = invoke(capsys, "-b", "-rel", declared)
+        assert code == 2
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 STARTUP_PROBE = """
@@ -452,6 +480,144 @@ def test_mutated_xes_exits_with_one_line(mutant):
         err.getvalue(),
         [str(w.message) for w in caught],
     )
+
+
+PNML_TEXT = (FIXTURES / "N.pnml").read_text()
+# N.spnml is N.pnml with weights: the same places, transitions and arcs
+NET_PLACES = re.findall(r'<place id="(\w+)"', PNML_TEXT)
+NET_ARCS = re.findall(r'<arc id="(\w+)"', PNML_TEXT)
+NET_IDS = NET_PLACES + re.findall(r'<transition id="(\w+)"', PNML_TEXT) + NET_ARCS
+NAME_CHARACTERS = st.characters(exclude_categories=("C",))
+COUNT_TOKENS = st.one_of(
+    # small counts only: a large marking makes the reachability graph huge
+    st.integers(0, 3).map(str),
+    st.one_of(
+        st.sampled_from(["-1", "+1", " 2 ", "1_0", "١", "", "1.0", "0x1", "9" * 5000]),
+        st.text(NAME_CHARACTERS.filter(lambda c: not c.isdigit()), max_size=4),
+    ),
+)
+# an encoding declaration and the codec that writes the file
+ENCODINGS = [
+    ("UTF-8", "utf-8"),
+    ("ISO-8859-1", "latin-1"),
+    ("ascii", "ascii"),
+    ("UTF-16", "utf-8"),
+    ("UTF-8", "latin-1"),
+    ("bogus", "utf-8"),
+    ("utf-7", "utf-8"),
+    ("", "utf-8"),
+]
+NET_MUTATIONS = st.fixed_dictionaries(
+    {},
+    optional={
+        "markings": st.dictionaries(st.sampled_from(NET_PLACES), COUNT_TOKENS, max_size=2),
+        "inscriptions": st.dictionaries(st.sampled_from(NET_ARCS), COUNT_TOKENS, max_size=2),
+        "finals": st.dictionaries(st.sampled_from(NET_PLACES), COUNT_TOKENS, max_size=2),
+        "ids": st.dictionaries(
+            st.sampled_from(NET_IDS),
+            st.one_of(st.sampled_from(NET_IDS + [""]), st.text(NAME_CHARACTERS, max_size=4)),
+            max_size=2,
+        ),
+        "encoding": st.sampled_from(ENCODINGS),
+    },
+)
+
+
+def _mutated_net(text, mutations):
+    """A PNML text with the drawn counts, ids and encoding, as bytes."""
+    for place, token in mutations.get("markings", {}).items():
+        marking = f"<initialMarking><text>{escape(token)}</text></initialMarking>"
+        text = re.sub(
+            f'<place id="{place}"(/>|>.*?</place>)',
+            lambda _: f'<place id="{place}">{marking}</place>',
+            text,
+            count=1,
+            flags=re.S,
+        )
+    for arc, token in mutations.get("inscriptions", {}).items():
+        inscription = f"<inscription><text>{escape(token)}</text></inscription>"
+        text = re.sub(
+            f'(<arc id="{arc}"[^>]*)/>', lambda m: f"{m[1]}>{inscription}</arc>", text
+        )
+    if "finals" in mutations:
+        places = "".join(
+            f'<place idref="{place}"><text>{escape(token)}</text></place>'
+            for place, token in mutations["finals"].items()
+        )
+        finals = f"<finalmarkings><marking>{places}</marking></finalmarkings>"
+        text = text.replace("</net>", finals + "</net>")
+    for old, new in mutations.get("ids", {}).items():
+        text = text.replace(f'id="{old}"', f'id="{escape(new, {chr(34): "&quot;"})}"')
+    declared, codec = mutations.get("encoding", ("UTF-8", "utf-8"))
+    text = text.replace("UTF-8", declared, 1)
+    # a label that UTF-8 and Latin-1 write differently
+    text = text.replace("<text>a</text>", "<text>café</text>")
+    return text.encode(codec, errors="xmlcharrefreplace")
+
+
+@settings(max_examples=40, deadline=None)
+@example({"markings": {"p0": "1_0"}})  # read as 10 by int()
+@example({"encoding": ("bogus", "utf-8")})  # no codec of that name
+@example({"encoding": ("utf-7", "utf-8")})  # a multi-byte codec
+@given(NET_MUTATIONS)
+def test_mutated_pnml_exits_with_one_line(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        net, twin = Path(tmp) / "mutated.pnml", Path(tmp) / "mutated.spnml"
+        net.write_bytes(_mutated_net(PNML_TEXT, mutations))
+        twin.write_bytes(_mutated_net(SPNML_TEXT, mutations))
+        log = str(FIXTURES / "E.xes")
+        for argv in (
+            ["-emp", "-rel", log, "-ret", str(net)],
+            ["-b", "-rel", str(net)],
+            ["-sp", "-rel", log, "-ret", str(twin)],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as err:
+                    code = main(argv)
+            assert code in {0, 2, 3, 4}, argv
+            assert "Traceback" not in err.getvalue()
+            assert len(err.getvalue().splitlines()) + len(caught) <= 1, (
+                argv,
+                err.getvalue(),
+                [str(w.message) for w in caught],
+            )
+
+
+FIXTURE_KINDS = ("E.xes", "N.pnml", "N.spnml", "A.sdfa", "billing.dfg")
+LANGUAGE_FITS = ("E.xes", "N.pnml")
+STOCHASTIC_FITS = ("E.xes", "N.spnml")
+# README's format table: the fixtures each measure takes on -rel and on -ret
+FORMAT_TABLE = {
+    "-emp": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-emr": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-pmp": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-pmr": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-cpmp": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-cpmr": (LANGUAGE_FITS, LANGUAGE_FITS),
+    "-sp": (STOCHASTIC_FITS, STOCHASTIC_FITS),
+    "-sr": (STOCHASTIC_FITS, STOCHASTIC_FITS),
+    "-r": (("E.xes",), ("A.sdfa", "billing.dfg")),
+    "-b": (("N.pnml", "N.spnml"), FIXTURE_KINDS),  # -ret is not used
+}
+
+
+@pytest.mark.parametrize("flag", FORMAT_TABLE)
+def test_compatibility_matrix(capsys, fixtures, flag):
+    rel_fits, ret_fits = FORMAT_TABLE[flag]
+    for side, fits in (("-rel", rel_fits), ("-ret", ret_fits)):
+        for kind in FIXTURE_KINDS:
+            # the other side holds a fixture that fits it
+            rel, ret = (kind, ret_fits[0]) if side == "-rel" else (rel_fits[0], kind)
+            code, out, err = invoke(
+                capsys, flag, "-rel", fixtures / rel, "-ret", fixtures / ret, "-s"
+            )
+            if kind in fits:
+                assert (code, err) == (0, ""), (side, kind, err)
+                assert len(out.splitlines()) == 1
+            else:
+                assert code == 3, (side, kind, code)
+                assert err.startswith("rejected: ") and err.count("\n") == 1
 
 
 def test_semantic_rejections_exit_3(capsys, fixtures):

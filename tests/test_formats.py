@@ -271,8 +271,17 @@ def test_pnml_errors():
         ("", "<inscription><text>x</text></inscription>", "1"),
         ("", "", "x"),
         ("", "", "-1"),
+        ("<initialMarking><text>1_0</text></initialMarking>", "", "1"),
+        ("", "<inscription><text>\u0661</text></inscription>", "1"),
     ],
-    ids=["initial-marking", "inscription", "final-marking", "negative-final-marking"],
+    ids=[
+        "initial-marking",
+        "inscription",
+        "final-marking",
+        "negative-final-marking",
+        "digit-separator",
+        "non-ascii-digit",
+    ],
 )
 def test_pnml_integer_fields(place, arc, final):
     text = (
@@ -284,6 +293,15 @@ def test_pnml_integer_fields(place, arc, final):
     )
     with pytest.raises(ParseError):
         parse_pnml(text)
+
+
+def test_pnml_counts_take_a_sign_and_surrounding_whitespace():
+    net = parse_pnml(
+        '<pnml><net><page><place id="p">'
+        "<initialMarking><text> +2\n</text></initialMarking></place>"
+        "</page></net></pnml>"
+    )
+    assert net.initial_marking == Marking.of({"p": 2})
 
 
 def test_spnml_round_trip(fixtures):
