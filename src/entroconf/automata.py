@@ -25,6 +25,10 @@ Trace = tuple[str, ...]
 # unlabeled (silent) edge marker for Nfa transitions
 SILENT = None
 
+# default cap on the states of a constructed automaton, which fails fast
+# (StateSpaceExceeded) where a blow-up would otherwise exhaust memory
+_MAX_STATES = 10**6
+
 
 class _Unbounded:
     def __repr__(self) -> str:
@@ -252,11 +256,12 @@ def trim(a: Dfa) -> Dfa:
     return _canonical(a.initial, a.accepting, kept, a.alphabet)
 
 
-def product(a: Dfa, b: Dfa) -> Dfa:
+def product(a: Dfa, b: Dfa, max_states: int = _MAX_STATES) -> Dfa:
     """Synchronous product; accepts exactly the traces both operands accept.
 
     Synchronization happens per label, so differing alphabets need no
-    preprocessing: a label missing on one side simply never fires.
+    preprocessing: a label missing on one side simply never fires. The
+    number of state pairs is capped (StateSpaceExceeded beyond it).
     """
     out_a = _out_map(a.transitions)
 
@@ -267,7 +272,7 @@ def product(a: Dfa, b: Dfa) -> Dfa:
             if db is not None:
                 yield label, (da, db)
 
-    number, transitions = _explore((a.initial, b.initial), successors)
+    number, transitions = _explore((a.initial, b.initial), successors, max_states)
     return Dfa(
         states=frozenset(number.values()),
         alphabet=frozenset(a.alphabet & b.alphabet),
@@ -281,7 +286,7 @@ def product(a: Dfa, b: Dfa) -> Dfa:
     )
 
 
-def determinize(n: Nfa, max_states: int = 10**6) -> Dfa:
+def determinize(n: Nfa, max_states: int = _MAX_STATES) -> Dfa:
     """Subset construction with silent-edge closure; result is trimmed.
 
     Subsequence closures of large inputs can blow up exponentially, so the

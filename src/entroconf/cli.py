@@ -25,12 +25,13 @@ from .errors import (
     InputError,
     MissingArgument,
     NumericalError,
+    ParseError,
     SemanticError,
     SkipsWithoutCpm,
     UnknownOption,
     UsageError,
 )
-from .formats import load_artifact
+from .formats import _parse_count, load_artifact
 from .measures import (
     controlled_partial_precision_recall,
     exact_precision_recall,
@@ -132,13 +133,11 @@ class RunConfig:
 
 
 def _nonnegative_int(option: str, token: str) -> int:
+    # the count rule of the input formats: ASCII digits, so no "1_0" or "١"
     try:
-        value = int(token)
-    except ValueError:
+        return _parse_count(token, option)
+    except ParseError:
         raise UsageError(f"{option} expects a nonnegative integer, got {token!r}") from None
-    if value < 0:
-        raise UsageError(f"{option} expects a nonnegative integer, got {value}")
-    return value
 
 
 def _selected(cfg: RunConfig) -> tuple[str, _Measure]:

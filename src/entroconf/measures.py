@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .automata import (
@@ -31,6 +32,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERATIONS = 10**6
+# relative width at which a growth factor's bracket counts as converged
+_WIDTH = 4 * math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,151 @@ def _perron_root(
 
 
 def _growth_factor(a: Dfa) -> tuple[float, bool]:
-    """Growth factor (2 ** entropy) of a language and its emptiness flag."""
+    """Growth factor (2 ** entropy) of a language and its emptiness flag.
+
+    The growth factor is the Perron root of the trimmed automaton plus one
+    back edge per accepting state. An automaton with a cycle gets it by
+    power iteration on that short-circuit graph. An acyclic one (a finite
+    language) is solved directly, in pure Python: with A the trimmed
+    adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
+    det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
+    where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
+    """
     t = trim(a)
     if not t.accepting:
         return 0.0, True
-    return _perron_root(short_circuit(t).adjacency), False
+    out: list[list[int]] = [[] for _ in t.states]
+    for (src, _), dst in t.transitions.items():
+        out[src].append(dst)
+    order = _reverse_topological_order(out)
+    if order is None:
+        # a sparse LU of I - xA would fill in far beyond the edge count on
+        # the reachability graphs of concurrent nets
+        return _perron_root(short_circuit(t).adjacency), False
+    accepting = [float(s in t.accepting) for s in range(len(out))]
+    # the short-circuit graph's largest row sum bounds its Perron root
+    lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
+    return 1.0 / _root(_back_substitution(out, accepting, order), lo), False
+
+
+def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
+    """States with every successor listed first, or None on a cycle (Kahn)."""
+    indegree = [0] * len(out)
+    for succ in out:
+        for j in succ:
+            indegree[j] += 1
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in out[i]:
+            indegree[j] -= 1
+            if not indegree[j]:
+                ready.append(j)
+    return order[::-1] if len(order) == len(out) else None
+
+
+def _back_substitution(out, accepting, order):
+    """evaluate(x) for an acyclic automaton: g and g' by one pass over order.
+
+    Each state's terms are summed with fsum, which is exact before its one
+    rounding, so isomorphic automata give bit-identical values whatever the
+    order of their transitions.
+    """
+    steps = []
+    for i in order:
+        succ = out[i]
+        # a single successor's value comes back bare, several as a tuple
+        gather = itemgetter(*succ) if succ else lambda values: ()
+        steps.append((i, gather, len(succ) != 1, accepting[i]))
+
+    def evaluate(x: float):
+        g = [0.0] * len(out)
+        dg = [0.0] * len(out)
+        try:
+            for i, gather, several, acc in steps:
+                s, ds = gather(g), gather(dg)
+                if several:
+                    s, ds = math.fsum(s), math.fsum(ds)
+                g[i] = acc + x * s
+                dg[i] = s + x * ds
+        except OverflowError:
+            return None
+        f = x * g[0]
+        return (f, g[0] + x * dg[0]) if math.isfinite(f) else None
+
+    return evaluate
+
+
+def _root(evaluate, lo: float) -> float:
+    """The root of F(x) = 1, as the nearer end of a certified bracket [lo, hi].
+
+    evaluate(x) returns (F(x), F'(x)), or None when F(x) overflows, which
+    puts x above the root. lo must be a lower bound; 1 is an upper one, as
+    every growth factor is at least 1, and the root is 1 only when lo is. F
+    is a polynomial with nonnegative coefficients, so log F is increasing
+    and convex in log x: its tangent at either end meets 0 above the root
+    and the secant between the ends meets it below. Each round tries the
+    nearer tangent root, then the secant root, and bisects if the round did
+    not halve the bracket, which bounds the number of solves; the loop ends
+    within a few ulps of the root.
+    """
+
+    def value(x: float):
+        """F(x), inf on overflow, and (log F, its slope in log x) when finite."""
+        result = evaluate(x)
+        if result is None:
+            return math.inf, None
+        f, df = result
+        if 0.0 < f < math.inf and 0.0 < df < math.inf:
+            return f, (math.log(f), x * df / f)
+        return f, None
+
+    def tangent() -> float:
+        ends = ((lo, lo_fit), (hi, hi_fit))
+        return min(
+            (x * math.exp(-fit[0] / fit[1]) for x, fit in ends if fit),
+            default=math.nan,
+        )
+
+    def secant() -> float:
+        if not (lo_fit and hi_fit):
+            return math.nan
+        t_lo = math.log(lo)
+        shift = lo_fit[0] * (t_lo - math.log(hi)) / (hi_fit[0] - lo_fit[0])
+        return math.exp(t_lo + shift)
+
+    def midpoint() -> float:
+        return (lo + hi) / 2.0
+
+    f, lo_fit = value(lo)
+    if f == math.inf:
+        raise NotConverged(f"growth factor solve failed at its lower bound {lo!r}")
+    if f >= 1.0:  # the root is on the bound, up to rounding
+        return lo
+    hi, hi_fit = 1.0, None
+    while hi - lo > _WIDTH * hi:
+        width = hi - lo
+        for step in (tangent, secant, midpoint):
+            if step is midpoint and hi - lo <= width / 2.0:
+                break
+            # a step that lands on an end probes just inside it instead, so
+            # that an end already at the root brings the other one close
+            margin = _WIDTH * hi / 4.0
+            x = min(max(step(), lo + margin), hi - margin)
+            if not lo < x < hi:  # a step of nan
+                continue
+            f, fit = value(x)
+            if f == 1.0:
+                return x
+            if f > 1.0:
+                hi, hi_fit = x, fit
+            else:
+                lo, lo_fit = x, fit
+    if lo_fit and hi_fit and -lo_fit[0] < hi_fit[0]:
+        return lo
+    return hi
 
 
 def topological_entropy(a: Dfa) -> EntropyValue:

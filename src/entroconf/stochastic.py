@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import EventLog, Trace, _explore, _out_map, _reachable
+from .automata import _MAX_STATES, EventLog, Trace, _explore, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall
 
@@ -211,7 +211,7 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     return StochasticEntropy(float(counts @ local), residual)
 
 
-def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
+def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATES) -> Sdfa:
     """Restrict prob_source to traces also possible in structure.
 
     Walks pairs of states along labels that carry positive probability on
@@ -219,7 +219,8 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     reach positive termination anymore are dropped, and each surviving
     state's probabilities are renormalized by its surviving mass, so the
     result is again a proper distribution. EmptyConjunction when no trace
-    has positive probability in both inputs.
+    has positive probability in both inputs; StateSpaceExceeded when there
+    are more than max_states pairs.
     """
 
     def successors(pair):
@@ -230,7 +231,9 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
             if dst_s is not None:
                 yield label, (dst_p, dst_s)
 
-    number, forward = _explore((prob_source.initial, structure.initial), successors)
+    number, forward = _explore(
+        (prob_source.initial, structure.initial), successors, max_states
+    )
     pairs = list(number)
     transitions = {
         (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])

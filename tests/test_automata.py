@@ -145,6 +145,13 @@ def test_product_examples():
     assert oracles.dfa_language(product(dfa_for(("a",)), dfa_for(("b",))), 3) == set()
 
 
+def test_product_state_cap():
+    a = dfa_for(("a", "b"))  # three states, and so is the product with itself
+    assert len(product(a, a, max_states=3).states) == 3
+    with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
+        product(a, a, max_states=2)
+
+
 def test_product_idempotent():
     rng = random.Random(5)
     for _ in range(10):

@@ -82,6 +82,12 @@ def test_parse_args_rejections():
         parse_args(["-cpmp", "-rel", "x", "-ret", "y", "-srel", "-1"])
     with pytest.raises(UsageError):
         parse_args(["-cpmp", "-rel", "x", "-ret", "y", "-srel", "soon"])
+    # int() would read these as 1 and 10
+    for token in ("١", "1_0"):
+        with pytest.raises(UsageError):
+            parse_args(["-cpmp", "-rel", "x", "-ret", "y", "-srel", token])
+        with pytest.raises(UsageError):
+            parse_args(["-cpmp", "-rel", "x", "-ret", "y", f"-sret={token}"])
 
 
 def test_parse_args_help_short_circuits():
@@ -306,6 +312,8 @@ entroconf.cli.main(["--version"])
 stages["--version"] = numeric_modules()
 entroconf.cli.main(["-r", "-rel", log, "-ret", sdfa, "-s"])
 stages["-r"] = numeric_modules()
+entroconf.cli.main(["-emp", "-rel", log, "-ret", log, "-s"])
+stages["-emp log"] = numeric_modules()
 entroconf.cli.main(["-emp", "-rel", log, "-ret", net, "-s"])
 stages["-emp"] = numeric_modules()
 print(json.dumps(stages))
@@ -325,9 +333,12 @@ def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures):
     )
     assert result.returncode == 0, result.stderr
     *values, report = result.stdout.splitlines()
-    assert values == [VERSION, "11.368", "0.776"]
+    assert values == [VERSION, "11.368", "1.000", "0.776"]
     stages = json.loads(report)
+    # a log's automaton is acyclic, so its growth factor needs no numpy;
+    # the net's automaton has a cycle, which takes the power iteration
     assert stages["import"] == stages["--version"] == stages["-r"] == []
+    assert stages["-emp log"] == []
     assert {"numpy", "scipy"} <= set(stages["-emp"])
 
 

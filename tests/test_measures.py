@@ -136,23 +136,77 @@ def test_spectral_radius_of_many_small_components():
         assert spectral_radius(matrix) == pytest.approx(expected, rel=1e-7, abs=1e-9)
 
 
-def test_entropy_of_a_large_log_matches_its_closed_form():
-    # ~23k prefix-tree states: every short-circuit cycle is one word plus its
-    # back edge, so the growth root is the lambda >= 1 with
-    # sum over words w of lambda ** -(|w| + 1) = 1
-    rng = random.Random(1600)
-    words = {
-        tuple(rng.choice("abcdefgh") for _ in range(rng.randint(5, 30)))
-        for _ in range(1600)
-    }
-    log = EventLog.from_traces(words)
+def finite_language_growth(words) -> float:
+    """Bisected growth root of a finite language of distinct words.
+
+    Every short-circuit cycle is one word plus its back edge, so the growth
+    root is the lambda >= 1 with sum over words w of lambda ** -(|w| + 1) = 1.
+    """
     lengths = [len(w) + 1 for w in words]
     lo, hi = 1.0, 9.0  # at most 8 letters plus one back edge leave a state
     for _ in range(60):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if sum(mid**-k for k in lengths) > 1 else (lo, mid)
-    value = topological_entropy(log_to_dfa(log))
-    assert value.bits_per_symbol == pytest.approx(math.log2((lo + hi) / 2), rel=1e-9)
+    return (lo + hi) / 2
+
+
+def test_entropy_of_a_large_log_matches_its_closed_form():
+    # ~23k prefix-tree states
+    rng = random.Random(1600)
+    words = {
+        tuple(rng.choice("abcdefgh") for _ in range(rng.randint(5, 30)))
+        for _ in range(1600)
+    }
+    value = topological_entropy(log_to_dfa(EventLog.from_traces(words)))
+    expected = math.log2(finite_language_growth(words))
+    assert value.bits_per_symbol == pytest.approx(expected, rel=1e-9)
+
+
+def test_entropy_of_logs_with_long_traces():
+    # the spectral gap of these short-circuit graphs closes like 1/L**2,
+    # which a capped power iteration could not reach at L = 800 or 1000
+    two_words = log_to_dfa(EventLog.from_traces(["a" * 800, "b" * 800]))
+    assert 2 ** topological_entropy(two_words).bits_per_symbol == pytest.approx(
+        2 ** (1 / 801), rel=1e-15
+    )
+    rng = random.Random(1000)
+    words = {tuple(rng.choice("abcdefgh") for _ in range(1000)) for _ in range(20)}
+    assert len(words) == 20
+    value = topological_entropy(log_to_dfa(EventLog.from_traces(words)))
+    expected = math.log2(finite_language_growth(words))
+    assert value.bits_per_symbol == pytest.approx(expected, rel=1e-9)
+
+
+def test_relabeled_logs_have_bit_identical_entropy():
+    # reversing the alphabet reorders every state's successors; exact
+    # per-state sums keep the value independent of that order
+    rng = random.Random(8)
+    mirror = str.maketrans("abcdefgh", "hgfedcba")
+    for _ in range(30):
+        words = {
+            "".join(rng.choice("abcdefgh") for _ in range(rng.randint(1, 12)))
+            for _ in range(rng.randint(5, 60))
+        }
+        mirrored = {w.translate(mirror) for w in words}
+        assert topological_entropy(dfa_for(*words)) == topological_entropy(
+            dfa_for(*mirrored)
+        )
+
+
+def test_entropy_matches_the_perron_root_on_random_automata():
+    rng = random.Random(2024)
+    cyclic = 0
+    for _ in range(300):
+        dfa = oracles.random_dfa(rng)
+        expected = oracles.perron_root(oracles.short_circuit_matrix(dfa))
+        value = topological_entropy(dfa).bits_per_symbol
+        assert 2**value == pytest.approx(expected, rel=1e-9)
+        adjacency = np.zeros((len(dfa.states),) * 2)
+        for (src, _), dst in dfa.transitions.items():
+            adjacency[src, dst] = 1
+        cyclic += bool(np.linalg.matrix_power(adjacency, len(dfa.states)).any())
+    # both the back-substitution and the power iteration are exercised
+    assert 0 < cyclic < 300
 
 
 def test_entropy_of_analytic_languages():

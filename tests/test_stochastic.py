@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from entroconf.automata import EventLog
-from entroconf.errors import EmptyConjunction, NonTerminatingSdfa
+from entroconf.errors import EmptyConjunction, NonTerminatingSdfa, StateSpaceExceeded
 from entroconf.measures import PrecisionRecall
 from entroconf.stochastic import (
     RelevanceValue,
@@ -240,6 +240,13 @@ def test_conjunction_renormalizes_surviving_mass():
 
     with pytest.raises(EmptyConjunction):
         conjunction(pair, delta("c"))
+
+
+def test_conjunction_state_cap():
+    pair = log_to_sdfa(EventLog.from_traces([("a",), ("b",)]))  # three states
+    assert len(conjunction(pair, pair, max_states=3).states) == 3
+    with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
+        conjunction(pair, pair, max_states=2)
 
 
 def renamed(a: Sdfa, rng) -> Sdfa:
