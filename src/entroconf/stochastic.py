@@ -16,6 +16,7 @@ so construction-level identities (per-state sums, renormalization by mass
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,7 +24,7 @@ from typing import Mapping
 
 from .automata import _MAX_STATES, EventLog, Trace, _explore, _out_map, _reachable
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
-from .measures import PrecisionRecall
+from .measures import PrecisionRecall, _reverse_topological_order
 
 _SUM_TOLERANCE = Fraction(1, 10**9)
 _BACKWARD_ERROR_TOL = 1e-9
@@ -161,41 +162,106 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
 
     H = sum over states of (expected visit count) * (local entropy of the
     state's outgoing-plus-termination distribution). The counts c solve
-    (I - P)^T c = e_initial in one sparse direct solve, with each diagonal
-    1 - p(self-loop) taken on the exact fraction. I - P is nonsingular only
-    when every reachable state can reach positive termination, so that is
-    checked up front (NonTerminatingSdfa). NotConverged when the residual,
-    the backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of A =
-    (I - P)^T, exceeds 1e-9.
+    (I - P)^T c = e_initial, with each diagonal 1 - p(self-loop) taken on the
+    exact fraction. I - P is nonsingular only when every reachable state can
+    reach positive termination, so that is checked up front
+    (NonTerminatingSdfa). When the only cycles are self-loops (a log, a
+    conjunction with a log, a one-state loop) the system is triangular and
+    one forward pass in topological order solves it, in pure Python; a
+    longer cycle takes a sparse LU. NotConverged when the residual, the
+    backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of A =
+    (I - P)^T, exceeds 1e-9, or when a diagonal is not positive as a float
+    or a count or the sum is not finite.
     """
+    diagonal, incoming, local = _visit_system(a)
+    if not min(diagonal) > 0.0:
+        # an exit probability below the float range, or a self-loop mass at
+        # or above 1 within the parsed inputs' slack
+        raise NotConverged("a state's exit probability is not positive as a float")
+    # predecessors first, as every successor comes first in the reverse graph
+    order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
+    try:
+        if order is None:
+            counts, residual = _sparse_counts(diagonal, incoming)
+        else:
+            counts, residual = _forward_counts(diagonal, incoming, order)
+        if not residual <= _BACKWARD_ERROR_TOL:
+            raise NotConverged(f"visit-count solve has backward error {residual:.3g}")
+        bits = math.fsum(map(operator.mul, counts, local))
+    except OverflowError:  # from fsum
+        raise NotConverged("visit counts overflow a float") from None
+    if not math.isfinite(bits):
+        raise NotConverged("entropy overflows a float")
+    return StochasticEntropy(bits, residual)
+
+
+def _visit_system(a: Sdfa):
+    """(I - P)^T over the reachable states, numbered from the initial state 0.
+
+    Per state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
+    and the local entropy. Each sum is an fsum or exact, so no value depends
+    on the order of the labels. NonTerminatingSdfa when a reachable state
+    cannot reach positive termination, which makes the system singular.
+    """
+    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
+    position = {s: i for i, s in enumerate(reachable)}
+    diagonal = []
+    incoming: list[list[tuple[int, float]]] = [[] for _ in position]
+    local = []
+    for state, i in position.items():
+        stay, terms = Fraction(0), []
+        for _, dst, prob in a.out_edges(state):
+            terms.append(_plog2p(prob))
+            if dst == state:
+                stay += prob
+            else:
+                incoming[position[dst]].append((i, float(prob)))
+        term = a.termination.get(state, Fraction(0))
+        if term > 0:
+            terms.append(_plog2p(term))
+        diagonal.append(float(1 - stay))
+        local.append(math.fsum(terms))
+    terminating = [i for s, i in position.items() if a.termination.get(s, Fraction(0)) > 0]
+    if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(position):
+        raise NonTerminatingSdfa(
+            "a reachable state has no positive-probability path to termination"
+        )
+    return diagonal, incoming, local
+
+
+def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
+    """Visit counts of a system whose only cycles are self-loops, and residual.
+
+    c_i = (delta_i0 + sum_j c_j P_ji) / (1 - P_ii) along order, with every
+    in-edge summed by fsum, so the counts do not depend on the numbering.
+    The initial state 0 has no other in-edges, since any would close a cycle.
+    """
+    counts = [0.0] * len(diagonal)
+    for i in order:
+        inflow = math.fsum(counts[j] * p for j, p in incoming[i]) + (i == 0)
+        counts[i] = inflow / diagonal[i]
+    if not all(map(math.isfinite, counts)):
+        raise NotConverged("visit counts overflow a float")
+    error = max(
+        abs(math.fsum([d * c, -(i == 0), *(-p * counts[j] for j, p in edges)]))
+        for i, (d, c, edges) in enumerate(zip(diagonal, counts, incoming))
+    )
+    norm = max(
+        abs(d) + math.fsum(abs(p) for _, p in edges) for d, edges in zip(diagonal, incoming)
+    )
+    return counts, error / (norm * max(map(abs, counts)) + 1.0)
+
+
+def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
+    """Visit counts of any system by a sparse LU of (I - P)^T, and residual."""
     # imported here, not at module load, as in automata
     import numpy as np
     from scipy.sparse import csc_matrix
     from scipy.sparse.linalg import MatrixRankWarning, norm, spsolve
 
-    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
-    position = {s: i for i, s in enumerate(reachable)}
-    n = len(position)
-    reverse: dict[object, list] = {}
-    entries = []  # (row, column, value) of (I - P)^T
-    local = np.zeros(n)
-    for state, i in position.items():
-        stay, h = Fraction(0), 0.0
-        for _, dst, prob in a.out_edges(state):
-            h += _plog2p(prob)
-            reverse.setdefault(dst, []).append(state)
-            if dst == state:
-                stay += prob
-            else:
-                entries.append((position[dst], i, -float(prob)))
-        entries.append((i, i, float(1 - stay)))
-        term = a.termination.get(state, Fraction(0))
-        local[i] = h + _plog2p(term) if term > 0 else h
-    terminating = [s for s in position if a.termination.get(s, Fraction(0)) > 0]
-    if len(_reachable(terminating, lambda s: reverse.get(s, ()))) < n:
-        raise NonTerminatingSdfa(
-            "a reachable state has no positive-probability path to termination"
-        )
+    n = len(diagonal)
+    entries = [(i, i, d) for i, d in enumerate(diagonal)]
+    entries += [(i, j, -p) for i, edges in enumerate(incoming) for j, p in edges]
     rows, columns, values = zip(*entries)
     system = csc_matrix((values, (rows, columns)), shape=(n, n))
     e_initial = np.zeros(n)
@@ -206,9 +272,7 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
         counts = spsolve(system, e_initial)
     error = np.abs(system @ counts - e_initial).max()
     residual = float(error / (norm(system, np.inf) * np.abs(counts).max() + 1.0))
-    if not residual <= _BACKWARD_ERROR_TOL:
-        raise NotConverged(f"visit-count solve has backward error {residual:.3g}")
-    return StochasticEntropy(float(counts @ local), residual)
+    return counts.tolist(), residual
 
 
 def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATES) -> Sdfa:

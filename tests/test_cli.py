@@ -306,40 +306,87 @@ def numeric_modules():
     )
 
 
-log, sdfa, net = sys.argv[1:]
-stages = {"import": numeric_modules()}
-entroconf.cli.main(["--version"])
-stages["--version"] = numeric_modules()
-entroconf.cli.main(["-r", "-rel", log, "-ret", sdfa, "-s"])
-stages["-r"] = numeric_modules()
-entroconf.cli.main(["-emp", "-rel", log, "-ret", log, "-s"])
-stages["-emp log"] = numeric_modules()
-entroconf.cli.main(["-emp", "-rel", log, "-ret", net, "-s"])
-stages["-emp"] = numeric_modules()
+stages = [numeric_modules()]
+for argv in json.loads(sys.argv[1]):
+    entroconf.cli.main(argv)
+    stages.append(numeric_modules())
 print(json.dumps(stages))
 """
 
 
-def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures):
+def probe_numeric_modules(*runs):
+    """stdout lines of runs in one process, and the numpy/scipy modules
+    loaded after the import and after each run.
+    """
     package_root = Path(entroconf.__file__).resolve().parents[1]
     result = subprocess.run(
-        [
-            sys.executable, "-c", STARTUP_PROBE,
-            *(str(fixtures / name) for name in ("E.xes", "A.sdfa", "N.pnml")),
-        ],
+        [sys.executable, "-c", STARTUP_PROBE, json.dumps([[str(a) for a in run] for run in runs])],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(package_root)},
     )
     assert result.returncode == 0, result.stderr
     *values, report = result.stdout.splitlines()
-    assert values == [VERSION, "11.368", "1.000", "0.776"]
-    stages = json.loads(report)
-    # a log's automaton is acyclic, so its growth factor needs no numpy;
-    # the net's automaton has a cycle, which takes the power iteration
-    assert stages["import"] == stages["--version"] == stages["-r"] == []
-    assert stages["-emp log"] == []
-    assert {"numpy", "scipy"} <= set(stages["-emp"])
+    return values, json.loads(report)
+
+
+def loop_spnml(path: Path, loop_weight: str, exit_weight: str = "1") -> Path:
+    """A one-state loop over a, b, c and d that leaves, once, by e."""
+    transitions = [(label, "p", loop_weight) for label in "abcd"]
+    transitions.append(("e", "done", exit_weight))
+    path.write_text(
+        '<?xml version="1.0" encoding="UTF-8"?>\n<pnml><net id="loop"><page id="page0">'
+        '<place id="p"><initialMarking><text>1</text></initialMarking></place>'
+        '<place id="done"/>'
+        + "".join(
+            f'<transition id="t{label}"><name><text>{label}</text></name>'
+            '<toolspecific tool="stochastic" version="1.0">'
+            f"<weight>{weight}</weight></toolspecific></transition>"
+            f'<arc id="in{label}" source="p" target="t{label}"/>'
+            f'<arc id="out{label}" source="t{label}" target="{dst}"/>'
+            for label, dst, weight in transitions
+        )
+        + "</page></net></pnml>\n",
+        encoding="utf-8",
+    )
+    return path
+
+
+def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
+    log, sdfa, net, weighted = (
+        fixtures / name for name in ("E.xes", "A.sdfa", "N.pnml", "N.spnml")
+    )
+    loop = loop_spnml(tmp_path / "loop.spnml", "20")
+    values, stages = probe_numeric_modules(
+        ["--version"],
+        ["-r", "-rel", log, "-ret", sdfa, "-s"],
+        ["-emp", "-rel", log, "-ret", log, "-s"],
+        ["-sr", "-rel", log, "-ret", log, "-s"],
+        ["-sr", "-rel", log, "-ret", loop, "-s"],
+        ["-emp", "-rel", log, "-ret", net, "-s"],
+    )
+    assert values == [VERSION, "11.368", "1.000", "1.000", "1.000", "0.776"]
+    # a log's automaton is acyclic and the loop's only cycles are self-loops,
+    # so neither the growth factor nor the visit counts need numpy; the net's
+    # automaton has a longer cycle, which takes the power iteration
+    assert stages[:6] == [[]] * 6
+    assert {"numpy", "scipy"} <= set(stages[6])
+
+    # N.spnml's reachability graph has a longer cycle, so its visit counts
+    # take the sparse LU
+    values, stages = probe_numeric_modules(["-sr", "-rel", log, "-ret", weighted, "-s"])
+    assert values == ["0.397"]
+    assert stages[0] == [] and {"numpy", "scipy"} <= set(stages[1])
+
+
+@pytest.mark.parametrize("flag", ["-sp", "-sr"])
+def test_a_loop_exit_that_underflows_exits_4(capsys, fixtures, tmp_path, flag):
+    # the loop stays with probability 1 - 1/(4e400 + 1), whose complement
+    # rounds to 0 as a float
+    loop = loop_spnml(tmp_path / "loop.spnml", "1" + "0" * 400)
+    code, out, err = invoke(capsys, flag, "-rel", fixtures / "E.xes", "-ret", loop)
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 def test_unreadable_net_number_exits_2(fixtures, tmp_path):

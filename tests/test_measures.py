@@ -15,6 +15,7 @@ from entroconf.automata import (
     skip_closure,
     trim,
 )
+from entroconf import measures
 from entroconf.errors import NotConverged
 from entroconf.measures import (
     EntropyValue,
@@ -191,6 +192,36 @@ def test_relabeled_logs_have_bit_identical_entropy():
         assert topological_entropy(dfa_for(*words)) == topological_entropy(
             dfa_for(*mirrored)
         )
+
+
+def test_growth_factor_skips_trim_only_where_it_changes_nothing():
+    rng = random.Random(12)
+    skipped = 0
+    for _ in range(500):
+        size = rng.randint(1, 8)
+        raw = Dfa(
+            states=frozenset(range(size)),
+            alphabet=frozenset("abc"),
+            initial=0,
+            accepting=frozenset(s for s in range(size) if rng.random() < 0.4),
+            transitions={
+                (s, label): rng.randrange(size)
+                for s in range(size)
+                for label in "abc"
+                if rng.random() < 0.5
+            },
+        )
+        if measures._trim_out(raw) is not None:
+            skipped += 1
+            assert len(trim(raw).states) == size
+        # bit for bit, whether the states keep their numbers or not
+        assert measures._growth_factor(raw) == measures._growth_factor(trim(raw))
+    assert skipped
+
+    # a log's prefix tree and the output of determinize need no rebuild
+    log = dfa_for("abc", "abd", "b", "")
+    assert measures._trim_out(log) is not None
+    assert measures._trim_out(determinize(skip_closure(log, UNBOUNDED))) is not None
 
 
 def test_entropy_matches_the_perron_root_on_random_automata():

@@ -4,8 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from entroconf import stochastic
 from entroconf.automata import EventLog
-from entroconf.errors import EmptyConjunction, NonTerminatingSdfa, StateSpaceExceeded
+from entroconf.errors import (
+    EmptyConjunction,
+    NonTerminatingSdfa,
+    NotConverged,
+    StateSpaceExceeded,
+)
 from entroconf.measures import PrecisionRecall
 from entroconf.stochastic import (
     RelevanceValue,
@@ -209,6 +215,144 @@ def test_entropy_of_a_slow_cycle_matches_exact_counts():
     )
     expected = oracles.exact_sdfa_entropy(cycle)
     assert sdfa_entropy(cycle).bits == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("exponent", [310, 400])
+def test_entropy_of_a_loop_whose_exit_leaves_the_float_range_fails(exponent):
+    # an exit of 1e-400 rounds 1 - stay to 0; one of 1e-310 overflows the count
+    exit_ = Fraction(1, 10**exponent)
+    loop = Sdfa(
+        frozenset({0}), frozenset({"a"}), 0, {(0, "a"): (0, 1 - exit_)}, {0: exit_}
+    )
+    with pytest.raises(NotConverged):
+        sdfa_entropy(loop)
+
+
+@pytest.mark.parametrize("back", [False, True])
+@pytest.mark.parametrize("excess", [Fraction(0), Fraction(5, 10**10)])
+def test_self_loops_that_sum_to_1_within_the_slack_fail(excess, back):
+    # two self-loops whose probabilities sum to 1 or just above it, which
+    # the parsed inputs' slack admits next to a tiny exit; with back, state
+    # 1 returns to 0, so the system also has a longer cycle
+    exit_ = Fraction(2, 10**10)
+    end = Fraction(1, 2) if back else Fraction(1)
+    transitions = {
+        (0, "a"): (0, Fraction(1, 2)),
+        (0, "b"): (0, Fraction(1, 2) + excess),
+        (0, "c"): (1, exit_),
+    }
+    if back:
+        transitions[1, "d"] = (0, 1 - end)
+    loop = Sdfa(frozenset({0, 1}), frozenset("abcd"), 0, transitions, {1: end})
+    with pytest.raises(NotConverged, match="^a state's exit probability is not positive"):
+        sdfa_entropy(loop)
+
+
+def random_visit_model(rng, cycles: str) -> Sdfa:
+    """Random SDFA in which every state terminates with positive probability.
+
+    Edges go forward in the state order; with cycles "self" they may also
+    stay put, and with "long" they may go anywhere.
+    """
+    size = rng.randint(1, 6)
+    lowest = {"none": 1, "self": 0}
+    transitions, termination = {}, {}
+    for state in range(size):
+        low = state + lowest[cycles] if cycles in lowest else 0
+        arcs = [
+            (label, rng.randrange(low, size), rng.randint(1, 9))
+            for label in "abc"
+            if low < size and rng.random() < 0.6
+        ]
+        stop = rng.randint(1, 4)
+        total = stop + sum(weight for _, _, weight in arcs)
+        termination[state] = Fraction(stop, total)
+        for label, dst, weight in arcs:
+            transitions[state, label] = (dst, Fraction(weight, total))
+    return Sdfa(frozenset(range(size)), frozenset("abc"), 0, transitions, termination)
+
+
+def test_entropy_matches_exact_counts_on_either_solve(monkeypatch):
+    sparse_calls = []
+    sparse = stochastic._sparse_counts
+
+    def spy(*args):
+        sparse_calls.append(args)
+        return sparse(*args)
+
+    monkeypatch.setattr(stochastic, "_sparse_counts", spy)
+    rng = random.Random(71)
+    took_sparse = {"none": 0, "self": 0, "long": 0}
+    for cycles in took_sparse:
+        for _ in range(40):
+            model = random_visit_model(rng, cycles)
+            before = len(sparse_calls)
+            value = sdfa_entropy(model)
+            took_sparse[cycles] += len(sparse_calls) - before
+            assert value.bits == pytest.approx(
+                oracles.exact_sdfa_entropy(model), rel=1e-9
+            )
+            assert value.residual <= 1e-9
+    # only a cycle through two or more states needs the sparse LU
+    assert took_sparse["none"] == took_sparse["self"] == 0
+    assert 0 < took_sparse["long"] < 40
+
+
+def sparse_entropy(a: Sdfa) -> float:
+    diagonal, incoming, local = stochastic._visit_system(a)
+    counts, residual = stochastic._sparse_counts(diagonal, incoming)
+    assert residual <= 1e-9
+    return math.fsum(c * h for c, h in zip(counts, local))
+
+
+def test_entropy_of_a_large_log_matches_the_sparse_solve():
+    rng = random.Random(1600)
+    log = EventLog.from_traces(
+        tuple(rng.choice("abcd") for _ in range(rng.randint(0, 14)))
+        for _ in range(1600)
+    )
+    # one state looping on a, b and c, stopping with probability 1/1000
+    loop = Sdfa(
+        frozenset({0}),
+        frozenset("abc"),
+        0,
+        {(0, label): (0, Fraction(333, 1000)) for label in "abc"},
+        {0: Fraction(1, 1000)},
+    )
+    coded = log_to_sdfa(log)
+    for model in (coded, conjunction(coded, loop), conjunction(loop, coded)):
+        assert sdfa_entropy(model).bits == pytest.approx(sparse_entropy(model), rel=1e-12)
+    assert sdfa_entropy(loop).bits == pytest.approx(sparse_entropy(loop), rel=1e-12)
+
+
+def test_mirrored_logs_have_bit_identical_stochastic_entropy():
+    # reversing the alphabet reorders every state's edges and renumbers the
+    # states; exact per-state sums keep the value independent of both
+    rng = random.Random(9)
+    mirror = str.maketrans("abcdefgh", "hgfedcba")  # "abc" becomes "hgf"
+    for _ in range(30):
+        words = [
+            "".join(rng.choice("abcdefgh") for _ in range(rng.randint(0, 12)))
+            for _ in range(rng.randint(5, 80))
+        ]
+        mirrored = [word.translate(mirror) for word in words]
+        value = sdfa_entropy(log_to_sdfa(EventLog.from_traces(words)))
+        assert value == sdfa_entropy(log_to_sdfa(EventLog.from_traces(mirrored)))
+    # states with several in-edges, which a log's prefix tree does not have
+    for cycles in ("none", "self"):
+        for _ in range(40):
+            model = random_visit_model(rng, cycles)
+            mirrored = Sdfa(
+                model.states,
+                frozenset("abc".translate(mirror)),
+                model.initial,
+                {
+                    (src, label.translate(mirror)): arc
+                    for (src, label), arc in model.transitions.items()
+                },
+                model.termination,
+            )
+            assert sdfa_entropy(model) == sdfa_entropy(mirrored)
 
 
 def test_entropy_rejects_states_that_cannot_stop():
