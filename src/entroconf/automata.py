@@ -9,6 +9,7 @@ order), so repeated runs produce identical objects.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -183,14 +184,19 @@ def _explore(start, successors, max_states=None) -> tuple[dict, dict]:
     return number, transitions
 
 
-def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
+def _canonical(initial, accepting, transitions, alphabet, source: Dfa | None = None) -> Dfa:
     """Renumber states 0..n-1 by BFS from initial, labels in sorted order.
 
     Drops anything unreachable; the result is the unique representative of
     its isomorphism class, which keeps downstream numerics reproducible.
+    source, when given, is the automaton these parts come from; it is returned
+    itself when the renumbering maps each of its states to itself.
     """
     out = _out_map(transitions)
     number, numbered = _explore(initial, lambda s: out.get(s, ()))
+    if source is not None and len(number) == len(source.states):
+        if all(map(operator.eq, number, range(len(number)))):
+            return source
     return Dfa(
         states=frozenset(number.values()),
         alphabet=frozenset(alphabet),
@@ -239,6 +245,10 @@ def trim(a: Dfa) -> Dfa:
 
     The language is unchanged. When no accepting state is reachable the
     canonical empty automaton (single useless initial state) is returned.
+    An automaton that is trim and canonical already is returned itself, so
+    trim(a) is a exactly when trim(a) == a: an isomorphism of a onto itself
+    that fixes the initial state is the identity, since a is deterministic
+    and each state is reached by some word.
     """
     rev: dict[object, list[object]] = {}
     for (src, _), dst in a.transitions.items():
@@ -247,13 +257,12 @@ def trim(a: Dfa) -> Dfa:
     # initial state cannot reach
     useful = _reachable(a.accepting, lambda s: rev.get(s, ()))
     if a.initial not in useful:
-        return _empty_dfa(a.alphabet)
-    kept = {
-        (src, label): dst
-        for (src, label), dst in a.transitions.items()
-        if src in useful and dst in useful
-    }
-    return _canonical(a.initial, a.accepting, kept, a.alphabet)
+        empty = _empty_dfa(a.alphabet)
+        return a if a == empty else empty
+    kept = a.transitions
+    if len(useful) < len(a.states):
+        kept = {key: dst for key, dst in kept.items() if key[0] in useful and dst in useful}
+    return _canonical(a.initial, a.accepting, kept, a.alphabet, source=a)
 
 
 def product(a: Dfa, b: Dfa, max_states: int = _MAX_STATES) -> Dfa:

@@ -157,18 +157,19 @@ def parse_args(argv: list[str]) -> RunConfig:
     while index < len(argv):
         argument = argv[index]
         index += 1
-        name, _, inline = argument.partition("=")
+        name, equals, inline = argument.partition("=")
         if name in _MEASURES:
-            if inline:
+            if equals:
                 raise UnknownOption(f"{name} takes no value")
             if cfg.measure is not None:
                 raise ConflictingMeasures(f"{name} conflicts with the already selected measure")
             cfg.measure = _MEASURES[name].id
             continue
         if name in value_options:
-            if not inline:
-                if index >= len(argv):
-                    raise MissingArgument(f"{name} requires a value")
+            # "-rel=" is as empty as "-rel" at the end
+            if (equals and not inline) or (not equals and index >= len(argv)):
+                raise MissingArgument(f"{name} requires a value")
+            if not equals:
                 inline = argv[index]
                 index += 1
             if name in ("-rel", "--relevant"):

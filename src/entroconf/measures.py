@@ -20,7 +20,6 @@ from .automata import (
     Dfa,
     determinize,
     product,
-    _reachable,
     short_circuit,
     skip_closure,
     trim,
@@ -60,7 +59,7 @@ def spectral_radius(
     tol: float = DEFAULT_TOL,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> float:
-    """Perron root of a nonnegative square matrix, to relative tolerance tol.
+    """Perron root of a finite nonnegative square matrix, to relative tolerance tol.
 
     The matrix may be a dense array-like or a scipy sparse matrix; either
     way it is stored as CSR without explicit zeros, so only nonzero entries
@@ -80,6 +79,8 @@ def spectral_radius(
         raise ValueError("tol must be positive")
     a = csr_matrix(m, dtype=float, copy=True)
     a.eliminate_zeros()
+    if not np.isfinite(a.data).all():
+        raise ValueError("matrix must be finite")
     if a.nnz and a.data.min() < 0:
         raise ValueError("matrix must be nonnegative")
     return _perron_root(a, tol, max_iterations)
@@ -134,54 +135,22 @@ def _growth_factor(a: Dfa) -> tuple[float, bool]:
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
     where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
     """
-    out = _trim_out(a)
-    trimmed = out is None
-    if trimmed:
-        a = trim(a)
-        if not a.accepting:
-            return 0.0, True
-        out = _successors(a)
+    a = trim(a)
+    if not a.accepting:
+        return 0.0, True
+    out: list[list[int]] = [[] for _ in a.states]
+    for (src, _), dst in a.transitions.items():
+        out[src].append(dst)
     order = _reverse_topological_order(out)
     if order is None:
         # a sparse LU of I - xA would fill in far beyond the edge count on
         # the reachability graphs of concurrent nets. The power iteration's
         # rounding depends on the numbering, which trim makes canonical.
-        return _perron_root(short_circuit(a if trimmed else trim(a)).adjacency), False
+        return _perron_root(short_circuit(a).adjacency), False
     accepting = [float(s in a.accepting) for s in range(len(out))]
     # the short-circuit graph's largest row sum bounds its Perron root
     lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
     return 1.0 / _root(_back_substitution(out, accepting, order), lo), False
-
-
-def _successors(a: Dfa) -> list[list[int]]:
-    """Successor lists of an automaton whose states are 0..n-1."""
-    out: list[list[int]] = [[] for _ in a.states]
-    for (src, _), dst in a.transitions.items():
-        out[src].append(dst)
-    return out
-
-
-def _trim_out(a: Dfa) -> list[list[int]] | None:
-    """a's successor lists when trim(a) would at most renumber it, else None.
-
-    That is when a's states are 0..n-1 with initial state 0 and each lies on
-    an initial-to-accepting path, as in a log's prefix tree or the output of
-    determinize. On an acyclic automaton the growth factor does not depend
-    on the numbering, so the rebuild can be skipped.
-    """
-    n = len(a.states)
-    if a.initial != 0 or not a.accepting or a.states != frozenset(range(n)):
-        return None
-    out = _successors(a)
-    back: list[list[int]] = [[] for _ in range(n)]
-    for src, succ in enumerate(out):
-        for dst in succ:
-            back[dst].append(src)
-    if len(_reachable(a.accepting, back.__getitem__)) < n:
-        return None
-    if len(_reachable((0,), out.__getitem__)) < n:
-        return None
-    return out
 
 
 def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import SILENT, Dfa, Nfa, _explore, determinize
+from .automata import SILENT, Dfa, Nfa, _canonical, _explore, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -21,7 +21,7 @@ from .errors import (
     SilentTransitionUnsupported,
     UnboundedModel,
 )
-from .stochastic import Sdfa, _canonical_sdfa
+from .stochastic import Sdfa, _weighted
 
 DEFAULT_NODE_CAP = 10**7
 
@@ -257,23 +257,18 @@ def stochastic_rg_to_sdfa(
             raise InvalidFinalMarking(
                 "declared final markings must be exactly the reachable deadlocks"
             )
-    outgoing: dict[Marking, list[tuple[str, Marking]]] = {}
+    weights: dict[tuple[Marking, str], tuple[Marking, Fraction]] = {}
     for src, t, dst in rg.edges:
-        outgoing.setdefault(src, []).append((t, dst))
-    transitions: dict[tuple[Marking, str], tuple[Marking, Fraction]] = {}
-    for src, fired in outgoing.items():
-        labels = [net.transitions[t] for t, _ in fired]
-        if len(set(labels)) != len(labels):
+        key = (src, net.transitions[t])
+        if key in weights:
             raise NondeterministicStochasticModel(
                 "two equally labeled transitions enabled at one marking"
             )
-        total = sum(net.weights[t] for t, _ in fired)
-        for t, dst in fired:
-            transitions[(src, net.transitions[t])] = (dst, net.weights[t] / total)
-    termination = {m: Fraction(1) for m in deadlocks}
-    return _canonical_sdfa(
+        weights[key] = (dst, net.weights[t])
+    shape = _canonical(
         rg.initial,
-        transitions,
-        termination,
+        deadlocks,
+        {key: dst for key, (dst, _) in weights.items()},
         frozenset(net.transitions.values()),
     )
+    return _weighted(shape, rg.initial, weights, dict.fromkeys(deadlocks, 1))

@@ -8,9 +8,12 @@ entropy of a conjunction (one side's probabilities restricted to the other
 side's support) against the operand entropies; entropic relevance prices a
 log against a model as an average per-trace compression cost.
 
-Probabilities are exact fractions everywhere outside the entropy numerics,
-so construction-level identities (per-state sums, renormalization by mass
-1) hold exactly, not within a tolerance.
+Every SDFA built here is a canonical language automaton of automata plus
+exact weights, normalized per state; a conjunction's automaton is the
+trimmed product of the two supports. Probabilities are exact fractions
+everywhere outside the entropy numerics, so construction-level identities
+(per-state sums, renormalization by mass 1) hold exactly, not within a
+tolerance.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import _MAX_STATES, EventLog, Trace, _explore, _out_map, _reachable
+from .automata import (
+    _MAX_STATES,
+    Dfa,
+    EventLog,
+    Trace,
+    _reachable,
+    log_to_dfa,
+    product,
+    trim,
+)
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _reverse_topological_order
 
@@ -94,56 +106,71 @@ class RelevanceValue:
     avg_trace_bits: float
 
 
-def _canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
-    # the numbering of automata._canonical, so repeated constructions are
-    # bit-identical
-    out = _out_map({key: dst for key, (dst, _) in transitions.items()})
-    number, numbered = _explore(initial, lambda s: out.get(s, ()))
-    states = list(number)
+def _weighted(shape: Dfa, initial, weights, stops) -> Sdfa:
+    """The SDFA of a canonical language automaton and a weighted source model.
+
+    shape's state 0 stands for the source state initial, and each edge of
+    shape for the edge of its label in the source, which weights maps as
+    (source state, label) -> (source target, weight). stops maps each
+    source state that shape accepts to its termination weight. A state's
+    probabilities are its weights divided by their sum over its edges in
+    shape and its termination. One pass over shape's transitions, which
+    every construction in automata lists in breadth-first order, maps each
+    state of shape to its source state.
+    """
+    sources = [initial]
+    edges = []
+    for (i, label), j in shape.transitions.items():
+        target, weight = weights[sources[i], label]
+        if j == len(sources):
+            sources.append(target)
+        edges.append((i, label, j, weight))
+    stop = {i: stops[sources[i]] for i in shape.accepting}
+    totals = [stop.get(i, 0) for i in range(len(sources))]
+    for i, _, _, weight in edges:
+        totals[i] += weight
     return Sdfa(
-        states=frozenset(number.values()),
-        alphabet=frozenset(alphabet),
+        states=shape.states,
+        alphabet=shape.alphabet,
         initial=0,
         transitions={
-            (src, label): (dst, transitions[states[src], label][1])
-            for (src, label), dst in numbered.items()
+            (i, label): (j, Fraction(weight, totals[i])) for i, label, j, weight in edges
         },
-        termination={
-            number[s]: p for s, p in termination.items() if s in number and p > 0
-        },
+        termination={i: Fraction(weight, totals[i]) for i, weight in stop.items()},
+    )
+
+
+def _support(a: Sdfa) -> Dfa:
+    """The language automaton of a's positive-probability traces."""
+    return Dfa(
+        states=a.states,
+        alphabet=a.alphabet,
+        initial=a.initial,
+        accepting=frozenset(s for s, p in a.termination.items() if p > 0) & a.states,
+        transitions={key: dst for key, (dst, p) in a.transitions.items() if p > 0},
     )
 
 
 def log_to_sdfa(log: EventLog) -> Sdfa:
-    """Frequency prefix tree of a log.
+    """Frequency prefix tree of a log: log_to_dfa's, weighted by instances.
 
     Transition probability out of a prefix state is the fraction of
     instances continuing with that label among instances reaching the
     prefix; termination is the fraction ending there. Sums are exactly 1
     by construction.
     """
-    if not log.entries:
-        raise EmptyLog("cannot build an automaton from an empty log")
-    reaching: dict[Trace, int] = {}
-    ending: dict[Trace, int] = {}
+    shape = log_to_dfa(log)
+    reaching = [0] * len(shape.states)
+    ending: dict[int, int] = {}
     for trace, count in log.entries.items():
-        for i in range(len(trace) + 1):
-            prefix = trace[:i]
-            reaching[prefix] = reaching.get(prefix, 0) + count
-        ending[trace] = ending.get(trace, 0) + count
-    transitions: dict[tuple[Trace, str], tuple[Trace, Fraction]] = {}
-    for prefix in reaching:
-        if prefix:
-            parent = prefix[:-1]
-            transitions[(parent, prefix[-1])] = (
-                prefix,
-                Fraction(reaching[prefix], reaching[parent]),
-            )
-    termination = {
-        prefix: Fraction(ending.get(prefix, 0), reached)
-        for prefix, reached in reaching.items()
-    }
-    return _canonical_sdfa((), transitions, termination, log.alphabet)
+        state = 0
+        reaching[0] += count
+        for label in trace:
+            state = shape.transitions[state, label]
+            reaching[state] += count
+        ending[state] = ending.get(state, 0) + count
+    weights = {key: (dst, reaching[dst]) for key, dst in shape.transitions.items()}
+    return _weighted(shape, 0, weights, ending)
 
 
 def _log2(value: Fraction) -> float:
@@ -278,65 +305,19 @@ def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
 def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATES) -> Sdfa:
     """Restrict prob_source to traces also possible in structure.
 
-    Walks pairs of states along labels that carry positive probability on
-    both sides, keeping prob_source's probabilities. Pairs that cannot
-    reach positive termination anymore are dropped, and each surviving
-    state's probabilities are renormalized by its surviving mass, so the
-    result is again a proper distribution. EmptyConjunction when no trace
-    has positive probability in both inputs; StateSpaceExceeded when there
-    are more than max_states pairs.
+    The shape is the trimmed product of the two supports: pairs of states
+    along labels that carry positive probability on both sides, without the
+    pairs that cannot reach positive termination on both sides anymore. It
+    keeps prob_source's probabilities, renormalized per state by the
+    surviving mass, so the result is again a proper distribution.
+    EmptyConjunction when no trace has positive probability in both inputs;
+    StateSpaceExceeded when there are more than max_states pairs.
     """
-
-    def successors(pair):
-        sp, ss = pair
-        structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
-        for label, dst_p, _ in prob_source.out_edges(sp):
-            dst_s = structure_out.get(label)
-            if dst_s is not None:
-                yield label, (dst_p, dst_s)
-
-    number, forward = _explore(
-        (prob_source.initial, structure.initial), successors, max_states
-    )
-    pairs = list(number)
-    transitions = {
-        (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])
-        for (src, label), dst in forward.items()
-    }
-    termination = {
-        i: prob_source.termination[sp]
-        for i, (sp, ss) in enumerate(pairs)
-        if prob_source.termination.get(sp, Fraction(0)) > 0
-        and structure.termination.get(ss, Fraction(0)) > 0
-    }
-
-    # surviving = pairs that still reach positive termination
-    reverse: dict[int, list] = {}
-    for (src, _), (dst, _) in transitions.items():
-        reverse.setdefault(dst, []).append(src)
-    surviving = _reachable(termination, lambda s: reverse.get(s, ()))
-    if 0 not in surviving:
+    shape = trim(product(_support(prob_source), _support(structure), max_states))
+    if not shape.accepting:
         raise EmptyConjunction("no trace has positive probability in both inputs")
-
-    kept = {
-        key: value
-        for key, value in transitions.items()
-        if key[0] in surviving and value[0] in surviving
-    }
-    mass: dict[int, Fraction] = {
-        s: termination.get(s, Fraction(0)) for s in surviving
-    }
-    for (src, _), (_, prob) in kept.items():
-        mass[src] += prob
-    renormalized = {
-        key: (dst, prob / mass[key[0]]) for key, (dst, prob) in kept.items()
-    }
-    final_termination = {s: p / mass[s] for s, p in termination.items()}
-    return _canonical_sdfa(
-        0,
-        renormalized,
-        final_termination,
-        prob_source.alphabet & structure.alphabet,
+    return _weighted(
+        shape, prob_source.initial, prob_source.transitions, prob_source.termination
     )
 
 

@@ -17,9 +17,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from entroconf.automata import SILENT, Dfa, EventLog, Nfa, trim
-from entroconf.errors import MalformedXml, MissingConceptName
-from entroconf.petri import Marking, PetriNet
+from entroconf.automata import (
+    _MAX_STATES,
+    SILENT,
+    Dfa,
+    EventLog,
+    Nfa,
+    _explore,
+    _out_map,
+    _reachable,
+    trim,
+)
+from entroconf.errors import (
+    EmptyConjunction,
+    EmptyLog,
+    InvalidFinalMarking,
+    MalformedXml,
+    MissingConceptName,
+    NondeterministicStochasticModel,
+)
+from entroconf.petri import Marking, PetriNet, StochasticPetriNet, reachability_graph
 from entroconf.stochastic import Sdfa
 
 
@@ -412,4 +429,127 @@ def random_terminating_sdfa(rng, max_states: int = 5, alphabet="abc") -> Sdfa:
         initial=0,
         transitions=transitions,
         termination=termination,
+    )
+
+
+# --- reference copies of the earlier SDFA constructions -------------------
+#
+# Each built its own prefix tree, pair walk, pruning and canonical
+# renumbering. The package now builds every SDFA as a canonical language
+# automaton plus weights; these copies pin down that the results are the
+# same objects: numbering, fractions and alphabet.
+
+
+def _reference_canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
+    out = _out_map({key: dst for key, (dst, _) in transitions.items()})
+    number, numbered = _explore(initial, lambda s: out.get(s, ()))
+    states = list(number)
+    return Sdfa(
+        states=frozenset(number.values()),
+        alphabet=frozenset(alphabet),
+        initial=0,
+        transitions={
+            (src, label): (dst, transitions[states[src], label][1])
+            for (src, label), dst in numbered.items()
+        },
+        termination={
+            number[s]: p for s, p in termination.items() if s in number and p > 0
+        },
+    )
+
+
+def reference_log_to_sdfa(log: EventLog) -> Sdfa:
+    if not log.entries:
+        raise EmptyLog("cannot build an automaton from an empty log")
+    reaching: dict = {}
+    ending: dict = {}
+    for trace, count in log.entries.items():
+        for i in range(len(trace) + 1):
+            prefix = trace[:i]
+            reaching[prefix] = reaching.get(prefix, 0) + count
+        ending[trace] = ending.get(trace, 0) + count
+    transitions = {}
+    for prefix in reaching:
+        if prefix:
+            parent = prefix[:-1]
+            transitions[(parent, prefix[-1])] = (
+                prefix,
+                Fraction(reaching[prefix], reaching[parent]),
+            )
+    termination = {
+        prefix: Fraction(ending.get(prefix, 0), reached)
+        for prefix, reached in reaching.items()
+    }
+    return _reference_canonical_sdfa((), transitions, termination, log.alphabet)
+
+
+def reference_conjunction(prob_source: Sdfa, structure: Sdfa, max_states=_MAX_STATES) -> Sdfa:
+    def successors(pair):
+        sp, ss = pair
+        structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
+        for label, dst_p, _ in prob_source.out_edges(sp):
+            dst_s = structure_out.get(label)
+            if dst_s is not None:
+                yield label, (dst_p, dst_s)
+
+    number, forward = _explore(
+        (prob_source.initial, structure.initial), successors, max_states
+    )
+    pairs = list(number)
+    transitions = {
+        (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])
+        for (src, label), dst in forward.items()
+    }
+    termination = {
+        i: prob_source.termination[sp]
+        for i, (sp, ss) in enumerate(pairs)
+        if prob_source.termination.get(sp, Fraction(0)) > 0
+        and structure.termination.get(ss, Fraction(0)) > 0
+    }
+    reverse: dict = {}
+    for (src, _), (dst, _) in transitions.items():
+        reverse.setdefault(dst, []).append(src)
+    surviving = _reachable(termination, lambda s: reverse.get(s, ()))
+    if 0 not in surviving:
+        raise EmptyConjunction("no trace has positive probability in both inputs")
+    kept = {
+        key: value
+        for key, value in transitions.items()
+        if key[0] in surviving and value[0] in surviving
+    }
+    mass = {s: termination.get(s, Fraction(0)) for s in surviving}
+    for (src, _), (_, prob) in kept.items():
+        mass[src] += prob
+    renormalized = {key: (dst, prob / mass[key[0]]) for key, (dst, prob) in kept.items()}
+    final_termination = {s: p / mass[s] for s, p in termination.items()}
+    return _reference_canonical_sdfa(
+        0, renormalized, final_termination, prob_source.alphabet & structure.alphabet
+    )
+
+
+def reference_stochastic_rg_to_sdfa(net: StochasticPetriNet, max_nodes: int) -> Sdfa:
+    rg = reachability_graph(net, max_nodes)
+    deadlocks = rg.deadlocks()
+    if net.final_markings is not None:
+        declared = frozenset(net.final_markings) & rg.nodes
+        if declared != deadlocks:
+            raise InvalidFinalMarking(
+                "declared final markings must be exactly the reachable deadlocks"
+            )
+    outgoing: dict = {}
+    for src, t, dst in rg.edges:
+        outgoing.setdefault(src, []).append((t, dst))
+    transitions = {}
+    for src, fired in outgoing.items():
+        labels = [net.transitions[t] for t, _ in fired]
+        if len(set(labels)) != len(labels):
+            raise NondeterministicStochasticModel(
+                "two equally labeled transitions enabled at one marking"
+            )
+        total = sum(net.weights[t] for t, _ in fired)
+        for t, dst in fired:
+            transitions[(src, net.transitions[t])] = (dst, net.weights[t] / total)
+    termination = {m: Fraction(1) for m in deadlocks}
+    return _reference_canonical_sdfa(
+        rg.initial, transitions, termination, frozenset(net.transitions.values())
     )

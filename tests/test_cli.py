@@ -68,8 +68,16 @@ def test_parse_args_rejections():
         parse_args(["-emp", "-rel", "x", "-ret", "y", "-srel", "1"])
     with pytest.raises(UnknownOption):
         parse_args(["-nope"])
-    with pytest.raises(UnknownOption):
-        parse_args(["-emp=1"])
+    # a measure takes no value, not even an empty one
+    for argument in ("-emp=1", "-emp="):
+        with pytest.raises(UnknownOption, match="takes no value"):
+            parse_args([argument, "-rel", "x", "-ret", "y"])
+    # an empty value after "=" does not take the next argument instead
+    for option in ("-rel", "-ret", "-srel", "-sret"):
+        with pytest.raises(MissingArgument, match=f"{option} requires a value"):
+            parse_args(["-cpmp", "-rel", "x", "-ret", "y", f"{option}=", "b.xes"])
+    with pytest.raises(MissingArgument, match="-rel requires a value"):
+        parse_args(["-emp", "-rel=", "-ret", "b.xes"])
     with pytest.raises(MissingArgument):
         parse_args([])
     with pytest.raises(MissingArgument):
@@ -363,14 +371,19 @@ def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
         ["-emp", "-rel", log, "-ret", log, "-s"],
         ["-sr", "-rel", log, "-ret", log, "-s"],
         ["-sr", "-rel", log, "-ret", loop, "-s"],
+        ["-sp", "-rel", log, "-ret", log, "-s"],
+        ["-pmp", "-rel", log, "-ret", log, "-s"],
+        ["-cpmr", "-rel", log, "-ret", log, "-srel", "1", "-sret", "2", "-s"],
+        ["-b", "-rel", net, "-s"],
         ["-emp", "-rel", log, "-ret", net, "-s"],
     )
-    assert values == [VERSION, "11.368", "1.000", "1.000", "1.000", "0.776"]
-    # a log's automaton is acyclic and the loop's only cycles are self-loops,
-    # so neither the growth factor nor the visit counts need numpy; the net's
-    # automaton has a longer cycle, which takes the power iteration
-    assert stages[:6] == [[]] * 6
-    assert {"numpy", "scipy"} <= set(stages[6])
+    assert values == [VERSION, "11.368"] + ["1.000"] * 6 + ["1", "0.776"]
+    # a log's automaton and its deletion closures are acyclic and the loop's
+    # only cycles are self-loops, so neither the growth factor nor the visit
+    # counts need numpy, and -b only explores the net; the net's automaton
+    # has a longer cycle, which takes the power iteration
+    assert stages[:10] == [[]] * 10
+    assert {"numpy", "scipy"} <= set(stages[10])
 
     # N.spnml's reachability graph has a longer cycle, so its visit counts
     # take the sparse LU

@@ -85,6 +85,11 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius([[1]], tol=0.0)
     with pytest.raises(ValueError):
         spectral_radius([[1]], tol=-1e-3)
+    # nan and inf would come back as the radius or stall the iteration
+    inf, nan = math.inf, math.nan
+    for matrix in ([[nan]], [[inf, 1], [1, 1]], [[1, nan], [1, 1]], [[-inf]]):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            spectral_radius(matrix)
 
 
 def test_spectral_radius_reports_non_convergence():
@@ -196,7 +201,7 @@ def test_relabeled_logs_have_bit_identical_entropy():
 
 def test_growth_factor_skips_trim_only_where_it_changes_nothing():
     rng = random.Random(12)
-    skipped = 0
+    skipped = renumbered = 0
     for _ in range(500):
         size = rng.randint(1, 8)
         raw = Dfa(
@@ -211,17 +216,21 @@ def test_growth_factor_skips_trim_only_where_it_changes_nothing():
                 if rng.random() < 0.5
             },
         )
-        if measures._trim_out(raw) is not None:
-            skipped += 1
-            assert len(trim(raw).states) == size
+        trimmed = trim(raw)
+        # trim builds no copy of an automaton that is trim and canonical
+        assert (trimmed is raw) == (trimmed == raw)
+        skipped += trimmed is raw
+        renumbered += trimmed is not raw and len(trimmed.states) == size
         # bit for bit, whether the states keep their numbers or not
-        assert measures._growth_factor(raw) == measures._growth_factor(trim(raw))
-    assert skipped
+        assert measures._growth_factor(raw) == measures._growth_factor(trimmed)
+    # both kinds occur: kept as is, and trim already but numbered otherwise
+    assert skipped and renumbered
 
     # a log's prefix tree and the output of determinize need no rebuild
     log = dfa_for("abc", "abd", "b", "")
-    assert measures._trim_out(log) is not None
-    assert measures._trim_out(determinize(skip_closure(log, UNBOUNDED))) is not None
+    closure = determinize(skip_closure(log, UNBOUNDED))
+    assert trim(log) is log
+    assert trim(closure) is closure
 
 
 def test_entropy_matches_the_perron_root_on_random_automata():

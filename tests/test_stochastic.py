@@ -5,14 +5,19 @@ from fractions import Fraction
 import pytest
 
 from entroconf import stochastic
-from entroconf.automata import EventLog
+from entroconf.automata import _MAX_STATES, EventLog
 from entroconf.errors import (
     EmptyConjunction,
+    EntroconfError,
+    InvalidFinalMarking,
+    NondeterministicStochasticModel,
     NonTerminatingSdfa,
     NotConverged,
     StateSpaceExceeded,
+    UnboundedModel,
 )
 from entroconf.measures import PrecisionRecall
+from entroconf.petri import StochasticPetriNet, stochastic_rg_to_sdfa
 from entroconf.stochastic import (
     RelevanceValue,
     Sdfa,
@@ -421,6 +426,65 @@ def test_conjunction_numbers_states_canonically():
             except EmptyConjunction:
                 continue
             assert conjunction(renamed(source, rng), renamed(structure, rng)) == expected
+
+
+def weighted_random_net(rng) -> StochasticPetriNet:
+    """oracles.random_net with random weights; one in five declares the
+    initial marking final, which must then be the only deadlock."""
+    net = oracles.random_net(rng)
+    return StochasticPetriNet(
+        places=net.places,
+        transitions=net.transitions,
+        arcs=net.arcs,
+        initial_marking=net.initial_marking,
+        final_markings=frozenset({net.initial_marking}) if rng.random() < 0.2 else None,
+        weights={t: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for t in net.transitions},
+    )
+
+
+def test_sdfa_constructions_match_their_reference_copies():
+    rng = random.Random(67)
+    seen = set()
+
+    def outcome(build, *args):
+        """build(*args), or the class of the error it raises."""
+        try:
+            result = build(*args)
+        except EntroconfError as exc:
+            seen.add(type(exc))
+            return type(exc)
+        seen.add(Sdfa)
+        # exact fractions, not ints or floats that compare equal to them
+        probabilities = [p for _, p in result.transitions.values()]
+        assert all(type(p) is Fraction for p in probabilities + [*result.termination.values()])
+        return result
+
+    logs = [oracles.random_log(rng, max_traces=8) for _ in range(150)]
+    for log in logs:
+        assert outcome(log_to_sdfa, log) == outcome(oracles.reference_log_to_sdfa, log)
+    models = [log_to_sdfa(log) for log in logs[:60]]
+    models += [oracles.random_terminating_sdfa(rng) for _ in range(60)]
+    models += [renamed(model, rng) for model in rng.sample(models, 30)]
+    for _ in range(300):
+        first, second = rng.sample(models, 2)
+        cap = rng.choice([2, 4, _MAX_STATES])
+        for pair in ((first, second), (second, first)):
+            assert outcome(conjunction, *pair, cap) == outcome(
+                oracles.reference_conjunction, *pair, cap
+            )
+    for _ in range(200):
+        net = weighted_random_net(rng)
+        assert outcome(stochastic_rg_to_sdfa, net, 300) == outcome(
+            oracles.reference_stochastic_rg_to_sdfa, net, 300
+        )
+    assert seen == {
+        Sdfa,
+        EmptyConjunction,
+        StateSpaceExceeded,
+        UnboundedModel,
+        InvalidFinalMarking,
+        NondeterministicStochasticModel,
+    }
 
 
 def test_stochastic_precision_recall_conventions():
