@@ -338,7 +338,9 @@ def skip_closure(a: Dfa, k) -> Nfa:
     deletions, i.e. all subsequences). Skips are realized as silent edges
     running parallel to the labeled ones; a bounded budget is tracked in a
     per-state counter component, so each accepted word spends its own
-    deletions independently.
+    deletions independently. A bounded budget takes (k + 1) copies of the
+    states; StateSpaceExceeded, before anything is built, when that is more
+    than _MAX_STATES.
     """
     if k is UNBOUNDED:
         triples = set()
@@ -354,6 +356,11 @@ def skip_closure(a: Dfa, k) -> Nfa:
         )
     if not isinstance(k, int) or k < 0:
         raise ValueError("skip budget must be a nonnegative integer or UNBOUNDED")
+    if (k + 1) * len(a.states) > _MAX_STATES:
+        raise StateSpaceExceeded(
+            f"a skip budget of {k} on {len(a.states)} states exceeds the cap of "
+            f"{_MAX_STATES} states"
+        )
     triples = set()
     for (src, label), dst in a.transitions.items():
         for used in range(k + 1):

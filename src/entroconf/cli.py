@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
-from .automata import EventLog, log_to_dfa
+from .automata import UNBOUNDED, EventLog, log_to_dfa
 from .errors import (
     ConflictingMeasures,
     IncompatibleFormat,
@@ -32,11 +32,7 @@ from .errors import (
     UsageError,
 )
 from .formats import _parse_count, load_artifact
-from .measures import (
-    controlled_partial_precision_recall,
-    exact_precision_recall,
-    partial_precision_recall,
-)
+from .measures import controlled_partial_precision_recall, exact_precision_recall
 from .petri import (
     PetriNet,
     StochasticPetriNet,
@@ -166,12 +162,12 @@ def parse_args(argv: list[str]) -> RunConfig:
             cfg.measure = _MEASURES[name].id
             continue
         if name in value_options:
-            # "-rel=" is as empty as "-rel" at the end
-            if (equals and not inline) or (not equals and index >= len(argv)):
-                raise MissingArgument(f"{name} requires a value")
-            if not equals:
+            if not equals and index < len(argv):
                 inline = argv[index]
                 index += 1
+            # "-rel=", "-rel ''" and "-rel" at the end are equally empty
+            if not inline:
+                raise MissingArgument(f"{name} requires a value")
             if name in ("-rel", "--relevant"):
                 cfg.rel_path = inline
             elif name in ("-ret", "--retrieved"):
@@ -253,12 +249,11 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
         automata = _language_automaton(rel), _language_automaton(ret)
         if measure.startswith("em"):
             pair = exact_precision_recall(*automata)
-        elif measure.startswith("pm"):
-            pair = partial_precision_recall(*automata)
         else:
-            pair = controlled_partial_precision_recall(
-                *automata, cfg.skips_rel or 0, cfg.skips_ret or 0
-            )
+            budgets = (cfg.skips_rel or 0, cfg.skips_ret or 0)
+            if measure.startswith("pm"):
+                budgets = (UNBOUNDED, UNBOUNDED)
+            pair = controlled_partial_precision_recall(*automata, *budgets)
     sizes = {
         "relevant_states": len(automata[0].states),
         "retrieved_states": len(automata[1].states),

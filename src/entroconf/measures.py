@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING
 
 from .automata import (
     UNBOUNDED,
@@ -25,10 +24,6 @@ from .automata import (
     trim,
 )
 from .errors import NotConverged
-
-# numpy and scipy are imported inside the kernels, as in automata
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERATIONS = 10**6
@@ -69,8 +64,10 @@ def spectral_radius(
     Rayleigh bounds that certify the tolerance are only valid on irreducible
     blocks; the radius of the whole matrix is the maximum over components.
     """
+    # imported here, not at module load, as in automata
     import numpy as np
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse.csgraph import connected_components
 
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -83,21 +80,6 @@ def spectral_radius(
         raise ValueError("matrix must be finite")
     if a.nnz and a.data.min() < 0:
         raise ValueError("matrix must be nonnegative")
-    return _perron_root(a, tol, max_iterations)
-
-
-def _perron_root(
-    a: csr_matrix,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> float:
-    """spectral_radius of a square nonnegative CSR matrix with no stored zeros."""
-    import numpy as np
-    from scipy.sparse import identity
-    from scipy.sparse.csgraph import connected_components
-
-    if a.shape[0] == 0:
-        return 0.0
     _, labels = connected_components(a, directed=True, connection="strong")
     sizes = np.bincount(labels)
     # a singleton component's radius is its self-loop count
@@ -124,12 +106,12 @@ def _perron_root(
     return best
 
 
-def _growth_factor(a: Dfa) -> tuple[float, bool]:
-    """Growth factor (2 ** entropy) of a language and its emptiness flag.
+def _growth_factor(a: Dfa) -> float:
+    """Growth factor (2 ** entropy) of a language, 0 for the empty language.
 
     The growth factor is the Perron root of the trimmed automaton plus one
-    back edge per accepting state. An automaton with a cycle gets it by
-    power iteration on that short-circuit graph. An acyclic one (a finite
+    back edge per accepting state. An automaton with a cycle gets it from
+    spectral_radius of that short-circuit graph. An acyclic one (a finite
     language) is solved directly, in pure Python: with A the trimmed
     adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
@@ -137,7 +119,7 @@ def _growth_factor(a: Dfa) -> tuple[float, bool]:
     """
     a = trim(a)
     if not a.accepting:
-        return 0.0, True
+        return 0.0
     out: list[list[int]] = [[] for _ in a.states]
     for (src, _), dst in a.transitions.items():
         out[src].append(dst)
@@ -146,11 +128,11 @@ def _growth_factor(a: Dfa) -> tuple[float, bool]:
         # a sparse LU of I - xA would fill in far beyond the edge count on
         # the reachability graphs of concurrent nets. The power iteration's
         # rounding depends on the numbering, which trim makes canonical.
-        return _perron_root(short_circuit(a).adjacency), False
+        return spectral_radius(short_circuit(a).adjacency)
     accepting = [float(s in a.accepting) for s in range(len(out))]
     # the short-circuit graph's largest row sum bounds its Perron root
     lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
-    return 1.0 / _root(_back_substitution(out, accepting, order), lo), False
+    return 1.0 / _root(_back_substitution(out, accepting, order), lo)
 
 
 def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
@@ -281,30 +263,25 @@ def topological_entropy(a: Dfa) -> EntropyValue:
     (0, emptyLanguage); finite languages come out at 0 bits only when they
     hold a single word, since the back edges let distinct words compound.
     """
-    growth, empty = _growth_factor(a)
-    if empty:
+    growth = _growth_factor(a)
+    if not growth:
         return EntropyValue(0.0, empty_language=True)
     # trimmed short-circuited graphs have growth >= 1; guard against the
     # iteration midpoint landing a hair below it
     return EntropyValue(max(0.0, math.log2(growth)), False)
 
 
-def _quotient(shared: tuple[float, bool], denominator: tuple[float, bool]) -> float:
-    """Growth-factor ratio with the degenerate-language convention.
+def _quotient(shared: float, own: float) -> float:
+    """A size of the shared behaviour against one input's own size.
 
-    The shared language is included in the denominator one, so an empty
-    denominator forces an empty numerator: identical inputs stay at 1 all
-    the way down to two empty languages. A non-empty denominator with an
-    empty shared language is genuine disagreement, hence 0. Inclusion also
-    bounds the ratio by 1; the clamp only absorbs iteration roundoff.
+    The size is a growth factor or an entropy, and 0 for the empty language
+    (and, for an entropy, for a single trace). The shared behaviour is
+    included in the input's own, so an own size of 0 leaves only agreement:
+    identical inputs stay at 1 all the way down to two empty languages. A
+    shared size of 0 against a positive own one is disagreement, hence 0.
+    Inclusion also bounds the ratio by 1; the clamp only absorbs roundoff.
     """
-    shared_growth, shared_empty = shared
-    denominator_growth, denominator_empty = denominator
-    if denominator_empty:
-        return 1.0
-    if shared_empty:
-        return 0.0
-    return min(1.0, shared_growth / denominator_growth)
+    return 1.0 if not own else min(1.0, shared / own)
 
 
 def exact_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
@@ -326,10 +303,7 @@ def partial_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
     Every trace collection is widened to all subtraces (subsequences) of
     its traces before comparison.
     """
-    return exact_precision_recall(
-        determinize(skip_closure(trim(rel), UNBOUNDED)),
-        determinize(skip_closure(trim(ret), UNBOUNDED)),
-    )
+    return controlled_partial_precision_recall(rel, ret, UNBOUNDED, UNBOUNDED)
 
 
 def controlled_partial_precision_recall(
@@ -338,8 +312,8 @@ def controlled_partial_precision_recall(
     """Partial matching with per-side deletion budgets.
 
     skips_rel and skips_ret bound how many symbols may be dropped from a
-    relevant resp. retrieved trace; budgets of zero reproduce the exact
-    measure.
+    relevant resp. retrieved trace, or are UNBOUNDED; budgets of zero
+    reproduce the exact measure.
     """
     return exact_precision_recall(
         determinize(skip_closure(trim(rel), skips_rel)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import SILENT, Dfa, Nfa, _canonical, _explore, determinize
+from .automata import _MAX_STATES, SILENT, Dfa, Nfa, _canonical, _explore, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -22,8 +22,6 @@ from .errors import (
     UnboundedModel,
 )
 from .stochastic import Sdfa, _weighted
-
-DEFAULT_NODE_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -140,7 +138,7 @@ def _initial_vector(net: PetriNet, order: list[str]) -> tuple[int, ...]:
 def is_bounded(net: PetriNet) -> bool:
     """Whether the reachability set is finite, decided by reachability_graph.
 
-    A bounded net with more than DEFAULT_NODE_CAP markings raises
+    A bounded net with more than _MAX_STATES (10**6) markings raises
     StateSpaceExceeded instead of returning.
     """
     try:
@@ -150,7 +148,7 @@ def is_bounded(net: PetriNet) -> bool:
     return True
 
 
-def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> ReachabilityGraph:
+def reachability_graph(net: PetriNet, max_nodes: int = _MAX_STATES) -> ReachabilityGraph:
     """Breadth-first exploration of all reachable markings.
 
     Raises UnboundedModel as soon as a newly found marking covers one of
@@ -163,6 +161,10 @@ def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> Reac
     infinite branch (König's lemma), and on that branch some marking covers
     an earlier one (Dickson's lemma). Raises StateSpaceExceeded once more
     than max_nodes markings are found without such a cover.
+
+    A strict cover has a larger token total than the marking it covers, so
+    the walk up the ancestors stops where no marking left on the path has a
+    smaller total than the new one.
     """
     order, rules = _firing_data(net)
 
@@ -170,7 +172,10 @@ def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> Reac
         return Marking.of(dict(zip(order, vector)))
 
     start = _initial_vector(net, order)
-    parent: dict[tuple[int, ...], tuple[int, ...] | None] = {start: None}
+    # marking -> (its BFS parent, the least token total on its path from start)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
+        start: (None, sum(start))
+    }
 
     def successors(marking):
         for t, pre, post in rules:
@@ -180,16 +185,17 @@ def reachability_graph(net: PetriNet, max_nodes: int = DEFAULT_NODE_CAP) -> Reac
                 have - need + gain for have, need, gain in zip(marking, pre, post)
             )
             if successor not in parent:
+                total = sum(successor)
                 ancestor = marking
-                while ancestor is not None:
+                while ancestor is not None and parent[ancestor][1] < total:
                     if all(a <= b for a, b in zip(ancestor, successor)):
                         raise UnboundedModel(
                             "the net is not bounded: from the reachable marking "
                             f"{to_marking(ancestor).as_dict()} it reaches a marking "
                             "that strictly covers it"
                         )
-                    ancestor = parent[ancestor]
-                parent[successor] = marking
+                    ancestor = parent[ancestor][0]
+                parent[successor] = (marking, min(parent[marking][1], total))
             yield t, successor
 
     number, transitions = _explore(start, successors, max_nodes)
@@ -239,7 +245,7 @@ def rg_to_dfa(rg: ReachabilityGraph, net: PetriNet) -> Dfa:
 
 
 def stochastic_rg_to_sdfa(
-    net: StochasticPetriNet, max_nodes: int = DEFAULT_NODE_CAP
+    net: StochasticPetriNet, max_nodes: int = _MAX_STATES
 ) -> Sdfa:
     """Reachability graph of a weighted net as an SDFA.
 

@@ -36,7 +36,7 @@ from .automata import (
     trim,
 )
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
-from .measures import PrecisionRecall, _reverse_topological_order
+from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
 _SUM_TOLERANCE = Fraction(1, 10**9)
 _BACKWARD_ERROR_TOL = 1e-9
@@ -269,14 +269,7 @@ def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
         counts[i] = inflow / diagonal[i]
     if not all(map(math.isfinite, counts)):
         raise NotConverged("visit counts overflow a float")
-    error = max(
-        abs(math.fsum([d * c, -(i == 0), *(-p * counts[j] for j, p in edges)]))
-        for i, (d, c, edges) in enumerate(zip(diagonal, counts, incoming))
-    )
-    norm = max(
-        abs(d) + math.fsum(abs(p) for _, p in edges) for d, edges in zip(diagonal, incoming)
-    )
-    return counts, error / (norm * max(map(abs, counts)) + 1.0)
+    return counts, _backward_error(diagonal, incoming, counts)
 
 
 def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
@@ -284,7 +277,7 @@ def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
     # imported here, not at module load, as in automata
     import numpy as np
     from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import MatrixRankWarning, norm, spsolve
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     n = len(diagonal)
     entries = [(i, i, d) for i, d in enumerate(diagonal)]
@@ -296,10 +289,32 @@ def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
     with warnings.catch_warnings():
         # a float-singular system yields NaN counts; the residual check reports it
         warnings.simplefilter("ignore", MatrixRankWarning)
-        counts = spsolve(system, e_initial)
-    error = np.abs(system @ counts - e_initial).max()
-    residual = float(error / (norm(system, np.inf) * np.abs(counts).max() + 1.0))
-    return counts.tolist(), residual
+        counts = spsolve(system, e_initial).tolist()
+    return counts, _backward_error(diagonal, incoming, counts)
+
+
+def _backward_error(diagonal, incoming, counts) -> float:
+    """sdfa_entropy's residual, each row of A c - e summed by fsum; nan on nan counts."""
+    error = max(
+        abs(math.fsum([d * c, -(i == 0), *(-p * counts[j] for j, p in edges)]))
+        for i, (d, c, edges) in enumerate(zip(diagonal, counts, incoming))
+    )
+    norm = max(
+        abs(d) + math.fsum(abs(p) for _, p in edges) for d, edges in zip(diagonal, incoming)
+    )
+    return error / (norm * max(map(abs, counts)) + 1.0)
+
+
+def _shared_shape(a: Sdfa, b: Sdfa, max_states: int = _MAX_STATES) -> Dfa:
+    """The trimmed product of the supports of a and b; EmptyConjunction if empty.
+
+    It is the same Dfa for (b, a): product visits the same pairs along the
+    same labels in the same order either way, and trim renumbers canonically.
+    """
+    shape = trim(product(_support(a), _support(b), max_states))
+    if not shape.accepting:
+        raise EmptyConjunction("no trace has positive probability in both inputs")
+    return shape
 
 
 def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATES) -> Sdfa:
@@ -313,36 +328,29 @@ def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATE
     EmptyConjunction when no trace has positive probability in both inputs;
     StateSpaceExceeded when there are more than max_states pairs.
     """
-    shape = trim(product(_support(prob_source), _support(structure), max_states))
-    if not shape.accepting:
-        raise EmptyConjunction("no trace has positive probability in both inputs")
+    shape = _shared_shape(prob_source, structure, max_states)
     return _weighted(
         shape, prob_source.initial, prob_source.transitions, prob_source.termination
     )
-
-
-def _entropy_quotient(numerator: float, denominator: float) -> float:
-    # a zero-entropy denominator with a non-empty conjunction means the
-    # denominator admits a single trace, and it survived: full agreement
-    if denominator == 0.0:
-        return 1.0
-    return min(1.0, numerator / denominator)
 
 
 def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
     """Entropy quotients of the two conjunctions against their sources.
 
     recall = H(conjunction(rel, ret)) / H(rel), precision the mirror
-    image; an empty conjunction (disjoint supports) maps to 0/0.
+    image; an empty conjunction (disjoint supports) maps to 0/0. Both
+    conjunctions share one shape, which is built once.
     """
     try:
-        shared_rel = conjunction(rel, ret)
-        shared_ret = conjunction(ret, rel)
+        shape = _shared_shape(rel, ret)
     except EmptyConjunction:
         return PrecisionRecall(precision=0.0, recall=0.0)
-    recall = _entropy_quotient(sdfa_entropy(shared_rel).bits, sdfa_entropy(rel).bits)
-    precision = _entropy_quotient(
-        sdfa_entropy(shared_ret).bits, sdfa_entropy(ret).bits
+    recall, precision = (
+        _quotient(
+            sdfa_entropy(_weighted(shape, side.initial, side.transitions, side.termination)).bits,
+            sdfa_entropy(side).bits,
+        )
+        for side in (rel, ret)
     )
     return PrecisionRecall(precision=precision, recall=recall)
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from entroconf import automata
 from entroconf.automata import (
     SILENT,
     UNBOUNDED,
@@ -217,6 +218,20 @@ def test_skip_closure_rejects_bad_budget():
         skip_closure(dfa, -1)
     with pytest.raises(ValueError):
         skip_closure(dfa, 1.5)
+
+
+def test_skip_closure_state_cap(monkeypatch):
+    dfa = dfa_for(("a", "b"))  # three states, one copy of them per budget step
+    monkeypatch.setattr(automata, "_MAX_STATES", 12)
+    assert len(skip_closure(dfa, 3).states) == 12
+    monkeypatch.setattr(automata, "_MAX_STATES", 14)
+    with pytest.raises(StateSpaceExceeded, match=r"budget of 4 on 3 states .* cap of 14 states"):
+        skip_closure(dfa, 4)
+    # a budget unbounded in effect is refused before any state is built
+    monkeypatch.undo()
+    with pytest.raises(StateSpaceExceeded, match=r"cap of 1000000 states"):
+        skip_closure(dfa, 10**12)
+    assert len(skip_closure(dfa, UNBOUNDED).states) == 3
 
 
 def test_skip_closure_matches_deletion_oracle():

@@ -78,6 +78,10 @@ def test_parse_args_rejections():
             parse_args(["-cpmp", "-rel", "x", "-ret", "y", f"{option}=", "b.xes"])
     with pytest.raises(MissingArgument, match="-rel requires a value"):
         parse_args(["-emp", "-rel=", "-ret", "b.xes"])
+    # a separate empty argument is as empty as one after "="
+    for option in ("-rel", "--relevant", "-ret", "--retrieved"):
+        with pytest.raises(MissingArgument, match=f"{option} requires a value"):
+            parse_args(["-emp", "-rel", "a.xes", "-ret", "b.xes", option, ""])
     with pytest.raises(MissingArgument):
         parse_args([])
     with pytest.raises(MissingArgument):
@@ -705,6 +709,17 @@ def test_semantic_rejections_exit_3(capsys, fixtures):
 
     code, _, err = invoke(capsys, "-b", "-rel", fixtures / "E.xes")
     assert code == 3
+
+    # 23 states, each copied 100,001 times, exceed the cap before any is built
+    code, _, err = invoke(
+        capsys,
+        "-cpmp", "-rel", fixtures / "E.xes", "-ret", fixtures / "E.xes",
+        "-srel", "100000", "-sret", "0",
+    )
+    assert code == 3
+    assert err == (
+        "rejected: a skip budget of 100000 on 23 states exceeds the cap of 1000000 states\n"
+    )
 
     code, _, err = invoke(
         capsys, "-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "generator.pnml"

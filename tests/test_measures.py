@@ -317,6 +317,15 @@ def test_zero_budgets_reduce_to_exact_matching():
     )
 
 
+def test_partial_matching_is_controlled_matching_without_budgets():
+    rng = random.Random(19)
+    for _ in range(20):
+        rel, ret = oracles.random_dfa(rng), oracles.random_dfa(rng)
+        assert partial_precision_recall(rel, ret) == (
+            controlled_partial_precision_recall(rel, ret, UNBOUNDED, UNBOUNDED)
+        )
+
+
 def test_identical_inputs_score_one():
     rng = random.Random(5)
     for _ in range(10):

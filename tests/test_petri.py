@@ -1,8 +1,11 @@
+import inspect
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from entroconf.automata import _MAX_STATES
 from entroconf.errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -264,10 +267,41 @@ def test_reachability_graph_node_cap():
         reachability_graph(chains, max_nodes=728)
 
 
+def test_nets_and_automata_share_one_state_cap():
+    for explore in (reachability_graph, stochastic_rg_to_sdfa):
+        assert inspect.signature(explore).parameters["max_nodes"].default == _MAX_STATES
+
+
+def test_boundedness_of_a_long_token_chain_is_fast():
+    # n tokens move one at a time: a chain of n + 1 markings, each with n
+    # tokens, so no marking can strictly cover an ancestor
+    n = 50_000
+    chain = PetriNet(
+        places=frozenset({"p", "q"}),
+        transitions={"t": "a"},
+        arcs={("p", "t"): 1, ("t", "q"): 1},
+        initial_marking=Marking.of({"p": n}),
+    )
+    started = time.perf_counter()
+    assert len(reachability_graph(chain).nodes) == n + 1
+    # about a second; walking every ancestor chain would take many minutes
+    assert time.perf_counter() - started < 60
+
+
 def test_reachability_graph_rejects_unbounded_nets():
     # the pump shows within a few markings, long before the cap
     with pytest.raises(UnboundedModel, match="bounded"):
         reachability_graph(GENERATOR, max_nodes=1_000)
+    # two tokens become one, which then pumps: the covered marking has
+    # fewer tokens than the initial one
+    drop_then_pump = PetriNet(
+        places=frozenset({"p", "q", "r"}),
+        transitions={"t": "a", "u": "b"},
+        arcs={("p", "t"): 2, ("t", "q"): 1, ("q", "u"): 1, ("u", "q"): 1, ("u", "r"): 1},
+        initial_marking=Marking.of({"p": 2}),
+    )
+    with pytest.raises(UnboundedModel, match=r"\{'q': 1\}"):
+        reachability_graph(drop_then_pump, max_nodes=1_000)
 
 
 def test_stochastic_net_validation():

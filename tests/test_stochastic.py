@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroconf import stochastic
+from entroconf import measures, stochastic
 from entroconf.automata import _MAX_STATES, EventLog
 from entroconf.errors import (
     EmptyConjunction,
@@ -219,7 +219,24 @@ def test_entropy_of_a_slow_cycle_matches_exact_counts():
         {2: exit_},
     )
     expected = oracles.exact_sdfa_entropy(cycle)
-    assert sdfa_entropy(cycle).bits == pytest.approx(expected, rel=1e-9)
+    value = sdfa_entropy(cycle)
+    assert value.bits == pytest.approx(expected, rel=1e-9)
+    assert value.residual <= 1e-9
+
+
+def test_a_cycle_singular_as_floats_fails_on_its_backward_error():
+    # an exit of 1e-17 rounds 1 - exit to 1, so (I - P)^T is singular as
+    # floats; the sparse LU's counts are nan, and so is the residual
+    exit_ = Fraction(1, 10**17)
+    cycle = Sdfa(
+        frozenset({0, 1}),
+        frozenset("ab"),
+        0,
+        {(0, "a"): (1, Fraction(1)), (1, "b"): (0, 1 - exit_)},
+        {1: exit_},
+    )
+    with pytest.raises(NotConverged, match="backward error nan"):
+        sdfa_entropy(cycle)
 
 
 @pytest.mark.parametrize("exponent", [310, 400])
@@ -500,6 +517,24 @@ def test_stochastic_precision_recall_conventions():
 
     uniform = log_to_sdfa(EventLog.from_traces([("a",), ("b",)]))
     assert stochastic_precision_recall(uniform, uniform) == PrecisionRecall(1.0, 1.0)
+
+
+def test_both_conjunctions_of_a_pair_share_one_shape():
+    rng = random.Random(83)
+    for _ in range(120):
+        # cyclic models too, so that the sparse solve is compared as well
+        rel, ret = (
+            renamed(random_visit_model(rng, rng.choice(["none", "self", "long"])), rng)
+            for _ in range(2)
+        )
+        forward, backward = conjunction(rel, ret), conjunction(ret, rel)
+        assert stochastic._support(forward) == stochastic._support(backward)
+        # stochastic_precision_recall weighs that one shape by each side,
+        # bit for bit as the two public conjunctions
+        pair = stochastic_precision_recall(rel, ret)
+        for value, shared, own in ((pair.recall, forward, rel), (pair.precision, backward, ret)):
+            expected = measures._quotient(sdfa_entropy(shared).bits, sdfa_entropy(own).bits)
+            assert value.hex() == expected.hex()
 
 
 def test_stochastic_scores_stay_in_range_on_random_pairs():
