@@ -26,8 +26,8 @@ Trace = tuple[str, ...]
 # unlabeled (silent) edge marker for Nfa transitions
 SILENT = None
 
-# default cap on the states of a constructed automaton, which fails fast
-# (StateSpaceExceeded) where a blow-up would otherwise exhaust memory
+# the one cap on the states of products, determinizations, skip closures and
+# net explorations, read as each runs: beyond it StateSpaceExceeded fails fast
 _MAX_STATES = 10**6
 
 
@@ -154,7 +154,7 @@ def _reachable(seeds, successors) -> dict:
     return found
 
 
-def _explore(start, successors, max_states=None) -> tuple[dict, dict]:
+def _explore(start, successors, capped: bool = True) -> tuple[dict, dict]:
     """Breadth-first construction of the automaton reachable from start.
 
     successors(state) must yield (label, target) pairs sorted by label.
@@ -163,7 +163,7 @@ def _explore(start, successors, max_states=None) -> tuple[dict, dict]:
     automaton, not on how its states are named or its edges stored.
     Returns the numbering {state: number} and the numbered transitions
     {(number, label): number}. Raises StateSpaceExceeded when a new state
-    would make more than max_states.
+    would make more than _MAX_STATES, unless capped is false.
     """
     number = {start: 0}
     transitions = {}
@@ -174,9 +174,9 @@ def _explore(start, successors, max_states=None) -> tuple[dict, dict]:
         for label, target in successors(state):
             dst = number.get(target)
             if dst is None:
-                if max_states is not None and len(number) >= max_states:
+                if capped and len(number) >= _MAX_STATES:
                     raise StateSpaceExceeded(
-                        f"state space exceeds the cap of {max_states} states"
+                        f"state space exceeds the cap of {_MAX_STATES} states"
                     )
                 dst = number[target] = len(number)
                 queue.append(target)
@@ -190,10 +190,11 @@ def _canonical(initial, accepting, transitions, alphabet, source: Dfa | None = N
     Drops anything unreachable; the result is the unique representative of
     its isomorphism class, which keeps downstream numerics reproducible.
     source, when given, is the automaton these parts come from; it is returned
-    itself when the renumbering maps each of its states to itself.
+    itself when the renumbering maps each of its states to itself. Uncapped,
+    as the parts are never larger than an input already read or capped.
     """
     out = _out_map(transitions)
-    number, numbered = _explore(initial, lambda s: out.get(s, ()))
+    number, numbered = _explore(initial, lambda s: out.get(s, ()), capped=False)
     if source is not None and len(number) == len(source.states):
         if all(map(operator.eq, number, range(len(number)))):
             return source
@@ -265,7 +266,7 @@ def trim(a: Dfa) -> Dfa:
     return _canonical(a.initial, a.accepting, kept, a.alphabet, source=a)
 
 
-def product(a: Dfa, b: Dfa, max_states: int = _MAX_STATES) -> Dfa:
+def product(a: Dfa, b: Dfa) -> Dfa:
     """Synchronous product; accepts exactly the traces both operands accept.
 
     Synchronization happens per label, so differing alphabets need no
@@ -281,7 +282,7 @@ def product(a: Dfa, b: Dfa, max_states: int = _MAX_STATES) -> Dfa:
             if db is not None:
                 yield label, (da, db)
 
-    number, transitions = _explore((a.initial, b.initial), successors, max_states)
+    number, transitions = _explore((a.initial, b.initial), successors)
     return Dfa(
         states=frozenset(number.values()),
         alphabet=frozenset(a.alphabet & b.alphabet),
@@ -295,7 +296,7 @@ def product(a: Dfa, b: Dfa, max_states: int = _MAX_STATES) -> Dfa:
     )
 
 
-def determinize(n: Nfa, max_states: int = _MAX_STATES) -> Dfa:
+def determinize(n: Nfa) -> Dfa:
     """Subset construction with silent-edge closure; result is trimmed.
 
     Subsequence closures of large inputs can blow up exponentially, so the
@@ -320,7 +321,7 @@ def determinize(n: Nfa, max_states: int = _MAX_STATES) -> Dfa:
         for label in sorted(targets):
             yield label, closure(targets[label])
 
-    number, transitions = _explore(closure({n.initial}), successors, max_states)
+    number, transitions = _explore(closure({n.initial}), successors)
     dfa = Dfa(
         states=frozenset(number.values()),
         alphabet=n.alphabet,

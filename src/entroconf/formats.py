@@ -299,23 +299,34 @@ def _parse_net_elements(root: ET.Element):
     return places, transitions, weights, arcs, finals
 
 
+def _parse_net(text: str | bytes, weighted: bool) -> PetriNet:
+    places, transitions, weights, arcs, finals = _parse_net_elements(_parse_xml(text))
+    extra = {}
+    if weighted:
+        for ident, weight in weights.items():
+            if weight is not None and weight <= 0:
+                raise NonPositiveWeight(f"transition {ident} has weight {weight}")
+        extra["weights"] = {t: w or Fraction(1) for t, w in weights.items()}
+    try:
+        return (StochasticPetriNet if weighted else PetriNet)(
+            places=frozenset(places),
+            transitions=transitions,
+            arcs=arcs,
+            initial_marking=Marking.of(places),
+            final_markings=frozenset(finals) if finals is not None else None,
+            **extra,
+        )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def parse_pnml(text: str | bytes) -> PetriNet:
     """Petri net from a PNML document.
 
     Missing initialMarking means zero tokens; a transition with an empty
     or missing name, or an invisible toolspecific marker, is silent.
     """
-    places, transitions, _, arcs, finals = _parse_net_elements(_parse_xml(text))
-    try:
-        return PetriNet(
-            places=frozenset(places),
-            transitions=transitions,
-            arcs=arcs,
-            initial_marking=Marking.of(places),
-            final_markings=frozenset(finals) if finals is not None else None,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _parse_net(text, weighted=False)
 
 
 def parse_spnml(text: str | bytes) -> StochasticPetriNet:
@@ -323,23 +334,7 @@ def parse_spnml(text: str | bytes) -> StochasticPetriNet:
 
     A transition without a weight annotation gets weight 1.
     """
-    places, transitions, weights, arcs, finals = _parse_net_elements(_parse_xml(text))
-    for ident, weight in weights.items():
-        if weight is not None and weight <= 0:
-            raise NonPositiveWeight(f"transition {ident} has weight {weight}")
-    try:
-        return StochasticPetriNet(
-            places=frozenset(places),
-            transitions=transitions,
-            arcs=arcs,
-            initial_marking=Marking.of(places),
-            final_markings=frozenset(finals) if finals is not None else None,
-            weights={
-                t: w if w is not None else Fraction(1) for t, w in weights.items()
-            },
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _parse_net(text, weighted=True)
 
 
 def _serialize_net(net: PetriNet, weighted: bool) -> str:

@@ -25,8 +25,9 @@ from .automata import (
 )
 from .errors import NotConverged
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERATIONS = 10**6
+# spectral_radius's relative tolerance, and its cap on power iterations
+_TOL = 1e-9
+_MAX_ITERATIONS = 10**6
 # relative width at which a growth factor's bracket counts as converged
 _WIDTH = 4 * math.ulp(1.0)
 
@@ -49,12 +50,8 @@ class PrecisionRecall:
     recall: float
 
 
-def spectral_radius(
-    m,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> float:
-    """Perron root of a finite nonnegative square matrix, to relative tolerance tol.
+def spectral_radius(m) -> float:
+    """Perron root of a finite nonnegative square matrix, to relative tolerance 1e-9.
 
     The matrix may be a dense array-like or a scipy sparse matrix; either
     way it is stored as CSR without explicit zeros, so only nonzero entries
@@ -72,8 +69,6 @@ def spectral_radius(
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("matrix must be square")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     a = csr_matrix(m, dtype=float, copy=True)
     a.eliminate_zeros()
     if not np.isfinite(a.data).all():
@@ -90,18 +85,18 @@ def spectral_radius(
         idx = members[ends[comp] - sizes[comp] : ends[comp]]
         block = a[idx][:, idx] + identity(idx.size, format="csr")
         v = np.ones(idx.size)
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             w = block @ v
             ratios = w / v
             lo = float(ratios.min())
             hi = float(ratios.max())
-            if hi - lo <= tol * hi:
+            if hi - lo <= _TOL * hi:
                 best = max(best, (lo + hi) / 2.0 - 1.0)
                 break
             v = w / w.max()
         else:
             raise NotConverged(
-                f"spectral radius not within {tol} after {max_iterations} iterations"
+                f"spectral radius not within {_TOL} after {_MAX_ITERATIONS} iterations"
             )
     return best
 
@@ -120,10 +115,7 @@ def _growth_factor(a: Dfa) -> float:
     a = trim(a)
     if not a.accepting:
         return 0.0
-    out: list[list[int]] = [[] for _ in a.states]
-    for (src, _), dst in a.transitions.items():
-        out[src].append(dst)
-    order = _reverse_topological_order(out)
+    out, order = _successors(a)
     if order is None:
         # a sparse LU of I - xA would fill in far beyond the edge count on
         # the reachability graphs of concurrent nets. The power iteration's
@@ -133,6 +125,14 @@ def _growth_factor(a: Dfa) -> float:
     # the short-circuit graph's largest row sum bounds its Perron root
     lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
     return 1.0 / _root(_back_substitution(out, accepting, order), lo)
+
+
+def _successors(a: Dfa) -> tuple[list[list[int]], list[int] | None]:
+    """Each state's successor list, and _reverse_topological_order of them."""
+    out: list[list[int]] = [[] for _ in a.states]
+    for (src, _), dst in a.transitions.items():
+        out[src].append(dst)
+    return out, _reverse_topological_order(out)
 
 
 def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
@@ -315,7 +315,20 @@ def controlled_partial_precision_recall(
     relevant resp. retrieved trace, or are UNBOUNDED; budgets of zero
     reproduce the exact measure.
     """
-    return exact_precision_recall(
-        determinize(skip_closure(trim(rel), skips_rel)),
-        determinize(skip_closure(trim(ret), skips_ret)),
-    )
+    return exact_precision_recall(_closure(rel, skips_rel), _closure(ret, skips_ret))
+
+
+def _closure(a: Dfa, k) -> Dfa:
+    """determinize(skip_closure(trim(a), k)), k lowered to a's longest word.
+
+    No word of an acyclic a has more symbols to delete than its length: the
+    state copies past the longest are unreachable, so the NFA is the same.
+    """
+    a = trim(a)
+    out, order = _successors(a)
+    if order is not None and isinstance(k, int):
+        height = [0] * len(out)
+        for i in order:
+            height[i] = max((height[j] + 1 for j in out[i]), default=0)
+        k = min(k, height[0])
+    return determinize(skip_closure(a, k))

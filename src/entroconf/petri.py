@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import _MAX_STATES, SILENT, Dfa, Nfa, _canonical, _explore, determinize
+from .automata import SILENT, Dfa, Nfa, _canonical, _explore, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -115,7 +115,10 @@ class ReachabilityGraph:
 
 
 def _firing_data(net: PetriNet):
-    """Per-transition pre/post token vectors over a fixed place order."""
+    """The sorted places, and per transition in sorted order its sparse rule
+    (t, needs, changes): the (place index, tokens) pairs t consumes and the
+    nonzero (place index, change) pairs of firing it.
+    """
     order = sorted(net.places)
     index = {p: i for i, p in enumerate(order)}
     pre = {t: [0] * len(order) for t in net.transitions}
@@ -127,18 +130,16 @@ def _firing_data(net: PetriNet):
             post[src][index[dst]] += weight
     rules = []
     for t in sorted(net.transitions):
-        rules.append((t, tuple(pre[t]), tuple(post[t])))
+        needs = [(i, need) for i, need in enumerate(pre[t]) if need]
+        changes = [(i, b - a) for i, (a, b) in enumerate(zip(pre[t], post[t])) if a != b]
+        rules.append((t, needs, changes))
     return order, rules
-
-
-def _initial_vector(net: PetriNet, order: list[str]) -> tuple[int, ...]:
-    return tuple(net.initial_marking.count(p) for p in order)
 
 
 def is_bounded(net: PetriNet) -> bool:
     """Whether the reachability set is finite, decided by reachability_graph.
 
-    A bounded net with more than _MAX_STATES (10**6) markings raises
+    A bounded net with more than 10**6 markings (the state cap) raises
     StateSpaceExceeded instead of returning.
     """
     try:
@@ -148,7 +149,7 @@ def is_bounded(net: PetriNet) -> bool:
     return True
 
 
-def reachability_graph(net: PetriNet, max_nodes: int = _MAX_STATES) -> ReachabilityGraph:
+def reachability_graph(net: PetriNet) -> ReachabilityGraph:
     """Breadth-first exploration of all reachable markings.
 
     Raises UnboundedModel as soon as a newly found marking covers one of
@@ -160,7 +161,7 @@ def reachability_graph(net: PetriNet, max_nodes: int = _MAX_STATES) -> Reachabil
     its BFS tree, which branches at most once per transition, has an
     infinite branch (König's lemma), and on that branch some marking covers
     an earlier one (Dickson's lemma). Raises StateSpaceExceeded once more
-    than max_nodes markings are found without such a cover.
+    than 10**6 markings (the state cap) are found without such a cover.
 
     A strict cover has a larger token total than the marking it covers, so
     the walk up the ancestors stops where no marking left on the path has a
@@ -171,19 +172,20 @@ def reachability_graph(net: PetriNet, max_nodes: int = _MAX_STATES) -> Reachabil
     def to_marking(vector: tuple[int, ...]) -> Marking:
         return Marking.of(dict(zip(order, vector)))
 
-    start = _initial_vector(net, order)
+    start = tuple(net.initial_marking.count(p) for p in order)
     # marking -> (its BFS parent, the least token total on its path from start)
     parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
         start: (None, sum(start))
     }
 
     def successors(marking):
-        for t, pre, post in rules:
-            if not all(have >= need for have, need in zip(marking, pre)):
+        for t, needs, changes in rules:
+            if any(marking[i] < need for i, need in needs):
                 continue
-            successor = tuple(
-                have - need + gain for have, need, gain in zip(marking, pre, post)
-            )
+            successor = list(marking)
+            for i, change in changes:
+                successor[i] += change
+            successor = tuple(successor)
             if successor not in parent:
                 total = sum(successor)
                 ancestor = marking
@@ -198,7 +200,7 @@ def reachability_graph(net: PetriNet, max_nodes: int = _MAX_STATES) -> Reachabil
                 parent[successor] = (marking, min(parent[marking][1], total))
             yield t, successor
 
-    number, transitions = _explore(start, successors, max_nodes)
+    number, transitions = _explore(start, successors)
     markings = [to_marking(v) for v in number]
     return ReachabilityGraph(
         nodes=frozenset(markings),
@@ -244,9 +246,7 @@ def rg_to_dfa(rg: ReachabilityGraph, net: PetriNet) -> Dfa:
     )
 
 
-def stochastic_rg_to_sdfa(
-    net: StochasticPetriNet, max_nodes: int = _MAX_STATES
-) -> Sdfa:
+def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
     """Reachability graph of a weighted net as an SDFA.
 
     At each marking the enabled transitions fire with probability
@@ -255,7 +255,7 @@ def stochastic_rg_to_sdfa(
     reachable deadlocks, since any other convention leaves some state's
     probability short of 1.
     """
-    rg = reachability_graph(net, max_nodes)
+    rg = reachability_graph(net)
     deadlocks = rg.deadlocks()
     if net.final_markings is not None:
         declared = frozenset(net.final_markings) & rg.nodes

@@ -25,16 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import (
-    _MAX_STATES,
-    Dfa,
-    EventLog,
-    Trace,
-    _reachable,
-    log_to_dfa,
-    product,
-    trim,
-)
+from .automata import Dfa, EventLog, Trace, _reachable, log_to_dfa, product, trim
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
@@ -305,19 +296,19 @@ def _backward_error(diagonal, incoming, counts) -> float:
     return error / (norm * max(map(abs, counts)) + 1.0)
 
 
-def _shared_shape(a: Sdfa, b: Sdfa, max_states: int = _MAX_STATES) -> Dfa:
+def _shared_shape(a: Sdfa, b: Sdfa) -> Dfa:
     """The trimmed product of the supports of a and b; EmptyConjunction if empty.
 
     It is the same Dfa for (b, a): product visits the same pairs along the
     same labels in the same order either way, and trim renumbers canonically.
     """
-    shape = trim(product(_support(a), _support(b), max_states))
+    shape = trim(product(_support(a), _support(b)))
     if not shape.accepting:
         raise EmptyConjunction("no trace has positive probability in both inputs")
     return shape
 
 
-def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATES) -> Sdfa:
+def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     """Restrict prob_source to traces also possible in structure.
 
     The shape is the trimmed product of the two supports: pairs of states
@@ -326,9 +317,9 @@ def conjunction(prob_source: Sdfa, structure: Sdfa, max_states: int = _MAX_STATE
     keeps prob_source's probabilities, renormalized per state by the
     surviving mass, so the result is again a proper distribution.
     EmptyConjunction when no trace has positive probability in both inputs;
-    StateSpaceExceeded when there are more than max_states pairs.
+    StateSpaceExceeded when there are more than 10**6 pairs.
     """
-    shape = _shared_shape(prob_source, structure, max_states)
+    shape = _shared_shape(prob_source, structure)
     return _weighted(
         shape, prob_source.initial, prob_source.transitions, prob_source.termination
     )

@@ -18,7 +18,6 @@ from fractions import Fraction
 import numpy as np
 
 from entroconf.automata import (
-    _MAX_STATES,
     SILENT,
     Dfa,
     EventLog,
@@ -442,7 +441,7 @@ def random_terminating_sdfa(rng, max_states: int = 5, alphabet="abc") -> Sdfa:
 
 def _reference_canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
     out = _out_map({key: dst for key, (dst, _) in transitions.items()})
-    number, numbered = _explore(initial, lambda s: out.get(s, ()))
+    number, numbered = _explore(initial, lambda s: out.get(s, ()), capped=False)
     states = list(number)
     return Sdfa(
         states=frozenset(number.values()),
@@ -483,7 +482,7 @@ def reference_log_to_sdfa(log: EventLog) -> Sdfa:
     return _reference_canonical_sdfa((), transitions, termination, log.alphabet)
 
 
-def reference_conjunction(prob_source: Sdfa, structure: Sdfa, max_states=_MAX_STATES) -> Sdfa:
+def reference_conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     def successors(pair):
         sp, ss = pair
         structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
@@ -492,9 +491,7 @@ def reference_conjunction(prob_source: Sdfa, structure: Sdfa, max_states=_MAX_ST
             if dst_s is not None:
                 yield label, (dst_p, dst_s)
 
-    number, forward = _explore(
-        (prob_source.initial, structure.initial), successors, max_states
-    )
+    number, forward = _explore((prob_source.initial, structure.initial), successors)
     pairs = list(number)
     transitions = {
         (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])
@@ -527,8 +524,8 @@ def reference_conjunction(prob_source: Sdfa, structure: Sdfa, max_states=_MAX_ST
     )
 
 
-def reference_stochastic_rg_to_sdfa(net: StochasticPetriNet, max_nodes: int) -> Sdfa:
-    rg = reachability_graph(net, max_nodes)
+def reference_stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
+    rg = reachability_graph(net)
     deadlocks = rg.deadlocks()
     if net.final_markings is not None:
         declared = frozenset(net.final_markings) & rg.nodes

@@ -146,11 +146,13 @@ def test_product_examples():
     assert oracles.dfa_language(product(dfa_for(("a",)), dfa_for(("b",))), 3) == set()
 
 
-def test_product_state_cap():
+def test_product_state_cap(monkeypatch):
     a = dfa_for(("a", "b"))  # three states, and so is the product with itself
-    assert len(product(a, a, max_states=3).states) == 3
+    monkeypatch.setattr(automata, "_MAX_STATES", 3)
+    assert len(product(a, a).states) == 3
+    monkeypatch.setattr(automata, "_MAX_STATES", 2)
     with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
-        product(a, a, max_states=2)
+        product(a, a)
 
 
 def test_product_idempotent():
@@ -197,10 +199,11 @@ def test_determinize_preserves_language():
             assert result.accepts(word) == oracles.nfa_accepts(nfa, word)
 
 
-def test_determinize_state_cap():
+def test_determinize_state_cap(monkeypatch):
     dfa = dfa_for(("a", "b"))
+    monkeypatch.setattr(automata, "_MAX_STATES", 1)
     with pytest.raises(StateSpaceExceeded, match=r"\b1\b"):
-        determinize(skip_closure(dfa, UNBOUNDED), max_states=1)
+        determinize(skip_closure(dfa, UNBOUNDED))
 
 
 def test_skip_closure_examples():

@@ -710,15 +710,28 @@ def test_semantic_rejections_exit_3(capsys, fixtures):
     code, _, err = invoke(capsys, "-b", "-rel", fixtures / "E.xes")
     assert code == 3
 
-    # 23 states, each copied 100,001 times, exceed the cap before any is built
+    # E.xes is acyclic and its longest trace has 7 events, so a larger budget
+    # deletes no more than 7 does, and is lowered to 7 before the closure
+    outcomes = [
+        invoke(
+            capsys,
+            "-cpmp", "-rel", fixtures / "E.xes", "-ret", fixtures / "E.xes",
+            "-srel", budget, "-sret", "0", "-s",
+        )
+        for budget in ("100000", "7")
+    ]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0
+    # N.pnml's 6 states have a cycle: each copied 200,001 times, they exceed
+    # the cap before any is built
     code, _, err = invoke(
         capsys,
-        "-cpmp", "-rel", fixtures / "E.xes", "-ret", fixtures / "E.xes",
-        "-srel", "100000", "-sret", "0",
+        "-cpmp", "-rel", fixtures / "N.pnml", "-ret", fixtures / "E.xes",
+        "-srel", "200000", "-sret", "0",
     )
     assert code == 3
     assert err == (
-        "rejected: a skip budget of 100000 on 23 states exceeds the cap of 1000000 states\n"
+        "rejected: a skip budget of 200000 on 6 states exceeds the cap of 1000000 states\n"
     )
 
     code, _, err = invoke(

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from entroconf.automata import (
     trim,
 )
 from entroconf import measures
-from entroconf.errors import NotConverged
+from entroconf.errors import NotConverged, StateSpaceExceeded
 from entroconf.measures import (
     EntropyValue,
     PrecisionRecall,
@@ -81,10 +82,6 @@ def test_spectral_radius_rejects_bad_input():
         spectral_radius([[1, 2, 3]])
     with pytest.raises(ValueError):
         spectral_radius([[-1]])
-    with pytest.raises(ValueError):
-        spectral_radius([[1]], tol=0.0)
-    with pytest.raises(ValueError):
-        spectral_radius([[1]], tol=-1e-3)
     # nan and inf would come back as the radius or stall the iteration
     inf, nan = math.inf, math.nan
     for matrix in ([[nan]], [[inf, 1], [1, 1]], [[1, nan], [1, 1]], [[-inf]]):
@@ -92,9 +89,10 @@ def test_spectral_radius_rejects_bad_input():
             spectral_radius(matrix)
 
 
-def test_spectral_radius_reports_non_convergence():
+def test_spectral_radius_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(measures, "_MAX_ITERATIONS", 1)
     with pytest.raises(NotConverged):
-        spectral_radius([[3, 1], [1, 2]], max_iterations=1)
+        spectral_radius([[3, 1], [1, 2]])
 
 
 def test_spectral_radius_matches_dense_eigensolver():
@@ -315,6 +313,30 @@ def test_zero_budgets_reduce_to_exact_matching():
     assert controlled_partial_precision_recall(rel, MODEL, 0, 0) == (
         exact_precision_recall(rel, MODEL)
     )
+
+
+def test_a_budget_above_the_longest_word_is_lowered_to_it():
+    # six states, longest word of 3 symbols: 10**5 deletions delete no more
+    # than 3 do, where 100,001 copies of the states would take seconds
+    rel = dfa_for(tuple("abc"), tuple("bd"))
+    started = time.perf_counter()
+    large = controlled_partial_precision_recall(rel, rel, 10**5, 0)
+    assert time.perf_counter() - started < 1.0
+    assert large == controlled_partial_precision_recall(rel, rel, 3, 0)
+    # lowering changes no closure: the same automaton as the full budget's
+    rng = random.Random(23)
+    inputs = [oracles.random_dfa(rng) for _ in range(40)]
+    inputs += [log_to_dfa(oracles.random_log(rng)) for _ in range(40)]
+    for a in inputs:
+        for k in range(9):
+            assert measures._closure(a, k) == determinize(skip_closure(trim(a), k))
+
+
+def test_a_budget_on_a_cyclic_automaton_is_not_lowered():
+    # MODEL's loop makes every budget reachable: 200,001 copies of its 6
+    # states exceed the cap
+    with pytest.raises(StateSpaceExceeded, match="budget of 200000 on 6 states"):
+        controlled_partial_precision_recall(log_to_dfa(LOG), MODEL, 0, 200_000)
 
 
 def test_partial_matching_is_controlled_matching_without_budgets():

@@ -1,11 +1,11 @@
-import inspect
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from entroconf.automata import _MAX_STATES
+from entroconf import automata
+from entroconf.automata import EventLog, Nfa, determinize, log_to_dfa, product, skip_closure
 from entroconf.errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -23,6 +23,7 @@ from entroconf.petri import (
     rg_to_dfa,
     stochastic_rg_to_sdfa,
 )
+from entroconf.stochastic import conjunction, log_to_sdfa
 
 import oracles
 
@@ -258,18 +259,54 @@ def test_boundedness_agrees_with_exhaustive_search():
         assert is_bounded(net) == oracles.exhaustive_is_bounded(net, 20_000)
 
 
-def test_reachability_graph_node_cap():
+def test_reachability_graph_node_cap(monkeypatch):
+    monkeypatch.setattr(automata, "_MAX_STATES", 2)
     with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
-        reachability_graph(NET, max_nodes=2)
+        reachability_graph(NET)
     chains = parallel_chains(6)
-    assert len(reachability_graph(chains, max_nodes=729).nodes) == 729
+    monkeypatch.setattr(automata, "_MAX_STATES", 729)
+    assert len(reachability_graph(chains).nodes) == 729
+    monkeypatch.setattr(automata, "_MAX_STATES", 728)
     with pytest.raises(StateSpaceExceeded, match=r"\b728\b"):
-        reachability_graph(chains, max_nodes=728)
+        reachability_graph(chains)
 
 
-def test_nets_and_automata_share_one_state_cap():
-    for explore in (reachability_graph, stochastic_rg_to_sdfa):
-        assert inspect.signature(explore).parameters["max_nodes"].default == _MAX_STATES
+def test_nets_and_automata_share_one_state_cap(monkeypatch):
+    # each capped construction below builds n + 1 states, and the one
+    # constant automata._MAX_STATES decides whether it may
+    n = 6
+    log = EventLog.from_traces([("a",) * n])
+    chain = log_to_dfa(log)
+    nfa = Nfa(
+        states=chain.states,
+        alphabet=chain.alphabet,
+        initial=chain.initial,
+        accepting=chain.accepting,
+        transitions=frozenset((s, label, d) for (s, label), d in chain.transitions.items()),
+    )
+    # n tokens moved one at a time: n + 1 markings
+    tokens = PetriNet(
+        places=frozenset({"p", "q"}),
+        transitions={"t": "a"},
+        arcs={("p", "t"): 1, ("t", "q"): 1},
+        initial_marking=Marking.of({"p": n}),
+    )
+    sizes = [
+        lambda: len(product(chain, chain).states),
+        lambda: len(determinize(nfa).states),
+        lambda: len(conjunction(log_to_sdfa(log), log_to_sdfa(log)).states),
+        lambda: len(reachability_graph(tokens).nodes),
+        lambda: len(stochastic_rg_to_sdfa(weighted(tokens)).states),
+        lambda: len(skip_closure(chain, 0).states),
+    ]
+    for size in sizes:
+        monkeypatch.setattr(automata, "_MAX_STATES", n + 1)
+        assert size() == n + 1
+        monkeypatch.setattr(automata, "_MAX_STATES", n)
+        with pytest.raises(StateSpaceExceeded, match=rf"cap of {n} states"):
+            size()
+    # a log's prefix tree is not capped: it is no larger than the log read
+    assert len(log_to_dfa(log).states) == len(log_to_sdfa(log).states) == n + 1
 
 
 def test_boundedness_of_a_long_token_chain_is_fast():
@@ -288,10 +325,11 @@ def test_boundedness_of_a_long_token_chain_is_fast():
     assert time.perf_counter() - started < 60
 
 
-def test_reachability_graph_rejects_unbounded_nets():
+def test_reachability_graph_rejects_unbounded_nets(monkeypatch):
     # the pump shows within a few markings, long before the cap
+    monkeypatch.setattr(automata, "_MAX_STATES", 1_000)
     with pytest.raises(UnboundedModel, match="bounded"):
-        reachability_graph(GENERATOR, max_nodes=1_000)
+        reachability_graph(GENERATOR)
     # two tokens become one, which then pumps: the covered marking has
     # fewer tokens than the initial one
     drop_then_pump = PetriNet(
@@ -301,7 +339,7 @@ def test_reachability_graph_rejects_unbounded_nets():
         initial_marking=Marking.of({"p": 2}),
     )
     with pytest.raises(UnboundedModel, match=r"\{'q': 1\}"):
-        reachability_graph(drop_then_pump, max_nodes=1_000)
+        reachability_graph(drop_then_pump)
 
 
 def test_stochastic_net_validation():

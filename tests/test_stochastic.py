@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroconf import measures, stochastic
+from entroconf import automata, measures, stochastic
 from entroconf.automata import _MAX_STATES, EventLog
 from entroconf.errors import (
     EmptyConjunction,
@@ -408,11 +408,13 @@ def test_conjunction_renormalizes_surviving_mass():
         conjunction(pair, delta("c"))
 
 
-def test_conjunction_state_cap():
+def test_conjunction_state_cap(monkeypatch):
     pair = log_to_sdfa(EventLog.from_traces([("a",), ("b",)]))  # three states
-    assert len(conjunction(pair, pair, max_states=3).states) == 3
+    monkeypatch.setattr(automata, "_MAX_STATES", 3)
+    assert len(conjunction(pair, pair).states) == 3
+    monkeypatch.setattr(automata, "_MAX_STATES", 2)
     with pytest.raises(StateSpaceExceeded, match=r"\b2\b"):
-        conjunction(pair, pair, max_states=2)
+        conjunction(pair, pair)
 
 
 def renamed(a: Sdfa, rng) -> Sdfa:
@@ -459,7 +461,7 @@ def weighted_random_net(rng) -> StochasticPetriNet:
     )
 
 
-def test_sdfa_constructions_match_their_reference_copies():
+def test_sdfa_constructions_match_their_reference_copies(monkeypatch):
     rng = random.Random(67)
     seen = set()
 
@@ -484,15 +486,17 @@ def test_sdfa_constructions_match_their_reference_copies():
     models += [renamed(model, rng) for model in rng.sample(models, 30)]
     for _ in range(300):
         first, second = rng.sample(models, 2)
-        cap = rng.choice([2, 4, _MAX_STATES])
-        for pair in ((first, second), (second, first)):
-            assert outcome(conjunction, *pair, cap) == outcome(
-                oracles.reference_conjunction, *pair, cap
-            )
+        with monkeypatch.context() as patch:
+            patch.setattr(automata, "_MAX_STATES", rng.choice([2, 4, _MAX_STATES]))
+            for pair in ((first, second), (second, first)):
+                assert outcome(conjunction, *pair) == outcome(
+                    oracles.reference_conjunction, *pair
+                )
+    monkeypatch.setattr(automata, "_MAX_STATES", 300)
     for _ in range(200):
         net = weighted_random_net(rng)
-        assert outcome(stochastic_rg_to_sdfa, net, 300) == outcome(
-            oracles.reference_stochastic_rg_to_sdfa, net, 300
+        assert outcome(stochastic_rg_to_sdfa, net) == outcome(
+            oracles.reference_stochastic_rg_to_sdfa, net
         )
     assert seen == {
         Sdfa,
