@@ -9,7 +9,6 @@ order), so repeated runs produce identical objects.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -184,20 +183,16 @@ def _explore(start, successors, capped: bool = True) -> tuple[dict, dict]:
     return number, transitions
 
 
-def _canonical(initial, accepting, transitions, alphabet, source: Dfa | None = None) -> Dfa:
+def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
     """Renumber states 0..n-1 by BFS from initial, labels in sorted order.
 
     Drops anything unreachable; the result is the unique representative of
     its isomorphism class, which keeps downstream numerics reproducible.
-    source, when given, is the automaton these parts come from; it is returned
-    itself when the renumbering maps each of its states to itself. Uncapped,
-    as the parts are never larger than an input already read or capped.
+    Uncapped, as the parts are never larger than an input already read or
+    capped.
     """
     out = _out_map(transitions)
     number, numbered = _explore(initial, lambda s: out.get(s, ()), capped=False)
-    if source is not None and len(number) == len(source.states):
-        if all(map(operator.eq, number, range(len(number)))):
-            return source
     return Dfa(
         states=frozenset(number.values()),
         alphabet=frozenset(alphabet),
@@ -246,10 +241,8 @@ def trim(a: Dfa) -> Dfa:
 
     The language is unchanged. When no accepting state is reachable the
     canonical empty automaton (single useless initial state) is returned.
-    An automaton that is trim and canonical already is returned itself, so
-    trim(a) is a exactly when trim(a) == a: an isomorphism of a onto itself
-    that fixes the initial state is the identity, since a is deterministic
-    and each state is reached by some word.
+    An input that is trim and stored in canonical order, numbered and
+    listed as _explore would, is returned itself.
     """
     rev: dict[object, list[object]] = {}
     for (src, _), dst in a.transitions.items():
@@ -263,7 +256,24 @@ def trim(a: Dfa) -> Dfa:
     kept = a.transitions
     if len(useful) < len(a.states):
         kept = {key: dst for key, dst in kept.items() if key[0] in useful and dst in useful}
-    return _canonical(a.initial, a.accepting, kept, a.alphabet, source=a)
+    elif _in_canonical_order(a):
+        return a
+    return _canonical(a.initial, a.accepting, kept, a.alphabet)
+
+
+def _in_canonical_order(a: Dfa) -> bool:
+    """Whether a's states are 0..n-1 and its transitions stored as _explore
+    lists them, so that _canonical would rebuild a: sources never decrease
+    and are found already, labels increase per source, each new target is
+    next."""
+    if a.initial != 0 or a.states != frozenset(range(len(a.states))):
+        return False
+    found, last = 1, (-1,)
+    for key, dst in a.transitions.items():
+        if not (key[0] < found and last < key and dst <= found):
+            return False
+        found, last = found + (dst == found), key
+    return found == len(a.states)
 
 
 def product(a: Dfa, b: Dfa) -> Dfa:

@@ -21,7 +21,7 @@ from .errors import (
     SilentTransitionUnsupported,
     UnboundedModel,
 )
-from .stochastic import Sdfa, _weighted
+from .stochastic import Sdfa, _sdfa, _shaped
 
 
 @dataclass(frozen=True)
@@ -263,18 +263,16 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
             raise InvalidFinalMarking(
                 "declared final markings must be exactly the reachable deadlocks"
             )
-    weights: dict[tuple[Marking, str], tuple[Marking, Fraction]] = {}
+    # marking -> (stop weight, {label: (marking, weight)}), as Sdfa._weights
+    weights = {m: (int(m in deadlocks), {}) for m in rg.nodes}
+    transitions: dict[tuple[Marking, str], Marking] = {}
     for src, t, dst in rg.edges:
         key = (src, net.transitions[t])
-        if key in weights:
+        if key in transitions:
             raise NondeterministicStochasticModel(
                 "two equally labeled transitions enabled at one marking"
             )
-        weights[key] = (dst, net.weights[t])
-    shape = _canonical(
-        rg.initial,
-        deadlocks,
-        {key: dst for key, (dst, _) in weights.items()},
-        frozenset(net.transitions.values()),
-    )
-    return _weighted(shape, rg.initial, weights, dict.fromkeys(deadlocks, 1))
+        transitions[key] = dst
+        weights[src][1][key[1]] = (dst, net.weights[t])
+    shape = _canonical(rg.initial, deadlocks, transitions, frozenset(net.transitions.values()))
+    return _sdfa(shape, _shaped(shape, rg.initial, weights))

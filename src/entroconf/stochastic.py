@@ -11,9 +11,9 @@ log against a model as an average per-trace compression cost.
 Every SDFA built here is a canonical language automaton of automata plus
 exact weights, normalized per state; a conjunction's automaton is the
 trimmed product of the two supports. Probabilities are exact fractions
-everywhere outside the entropy numerics, so construction-level identities
-(per-state sums, renormalization by mass 1) hold exactly, not within a
-tolerance.
+outside; inside, each state's are integer weights over one total, so
+validation, conjunction weighting and entropy use integers only, and each
+float is one correctly rounded integer quotient.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .automata import Dfa, EventLog, Trace, _reachable, log_to_dfa, product, tri
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
-_SUM_TOLERANCE = Fraction(1, 10**9)
 _BACKWARD_ERROR_TOL = 1e-9
 
 
@@ -40,6 +39,7 @@ class Sdfa:
     Per state, termination plus outgoing probabilities must sum to 1;
     parsed inputs are allowed 1e-9 of slack, internal constructions are
     exact. States absent from the termination map terminate with 0.
+    Probabilities are Fractions, or any number with as_integer_ratio().
     """
 
     states: frozenset
@@ -47,39 +47,51 @@ class Sdfa:
     initial: object
     transitions: Mapping[tuple[object, str], tuple[object, Fraction]]
     termination: Mapping[object, Fraction]
-    # state -> its positive-probability (label, dst, prob) edges by label
-    _out: dict = field(init=False, repr=False, compare=False)
+    # state -> (stop weight, {label: (dst, weight)}, total): its probabilities
+    # over the lcm of their denominators, positive edges only, by label
+    _weights: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
             raise ValueError("initial state missing from state set")
-        sums = {s: self.termination.get(s, Fraction(0)) for s in self.states}
-        for value in sums.values():
-            if not 0 <= value <= 1:
-                raise ValueError("termination probability outside [0, 1]")
+        stops = {s: _ratio(self.termination.get(s, 0), "termination") for s in self.states}
         out: dict = {}
         for (src, label), (dst, prob) in self.transitions.items():
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoint missing from state set")
-            if not 0 <= prob <= 1:
-                raise ValueError("transition probability outside [0, 1]")
-            sums[src] += prob
-            if prob > 0:
-                out.setdefault(src, []).append((label, dst, prob))
-        violations = [s for s, total in sums.items() if abs(total - 1) > _SUM_TOLERANCE]
-        if violations:
-            # the least state by name, so the message does not depend on set order;
-            # a float, since an exact sum can have more digits than str() prints
-            state = min(violations, key=str)
-            raise ValueError(
-                f"probabilities at state {state} sum to {float(sums[state]):.12g}, not 1"
-            )
-        # labels are unique per state, so the tuples sort by label alone
-        object.__setattr__(self, "_out", {s: sorted(e) for s, e in out.items()})
+            out.setdefault(src, []).append((label, dst, *_ratio(prob, "transition")))
+        weights, sums = {}, {}
+        for state, (n, d) in stops.items():
+            # labels are unique per state, so the tuples sort by label alone
+            edges = sorted(out.get(state, ()))
+            total = math.lcm(d, *[e[3] for e in edges])
+            scaled = {label: (dst, m * (total // e)) for label, dst, m, e in edges if m}
+            stop = n * (total // d)
+            weights[state] = (stop, scaled, total)
+            mass = stop + sum(w for _, w in scaled.values())
+            if 10**9 * abs(mass - total) > total:
+                sums[state] = mass / total
+        if sums:
+            # the least state by name, so the message does not depend on set order
+            state = min(sums, key=str)
+            raise ValueError(f"probabilities at state {state} sum to {sums[state]:.12g}, not 1")
+        object.__setattr__(self, "_weights", weights)
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
         """Positive-probability outgoing edges, sorted by label."""
-        return list(self._out.get(state, ()))
+        edges = self._weights[state][1] if state in self._weights else {}
+        return [(x, dst, self.transitions[state, x][1]) for x, (dst, _) in edges.items()]
+
+
+def _ratio(p, kind: str) -> tuple[int, int]:
+    """p as (numerator, positive denominator); ValueError unless 0 <= p <= 1."""
+    try:
+        n, d = p.as_integer_ratio()
+    except (ValueError, OverflowError):  # nan, infinities
+        n, d = -1, 1
+    if not 0 <= n <= d:
+        raise ValueError(f"{kind} probability outside [0, 1]")
+    return n, d
 
 
 @dataclass(frozen=True)
@@ -97,37 +109,38 @@ class RelevanceValue:
     avg_trace_bits: float
 
 
-def _weighted(shape: Dfa, initial, weights, stops) -> Sdfa:
-    """The SDFA of a canonical language automaton and a weighted source model.
-
-    shape's state 0 stands for the source state initial, and each edge of
-    shape for the edge of its label in the source, which weights maps as
-    (source state, label) -> (source target, weight). stops maps each
-    source state that shape accepts to its termination weight. A state's
-    probabilities are its weights divided by their sum over its edges in
-    shape and its termination. One pass over shape's transitions, which
-    every construction in automata lists in breadth-first order, maps each
-    state of shape to its source state.
-    """
+def _shaped(shape: Dfa, initial, weights) -> list:
+    """Per state of shape, (stop weight, {label: (target, weight)}, total)
+    under a source model whose weights[state] begins (stop weight, {label:
+    (target, weight)}), as Sdfa._weights does: state 0 is the source state
+    initial, an edge is the source edge of its label, and only accepted
+    states stop. One pass over shape's transitions, breadth-first with
+    sorted labels as automata lists them, maps each state of shape to its
+    source state."""
     sources = [initial]
-    edges = []
+    edges: list[dict] = [{}]
     for (i, label), j in shape.transitions.items():
-        target, weight = weights[sources[i], label]
+        target, w = weights[sources[i]][1][label]
         if j == len(sources):
             sources.append(target)
-        edges.append((i, label, j, weight))
-    stop = {i: stops[sources[i]] for i in shape.accepting}
-    totals = [stop.get(i, 0) for i in range(len(sources))]
-    for i, _, _, weight in edges:
-        totals[i] += weight
+            edges.append({})
+        edges[i][label] = (j, w)
+    stops = [weights[sources[i]][0] if i in shape.accepting else 0 for i in range(len(sources))]
+    return [(s, out, s + sum(w for _, w in out.values())) for s, out in zip(stops, edges)]
+
+
+def _sdfa(shape: Dfa, weights: list) -> Sdfa:
+    """The SDFA of shape with weights as _shaped's, each divided by its state's total."""
     return Sdfa(
         states=shape.states,
         alphabet=shape.alphabet,
         initial=0,
         transitions={
-            (i, label): (j, Fraction(weight, totals[i])) for i, label, j, weight in edges
+            (i, label): (j, Fraction(w, total))
+            for i, (_, out, total) in enumerate(weights)
+            for label, (j, w) in out.items()
         },
-        termination={i: Fraction(weight, totals[i]) for i, weight in stop.items()},
+        termination={i: Fraction(weights[i][0], weights[i][2]) for i in shape.accepting},
     )
 
 
@@ -137,8 +150,8 @@ def _support(a: Sdfa) -> Dfa:
         states=a.states,
         alphabet=a.alphabet,
         initial=a.initial,
-        accepting=frozenset(s for s, p in a.termination.items() if p > 0) & a.states,
-        transitions={key: dst for key, (dst, p) in a.transitions.items() if p > 0},
+        accepting=frozenset(s for s, f in a._weights.items() if f[0]),
+        transitions={(s, x): d for s, f in a._weights.items() for x, (d, _) in f[1].items()},
     )
 
 
@@ -160,19 +173,22 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
             state = shape.transitions[state, label]
             reaching[state] += count
         ending[state] = ending.get(state, 0) + count
-    weights = {key: (dst, reaching[dst]) for key, dst in shape.transitions.items()}
-    return _weighted(shape, 0, weights, ending)
+    edges: list[dict] = [{} for _ in shape.states]
+    for (src, label), dst in shape.transitions.items():
+        edges[src][label] = (dst, reaching[dst])
+    return _sdfa(shape, [(ending.get(s, 0), out, reaching[s]) for s, out in enumerate(edges)])
 
 
-def _log2(value: Fraction) -> float:
-    # math.log2 on the integer parts keeps huge/tiny fractions in range
-    return math.log2(value.numerator) - math.log2(value.denominator)
+def _log2(n: int, d: int) -> float:
+    # math.log2 on the reduced integer parts keeps huge/tiny ratios in range
+    g = math.gcd(n, d)
+    return math.log2(n // g) - math.log2(d // g)
 
 
-def _plog2p(p: Fraction) -> float:
-    # -p log2 p without float(p)'s rounding near 1 or its underflow near 0
-    q = float(p)
-    return -q * (math.log1p(float(p - 1)) / math.log(2) if q > 0.5 else _log2(p))
+def _plog2p(w: int, total: int) -> float:
+    # -p log2 p of p = w / total, without rounding p near 1 or underflowing near 0
+    q = w / total
+    return -q * (math.log1p((w - total) / total) / math.log(2) if q > 0.5 else _log2(w, total))
 
 
 def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
@@ -181,8 +197,8 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     H = sum over states of (expected visit count) * (local entropy of the
     state's outgoing-plus-termination distribution). The counts c solve
     (I - P)^T c = e_initial, with each diagonal 1 - p(self-loop) taken on the
-    exact fraction. I - P is nonsingular only when every reachable state can
-    reach positive termination, so that is checked up front
+    exact integer weights. I - P is nonsingular only when every reachable
+    state can reach positive termination, so that is checked up front
     (NonTerminatingSdfa). When the only cycles are self-loops (a log, a
     conjunction with a log, a one-state loop) the system is triangular and
     one forward pass in topological order solves it, in pure Python; a
@@ -191,7 +207,12 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     (I - P)^T, exceeds 1e-9, or when a diagonal is not positive as a float
     or a count or the sum is not finite.
     """
-    diagonal, incoming, local = _visit_system(a)
+    return _entropy(a.initial, a._weights)
+
+
+def _entropy(initial, weights) -> StochasticEntropy:
+    """sdfa_entropy of the weights of Sdfa._weights or _shaped."""
+    diagonal, incoming, local = _visit_system(initial, weights)
     if not min(diagonal) > 0.0:
         # an exit probability below the float range, or a self-loop mass at
         # or above 1 within the parsed inputs' slack
@@ -213,33 +234,34 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     return StochasticEntropy(bits, residual)
 
 
-def _visit_system(a: Sdfa):
-    """(I - P)^T over the reachable states, numbered from the initial state 0.
+def _visit_system(initial, weights):
+    """(I - P)^T over the states reachable from initial, numbered from 0.
 
-    Per state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
-    and the local entropy. Each sum is an fsum or exact, so no value depends
-    on the order of the labels. NonTerminatingSdfa when a reachable state
-    cannot reach positive termination, which makes the system singular.
+    weights is as Sdfa._weights. Per state i: the diagonal 1 - P_ii, the
+    in-edges (j, P_ji) with j != i, and the local entropy. Each sum is an
+    fsum or exact, so no value depends on the order of the labels.
+    NonTerminatingSdfa when a reachable state cannot reach positive
+    termination, which makes the system singular.
     """
-    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
+    reachable = _reachable((initial,), lambda s: (d for d, _ in weights[s][1].values()))
     position = {s: i for i, s in enumerate(reachable)}
     diagonal = []
     incoming: list[list[tuple[int, float]]] = [[] for _ in position]
     local = []
     for state, i in position.items():
-        stay, terms = Fraction(0), []
-        for _, dst, prob in a.out_edges(state):
-            terms.append(_plog2p(prob))
+        stop, edges, total = weights[state]
+        stay, terms = 0, []
+        for dst, w in edges.values():
+            terms.append(_plog2p(w, total))
             if dst == state:
-                stay += prob
+                stay += w
             else:
-                incoming[position[dst]].append((i, float(prob)))
-        term = a.termination.get(state, Fraction(0))
-        if term > 0:
-            terms.append(_plog2p(term))
-        diagonal.append(float(1 - stay))
+                incoming[position[dst]].append((i, w / total))
+        if stop:
+            terms.append(_plog2p(stop, total))
+        diagonal.append((total - stay) / total)
         local.append(math.fsum(terms))
-    terminating = [i for s, i in position.items() if a.termination.get(s, Fraction(0)) > 0]
+    terminating = [i for s, i in position.items() if weights[s][0]]
     if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(position):
         raise NonTerminatingSdfa(
             "a reachable state has no positive-probability path to termination"
@@ -320,9 +342,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     StateSpaceExceeded when there are more than 10**6 pairs.
     """
     shape = _shared_shape(prob_source, structure)
-    return _weighted(
-        shape, prob_source.initial, prob_source.transitions, prob_source.termination
-    )
+    return _sdfa(shape, _shaped(shape, prob_source.initial, prob_source._weights))
 
 
 def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
@@ -338,7 +358,7 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
         return PrecisionRecall(precision=0.0, recall=0.0)
     recall, precision = (
         _quotient(
-            sdfa_entropy(_weighted(shape, side.initial, side.transitions, side.termination)).bits,
+            _entropy(0, _shaped(shape, side.initial, side._weights)).bits,
             sdfa_entropy(side).bits,
         )
         for side in (rel, ret)
@@ -348,17 +368,16 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:
     """Probability the SDFA assigns to one trace; exact, 0 on a missing step."""
-    state = a.initial
-    prob = Fraction(1)
+    state, numerator, denominator = a.initial, 1, 1
     for label in t:
-        step = a.transitions.get((state, label))
+        _, edges, total = a._weights[state]
+        step = edges.get(label)
         if step is None:
             return Fraction(0)
-        state, p = step
-        prob *= p
-        if prob == 0:
-            return Fraction(0)
-    return prob * a.termination.get(state, Fraction(0))
+        state, w = step
+        numerator, denominator = numerator * w, denominator * total
+    stop, _, total = a._weights[state]
+    return Fraction(numerator * stop, denominator * total)
 
 
 def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:
@@ -379,16 +398,15 @@ def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:
     for trace in sorted(log.entries):
         count = log.entries[trace]
         probability = trace_probability(model, trace)
-        if probability > 0:
+        if probability:
             fitting += count
-            cost_sum += count * -_log2(probability)
+            cost_sum += count * -_log2(probability.numerator, probability.denominator)
         else:
             cost_sum += count * (len(trace) + 1) * background_bits
-    rho = Fraction(fitting, total)
     selector = 0.0
-    for part in (rho, 1 - rho):
-        if part > 0:
-            selector -= float(part) * _log2(part)
+    for part in (fitting, total - fitting):
+        if part:
+            selector -= part / total * _log2(part, total)
     avg = cost_sum / total
     return RelevanceValue(
         bits=selector + avg, selector_bits=selector, avg_trace_bits=avg

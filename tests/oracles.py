@@ -550,3 +550,43 @@ def reference_stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
     return _reference_canonical_sdfa(
         rg.initial, transitions, termination, frozenset(net.transitions.values())
     )
+
+
+# --- reference copy of the earlier Fraction-based visit system ------------
+#
+# sdfa_entropy read every probability as a Fraction: 1 - P_ii, each in-edge
+# and -p log2 p were computed from exact fractions, then rounded. The package
+# now reads per-state integer weights; these copies pin down that every float
+# of the system, and so every entropy and residual, is the same bit for bit.
+
+
+def _reference_log2(value: Fraction) -> float:
+    return math.log2(value.numerator) - math.log2(value.denominator)
+
+
+def _reference_plog2p(p: Fraction) -> float:
+    q = float(p)
+    return -q * (math.log1p(float(p - 1)) / math.log(2) if q > 0.5 else _reference_log2(p))
+
+
+def reference_visit_system(a: Sdfa):
+    """(diagonal, incoming, local) of (I - P)^T, as sdfa_entropy solves it."""
+    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
+    position = {s: i for i, s in enumerate(reachable)}
+    diagonal = []
+    incoming: list[list[tuple[int, float]]] = [[] for _ in position]
+    local = []
+    for state, i in position.items():
+        stay, terms = Fraction(0), []
+        for _, dst, prob in a.out_edges(state):
+            terms.append(_reference_plog2p(prob))
+            if dst == state:
+                stay += prob
+            else:
+                incoming[position[dst]].append((i, float(prob)))
+        term = a.termination.get(state, Fraction(0))
+        if term > 0:
+            terms.append(_reference_plog2p(term))
+        diagonal.append(float(1 - stay))
+        local.append(math.fsum(terms))
+    return diagonal, incoming, local

@@ -139,6 +139,44 @@ def test_trim_preserves_language_on_random_inputs():
         assert all(_reaches_accepting(trimmed, s) for s in trimmed.states)
 
 
+def test_trim_returns_a_canonical_trim_input_itself():
+    rng = random.Random(23)
+    for _ in range(60):
+        trimmed = trim(oracles.random_dfa(rng))
+        assert trim(trimmed) is trimmed
+        assert automata._in_canonical_order(trimmed)
+        # stored in another order: not read off in one pass, rebuilt equal
+        edges = list(trimmed.transitions.items())
+        rng.shuffle(edges)
+        shuffled = Dfa(
+            trimmed.states, trimmed.alphabet, 0, trimmed.accepting, dict(edges)
+        )
+        if list(shuffled.transitions) != list(trimmed.transitions):
+            assert not automata._in_canonical_order(shuffled)
+        assert trim(shuffled) == shuffled
+        # renamed states are never in canonical order
+        name = {s: f"q{s}" for s in trimmed.states}
+        renamed = Dfa(
+            frozenset(name.values()),
+            trimmed.alphabet,
+            name[0],
+            frozenset(name[s] for s in trimmed.accepting),
+            {(name[s], label): name[d] for (s, label), d in trimmed.transitions.items()},
+        )
+        assert not automata._in_canonical_order(renamed)
+        assert trim(renamed) == trimmed
+    # the first new target skips a number, so 1 is discovered after 2
+    skipping = Dfa(
+        frozenset(range(3)),
+        frozenset("ab"),
+        0,
+        frozenset({1, 2}),
+        {(0, "a"): 2, (0, "b"): 1},
+    )
+    assert not automata._in_canonical_order(skipping)
+    assert trim(skipping).transitions == {(0, "a"): 1, (0, "b"): 2}
+
+
 def test_product_examples():
     a = dfa_for(("a", "b"), ("a", "c"))
     b = dfa_for(("a", "b"))

@@ -27,6 +27,9 @@ from entroconf.errors import (
     UnknownOption,
     UsageError,
 )
+from entroconf.formats import load_artifact
+
+import oracles
 
 
 def invoke(capsys, *argv):
@@ -156,6 +159,24 @@ def test_stochastic_measures_on_fixtures(capsys, fixtures):
         capsys, "-sr", "-rel", fixtures / "E.xes", "-ret", fixtures / "N.spnml", "-s"
     )
     assert (code, out) == (0, "0.397\n")
+
+
+def test_stochastic_measures_against_a_one_place_loop(capsys, fixtures):
+    # L.spnml loops on a..d with weight 2 each and leaves by e with weight 1;
+    # every trace of E.xes ends in e
+    code, out, _ = invoke(
+        capsys, "-sr", "-rel", fixtures / "E.xes", "-ret", fixtures / "L.spnml", "-s"
+    )
+    assert (code, out) == (0, "1.000\n")
+    code, out, _ = invoke(
+        capsys, "-sp", "-rel", fixtures / "E.xes", "-ret", fixtures / "L.spnml", "-s"
+    )
+    assert (code, out) == (0, "0.099\n")
+    model = oracles.reference_stochastic_rg_to_sdfa(load_artifact(fixtures / "L.spnml"))
+    coded = oracles.reference_log_to_sdfa(load_artifact(fixtures / "E.xes"))
+    shared = oracles.reference_conjunction(model, coded)
+    precision = oracles.exact_sdfa_entropy(shared) / oracles.exact_sdfa_entropy(model)
+    assert f"{precision:.3f}" == "0.099"
 
 
 def test_budget_free_controlled_matching_equals_exact(capsys, fixtures):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from entroconf.errors import (
     StateSpaceExceeded,
     UnboundedModel,
 )
+from entroconf.formats import load_artifact
 from entroconf.measures import PrecisionRecall
 from entroconf.petri import StochasticPetriNet, stochastic_rg_to_sdfa
 from entroconf.stochastic import (
@@ -103,6 +105,32 @@ def test_sdfa_validation():
     built = Sdfa(MODEL.states, MODEL.alphabet, 0, dict(shuffled), MODEL.termination)
     assert built.out_edges(1) == [("b", 2, Fraction(1, 2)), ("c", 4, Fraction(1, 2))]
     assert built == Sdfa(MODEL.states, MODEL.alphabet, 0, arcs, MODEL.termination)
+
+
+@pytest.mark.parametrize("stay", [0.25, 0.75])
+def test_float_probabilities_give_exact_binary_rational_results(stay):
+    # a one-state loop with float probabilities is the loop of their exact
+    # binary fractions, so every value matches bit for bit
+    def loop(p, q):
+        return Sdfa(frozenset({0}), frozenset("a"), 0, {(0, "a"): (0, p)}, {0: q})
+
+    floats, fractions = loop(stay, 1 - stay), loop(Fraction(stay), Fraction(1 - stay))
+    assert sdfa_entropy(floats) == sdfa_entropy(fractions)
+    log = EventLog.from_traces(["a", "aa", "", "b"])
+    assert entropic_relevance(log, floats) == entropic_relevance(log, fractions)
+    assert trace_probability(floats, "aa") == Fraction(stay) ** 2 * Fraction(1 - stay)
+    coded = log_to_sdfa(log)
+    assert stochastic_precision_recall(coded, floats) == stochastic_precision_recall(
+        coded, fractions
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probabilities_are_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match="^termination probability outside"):
+        Sdfa(frozenset({0}), frozenset(), 0, {}, {0: bad})
+    with pytest.raises(ValueError, match="^transition probability outside"):
+        Sdfa(frozenset({0}), frozenset("a"), 0, {(0, "a"): (0, bad)}, {0: 1.0})
 
 
 def test_log_to_sdfa_splits_on_first_symbols():
@@ -321,7 +349,7 @@ def test_entropy_matches_exact_counts_on_either_solve(monkeypatch):
 
 
 def sparse_entropy(a: Sdfa) -> float:
-    diagonal, incoming, local = stochastic._visit_system(a)
+    diagonal, incoming, local = stochastic._visit_system(a.initial, a._weights)
     counts, residual = stochastic._sparse_counts(diagonal, incoming)
     assert residual <= 1e-9
     return math.fsum(c * h for c, h in zip(counts, local))
@@ -345,6 +373,66 @@ def test_entropy_of_a_large_log_matches_the_sparse_solve():
     for model in (coded, conjunction(coded, loop), conjunction(loop, coded)):
         assert sdfa_entropy(model).bits == pytest.approx(sparse_entropy(model), rel=1e-12)
     assert sdfa_entropy(loop).bits == pytest.approx(sparse_entropy(loop), rel=1e-12)
+
+
+def reference_entropy(a: Sdfa) -> tuple[float, float]:
+    """Bits and residual of a's entropy, solved from the Fraction-based
+    visit system of oracles by the package's own solvers."""
+    diagonal, incoming, local = oracles.reference_visit_system(a)
+    order = measures._reverse_topological_order([[j for j, _ in edges] for edges in incoming])
+    if order is None:
+        counts, residual = stochastic._sparse_counts(diagonal, incoming)
+    else:
+        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
+    return math.fsum(map(operator.mul, counts, local)), residual
+
+
+def hexed(values) -> list[str]:
+    return [value.hex() for value in values]
+
+
+def test_entropy_floats_match_the_fraction_reference(fixtures):
+    rng = random.Random(1914)
+    # one state looping on a..h with weight 600 each against an exit of 1
+    loop = Sdfa(
+        frozenset({0}),
+        frozenset("abcdefgh"),
+        0,
+        {(0, label): (0, Fraction(600, 4801)) for label in "abcdefgh"},
+        {0: Fraction(1, 4801)},
+    )
+    # N.spnml's reachability graph has longer cycles, which take the sparse LU
+    net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
+    log = log_to_sdfa(load_artifact(fixtures / "E.xes"))
+    pairs = [(log, net), (net, log), (net, net)]
+    for _ in range(60):
+        a, b = oracles.random_terminating_sdfa(rng), oracles.random_terminating_sdfa(rng)
+        coded = log_to_sdfa(oracles.random_log(rng, alphabet="abcdefgh", max_len=12))
+        long_a, long_b = random_visit_model(rng, "long"), random_visit_model(rng, "long")
+        pairs += [(a, b), (coded, renamed(a, rng)), (coded, loop), (long_a, long_b)]
+    for first, second in pairs:
+        for model in (first, second):
+            system = stochastic._visit_system(model.initial, model._weights)
+            expected = oracles.reference_visit_system(model)
+            assert hexed(system[0]) == hexed(expected[0])
+            assert [[(j, p.hex()) for j, p in edges] for edges in system[1]] == [
+                [(j, p.hex()) for j, p in edges] for edges in expected[1]
+            ]
+            assert hexed(system[2]) == hexed(expected[2])
+            value = sdfa_entropy(model)
+            assert hexed((value.bits, value.residual)) == hexed(reference_entropy(model))
+        try:
+            shared = [
+                reference_entropy(oracles.reference_conjunction(*pair))[0]
+                for pair in ((first, second), (second, first))
+            ]
+        except EmptyConjunction:
+            expected = [0.0, 0.0]
+        else:
+            own = [reference_entropy(model)[0] for model in (first, second)]
+            expected = list(map(measures._quotient, shared, own))
+        pair = stochastic_precision_recall(first, second)
+        assert hexed((pair.recall, pair.precision)) == hexed(expected)
 
 
 def test_mirrored_logs_have_bit_identical_stochastic_entropy():
