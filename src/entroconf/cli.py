@@ -32,7 +32,7 @@ from .errors import (
     UsageError,
 )
 from .formats import _parse_count, load_artifact
-from .measures import controlled_partial_precision_recall, exact_precision_recall
+from .measures import _matching
 from .petri import (
     PetriNet,
     StochasticPetriNet,
@@ -56,21 +56,30 @@ class _Measure(NamedTuple):
     name: str  # printed before the value
     rel: tuple[type, ...]  # artifact types accepted as -rel, matched exactly
     ret: tuple[type, ...]  # the same for -ret; empty when -ret is not used
+    side: str | None = None  # the PrecisionRecall field printed, if any
 
 
 _LANGUAGE = (EventLog, PetriNet)
 _STOCHASTIC = (EventLog, StochasticPetriNet)
 
-# the one list of measures, keyed by flag; HELP_TEXT describes the same
+# the one list of measures, keyed by flag; HELP_TEXT describes the same.
+# A precision/recall measure names the side it prints, and a language
+# measure solves the growth factors of that side only.
 _MEASURES = {
-    "-emp": _Measure("emp", "exact matching precision", _LANGUAGE, _LANGUAGE),
-    "-emr": _Measure("emr", "exact matching recall", _LANGUAGE, _LANGUAGE),
-    "-pmp": _Measure("pmp", "partial matching precision", _LANGUAGE, _LANGUAGE),
-    "-pmr": _Measure("pmr", "partial matching recall", _LANGUAGE, _LANGUAGE),
-    "-cpmp": _Measure("cpmp", "controlled partial matching precision", _LANGUAGE, _LANGUAGE),
-    "-cpmr": _Measure("cpmr", "controlled partial matching recall", _LANGUAGE, _LANGUAGE),
-    "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC),
-    "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC),
+    "-emp": _Measure("emp", "exact matching precision", _LANGUAGE, _LANGUAGE, "precision"),
+    "-emr": _Measure("emr", "exact matching recall", _LANGUAGE, _LANGUAGE, "recall"),
+    "-pmp": _Measure("pmp", "partial matching precision", _LANGUAGE, _LANGUAGE, "precision"),
+    "-pmr": _Measure("pmr", "partial matching recall", _LANGUAGE, _LANGUAGE, "recall"),
+    "-cpmp": _Measure(
+        "cpmp", "controlled partial matching precision", _LANGUAGE, _LANGUAGE, "precision"
+    ),
+    "-cpmr": _Measure(
+        "cpmr", "controlled partial matching recall", _LANGUAGE, _LANGUAGE, "recall"
+    ),
+    # both sides are computed: the benchmark's traced run checks the model
+    # entropy that the unprinted side of "-sr -ret model" computes
+    "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC, "precision"),
+    "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC, "recall"),
     "-r": _Measure("r", "entropic relevance", (EventLog,), (Sdfa,)),
     "-b": _Measure("bounded", "boundedness", (PetriNet, StochasticPetriNet), ()),
 }
@@ -141,14 +150,22 @@ def _selected(cfg: RunConfig) -> tuple[str, _Measure]:
     return next((flag, m) for flag, m in _MEASURES.items() if m.id == cfg.measure)
 
 
+# each option that takes a value, with the RunConfig field it sets
+_VALUE_OPTIONS = {
+    "-rel": "rel_path", "--relevant": "rel_path",
+    "-ret": "ret_path", "--retrieved": "ret_path",
+    "-srel": "skips_rel", "-sret": "skips_ret",
+}
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     """Translate raw arguments to a RunConfig.
 
     Both "-rel=path" and "-rel path" spellings work; every option has the
-    exact name shown in the help text.
+    exact name shown in the help text. Each path and budget is given at
+    most once, in either spelling, as is the measure.
     """
     cfg = RunConfig()
-    value_options = {"-rel", "--relevant", "-ret", "--retrieved", "-srel", "-sret"}
     index = 0
     while index < len(argv):
         argument = argv[index]
@@ -161,21 +178,19 @@ def parse_args(argv: list[str]) -> RunConfig:
                 raise ConflictingMeasures(f"{name} conflicts with the already selected measure")
             cfg.measure = _MEASURES[name].id
             continue
-        if name in value_options:
+        field = _VALUE_OPTIONS.get(name)
+        if field is not None:
             if not equals and index < len(argv):
                 inline = argv[index]
                 index += 1
             # "-rel=", "-rel ''" and "-rel" at the end are equally empty
             if not inline:
                 raise MissingArgument(f"{name} requires a value")
-            if name in ("-rel", "--relevant"):
-                cfg.rel_path = inline
-            elif name in ("-ret", "--retrieved"):
-                cfg.ret_path = inline
-            elif name == "-srel":
-                cfg.skips_rel = _nonnegative_int(name, inline)
-            else:
-                cfg.skips_ret = _nonnegative_int(name, inline)
+            if getattr(cfg, field) is not None:
+                raise UsageError(f"{name} repeats an option already given")
+            if field.startswith("skips"):
+                inline = _nonnegative_int(name, inline)
+            setattr(cfg, field, inline)
             continue
         if argument in ("-s", "--silent"):
             cfg.silent = True
@@ -232,7 +247,7 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
     """The value and the size diagnostics, one branch per measure family.
 
     Boundedness yields its verdict as a bool. A precision/recall measure
-    yields precision when its id ends in "p" and recall otherwise.
+    yields its table entry's side.
     """
     measure = cfg.measure
     if measure == "bounded":
@@ -242,23 +257,23 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
         relevance = entropic_relevance(rel, ret)
         sizes = {"log_instances": rel.total_instances(), "model_states": len(ret.states)}
         return relevance.bits, sizes
+    side = _selected(cfg)[1].side
     if measure.startswith("s"):
         automata = _stochastic_automaton(rel), _stochastic_automaton(ret)
-        pair = stochastic_precision_recall(*automata)
+        value = getattr(stochastic_precision_recall(*automata), side)
     else:
         automata = _language_automaton(rel), _language_automaton(ret)
-        if measure.startswith("em"):
-            pair = exact_precision_recall(*automata)
-        else:
-            budgets = (cfg.skips_rel or 0, cfg.skips_ret or 0)
-            if measure.startswith("pm"):
-                budgets = (UNBOUNDED, UNBOUNDED)
-            pair = controlled_partial_precision_recall(*automata, *budgets)
+        skips = None
+        if measure.startswith("pm"):
+            skips = (UNBOUNDED, UNBOUNDED)
+        elif measure.startswith("cpm"):
+            skips = (cfg.skips_rel or 0, cfg.skips_ret or 0)
+        (value,) = _matching(*automata, skips, (side,))
     sizes = {
         "relevant_states": len(automata[0].states),
         "retrieved_states": len(automata[1].states),
     }
-    return (pair.precision if measure.endswith("p") else pair.recall), sizes
+    return value, sizes
 
 
 def _rounded(value: float) -> str:

@@ -111,6 +111,8 @@ def _growth_factor(a: Dfa) -> float:
     adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
     where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
+    g is evaluated at the branch points only, a chain of links between two
+    of them being one factor x ** k (see _branch_points).
     """
     a = trim(a)
     if not a.accepting:
@@ -121,10 +123,7 @@ def _growth_factor(a: Dfa) -> float:
         # the reachability graphs of concurrent nets. The power iteration's
         # rounding depends on the numbering, which trim makes canonical.
         return spectral_radius(short_circuit(a).adjacency)
-    accepting = [float(s in a.accepting) for s in range(len(out))]
-    # the short-circuit graph's largest row sum bounds its Perron root
-    lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
-    return 1.0 / _root(_back_substitution(out, accepting, order), lo)
+    return 1.0 / _root(*_branch_points(out, a.accepting, order))
 
 
 def _successors(a: Dfa) -> tuple[list[list[int]], list[int] | None]:
@@ -153,36 +152,69 @@ def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
     return order[::-1] if len(order) == len(out) else None
 
 
-def _back_substitution(out, accepting, order):
-    """evaluate(x) for an acyclic automaton: g and g' by one pass over order.
+def _branch_points(out, accepting, order):
+    """evaluate(x) = (F(x), F'(x)) of a trimmed acyclic automaton, whose
+    initial state 0 comes last in order, and a lower bound on the root of
+    F(x) = 1.
 
-    Each state's terms are summed with fsum, which is exact before its one
-    rounding, so isomorphic automata give bit-identical values whatever the
-    order of their transitions.
+    g_i = acc_i + x * (sum of g_j over the successors j) is evaluated at the
+    branch points only. A link, a state that is not initial, not accepting
+    and has one successor, has g_i = x * g_j, so a chain of k links into a
+    branch point t adds one term x ** k * g_t. Each state is resolved to its
+    (t, k) once, successors first, so many states feeding one chain cost
+    one step each. Each branch point's terms are summed with fsum, exact
+    before its one rounding, so isomorphic automata give bit-identical
+    values whatever the order of their transitions. The bound is 1 over the
+    short-circuit graph's largest row sum, which a link's 1 never is.
     """
+    # g by slot: 0 holds 0, gathered twice so that every gather returns a
+    # tuple, and 1 holds every leaf, as a leaf accepts with g = 1
+    reach = [(1, 0)] * len(out)
     steps = []
+    lengths = set()
+    widest = 1.0
     for i in order:
         succ = out[i]
-        # a single successor's value comes back bare, several as a tuple
-        gather = itemgetter(*succ) if succ else lambda values: ()
-        steps.append((i, gather, len(succ) != 1, accepting[i]))
+        if len(succ) == 1 and i not in accepting and i != 0:
+            t, k = reach[succ[0]]
+            reach[i] = (t, k + 1)
+        elif succ:
+            direct, chained = [0, 0], []
+            for j in succ:
+                t, k = reach[j]
+                if k:
+                    chained.append((t, k))
+                    lengths.add(k)
+                else:
+                    direct.append(t)
+            reach[i] = (len(steps) + 2, 0)
+            acc = 1.0 if i in accepting else 0.0
+            steps.append((itemgetter(*direct), chained, acc))
+            if len(succ) + acc > widest:
+                widest = len(succ) + acc
 
     def evaluate(x: float):
-        g = [0.0] * len(out)
-        dg = [0.0] * len(out)
+        # x ** k and its derivative, once per chain length
+        power = {k: x**k for k in lengths}
+        slope = {k: k * x ** (k - 1) for k in lengths}
+        g, dg = [0.0, 1.0], [0.0, 0.0]
         try:
-            for i, gather, several, acc in steps:
+            for gather, chained, acc in steps:
                 s, ds = gather(g), gather(dg)
-                if several:
-                    s, ds = math.fsum(s), math.fsum(ds)
-                g[i] = acc + x * s
-                dg[i] = s + x * ds
+                if chained:
+                    s, ds = [*s], [*ds]
+                    for t, k in chained:
+                        s.append(power[k] * g[t])
+                        ds.append(slope[k] * g[t] + power[k] * dg[t])
+                s, ds = math.fsum(s), math.fsum(ds)
+                g.append(acc + x * s)
+                dg.append(s + x * ds)
         except OverflowError:
             return None
-        f = x * g[0]
-        return (f, g[0] + x * dg[0]) if math.isfinite(f) else None
+        f = x * g[-1]
+        return (f, g[-1] + x * dg[-1]) if math.isfinite(f) else None
 
-    return evaluate
+    return evaluate, 1.0 / widest
 
 
 def _root(evaluate, lo: float) -> float:
@@ -288,13 +320,10 @@ def exact_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
     """Precision and recall of exactly matching traces.
 
     shared = product(rel, ret); precision scores shared against retrieved,
-    recall against relevant.
+    recall against relevant. The three growth factors come from _matching,
+    which the command line calls for the printed side alone, solving two.
     """
-    shared = _growth_factor(product(rel, ret))
-    return PrecisionRecall(
-        precision=_quotient(shared, _growth_factor(ret)),
-        recall=_quotient(shared, _growth_factor(rel)),
-    )
+    return PrecisionRecall(*_matching(rel, ret))
 
 
 def partial_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
@@ -315,7 +344,20 @@ def controlled_partial_precision_recall(
     relevant resp. retrieved trace, or are UNBOUNDED; budgets of zero
     reproduce the exact measure.
     """
-    return exact_precision_recall(_closure(rel, skips_rel), _closure(ret, skips_ret))
+    return PrecisionRecall(*_matching(rel, ret, (skips_rel, skips_ret)))
+
+
+def _matching(rel: Dfa, ret: Dfa, skips=None, sides=("precision", "recall")) -> list[float]:
+    """Each named side's growth quotient, solving the shared factor once and
+    only the named sides' own: "precision" scores the shared language
+    against ret's, "recall" against rel's. skips, a pair of deletion
+    budgets for rel and ret, first closes each language under deletion.
+    """
+    if skips is not None:
+        rel, ret = _closure(rel, skips[0]), _closure(ret, skips[1])
+    shared = _growth_factor(product(rel, ret))
+    own = {"precision": ret, "recall": rel}
+    return [_quotient(shared, _growth_factor(own[side])) for side in sides]
 
 
 def _closure(a: Dfa, k) -> Dfa:

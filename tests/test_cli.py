@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entroconf
+from entroconf import cli
+from entroconf.automata import EventLog
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
     ConflictingMeasures,
@@ -28,6 +31,11 @@ from entroconf.errors import (
     UsageError,
 )
 from entroconf.formats import load_artifact
+from entroconf.measures import (
+    controlled_partial_precision_recall,
+    exact_precision_recall,
+    partial_precision_recall,
+)
 
 import oracles
 
@@ -105,6 +113,28 @@ def test_parse_args_rejections():
             parse_args(["-cpmp", "-rel", "x", "-ret", "y", f"-sret={token}"])
 
 
+# each option that takes a path or a budget, in all its spellings
+REPEATABLE = (("-rel", "--relevant"), ("-ret", "--retrieved"), ("-srel",), ("-sret",))
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(first, second) for names in REPEATABLE for first in names for second in names],
+)
+def test_a_repeated_path_or_budget_is_a_usage_error(capsys, first, second):
+    # "-emp -rel E.xes -rel N.pnml -ret E.xes" once measured N.pnml
+    value = "1" if first in ("-srel", "-sret") else "a.xes"
+    # the path options not repeated here, which every run needs once
+    paths = [p for names in REPEATABLE[:2] if first not in names for p in (names[0], "p.xes")]
+    for repeat in ([second, value], [f"{second}={value}"]):
+        argv = ["-cpmp", *paths, first, value, *repeat]
+        with pytest.raises(UsageError, match=f"{second} repeats an option already given"):
+            parse_args(argv)
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {second} repeats an option already given\n"
+
+
 def test_parse_args_help_short_circuits():
     assert parse_args(["-h"]).show_help
     assert parse_args(["--version"]).show_version
@@ -135,6 +165,76 @@ def test_language_measures_on_fixtures(capsys, fixtures, flags, expected):
     )
     assert code == 0
     assert out == expected + "\n"
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (("-emp",), "0.842"),
+        (("-emr",), "0.840"),
+        (("-pmp",), "0.984"),
+        (("-pmr",), "0.900"),
+        (("-cpmp", "-srel=1", "-sret=0"), "0.902"),
+        (("-cpmr", "-srel=1", "-sret=0"), "0.606"),
+    ],
+)
+def test_language_measures_on_two_logs(capsys, fixtures, flags, expected):
+    # F.xes shares two of its five traces with E.xes; the same values are
+    # checked in CI without numpy or scipy installed
+    code, out, _ = invoke(
+        capsys, *flags, "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"
+    )
+    assert (code, out) == (0, expected + "\n")
+
+
+def _language_inputs(rng):
+    """Log and net pairs in both orders, identical inputs and disjoint logs."""
+    nets = []
+    while len(nets) < 4:
+        net = oracles.random_net(rng)
+        try:
+            cli._language_automaton(net)
+        except SemanticError:  # unbounded, or no marking to accept in
+            continue
+        nets.append(net)
+    pairs = []
+    for net in nets:
+        log = oracles.random_log(rng)
+        pairs += [(log, net), (net, log), (log, log), (net, net)]
+    for _ in range(4):
+        # disjoint alphabets, and no empty trace, which both logs would share
+        pairs.append(
+            tuple(
+                EventLog.from_traces(
+                    [t for t in oracles.random_log(rng, alphabet=letters).entries if t]
+                    or [letters[:1]]
+                )
+                for letters in ("ab", "xy")
+            )
+        )
+    return pairs
+
+
+def test_the_cli_prints_the_public_functions_value():
+    public = {
+        "em": exact_precision_recall,
+        "pm": partial_precision_recall,
+        "cpm": lambda rel, ret: controlled_partial_precision_recall(rel, ret, 1, 2),
+    }
+    seen = set()
+    for rel, ret in _language_inputs(random.Random(31)):
+        automata = cli._language_automaton(rel), cli._language_automaton(ret)
+        for family, measure in public.items():
+            pair = measure(*automata)
+            for side in ("precision", "recall"):
+                flag = f"-{family}{side[0]}"
+                budgets = ["-srel", "1", "-sret", "2"] if family == "cpm" else []
+                cfg = parse_args([flag, "-rel", "r", "-ret", "t", *budgets])
+                value, _ = cli._evaluate(cfg, rel, ret)
+                assert value.hex() == getattr(pair, side).hex(), (flag, rel, ret)
+                seen.add(value)
+    # identical inputs score 1 and disjoint logs 0 on exact matching
+    assert {0.0, 1.0} < seen
 
 
 def test_relevance_on_fixtures(capsys, fixtures):

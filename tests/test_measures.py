@@ -181,6 +181,51 @@ def test_entropy_of_logs_with_long_traces():
     assert value.bits_per_symbol == pytest.approx(expected, rel=1e-9)
 
 
+def test_growth_factors_of_extreme_shapes_match_closed_forms():
+    # long chains of one-successor states: the words a^30000, b^30000 and
+    # a^15000 make F(x) = 2 x^30001 + x^15001, whose root in t = -log x is
+    # bisected here in closed form
+    long_words = log_to_dfa(
+        EventLog.from_traces(["a" * 30_000, "b" * 30_000, "a" * 15_000])
+    )
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        t = (lo + hi) / 2
+        lo, hi = (t, hi) if 2 * math.exp(-30_001 * t) + math.exp(-15_001 * t) > 1 else (lo, t)
+    assert measures._growth_factor(long_words) == pytest.approx(math.exp(lo), rel=1e-12)
+
+    # no state with a single successor: 3,000 layers of two labels each
+    # hold 2^3000 words of length 3000
+    layers = 3_000
+    ladder = Dfa(
+        states=frozenset(range(layers + 1)),
+        alphabet=frozenset("ab"),
+        initial=0,
+        accepting=frozenset({layers}),
+        transitions={(i, label): i + 1 for i in range(layers) for label in "ab"},
+    )
+    assert measures._growth_factor(ladder) == pytest.approx(
+        2 ** (layers / (layers + 1)), rel=1e-12
+    )
+
+    # 2,000 states feed one chain of 10,000: 2,000 words of length 10,002
+    branches, chain = 2_000, 10_000
+    head, tail = branches + 1, branches + chain
+    transitions = {(0, f"b{i}"): i for i in range(1, branches + 1)}
+    transitions.update({(i, "x"): head for i in range(1, branches + 1)})
+    transitions.update({(c, "x"): c + 1 for c in range(head, tail + 1)})
+    fan_in = Dfa(
+        states=frozenset(range(tail + 2)),
+        alphabet=frozenset({"x", *(label for _, label in transitions)}),
+        initial=0,
+        accepting=frozenset({tail + 1}),
+        transitions=transitions,
+    )
+    assert measures._growth_factor(fan_in) == pytest.approx(
+        branches ** (1 / (chain + 3)), rel=1e-12
+    )
+
+
 def test_relabeled_logs_have_bit_identical_entropy():
     # reversing the alphabet reorders every state's successors; exact
     # per-state sums keep the value independent of that order
