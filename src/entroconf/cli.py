@@ -41,12 +41,7 @@ from .petri import (
     rg_to_dfa,
     stochastic_rg_to_sdfa,
 )
-from .stochastic import (
-    Sdfa,
-    entropic_relevance,
-    log_to_sdfa,
-    stochastic_precision_recall,
-)
+from .stochastic import Sdfa, _log_weights, _precision_recall, entropic_relevance
 
 VERSION = "1.5-reimpl"
 
@@ -238,8 +233,9 @@ def _language_automaton(artifact):
 
 
 def _stochastic_automaton(artifact):
+    # a log as its prefix tree and integer weights, which -sp/-sr solve as they are
     if isinstance(artifact, EventLog):
-        return log_to_sdfa(artifact)
+        return _log_weights(artifact)
     return stochastic_rg_to_sdfa(artifact)
 
 
@@ -259,8 +255,9 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
         return relevance.bits, sizes
     side = _selected(cfg)[1].side
     if measure.startswith("s"):
-        automata = _stochastic_automaton(rel), _stochastic_automaton(ret)
-        value = getattr(stochastic_precision_recall(*automata), side)
+        forms = _stochastic_automaton(rel), _stochastic_automaton(ret)
+        value = getattr(_precision_recall(*forms), side)
+        automata = [form[0] if isinstance(form, tuple) else form for form in forms]
     else:
         automata = _language_automaton(rel), _language_automaton(ret)
         skips = None

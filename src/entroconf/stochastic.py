@@ -13,7 +13,9 @@ exact weights, normalized per state; a conjunction's automaton is the
 trimmed product of the two supports. Probabilities are exact fractions
 outside; inside, each state's are integer weights over one total, so
 validation, conjunction weighting and entropy use integers only, and each
-float is one correctly rounded integer quotient.
+float is one correctly rounded integer quotient. The command line's log
+enters precision and recall as its prefix tree and instance counts, with
+no Sdfa and no Fraction between.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
 _BACKWARD_ERROR_TOL = 1e-9
+_CANNOT_TERMINATE = "a reachable state has no positive-probability path to termination"
 
 
 @dataclass(frozen=True)
@@ -163,20 +166,27 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     prefix; termination is the fraction ending there. Sums are exactly 1
     by construction.
     """
-    shape = log_to_dfa(log)
-    reaching = [0] * len(shape.states)
-    ending: dict[int, int] = {}
+    return _sdfa(*_log_weights(log))
+
+
+def _log_weights(log: EventLog) -> tuple[Dfa, list]:
+    """log_to_dfa's tree and, per state, _shaped's (stop weight, {label:
+    (child, weight)}, total) as instance counts: those ending there, those
+    reaching each child and those reaching the state, unreduced."""
+    tree = log_to_dfa(log)
+    reaching = [0] * len(tree.states)
+    ending = [0] * len(tree.states)
     for trace, count in log.entries.items():
         state = 0
         reaching[0] += count
         for label in trace:
-            state = shape.transitions[state, label]
+            state = tree.transitions[state, label]
             reaching[state] += count
-        ending[state] = ending.get(state, 0) + count
-    edges: list[dict] = [{} for _ in shape.states]
-    for (src, label), dst in shape.transitions.items():
+        ending[state] += count
+    edges: list[dict] = [{} for _ in tree.states]
+    for (src, label), dst in tree.transitions.items():
         edges[src][label] = (dst, reaching[dst])
-    return _sdfa(shape, [(ending.get(s, 0), out, reaching[s]) for s, out in enumerate(edges)])
+    return tree, list(zip(ending, edges, reaching))
 
 
 def _log2(n: int, d: int) -> float:
@@ -198,20 +208,20 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     state's outgoing-plus-termination distribution). The counts c solve
     (I - P)^T c = e_initial, with each diagonal 1 - p(self-loop) taken on the
     exact integer weights. I - P is nonsingular only when every reachable
-    state can reach positive termination, so that is checked up front
-    (NonTerminatingSdfa). When the only cycles are self-loops (a log, a
-    conjunction with a log, a one-state loop) the system is triangular and
-    one forward pass in topological order solves it, in pure Python; a
-    longer cycle takes a sparse LU. NotConverged when the residual, the
-    backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of A =
-    (I - P)^T, exceeds 1e-9, or when a diagonal is not positive as a float
-    or a count or the sum is not finite.
+    state can reach positive termination; NonTerminatingSdfa otherwise,
+    raised while the system is built, before any solve. When the only
+    cycles are self-loops (a log, a conjunction with a log, a one-state
+    loop) the system is triangular and one forward pass in topological
+    order solves it, in pure Python; a longer cycle takes a sparse LU.
+    NotConverged when the residual, the backward error ||A c - e||inf /
+    (||A||inf ||c||inf + 1) of A = (I - P)^T, exceeds 1e-9, or when a
+    diagonal is not positive as a float or a count or the sum is not finite.
     """
     return _entropy(a.initial, a._weights)
 
 
 def _entropy(initial, weights) -> StochasticEntropy:
-    """sdfa_entropy of the weights of Sdfa._weights or _shaped."""
+    """sdfa_entropy of weights from initial, in either form _visit_system takes."""
     diagonal, incoming, local = _visit_system(initial, weights)
     if not min(diagonal) > 0.0:
         # an exit probability below the float range, or a self-loop mass at
@@ -237,35 +247,52 @@ def _entropy(initial, weights) -> StochasticEntropy:
 def _visit_system(initial, weights):
     """(I - P)^T over the states reachable from initial, numbered from 0.
 
-    weights is as Sdfa._weights. Per state i: the diagonal 1 - P_ii, the
-    in-edges (j, P_ji) with j != i, and the local entropy. Each sum is an
-    fsum or exact, so no value depends on the order of the labels.
+    weights is as Sdfa._weights, renumbered breadth-first here; or, with
+    initial None, a list already numbered 0..n-1 from state 0 with every
+    state reachable, as _shaped and _log_weights return, used as it is. Per
+    state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i, and
+    the local entropy. Each sum is an fsum or exact, so no value depends on
+    the order of the labels.
+
     NonTerminatingSdfa when a reachable state cannot reach positive
-    termination, which makes the system singular.
+    termination, which makes the system singular. A stuck state, one that
+    cannot stop and whose every edge is a self-loop, is one. While every
+    other edge goes to a later state, no other is: by induction from the
+    last state, a state that is not stuck stops or moves on to a later one
+    that terminates. So the reverse reachability pass runs only when some
+    edge goes back to an earlier state.
     """
-    reachable = _reachable((initial,), lambda s: (d for d, _ in weights[s][1].values()))
-    position = {s: i for i, s in enumerate(reachable)}
+    if initial is None:
+        states = position = range(len(weights))
+    else:
+        states = _reachable((initial,), lambda s: (d for d, _ in weights[s][1].values()))
+        position = {s: i for i, s in enumerate(states)}
     diagonal = []
-    incoming: list[list[tuple[int, float]]] = [[] for _ in position]
+    incoming: list[list[tuple[int, float]]] = [[] for _ in states]
     local = []
-    for state, i in position.items():
+    back = False
+    for i, state in enumerate(states):
         stop, edges, total = weights[state]
-        stay, terms = 0, []
+        stay, moves, terms = 0, False, []
         for dst, w in edges.values():
             terms.append(_plog2p(w, total))
             if dst == state:
                 stay += w
             else:
-                incoming[position[dst]].append((i, w / total))
+                j = position[dst]
+                moves = True
+                back = back or j < i
+                incoming[j].append((i, w / total))
         if stop:
             terms.append(_plog2p(stop, total))
+        elif not moves:
+            raise NonTerminatingSdfa(_CANNOT_TERMINATE)
         diagonal.append((total - stay) / total)
         local.append(math.fsum(terms))
-    terminating = [i for s, i in position.items() if weights[s][0]]
-    if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(position):
-        raise NonTerminatingSdfa(
-            "a reachable state has no positive-probability path to termination"
-        )
+    if back:
+        terminating = [i for i, state in enumerate(states) if weights[state][0]]
+        if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(states):
+            raise NonTerminatingSdfa(_CANNOT_TERMINATE)
     return diagonal, incoming, local
 
 
@@ -275,14 +302,23 @@ def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
     c_i = (delta_i0 + sum_j c_j P_ji) / (1 - P_ii) along order, with every
     in-edge summed by fsum, so the counts do not depend on the numbering.
     The initial state 0 has no other in-edges, since any would close a cycle.
+    Each row's term of _backward_error is summed in the same pass from the
+    same products, negated, so the residual is _backward_error's to the bit;
+    every diagonal and probability is positive, so no absolute value is
+    needed but the row's.
     """
     counts = [0.0] * len(diagonal)
+    error = norm = 0.0
     for i in order:
-        inflow = math.fsum(counts[j] * p for j, p in incoming[i]) + (i == 0)
-        counts[i] = inflow / diagonal[i]
-    if not all(map(math.isfinite, counts)):
-        raise NotConverged("visit counts overflow a float")
-    return counts, _backward_error(diagonal, incoming, counts)
+        d, edges = diagonal[i], incoming[i]
+        flows = [counts[j] * p for j, p in edges]
+        c = counts[i] = (math.fsum(flows) + (i == 0)) / d
+        if not math.isfinite(c):
+            raise NotConverged("visit counts overflow a float")
+        flows += (i == 0, -d * c)
+        error = max(error, abs(math.fsum(flows)))
+        norm = max(norm, d + math.fsum([p for _, p in edges]))
+    return counts, error / (norm * max(counts) + 1.0)
 
 
 def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
@@ -318,13 +354,13 @@ def _backward_error(diagonal, incoming, counts) -> float:
     return error / (norm * max(map(abs, counts)) + 1.0)
 
 
-def _shared_shape(a: Sdfa, b: Sdfa) -> Dfa:
-    """The trimmed product of the supports of a and b; EmptyConjunction if empty.
+def _shared_shape(a: Dfa, b: Dfa) -> Dfa:
+    """The trimmed product of two supports; EmptyConjunction if empty.
 
     It is the same Dfa for (b, a): product visits the same pairs along the
     same labels in the same order either way, and trim renumbers canonically.
     """
-    shape = trim(product(_support(a), _support(b)))
+    shape = trim(product(a, b))
     if not shape.accepting:
         raise EmptyConjunction("no trace has positive probability in both inputs")
     return shape
@@ -341,7 +377,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     EmptyConjunction when no trace has positive probability in both inputs;
     StateSpaceExceeded when there are more than 10**6 pairs.
     """
-    shape = _shared_shape(prob_source, structure)
+    shape = _shared_shape(_support(prob_source), _support(structure))
     return _sdfa(shape, _shaped(shape, prob_source.initial, prob_source._weights))
 
 
@@ -350,20 +386,34 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
 
     recall = H(conjunction(rel, ret)) / H(rel), precision the mirror
     image; an empty conjunction (disjoint supports) maps to 0/0. Both
-    conjunctions share one shape, which is built once.
+    conjunctions share one shape, which is built once. Each side's own
+    entropy is its sdfa_entropy, so a side with a state that cannot
+    terminate raises NonTerminatingSdfa unless the supports are disjoint.
     """
+    return _precision_recall(rel, ret)
+
+
+def _precision_recall(rel, ret) -> PrecisionRecall:
+    """stochastic_precision_recall of two sides, each an Sdfa or a log's
+    (tree, weights) from _log_weights: a log's support is its tree, and its
+    weights are solved as they are, with no Sdfa between."""
+    supports = [side[0] if isinstance(side, tuple) else _support(side) for side in (rel, ret)]
     try:
-        shape = _shared_shape(rel, ret)
+        shape = _shared_shape(*supports)
     except EmptyConjunction:
         return PrecisionRecall(precision=0.0, recall=0.0)
-    recall, precision = (
-        _quotient(
-            _entropy(0, _shaped(shape, side.initial, side._weights)).bits,
-            sdfa_entropy(side).bits,
-        )
-        for side in (rel, ret)
-    )
+    recall, precision = (_quotient(*_entropies(shape, side)) for side in (rel, ret))
     return PrecisionRecall(precision=precision, recall=recall)
+
+
+def _entropies(shape: Dfa, side) -> tuple[float, float]:
+    """The bits of side's weights on shape, and of side itself."""
+    if isinstance(side, tuple):
+        _, weights = side
+        return _entropy(None, _shaped(shape, 0, weights)).bits, _entropy(None, weights).bits
+    shared = _entropy(None, _shaped(shape, side.initial, side._weights)).bits
+    # the public function, so that a traced run sees the model's entropy
+    return shared, sdfa_entropy(side).bits
 
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 import re
@@ -7,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from io import StringIO
 from pathlib import Path
 from xml.sax.saxutils import escape
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entroconf
-from entroconf import cli
+from entroconf import cli, stochastic
 from entroconf.automata import EventLog
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
@@ -36,6 +38,7 @@ from entroconf.measures import (
     exact_precision_recall,
     partial_precision_recall,
 )
+from entroconf.petri import stochastic_rg_to_sdfa
 
 import oracles
 
@@ -234,6 +237,55 @@ def test_the_cli_prints_the_public_functions_value():
                 assert value.hex() == getattr(pair, side).hex(), (flag, rel, ret)
                 seen.add(value)
     # identical inputs score 1 and disjoint logs 0 on exact matching
+    assert {0.0, 1.0} < seen
+
+
+def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
+    # the command line passes a log as its prefix tree and integer weights;
+    # the public functions take log_to_sdfa's Sdfa, and every float agrees
+    rng = random.Random(43)
+    # traces that end as L.spnml's do, then as the benchmark's eight-label
+    # loop's; x is a label that no net here has
+    logs = [
+        EventLog.from_traces(
+            trace + (leave,)
+            for trace in oracles.random_log(rng, letters, max_traces=20, max_len=3).entries
+        )
+        for letters, leave in [("abx", "e")] * 4 + [("ahx", "z")] * 4
+    ]
+    pairs = [(logs[i], logs[i + 1]) for i in range(0, 8, 2)]
+    # E.xes and N.spnml share traces too
+    logs += [load_artifact(fixtures / "E.xes"), load_artifact(fixtures / "F.xes")]
+    eight = loop_spnml(tmp_path / "eight.spnml", "600", labels="abcdefgh", leave="z")
+    nets = [load_artifact(path) for path in (fixtures / "L.spnml", fixtures / "N.spnml", eight)]
+    disjoint = [
+        EventLog.from_traces(
+            [t for t in oracles.random_log(rng, alphabet=letters).entries if t] or [letters[:1]]
+        )
+        for letters in ("ab", "xy")
+    ]
+    pairs += [(logs[-2], logs[-1])] + [(log, net) for log in logs for net in nets]
+    pairs += [(log, log) for log in logs] + [tuple(disjoint)]
+
+    def automaton(artifact):
+        if isinstance(artifact, EventLog):
+            return stochastic.log_to_sdfa(artifact)
+        return stochastic_rg_to_sdfa(artifact)
+
+    seen = set()
+    for rel, ret in pairs:
+        values = {}
+        for swapped, (first, second) in enumerate(((rel, ret), (ret, rel))):
+            pair = stochastic.stochastic_precision_recall(automaton(first), automaton(second))
+            for side in ("precision", "recall"):
+                cfg = parse_args([f"-s{side[0]}", "-rel", "r", "-ret", "t"])
+                value, _ = cli._evaluate(cfg, first, second)
+                assert value.hex() == getattr(pair, side).hex(), (side, first, second)
+                values[swapped, side] = value.hex()
+                seen.add(value)
+        # swapping the inputs swaps precision and recall, bit for bit
+        assert values[0, "precision"] == values[1, "recall"]
+        assert values[0, "recall"] == values[1, "precision"]
     assert {0.0, 1.0} < seen
 
 
@@ -463,21 +515,30 @@ def probe_numeric_modules(*runs):
     return values, json.loads(report)
 
 
-def loop_spnml(path: Path, loop_weight: str, exit_weight: str = "1") -> Path:
-    """A one-state loop over a, b, c and d that leaves, once, by e."""
-    transitions = [(label, "p", loop_weight) for label in "abcd"]
-    transitions.append(("e", "done", exit_weight))
+def loop_spnml(
+    path: Path, loop_weight: str, exit_weight: str = "1", labels: str = "abcd", leave: str = "e"
+) -> Path:
+    """A one-state loop over labels that leaves, once, by leave."""
+    transitions = [(label, "p", "p", loop_weight) for label in labels]
+    transitions.append((leave, "p", "done", exit_weight))
+    return spnml(path, transitions)
+
+
+def spnml(path: Path, transitions) -> Path:
+    """A net with one token on place p and one transition per (label, src,
+    dst, weight), moving a token from place src to place dst."""
+    places = sorted({place for _, *ends, _ in transitions for place in ends} - {"p"})
     path.write_text(
         '<?xml version="1.0" encoding="UTF-8"?>\n<pnml><net id="loop"><page id="page0">'
         '<place id="p"><initialMarking><text>1</text></initialMarking></place>'
-        '<place id="done"/>'
+        + "".join(f'<place id="{place}"/>' for place in places)
         + "".join(
             f'<transition id="t{label}"><name><text>{label}</text></name>'
             '<toolspecific tool="stochastic" version="1.0">'
             f"<weight>{weight}</weight></toolspecific></transition>"
-            f'<arc id="in{label}" source="p" target="t{label}"/>'
+            f'<arc id="in{label}" source="{src}" target="t{label}"/>'
             f'<arc id="out{label}" source="t{label}" target="{dst}"/>'
-            for label, dst, weight in transitions
+            for label, src, dst, weight in transitions
         )
         + "</page></net></pnml>\n",
         encoding="utf-8",
@@ -525,6 +586,40 @@ def test_a_loop_exit_that_underflows_exits_4(capsys, fixtures, tmp_path, flag):
     code, out, err = invoke(capsys, flag, "-rel", fixtures / "E.xes", "-ret", loop)
     assert (code, out) == (4, "")
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-sp", "-sr"])
+@pytest.mark.parametrize("cycle", ["c", "cd"])
+def test_a_net_that_can_loop_forever_exits_3(capsys, tmp_path, flag, cycle):
+    # a stops at once and b enters a marking that only c (a self-loop) or
+    # c and d (a two-marking cycle) leave, so the net can loop forever
+    transitions = [("a", "p", "done", "1"), ("b", "p", "q", "1")]
+    transitions += [("c", "q", "r", "1"), ("d", "r", "q", "1")] if cycle == "cd" else [
+        ("c", "q", "q", "1")
+    ]
+    net = spnml(tmp_path / "trap.spnml", transitions)
+    log = tmp_path / "a.xes"
+    event = '<event><string key="concept:name" value="a"/></event>'
+    log.write_text(f"<log><trace>{event}</trace><trace/></log>")
+    code, out, err = invoke(capsys, flag, "-rel", log, "-ret", net)
+    assert (code, out) == (3, "")
+    assert err == "rejected: a reachable state has no positive-probability path to termination\n"
+
+
+def test_the_benchmark_loop_has_its_closed_form_entropy(tmp_path):
+    # eight labels at weight 600 and an exit at weight 1: every visit of the
+    # loop draws from one distribution, and the visits are geometric with
+    # mean total / exit, so H = H_loc * total / exit
+    weights = [600] * 8 + [1]
+    total = sum(weights)
+    local = -math.fsum(w / total * math.log2(w / total) for w in weights)
+    expected = local * total / weights[-1]
+    arcs = {(0, label): (0, Fraction(600, total)) for label in "abcdefgh"}
+    arcs[0, "z"] = (1, Fraction(1, total))
+    loop = stochastic.Sdfa(frozenset({0, 1}), frozenset("abcdefghz"), 0, arcs, {1: Fraction(1)})
+    net = loop_spnml(tmp_path / "eight.spnml", "600", labels="abcdefgh", leave="z")
+    for model in (loop, stochastic_rg_to_sdfa(load_artifact(net))):
+        assert stochastic.sdfa_entropy(model).bits == pytest.approx(expected, rel=1e-9)
 
 
 def test_unreadable_net_number_exits_2(fixtures, tmp_path):

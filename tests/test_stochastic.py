@@ -477,6 +477,74 @@ def test_entropy_rejects_states_that_cannot_stop():
         sdfa_entropy(trap)
 
 
+# 0.9999999999 is within the 1e-9 slack of 1, so a state with that self-loop
+# and nothing else is valid, cannot stop, and has a positive float diagonal
+STUCK = [Fraction(1), 0.9999999999]
+
+
+@pytest.mark.parametrize("stay", STUCK)
+def test_a_stuck_initial_state_cannot_terminate(stay):
+    sink = Sdfa(frozenset({0}), frozenset("a"), 0, {(0, "a"): (0, stay)}, {})
+    with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
+        sdfa_entropy(sink)
+    # it stops nowhere, so it shares no trace with a log: 0/0 comes first
+    assert stochastic_precision_recall(sink, delta("")) == PrecisionRecall(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "trap",
+    [
+        # a stuck sink behind a state that can stop
+        *({(1, "b"): (1, stay)} for stay in STUCK),
+        # a cycle through two states, neither of which can stop
+        {(1, "b"): (2, Fraction(1)), (2, "c"): (1, Fraction(1))},
+    ],
+)
+def test_a_trap_behind_a_stopping_state_cannot_terminate(trap):
+    model = Sdfa(
+        frozenset({0, *(dst for dst, _ in trap.values())}),
+        frozenset("abc"),
+        0,
+        {(0, "a"): (1, Fraction(1, 2)), **trap},
+        {0: Fraction(1, 2)},
+    )
+    log = EventLog.from_traces(["", "", "a"])
+    tree = stochastic._log_weights(log)
+    coded = log_to_sdfa(log)
+    for pair in ((model, coded), (coded, model), (model, tree), (tree, model)):
+        with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
+            stochastic._precision_recall(*pair)
+    with pytest.raises(NonTerminatingSdfa):
+        sdfa_entropy(model)
+
+
+def test_the_forward_pass_residual_is_the_backward_error_to_the_bit():
+    # the forward pass sums each row's residual term as it goes
+    rng = random.Random(1602)
+    models = [random_visit_model(rng, rng.choice(["none", "self"])) for _ in range(60)]
+    models += [log_to_sdfa(oracles.random_log(rng, max_traces=20)) for _ in range(20)]
+    for model in models:
+        diagonal, incoming, _ = stochastic._visit_system(model.initial, model._weights)
+        order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
+        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
+        assert residual.hex() == stochastic._backward_error(diagonal, incoming, counts).hex()
+
+
+def test_a_logs_integer_weights_solve_as_its_sdfa_and_its_shannon_entropy():
+    rng = random.Random(1601)
+    for _ in range(60):
+        log = oracles.random_log(rng, alphabet="abcd", max_traces=40, max_len=9)
+        tree, weights = stochastic._log_weights(log)
+        assert tree == automata.log_to_dfa(log)
+        value = stochastic._entropy(None, weights)
+        coded = sdfa_entropy(log_to_sdfa(log))
+        assert hexed((value.bits, value.residual)) == hexed((coded.bits, coded.residual))
+        # a log's traces are its outcomes, so H is the entropy of their frequencies
+        total = log.total_instances()
+        shannon = -math.fsum(n / total * math.log2(n / total) for n in log.entries.values())
+        assert value.bits == pytest.approx(shannon, rel=1e-12, abs=1e-15)
+
+
 def test_conjunction_with_itself_preserves_the_distribution():
     conj = conjunction(MODEL, MODEL)
     assert oracles.sdfa_trace_distribution(conj, 0.999) == (
