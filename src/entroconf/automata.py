@@ -9,6 +9,7 @@ order), so repeated runs produce identical objects.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -47,9 +48,9 @@ class EventLog:
 
     def __post_init__(self) -> None:
         for trace, count in self.entries.items():
-            if count < 1:
-                raise ValueError(f"trace count must be positive, got {count}")
-            if any(not label for label in trace):
+            if not hasattr(count, "__index__") or operator.index(count) < 1:
+                raise ValueError(f"trace count must be a positive integer, got {count!r}")
+            if not all(isinstance(label, str) and label for label in trace):
                 raise ValueError("activity labels must be non-empty strings")
 
     @classmethod

@@ -263,7 +263,7 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
             raise InvalidFinalMarking(
                 "declared final markings must be exactly the reachable deadlocks"
             )
-    # marking -> (stop weight, {label: (marking, weight)}), as Sdfa._weights
+    # marking -> (stop weight, {label: (marking, weight)}), the source map _shaped reads
     weights = {m: (int(m in deadlocks), {}) for m in rg.nodes}
     transitions: dict[tuple[Marking, str], Marking] = {}
     for src, t, dst in rg.edges:

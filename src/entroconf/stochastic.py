@@ -11,10 +11,12 @@ log against a model as an average per-trace compression cost.
 Every SDFA built here is a canonical language automaton of automata plus
 exact weights, normalized per state; a conjunction's automaton is the
 trimmed product of the two supports. Probabilities are exact fractions
-outside; inside, each state's are integer weights over one total, so
-validation, conjunction weighting and entropy use integers only, and each
-float is one correctly rounded integer quotient. The command line's log
-enters precision and recall as its prefix tree and instance counts, with
+outside. Inside, an Sdfa is numbered once, when it is built: its support is
+a Dfa on states 0..n-1, and each state's probabilities are integer weights
+over one total, in a list that every solve reads as it is. So validation,
+conjunction weighting and entropy use integers only, and each float is one
+correctly rounded integer quotient. The command line's log enters precision
+and recall in the same layout, as its prefix tree and instance counts, with
 no Sdfa and no Fraction between.
 """
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import Dfa, EventLog, Trace, _reachable, log_to_dfa, product, trim
+from .automata import Dfa, EventLog, Trace, _explore, _reachable, log_to_dfa, product, trim
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
@@ -50,9 +52,11 @@ class Sdfa:
     initial: object
     transitions: Mapping[tuple[object, str], tuple[object, Fraction]]
     termination: Mapping[object, Fraction]
-    # state -> (stop weight, {label: (dst, weight)}, total): its probabilities
-    # over the lcm of their denominators, positive edges only, by label
-    _weights: dict = field(init=False, repr=False, compare=False)
+    # the positive-probability part reachable from initial, numbered by _explore:
+    # its language automaton and, per state i, (stop weight, {label: (j, weight)},
+    # total), its probabilities over the lcm of their denominators, by label
+    _support: Dfa = field(init=False, repr=False, compare=False)
+    _weights: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -63,14 +67,14 @@ class Sdfa:
             if src not in self.states or dst not in self.states:
                 raise ValueError("transition endpoint missing from state set")
             out.setdefault(src, []).append((label, dst, *_ratio(prob, "transition")))
-        weights, sums = {}, {}
+        named, sums = {}, {}
         for state, (n, d) in stops.items():
             # labels are unique per state, so the tuples sort by label alone
             edges = sorted(out.get(state, ()))
             total = math.lcm(d, *[e[3] for e in edges])
             scaled = {label: (dst, m * (total // e)) for label, dst, m, e in edges if m}
             stop = n * (total // d)
-            weights[state] = (stop, scaled, total)
+            named[state] = (stop, scaled, total)
             mass = stop + sum(w for _, w in scaled.values())
             if 10**9 * abs(mass - total) > total:
                 sums[state] = mass / total
@@ -78,12 +82,23 @@ class Sdfa:
             # the least state by name, so the message does not depend on set order
             state = min(sums, key=str)
             raise ValueError(f"probabilities at state {state} sum to {sums[state]:.12g}, not 1")
+        number, transitions = _explore(
+            self.initial, lambda s: [(x, d) for x, (d, _) in named[s][1].items()], capped=False
+        )
+        weights = []
+        for state in number:
+            stop, scaled, total = named[state]
+            weights.append((stop, {x: (number[d], w) for x, (d, w) in scaled.items()}, total))
+        accepting = frozenset(i for i, (stop, _, _) in enumerate(weights) if stop)
+        support = Dfa(frozenset(range(len(weights))), self.alphabet, 0, accepting, transitions)
+        object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_weights", weights)
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
         """Positive-probability outgoing edges, sorted by label."""
-        edges = self._weights[state][1] if state in self._weights else {}
-        return [(x, dst, self.transitions[state, x][1]) for x, (dst, _) in edges.items()]
+        return sorted(
+            (x, dst, p) for (src, x), (dst, p) in self.transitions.items() if src == state and p
+        )
 
 
 def _ratio(p, kind: str) -> tuple[int, int]:
@@ -113,13 +128,13 @@ class RelevanceValue:
 
 
 def _shaped(shape: Dfa, initial, weights) -> list:
-    """Per state of shape, (stop weight, {label: (target, weight)}, total)
-    under a source model whose weights[state] begins (stop weight, {label:
-    (target, weight)}), as Sdfa._weights does: state 0 is the source state
+    """Per state of shape, Sdfa._weights' (stop weight, {label: (target,
+    weight)}, total), each total the surviving weight, from a source model
+    whose weights[state] begins (stop weight, {label: (target, weight)}), as
+    Sdfa._weights or a net's map by marking: state 0 is the source state
     initial, an edge is the source edge of its label, and only accepted
-    states stop. One pass over shape's transitions, breadth-first with
-    sorted labels as automata lists them, maps each state of shape to its
-    source state."""
+    states stop. One pass over shape's transitions, breadth-first with sorted
+    labels as automata lists them, maps each state of shape to its source."""
     sources = [initial]
     edges: list[dict] = [{}]
     for (i, label), j in shape.transitions.items():
@@ -144,17 +159,6 @@ def _sdfa(shape: Dfa, weights: list) -> Sdfa:
             for label, (j, w) in out.items()
         },
         termination={i: Fraction(weights[i][0], weights[i][2]) for i in shape.accepting},
-    )
-
-
-def _support(a: Sdfa) -> Dfa:
-    """The language automaton of a's positive-probability traces."""
-    return Dfa(
-        states=a.states,
-        alphabet=a.alphabet,
-        initial=a.initial,
-        accepting=frozenset(s for s, f in a._weights.items() if f[0]),
-        transitions={(s, x): d for s, f in a._weights.items() for x, (d, _) in f[1].items()},
     )
 
 
@@ -217,18 +221,21 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     (||A||inf ||c||inf + 1) of A = (I - P)^T, exceeds 1e-9, or when a
     diagonal is not positive as a float or a count or the sum is not finite.
     """
-    return _entropy(a.initial, a._weights)
+    return _entropy(a._weights)
 
 
-def _entropy(initial, weights) -> StochasticEntropy:
-    """sdfa_entropy of weights from initial, in either form _visit_system takes."""
-    diagonal, incoming, local = _visit_system(initial, weights)
+def _entropy(weights: list) -> StochasticEntropy:
+    """sdfa_entropy of weights laid out as Sdfa._weights, solved in index
+    order unless an edge goes back: then in Kahn's order, or by sparse LU."""
+    diagonal, incoming, local, back = _visit_system(weights)
     if not min(diagonal) > 0.0:
         # an exit probability below the float range, or a self-loop mass at
         # or above 1 within the parsed inputs' slack
         raise NotConverged("a state's exit probability is not positive as a float")
-    # predecessors first, as every successor comes first in the reverse graph
-    order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
+    order = range(len(weights))
+    if back:
+        # predecessors first, as every successor comes first in the reverse graph
+        order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
     try:
         if order is None:
             counts, residual = _sparse_counts(diagonal, incoming)
@@ -244,15 +251,14 @@ def _entropy(initial, weights) -> StochasticEntropy:
     return StochasticEntropy(bits, residual)
 
 
-def _visit_system(initial, weights):
-    """(I - P)^T over the states reachable from initial, numbered from 0.
+def _visit_system(weights: list):
+    """(I - P)^T of weights in the layout of Sdfa._weights, states 0..n-1
+    numbered breadth-first from state 0, all reachable.
 
-    weights is as Sdfa._weights, renumbered breadth-first here; or, with
-    initial None, a list already numbered 0..n-1 from state 0 with every
-    state reachable, as _shaped and _log_weights return, used as it is. Per
-    state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i, and
-    the local entropy. Each sum is an fsum or exact, so no value depends on
-    the order of the labels.
+    Per state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
+    and the local entropy; then whether some edge goes back to an earlier
+    state. Each sum is an fsum or exact, so no value depends on the order of
+    the labels.
 
     NonTerminatingSdfa when a reachable state cannot reach positive
     termination, which makes the system singular. A stuck state, one that
@@ -262,24 +268,17 @@ def _visit_system(initial, weights):
     that terminates. So the reverse reachability pass runs only when some
     edge goes back to an earlier state.
     """
-    if initial is None:
-        states = position = range(len(weights))
-    else:
-        states = _reachable((initial,), lambda s: (d for d, _ in weights[s][1].values()))
-        position = {s: i for i, s in enumerate(states)}
     diagonal = []
-    incoming: list[list[tuple[int, float]]] = [[] for _ in states]
+    incoming: list[list[tuple[int, float]]] = [[] for _ in weights]
     local = []
     back = False
-    for i, state in enumerate(states):
-        stop, edges, total = weights[state]
+    for i, (stop, edges, total) in enumerate(weights):
         stay, moves, terms = 0, False, []
-        for dst, w in edges.values():
+        for j, w in edges.values():
             terms.append(_plog2p(w, total))
-            if dst == state:
+            if j == i:
                 stay += w
             else:
-                j = position[dst]
                 moves = True
                 back = back or j < i
                 incoming[j].append((i, w / total))
@@ -290,10 +289,10 @@ def _visit_system(initial, weights):
         diagonal.append((total - stay) / total)
         local.append(math.fsum(terms))
     if back:
-        terminating = [i for i, state in enumerate(states) if weights[state][0]]
-        if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(states):
+        terminating = [i for i, (stop, _, _) in enumerate(weights) if stop]
+        if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(weights):
             raise NonTerminatingSdfa(_CANNOT_TERMINATE)
-    return diagonal, incoming, local
+    return diagonal, incoming, local, back
 
 
 def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
@@ -377,8 +376,8 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     EmptyConjunction when no trace has positive probability in both inputs;
     StateSpaceExceeded when there are more than 10**6 pairs.
     """
-    shape = _shared_shape(_support(prob_source), _support(structure))
-    return _sdfa(shape, _shaped(shape, prob_source.initial, prob_source._weights))
+    shape = _shared_shape(prob_source._support, structure._support)
+    return _sdfa(shape, _shaped(shape, 0, prob_source._weights))
 
 
 def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
@@ -395,30 +394,28 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
 
 def _precision_recall(rel, ret) -> PrecisionRecall:
     """stochastic_precision_recall of two sides, each an Sdfa or a log's
-    (tree, weights) from _log_weights: a log's support is its tree, and its
-    weights are solved as they are, with no Sdfa between."""
-    supports = [side[0] if isinstance(side, tuple) else _support(side) for side in (rel, ret)]
+    (tree, weights) from _log_weights. Either way a side is a support and
+    weights in the layout of Sdfa._weights, so a log is solved as it is,
+    with no Sdfa between. Per side the shared entropy is solved before the
+    side's own, so the first error is the same whatever the side's form."""
+    sides = [(s._support, s._weights) if isinstance(s, Sdfa) else s for s in (rel, ret)]
     try:
-        shape = _shared_shape(*supports)
+        shape = _shared_shape(*(support for support, _ in sides))
     except EmptyConjunction:
         return PrecisionRecall(precision=0.0, recall=0.0)
-    recall, precision = (_quotient(*_entropies(shape, side)) for side in (rel, ret))
+    values = []
+    for side, (_, weights) in zip((rel, ret), sides):
+        shared = _entropy(_shaped(shape, 0, weights)).bits
+        # the public function on an Sdfa, so that a traced run sees the model's entropy
+        own = sdfa_entropy(side) if isinstance(side, Sdfa) else _entropy(weights)
+        values.append(_quotient(shared, own.bits))
+    recall, precision = values
     return PrecisionRecall(precision=precision, recall=recall)
-
-
-def _entropies(shape: Dfa, side) -> tuple[float, float]:
-    """The bits of side's weights on shape, and of side itself."""
-    if isinstance(side, tuple):
-        _, weights = side
-        return _entropy(None, _shaped(shape, 0, weights)).bits, _entropy(None, weights).bits
-    shared = _entropy(None, _shaped(shape, side.initial, side._weights)).bits
-    # the public function, so that a traced run sees the model's entropy
-    return shared, sdfa_entropy(side).bits
 
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:
     """Probability the SDFA assigns to one trace; exact, 0 on a missing step."""
-    state, numerator, denominator = a.initial, 1, 1
+    state, numerator, denominator = 0, 1, 1
     for label in t:
         _, edges, total = a._weights[state]
         step = edges.get(label)

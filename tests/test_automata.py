@@ -40,6 +40,25 @@ def test_event_log_rejects_bad_entries():
         EventLog({("", "a"): 1})
 
 
+def test_event_log_requires_integer_counts_and_string_labels():
+    # a float count, even a whole one, would reach Fraction in log_to_sdfa
+    for count in (2.0, 1.5, "1", None):
+        with pytest.raises(ValueError, match="^trace count must be a positive integer"):
+            EventLog({("a",): count})
+    # a label that is not a string would enter log_to_dfa's alphabet
+    for trace in (("a", 1), ("a", None), (b"a",)):
+        with pytest.raises(ValueError, match="^activity labels must be non-empty strings"):
+            EventLog({trace: 1})
+
+    class Count(int):
+        pass
+
+    # anything operator.index accepts is an integer count
+    log = EventLog({("a",): Count(2), ("a", "b"): 1})
+    assert log.total_instances() == 3
+    assert log_to_dfa(log) == dfa_for(("a",), ("a", "b"))
+
+
 def test_log_to_dfa_accepts_exactly_the_distinct_traces():
     words = [tuple("abce"), tuple("ace"), tuple("bce"), tuple("bce"),
              tuple("abcdcbe"), tuple("abdcbe"), tuple("aaacbe")]
