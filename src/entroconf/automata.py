@@ -48,6 +48,8 @@ class EventLog:
 
     def __post_init__(self) -> None:
         for trace, count in self.entries.items():
+            if not isinstance(trace, tuple):
+                raise ValueError(f"a trace must be a tuple of labels, got {trace!r}")
             if not hasattr(count, "__index__") or operator.index(count) < 1:
                 raise ValueError(f"trace count must be a positive integer, got {count!r}")
             if not all(isinstance(label, str) and label for label in trace):

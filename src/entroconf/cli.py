@@ -58,8 +58,8 @@ _LANGUAGE = (EventLog, PetriNet)
 _STOCHASTIC = (EventLog, StochasticPetriNet)
 
 # the one list of measures, keyed by flag; HELP_TEXT describes the same.
-# A precision/recall measure names the side it prints, and a language
-# measure solves the growth factors of that side only.
+# A precision/recall measure names the side it prints, and solves the
+# growth factors or the conjunction entropy of that side only.
 _MEASURES = {
     "-emp": _Measure("emp", "exact matching precision", _LANGUAGE, _LANGUAGE, "precision"),
     "-emr": _Measure("emr", "exact matching recall", _LANGUAGE, _LANGUAGE, "recall"),
@@ -71,8 +71,9 @@ _MEASURES = {
     "-cpmr": _Measure(
         "cpmr", "controlled partial matching recall", _LANGUAGE, _LANGUAGE, "recall"
     ),
-    # both sides are computed: the benchmark's traced run checks the model
-    # entropy that the unprinted side of "-sr -ret model" computes
+    # only the printed side's conjunction is solved; an unprinted model's own
+    # entropy still is, as that is where a model that cannot terminate is
+    # rejected, so both measures accept and reject the same inputs
     "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC, "precision"),
     "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC, "recall"),
     "-r": _Measure("r", "entropic relevance", (EventLog,), (Sdfa,)),
@@ -256,7 +257,7 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
     side = _selected(cfg)[1].side
     if measure.startswith("s"):
         forms = _stochastic_automaton(rel), _stochastic_automaton(ret)
-        value = getattr(_precision_recall(*forms), side)
+        (value,) = _precision_recall(*forms, (side,))
         automata = [form[0] if isinstance(form, tuple) else form for form in forms]
     else:
         automata = _language_automaton(rel), _language_automaton(ret)

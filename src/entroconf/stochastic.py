@@ -57,6 +57,8 @@ class Sdfa:
     # total), its probabilities over the lcm of their denominators, by label
     _support: Dfa = field(init=False, repr=False, compare=False)
     _weights: list = field(init=False, repr=False, compare=False)
+    # out_edges' lists by state, built on its first call
+    _out: dict | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
         if self.initial not in self.states:
@@ -96,9 +98,15 @@ class Sdfa:
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
         """Positive-probability outgoing edges, sorted by label."""
-        return sorted(
-            (x, dst, p) for (src, x), (dst, p) in self.transitions.items() if src == state and p
-        )
+        if self._out is None:
+            out: dict = {}
+            for (src, x), (dst, p) in self.transitions.items():
+                if p:
+                    out.setdefault(src, []).append((x, dst, p))
+            for edges in out.values():
+                edges.sort()
+            object.__setattr__(self, "_out", out)
+        return list(self._out.get(state, ()))
 
 
 def _ratio(p, kind: str) -> tuple[int, int]:
@@ -305,11 +313,22 @@ def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
     same products, negated, so the residual is _backward_error's to the bit;
     every diagonal and probability is positive, so no absolute value is
     needed but the row's.
+
+    A row with one in-edge (j, p) and a diagonal of 1.0, as every row of a
+    log's tree or of a conjunction with a log but state 0's, takes
+    c_i = c_j p in one product: the fsum of one term is that term, dividing
+    by 1.0 is exact and the row's term fsum([c_i, 0, -c_i]) is 0, so the
+    bits are the same.
     """
     counts = [0.0] * len(diagonal)
     error = norm = 0.0
     for i in order:
         d, edges = diagonal[i], incoming[i]
+        if d == 1.0 and len(edges) == 1:
+            ((j, p),) = edges
+            counts[i] = counts[j] * p
+            norm = max(norm, 1.0 + p)
+            continue
         flows = [counts[j] * p for j, p in edges]
         c = counts[i] = (math.fsum(flows) + (i == 0)) / d
         if not math.isfinite(c):
@@ -389,28 +408,38 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
     entropy is its sdfa_entropy, so a side with a state that cannot
     terminate raises NonTerminatingSdfa unless the supports are disjoint.
     """
-    return _precision_recall(rel, ret)
+    return PrecisionRecall(*_precision_recall(rel, ret))
 
 
-def _precision_recall(rel, ret) -> PrecisionRecall:
-    """stochastic_precision_recall of two sides, each an Sdfa or a log's
-    (tree, weights) from _log_weights. Either way a side is a support and
-    weights in the layout of Sdfa._weights, so a log is solved as it is,
-    with no Sdfa between. Per side the shared entropy is solved before the
-    side's own, so the first error is the same whatever the side's form."""
-    sides = [(s._support, s._weights) if isinstance(s, Sdfa) else s for s in (rel, ret)]
+def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
+    """Each named side's entropy quotient, of two sides that are each an
+    Sdfa or a log's (tree, weights) from _log_weights: "recall" scores the
+    shared shape weighted by rel against rel's own entropy, "precision" the
+    mirror image. Either way a side is a support and weights in the layout
+    of Sdfa._weights, so a log is solved as it is, with no Sdfa between.
+
+    Only the named sides' conjunctions are weighted and solved. An unnamed
+    Sdfa's own entropy is still solved, by the public sdfa_entropy: that is
+    where a model that cannot terminate is rejected, on either side, and
+    where a traced run reads the model's entropy. An unnamed log's is not,
+    as a prefix tree always terminates. rel is taken before ret, and a named
+    side's shared entropy before its own, so the first error raised is the
+    same whatever is named and whatever the sides' forms.
+    """
+    forms = [(s._support, s._weights) if isinstance(s, Sdfa) else s for s in (rel, ret)]
     try:
-        shape = _shared_shape(*(support for support, _ in sides))
+        shape = _shared_shape(*(support for support, _ in forms))
     except EmptyConjunction:
-        return PrecisionRecall(precision=0.0, recall=0.0)
-    values = []
-    for side, (_, weights) in zip((rel, ret), sides):
-        shared = _entropy(_shaped(shape, 0, weights)).bits
-        # the public function on an Sdfa, so that a traced run sees the model's entropy
-        own = sdfa_entropy(side) if isinstance(side, Sdfa) else _entropy(weights)
-        values.append(_quotient(shared, own.bits))
-    recall, precision = values
-    return PrecisionRecall(precision=precision, recall=recall)
+        return [0.0 for _ in sides]
+    values = {}
+    for name, side, (_, weights) in zip(("recall", "precision"), (rel, ret), forms):
+        if name in sides:
+            shared = _entropy(_shaped(shape, 0, weights)).bits
+            own = sdfa_entropy(side) if isinstance(side, Sdfa) else _entropy(weights)
+            values[name] = _quotient(shared, own.bits)
+        elif isinstance(side, Sdfa):
+            sdfa_entropy(side)
+    return [values[name] for name in sides]
 
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:

@@ -49,6 +49,13 @@ def test_event_log_requires_integer_counts_and_string_labels():
     for trace in (("a", 1), ("a", None), (b"a",)):
         with pytest.raises(ValueError, match="^activity labels must be non-empty strings"):
             EventLog({trace: 1})
+    # a string is iterable and its letters are labels, but log_to_dfa sorts
+    # the traces and cannot compare a string with a tuple
+    for trace in ("ab", frozenset("a")):
+        with pytest.raises(ValueError, match="^a trace must be a tuple of labels"):
+            EventLog({trace: 1, ("a",): 1})
+    # from_traces turns each iterable trace into one
+    assert EventLog.from_traces(["ab"]).entries == {("a", "b"): 1}
 
     class Count(int):
         pass

@@ -241,8 +241,9 @@ def test_the_cli_prints_the_public_functions_value():
 
 
 def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
-    # the command line passes a log as its prefix tree and integer weights;
-    # the public functions take log_to_sdfa's Sdfa, and every float agrees
+    # the command line passes a log as its prefix tree and integer weights
+    # and solves the printed side alone; the public function takes
+    # log_to_sdfa's Sdfa and solves both, and every float agrees
     rng = random.Random(43)
     # traces that end as L.spnml's do, then as the benchmark's eight-label
     # loop's; x is a label that no net here has
@@ -266,6 +267,7 @@ def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
     ]
     pairs += [(logs[-2], logs[-1])] + [(log, net) for log in logs for net in nets]
     pairs += [(log, log) for log in logs] + [tuple(disjoint)]
+    pairs += [(first, second) for first in nets for second in nets]
 
     def automaton(artifact):
         if isinstance(artifact, EventLog):
@@ -287,6 +289,57 @@ def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
         assert values[0, "precision"] == values[1, "recall"]
         assert values[0, "recall"] == values[1, "precision"]
     assert {0.0, 1.0} < seen
+
+
+def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fixtures):
+    calls = []
+
+    def spy(name):
+        original = getattr(stochastic, name)
+
+        def spied(*args):
+            result = original(*args)
+            calls.append((name, args, result))
+            return result
+
+        monkeypatch.setattr(stochastic, name, spied)
+
+    for name in ("_shaped", "_entropy", "sdfa_entropy"):
+        spy(name)
+    log, net = load_artifact(fixtures / "E.xes"), load_artifact(fixtures / "L.spnml")
+    for flag, solved in (
+        # the log's conjunction and own entropy, then the model's own alone
+        ("-sr", ["_shaped", "_entropy", "_entropy", "_entropy", "sdfa_entropy"]),
+        # nothing of the log's side, then the model's conjunction and own
+        ("-sp", ["_shaped", "_entropy", "_entropy", "sdfa_entropy"]),
+    ):
+        calls.clear()
+        value, _ = cli._evaluate(parse_args([flag, "-rel", "r", "-ret", "t"]), log, net)
+        # calls are listed as they return, so sdfa_entropy follows its _entropy
+        assert [name for name, _, _ in calls] == solved, flag
+        ((_, (model,), _),) = [call for call in calls if call[0] == "sdfa_entropy"]
+        ((_, (_, _, weights), shaped),) = [call for call in calls if call[0] == "_shaped"]
+        entropies = [args[0] for name, args, _ in calls if name == "_entropy"]
+        assert entropies[0] is shaped and entropies[-1] is model._weights
+        # the conjunction is weighted by the printed side only
+        assert (weights is model._weights) == (flag == "-sp")
+        pair = stochastic.stochastic_precision_recall(
+            stochastic.log_to_sdfa(log), stochastic_rg_to_sdfa(net)
+        )
+        assert value.hex() == (pair.precision if flag == "-sp" else pair.recall).hex()
+
+
+@pytest.mark.parametrize("flag", ["-sp", "-sr"])
+def test_the_trap_fixture_exits_3_on_either_side(capsys, fixtures, flag):
+    # T.spnml ends after b c e, one of E.xes's traces, and loops forever
+    # after a; the printed side of -sr is the log's, so the model's own
+    # entropy must still be solved to reject it
+    for rel, ret in (("E.xes", "T.spnml"), ("T.spnml", "E.xes")):
+        code, out, err = invoke(capsys, flag, "-rel", fixtures / rel, "-ret", fixtures / ret)
+        assert (code, out) == (3, "")
+        assert err == (
+            "rejected: a reachable state has no positive-probability path to termination\n"
+        )
 
 
 def test_relevance_on_fixtures(capsys, fixtures):

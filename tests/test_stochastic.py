@@ -532,6 +532,9 @@ def test_out_edges_read_the_transitions_of_any_state():
     assert model.out_edges(0) == [("b", 1, Fraction(1, 2))]
     assert model.out_edges(2) == [("a", 0, Fraction(2, 3)), ("b", 1, Fraction(1, 3))]
     assert model.out_edges(1) == []
+    # each call returns a new list, so a caller's change does not reach the next
+    model.out_edges(2).clear()
+    assert len(model.out_edges(2)) == 2
     # only 0 and 1 carry probability, so the layout numbers those two
     assert len(model._weights) == len(model._support.states) == 2
     assert trace_probability(model, "b") == Fraction(1, 2)
@@ -615,8 +618,10 @@ def test_a_trap_behind_a_stopping_state_cannot_terminate(trap):
     tree = stochastic._log_weights(log)
     coded = log_to_sdfa(log)
     for pair in ((model, coded), (coded, model), (model, tree), (tree, model)):
-        with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
-            stochastic._precision_recall(*pair)
+        # whichever side is printed, the model's own entropy rejects it
+        for sides in (("precision", "recall"), ("precision",), ("recall",)):
+            with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
+                stochastic._precision_recall(*pair, sides)
     with pytest.raises(NonTerminatingSdfa):
         sdfa_entropy(model)
 
@@ -631,6 +636,67 @@ def test_the_forward_pass_residual_is_the_backward_error_to_the_bit():
         order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
         counts, residual = stochastic._forward_counts(diagonal, incoming, order)
         assert residual.hex() == stochastic._backward_error(diagonal, incoming, counts).hex()
+
+
+def general_forward_counts(diagonal, incoming, order):
+    """_forward_counts with every row on the fsum path, none as one product."""
+    counts = [0.0] * len(diagonal)
+    error = norm = 0.0
+    for i in order:
+        d, edges = diagonal[i], incoming[i]
+        flows = [counts[j] * p for j, p in edges]
+        c = counts[i] = (math.fsum(flows) + (i == 0)) / d
+        flows += (i == 0, -d * c)
+        error = max(error, abs(math.fsum(flows)))
+        norm = max(norm, d + math.fsum([p for _, p in edges]))
+    return counts, error / (norm * max(counts) + 1.0)
+
+
+def test_one_edge_rows_of_the_forward_pass_match_the_fsum_path_to_the_bit(fixtures):
+    rng = random.Random(1801)
+    # state 1 stays with probability 10**-20, so its diagonal rounds to 1.0
+    # although it has a self-loop
+    rounded = Sdfa(
+        frozenset({0, 1}),
+        frozenset("ab"),
+        0,
+        {(0, "a"): (1, Fraction(1, 2)), (1, "b"): (1, Fraction(1, 10**20))},
+        {0: Fraction(1, 2), 1: Fraction(10**20 - 1, 10**20)},
+    )
+    # a self-loop on a one-edge row keeps the fsum path: its diagonal is below 1
+    loop = Sdfa(
+        frozenset({0, 1}),
+        frozenset("ab"),
+        0,
+        {(0, "a"): (1, Fraction(1, 2)), (1, "b"): (1, Fraction(1, 3))},
+        {0: Fraction(1, 2), 1: Fraction(2, 3)},
+    )
+    net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
+    log = log_to_sdfa(load_artifact(fixtures / "E.xes"))
+    models = [rounded, loop, log, conjunction(log, net), conjunction(net, log)]
+    for _ in range(40):
+        coded = log_to_sdfa(oracles.random_log(rng, alphabet="abcd", max_traces=30, max_len=9))
+        model = random_visit_model(rng, rng.choice(["none", "self"]))
+        models += [coded, model]
+        try:
+            models += [conjunction(coded, model), conjunction(model, coded)]
+        except EmptyConjunction:
+            pass
+    rows = 0
+    for model in models:
+        diagonal, incoming, _, _ = stochastic._visit_system(model._weights)
+        order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
+        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
+        expected = general_forward_counts(diagonal, incoming, order)
+        assert hexed(counts + [residual]) == hexed(expected[0] + [expected[1]])
+        rows += sum(d == 1.0 and len(e) == 1 for d, e in zip(diagonal, incoming))
+    assert stochastic._visit_system(rounded._weights)[0] == [1.0, 1.0]
+    assert rows > 1000
+    # a longer cycle still takes the sparse LU, not the forward pass
+    diagonal, incoming, _, back = stochastic._visit_system(net._weights)
+    assert back and measures._reverse_topological_order(
+        [[j for j, _ in e] for e in incoming]
+    ) is None
 
 
 def test_a_logs_integer_weights_solve_as_its_sdfa_and_its_shannon_entropy():
