@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import EmptyLog, StateSpaceExceeded
@@ -40,14 +39,57 @@ class _Unbounded:
 UNBOUNDED = _Unbounded()
 
 
-@dataclass(frozen=True)
-class EventLog:
+class _Record:
+    """Base of the immutable record types.
+
+    A record's fields are its public annotated names, its base classes'
+    first, in the order its __init__ takes them; __init__ stores each with
+    object.__setattr__ and checks them. Records are equal when they are of
+    one class and their _values (all fields, unless the class says
+    otherwise) are equal, hash as that tuple, and show every field in their
+    repr. Assigning or deleting an attribute raises AttributeError. No
+    method is generated, so defining a record type costs an import nothing
+    beyond the class statement.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # a class's own annotations only, since Python 3.10
+        own = cls.__annotations__
+        cls._fields += tuple(name for name in own if not name.startswith("_"))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EventLog(_Record):
     """Finite multiset of traces with occurrence counts."""
 
     entries: Mapping[Trace, int]
 
-    def __post_init__(self) -> None:
-        for trace, count in self.entries.items():
+    def __init__(self, entries) -> None:
+        object.__setattr__(self, "entries", entries)
+        for trace, count in entries.items():
             if not isinstance(trace, tuple):
                 raise ValueError(f"a trace must be a tuple of labels, got {trace!r}")
             if not hasattr(count, "__index__") or operator.index(count) < 1:
@@ -74,8 +116,7 @@ class EventLog:
         return frozenset(self.entries)
 
 
-@dataclass(frozen=True)
-class Dfa:
+class Dfa(_Record):
     """Deterministic finite automaton; transitions map (state, label) to state."""
 
     states: frozenset
@@ -84,13 +125,18 @@ class Dfa:
     accepting: frozenset
     transitions: Mapping[tuple[object, str], object]
 
-    def __post_init__(self) -> None:
-        if self.initial not in self.states:
+    def __init__(self, states, alphabet, initial, accepting, transitions) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "transitions", transitions)
+        if initial not in states:
             raise ValueError("initial state missing from state set")
-        if not self.accepting <= self.states:
+        if not accepting <= states:
             raise ValueError("accepting states missing from state set")
-        for (src, label), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+        for (src, label), dst in transitions.items():
+            if src not in states or dst not in states:
                 raise ValueError(f"transition ({src},{label})->{dst} leaves the state set")
 
     def accepts(self, word: Iterable[str]) -> bool:
@@ -108,8 +154,7 @@ class Dfa:
         return not self.accepting
 
 
-@dataclass(frozen=True)
-class Nfa:
+class Nfa(_Record):
     """Nondeterministic automaton; silent edges carry SILENT instead of a label."""
 
     states: frozenset
@@ -118,9 +163,15 @@ class Nfa:
     accepting: frozenset
     transitions: frozenset  # of (src, label or SILENT, dst)
 
+    def __init__(self, states, alphabet, initial, accepting, transitions) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "accepting", accepting)
+        object.__setattr__(self, "transitions", transitions)
 
-@dataclass(frozen=True)
-class ShortCircuitGraph:
+
+class ShortCircuitGraph(_Record):
     """Adjacency counts of a trimmed DFA plus one back edge per accepting state.
 
     The adjacency is a node_count x node_count int64 csr_matrix; entry
@@ -128,7 +179,15 @@ class ShortCircuitGraph:
     """
 
     node_count: int
-    adjacency: csr_matrix = field(compare=False)
+    adjacency: csr_matrix
+
+    def __init__(self, node_count, adjacency) -> None:
+        object.__setattr__(self, "node_count", node_count)
+        object.__setattr__(self, "adjacency", adjacency)
+
+    def _values(self) -> tuple:
+        # the adjacency is shown, but neither compared nor hashed
+        return (self.node_count,)
 
 
 def _out_map(transitions: Mapping[tuple[object, str], object]) -> dict:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
@@ -121,16 +120,28 @@ inputs are recognized by extension: .xes .pnml .spnml .sdfa .dfg
 """
 
 
-@dataclass
 class RunConfig:
-    measure: str | None = None
-    rel_path: str | None = None
-    ret_path: str | None = None
-    skips_rel: int | None = None
-    skips_ret: int | None = None
-    silent: bool = False
-    show_help: bool = False
-    show_version: bool = False
+    """One invocation's options, as parse_args sets them."""
+
+    def __init__(
+        self,
+        measure: str | None = None,
+        rel_path: str | None = None,
+        ret_path: str | None = None,
+        skips_rel: int | None = None,
+        skips_ret: int | None = None,
+        silent: bool = False,
+        show_help: bool = False,
+        show_version: bool = False,
+    ) -> None:
+        self.measure = measure
+        self.rel_path = rel_path
+        self.ret_path = ret_path
+        self.skips_rel = skips_rel
+        self.skips_ret = skips_ret
+        self.silent = silent
+        self.show_help = show_help
+        self.show_version = show_version
 
 
 def _nonnegative_int(option: str, token: str) -> int:

@@ -19,14 +19,12 @@ are kept as exact rationals, so serializing and reparsing is lossless.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 from xml.parsers import expat
 
-from .automata import EventLog, Trace, _reachable
+from .automata import EventLog, Trace, _reachable, _Record
 from .errors import (
     DanglingArc,
     DeadEndNode,
@@ -43,12 +41,16 @@ from .errors import (
 from .petri import Marking, PetriNet, StochasticPetriNet
 from .stochastic import Sdfa
 
+# ElementTree is imported by the functions that read or write a tree, so
+# that runs reading only XES, which expat streams, start without it
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
+
 # transitions carrying this ProM marker are silent regardless of their name
 _INVISIBLE = "$invisible$"
 
 
-@dataclass(frozen=True)
-class Dfg:
+class Dfg(_Record):
     """Directly-follows graph: labeled activity nodes between two endpoints."""
 
     nodes: Mapping[str, str]
@@ -56,12 +58,20 @@ class Dfg:
     source: str
     sink: str
 
+    def __init__(self, nodes, arcs, source, sink) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "sink", sink)
+
 
 def _local(tag: str) -> str:
     return tag.rpartition("}")[2]
 
 
 def _parse_xml(text: str | bytes) -> ET.Element:
+    import xml.etree.ElementTree as ET
+
     try:
         return ET.fromstring(text)
     except (ET.ParseError, LookupError, ValueError) as exc:
@@ -202,6 +212,8 @@ def parse_xes(text: str) -> EventLog:
 
 
 def serialize_xes(log: EventLog) -> str:
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("log", {"xes.version": "1.0"})
     for trace in sorted(log.entries):
         for _ in range(log.entries[trace]):
@@ -338,6 +350,8 @@ def parse_spnml(text: str | bytes) -> StochasticPetriNet:
 
 
 def _serialize_net(net: PetriNet, weighted: bool) -> str:
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("pnml")
     net_el = ET.SubElement(root, "net", {"id": "net", "type": "http://www.pnml.org/"})
     page = ET.SubElement(net_el, "page", {"id": "page"})

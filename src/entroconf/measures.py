@@ -11,12 +11,12 @@ deletion, controlled partial matching under a per-side deletion budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 
 from .automata import (
     UNBOUNDED,
     Dfa,
+    _Record,
     determinize,
     product,
     short_circuit,
@@ -32,22 +32,26 @@ _MAX_ITERATIONS = 10**6
 _WIDTH = 4 * math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class EntropyValue:
+class EntropyValue(_Record):
     """Topological entropy in bits per symbol, with an empty-language flag."""
 
     bits_per_symbol: float
-    empty_language: bool = False
+    empty_language: bool
 
-    def __post_init__(self) -> None:
-        if self.empty_language and self.bits_per_symbol != 0.0:
+    def __init__(self, bits_per_symbol, empty_language=False) -> None:
+        object.__setattr__(self, "bits_per_symbol", bits_per_symbol)
+        object.__setattr__(self, "empty_language", empty_language)
+        if empty_language and bits_per_symbol != 0.0:
             raise ValueError("the empty language has zero entropy")
 
 
-@dataclass(frozen=True)
-class PrecisionRecall:
+class PrecisionRecall(_Record):
     precision: float
     recall: float
+
+    def __init__(self, precision, recall) -> None:
+        object.__setattr__(self, "precision", precision)
+        object.__setattr__(self, "recall", recall)
 
 
 def spectral_radius(m) -> float:

@@ -9,11 +9,10 @@ model checker nor a second pass over the net is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import SILENT, Dfa, Nfa, _canonical, _explore, determinize
+from .automata import SILENT, Dfa, Nfa, _canonical, _explore, _Record, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -24,20 +23,30 @@ from .errors import (
 from .stochastic import Sdfa, _sdfa, _shaped
 
 
-@dataclass(frozen=True)
-class Marking:
+class Marking(_Record):
     """Token counts with finite support, canonically sorted for hashing."""
 
-    tokens: tuple[tuple[str, int], ...] = ()
+    tokens: tuple[tuple[str, int], ...]
 
-    def __post_init__(self) -> None:
-        if list(self.tokens) != sorted(self.tokens):
+    def __init__(self, tokens=()) -> None:
+        object.__setattr__(self, "tokens", tokens)
+        if list(tokens) != sorted(tokens):
             raise ValueError("token entries must be sorted by place")
-        places = [p for p, _ in self.tokens]
+        places = [p for p, _ in tokens]
         if len(set(places)) != len(places):
             raise ValueError("duplicate place in marking")
-        if any(c < 1 for _, c in self.tokens):
+        if any(c < 1 for _, c in tokens):
             raise ValueError("marking stores only positive token counts")
+
+    # _Record's two methods for the one field, without the field list:
+    # markings key the maps of every net exploration
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.tokens == other.tokens
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.tokens,))
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
@@ -53,17 +62,21 @@ class Marking:
         return dict(self.tokens)
 
 
-@dataclass(frozen=True)
-class PetriNet:
+class PetriNet(_Record):
     """Place/transition net; a transition's label is None when silent."""
 
     places: frozenset[str]
     transitions: Mapping[str, str | None]
     arcs: Mapping[tuple[str, str], int]
     initial_marking: Marking
-    final_markings: frozenset[Marking] | None = None
+    final_markings: frozenset[Marking] | None
 
-    def __post_init__(self) -> None:
+    def __init__(self, places, transitions, arcs, initial_marking, final_markings=None) -> None:
+        object.__setattr__(self, "places", places)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "initial_marking", initial_marking)
+        object.__setattr__(self, "final_markings", final_markings)
         if self.places & set(self.transitions):
             raise ValueError("place and transition ids must be disjoint")
         for (src, dst), weight in self.arcs.items():
@@ -84,14 +97,16 @@ class PetriNet:
             yield from self.final_markings
 
 
-@dataclass(frozen=True)
 class StochasticPetriNet(PetriNet):
     """Net with a positive firing weight per transition; silent not allowed."""
 
-    weights: Mapping[str, Fraction] = field(kw_only=True)
+    weights: Mapping[str, Fraction]
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def __init__(
+        self, places, transitions, arcs, initial_marking, final_markings=None, *, weights
+    ) -> None:
+        super().__init__(places, transitions, arcs, initial_marking, final_markings)
+        object.__setattr__(self, "weights", weights)
         silent = sorted(t for t, label in self.transitions.items() if label is None)
         if silent:
             raise SilentTransitionUnsupported(
@@ -103,11 +118,15 @@ class StochasticPetriNet(PetriNet):
             raise ValueError("weights must be positive")
 
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
+class ReachabilityGraph(_Record):
     nodes: frozenset[Marking]
     initial: Marking
     edges: frozenset[tuple[Marking, str, Marking]]
+
+    def __init__(self, nodes, initial, edges) -> None:
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "edges", edges)
 
     def deadlocks(self) -> frozenset[Marking]:
         live = {src for src, _, _ in self.edges}

@@ -25,11 +25,20 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import Dfa, EventLog, Trace, _explore, _reachable, log_to_dfa, product, trim
+from .automata import (
+    Dfa,
+    EventLog,
+    Trace,
+    _explore,
+    _reachable,
+    _Record,
+    log_to_dfa,
+    product,
+    trim,
+)
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
 
@@ -37,8 +46,7 @@ _BACKWARD_ERROR_TOL = 1e-9
 _CANNOT_TERMINATE = "a reachable state has no positive-probability path to termination"
 
 
-@dataclass(frozen=True)
-class Sdfa:
+class Sdfa(_Record):
     """Stochastic DFA: transitions map (state, label) to (state, probability).
 
     Per state, termination plus outgoing probabilities must sum to 1;
@@ -55,18 +63,24 @@ class Sdfa:
     # the positive-probability part reachable from initial, numbered by _explore:
     # its language automaton and, per state i, (stop weight, {label: (j, weight)},
     # total), its probabilities over the lcm of their denominators, by label
-    _support: Dfa = field(init=False, repr=False, compare=False)
-    _weights: list = field(init=False, repr=False, compare=False)
+    _support: Dfa
+    _weights: list
     # out_edges' lists by state, built on its first call
-    _out: dict | None = field(init=False, repr=False, compare=False, default=None)
+    _out: dict | None
 
-    def __post_init__(self) -> None:
-        if self.initial not in self.states:
+    def __init__(self, states, alphabet, initial, transitions, termination) -> None:
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "transitions", transitions)
+        object.__setattr__(self, "termination", termination)
+        object.__setattr__(self, "_out", None)
+        if initial not in states:
             raise ValueError("initial state missing from state set")
-        stops = {s: _ratio(self.termination.get(s, 0), "termination") for s in self.states}
+        stops = {s: _ratio(termination.get(s, 0), "termination") for s in states}
         out: dict = {}
-        for (src, label), (dst, prob) in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+        for (src, label), (dst, prob) in transitions.items():
+            if src not in states or dst not in states:
                 raise ValueError("transition endpoint missing from state set")
             out.setdefault(src, []).append((label, dst, *_ratio(prob, "transition")))
         named, sums = {}, {}
@@ -84,15 +98,15 @@ class Sdfa:
             # the least state by name, so the message does not depend on set order
             state = min(sums, key=str)
             raise ValueError(f"probabilities at state {state} sum to {sums[state]:.12g}, not 1")
-        number, transitions = _explore(
-            self.initial, lambda s: [(x, d) for x, (d, _) in named[s][1].items()], capped=False
+        number, numbered = _explore(
+            initial, lambda s: [(x, d) for x, (d, _) in named[s][1].items()], capped=False
         )
         weights = []
         for state in number:
             stop, scaled, total = named[state]
             weights.append((stop, {x: (number[d], w) for x, (d, w) in scaled.items()}, total))
         accepting = frozenset(i for i, (stop, _, _) in enumerate(weights) if stop)
-        support = Dfa(frozenset(range(len(weights))), self.alphabet, 0, accepting, transitions)
+        support = Dfa(frozenset(range(len(weights))), alphabet, 0, accepting, numbered)
         object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_weights", weights)
 
@@ -120,19 +134,26 @@ def _ratio(p, kind: str) -> tuple[int, int]:
     return n, d
 
 
-@dataclass(frozen=True)
-class StochasticEntropy:
+class StochasticEntropy(_Record):
     bits: float
     residual: float  # normwise backward error of the visit-count solve
 
+    def __init__(self, bits, residual) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "residual", residual)
 
-@dataclass(frozen=True)
-class RelevanceValue:
+
+class RelevanceValue(_Record):
     """Average per-trace encoding cost, split into its two summands."""
 
     bits: float
     selector_bits: float
     avg_trace_bits: float
+
+    def __init__(self, bits, selector_bits, avg_trace_bits) -> None:
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "selector_bits", selector_bits)
+        object.__setattr__(self, "avg_trace_bits", avg_trace_bits)
 
 
 def _shaped(shape: Dfa, initial, weights) -> list:

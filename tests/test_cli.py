@@ -631,6 +631,54 @@ def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
     assert stages[0] == [] and {"numpy", "scipy"} <= set(stages[1])
 
 
+IMPORT_PROBE = """
+import json, sys
+import entroconf.cli
+
+WATCHED = ("dataclasses", "inspect", "xml.etree.ElementTree")
+
+
+def loaded():
+    return {
+        "entroconf": sorted(name for name in sys.modules if name.startswith("entroconf.")),
+        "watched": [name for name in WATCHED if name in sys.modules],
+    }
+
+
+stages = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    entroconf.cli.main(argv)
+    stages.append(loaded())
+print(json.dumps(stages))
+"""
+
+
+def test_the_command_line_imports_only_what_a_run_needs(fixtures):
+    package = Path(entroconf.__file__).resolve().parent
+    runs = [
+        ["-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"],
+        ["-b", "-rel", fixtures / "N.pnml", "-s"],
+    ]
+    # -S: no site-packages hook may load a module on the package's behalf
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, json.dumps([[str(a) for a in r] for r in runs])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent)},
+    )
+    assert result.returncode == 0, result.stderr
+    *values, report = result.stdout.splitlines()
+    assert values == ["0.842", "1"]
+    imported, after_xes, after_pnml = json.loads(report)
+    # every module is loaded by the import, as a tracer wrapping the
+    # package's functions at that point needs
+    modules = sorted(f"entroconf.{p.stem}" for p in package.glob("*.py") if p.stem[0] != "_")
+    assert imported["entroconf"] == modules
+    # records are built without dataclasses, and XES is read by expat alone
+    assert imported["watched"] == after_xes["watched"] == []
+    assert after_pnml["watched"] == ["xml.etree.ElementTree"]
+
+
 @pytest.mark.parametrize("flag", ["-sp", "-sr"])
 def test_a_loop_exit_that_underflows_exits_4(capsys, fixtures, tmp_path, flag):
     # the loop stays with probability 1 - 1/(4e400 + 1), whose complement
