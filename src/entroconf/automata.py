@@ -274,18 +274,45 @@ def _empty_dfa(alphabet) -> Dfa:
     )
 
 
+def _traces(log: EventLog):
+    """The set of distinct traces of a log, the keys of its entries.
+
+    Raises EmptyLog for a log with no traces at all, which has no language
+    to measure.
+    """
+    if not log.entries:
+        raise EmptyLog("cannot build an automaton from an empty log")
+    return log.entries.keys()
+
+
+def _prefix_tree_states(log: EventLog) -> int:
+    """len(log_to_dfa(log).states), counted without building the tree.
+
+    In sorted order, each trace adds one state per label past its common
+    prefix with the trace before it; the root is the one more.
+    """
+    states, previous = 1, ()
+    for trace in sorted(_traces(log)):
+        common = 0
+        for a, b in zip(previous, trace):
+            if a != b:
+                break
+            common += 1
+        states += len(trace) - common
+        previous = trace
+    return states
+
+
 def log_to_dfa(log: EventLog) -> Dfa:
     """Prefix-tree acceptor of the distinct traces of a log.
 
     Counts are ignored: the language measures below are set-of-traces
     properties. Raises EmptyLog for a log with no traces at all.
     """
-    if not log.entries:
-        raise EmptyLog("cannot build an automaton from an empty log")
     transitions: dict[tuple[int, str], int] = {}
     accepting = set()
     next_state = 1
-    for trace in sorted(log.entries):
+    for trace in sorted(_traces(log)):
         state = 0
         for label in trace:
             nxt = transitions.get((state, label))

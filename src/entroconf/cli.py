@@ -7,7 +7,8 @@ repeated runs; silent mode suppresses everything except the bare value.
 Exit codes: 0 success, 1 usage error, 2 unreadable input, 3 semantic
 rejection (incompatible formats, unbounded model, non-terminating
 automaton), 4 numerical failure. A boundedness check (-b) reports its
-verdict on stdout and exits 3 when the model is unbounded.
+verdict on stdout and exits 3 when the model is unbounded, naming the
+firing sequence that pumps it on stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
-from .automata import UNBOUNDED, EventLog, log_to_dfa
+from .automata import UNBOUNDED, EventLog, _prefix_tree_states, _traces, log_to_dfa
 from .errors import (
     ConflictingMeasures,
     IncompatibleFormat,
@@ -27,6 +28,7 @@ from .errors import (
     ParseError,
     SemanticError,
     SkipsWithoutCpm,
+    UnboundedModel,
     UnknownOption,
     UsageError,
 )
@@ -35,7 +37,6 @@ from .measures import _matching
 from .petri import (
     PetriNet,
     StochasticPetriNet,
-    is_bounded,
     reachability_graph,
     rg_to_dfa,
     stochastic_rg_to_sdfa,
@@ -251,16 +252,20 @@ def _stochastic_automaton(artifact):
     return stochastic_rg_to_sdfa(artifact)
 
 
-def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
+def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, dict[str, int]]:
     """The value and the size diagnostics, one branch per measure family.
 
-    Boundedness yields its verdict as a bool. A precision/recall measure
-    yields its table entry's side.
+    Boundedness yields True, or the UnboundedModel that holds its witness.
+    A precision/recall measure yields its table entry's side.
     """
     measure = cfg.measure
     if measure == "bounded":
         sizes = {"places": len(rel.places), "transitions": len(rel.transitions)}
-        return is_bounded(rel), sizes
+        try:
+            reachability_graph(rel)
+        except UnboundedModel as unbounded:
+            return unbounded, sizes
+        return True, sizes
     if measure == "r":
         relevance = entropic_relevance(rel, ret)
         sizes = {"log_instances": rel.total_instances(), "model_states": len(ret.states)}
@@ -269,20 +274,26 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool, dict[str, int]]:
     if measure.startswith("s"):
         forms = _stochastic_automaton(rel), _stochastic_automaton(ret)
         (value,) = _precision_recall(*forms, (side,))
-        automata = [form[0] if isinstance(form, tuple) else form for form in forms]
+        forms = [form[0] if isinstance(form, tuple) else form for form in forms]
     else:
-        automata = _language_automaton(rel), _language_automaton(ret)
         skips = None
         if measure.startswith("pm"):
             skips = (UNBOUNDED, UNBOUNDED)
         elif measure.startswith("cpm"):
             skips = (cfg.skips_rel or 0, cfg.skips_ret or 0)
-        (value,) = _matching(*automata, skips, (side,))
-    sizes = {
-        "relevant_states": len(automata[0].states),
-        "retrieved_states": len(automata[1].states),
-    }
-    return value, sizes
+        # exact matching takes a log as its set of distinct traces; an empty
+        # log is rejected there, before a net on the other side is explored
+        forms = [
+            _traces(a) if skips is None and isinstance(a, EventLog) else _language_automaton(a)
+            for a in (rel, ret)
+        ]
+        (value,) = _matching(*forms, skips, (side,))
+    # a log's set of traces reports the size of its prefix tree
+    states = [
+        len(form.states) if hasattr(form, "states") else _prefix_tree_states(artifact)
+        for form, artifact in zip(forms, (rel, ret))
+    ]
+    return value, {"relevant_states": states[0], "retrieved_states": states[1]}
 
 
 def _rounded(value: float) -> str:
@@ -307,6 +318,9 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     validate_inputs(cfg, rel, ret)
     value, sizes = _evaluate(cfg, rel, ret)
     elapsed = time.perf_counter() - started
+    witness = None
+    if isinstance(value, UnboundedModel):
+        witness, value = value, False
     if isinstance(value, bool):
         bare, shown = str(int(value)), ("bounded" if value else "unbounded")
     else:
@@ -316,6 +330,8 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         stdout.write(bare + "\n")
     else:
         stdout.write(f"{_selected(cfg)[1].name}: {shown}\n")
+        if witness is not None:
+            stderr.write(f"{witness}\n")
         counters = " ".join(f"{k}={v}" for k, v in sorted(sizes.items()))
         stderr.write(f"elapsed: {elapsed:.3f}s {counters}\n")
     # an unbounded verdict is a semantic rejection

@@ -86,7 +86,15 @@ class IncompatibleFormat(SemanticError):
 
 
 class UnboundedModel(SemanticError):
-    pass
+    """A net with infinitely many reachable markings, and the witness: from
+    the reachable marking ancestor, firing the transition ids in sequence
+    reaches the marking cover, which strictly covers ancestor."""
+
+    def __init__(self, message, ancestor, cover, sequence) -> None:
+        super().__init__(message)
+        self.ancestor = ancestor
+        self.cover = cover
+        self.sequence = sequence
 
 
 class NoAcceptingState(SemanticError):

@@ -90,8 +90,9 @@ def _child_text(element: ET.Element, tag: str) -> str | None:
 
 
 def _parse_number(token: str, context: str) -> Fraction:
-    # Fraction("1e99999999") spends minutes building the power of ten
-    if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
+    # Fraction("1e99999999") spends minutes building the power of ten;
+    # leading zeros add nothing to it
+    if len(token.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 4:
         raise ParseError(f"{context}: exponent of {token!r} out of range")
     try:
         return Fraction(token)

@@ -11,6 +11,7 @@ deletion, controlled partial matching under a per-side deletion budget.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from operator import itemgetter
 
 from .automata import (
@@ -105,19 +106,22 @@ def spectral_radius(m) -> float:
     return best
 
 
-def _growth_factor(a: Dfa) -> float:
+def _growth_factor(a) -> float:
     """Growth factor (2 ** entropy) of a language, 0 for the empty language.
 
-    The growth factor is the Perron root of the trimmed automaton plus one
-    back edge per accepting state. An automaton with a cycle gets it from
-    spectral_radius of that short-circuit graph. An acyclic one (a finite
-    language) is solved directly, in pure Python: with A the trimmed
+    a is a Dfa, or a finite set of words, which _words_growth_factor
+    solves. A Dfa's growth factor is the Perron root of the trimmed
+    automaton plus one back edge per accepting state. One with a cycle gets
+    it from spectral_radius of that short-circuit graph. An acyclic one (a
+    finite language) is solved directly, in pure Python: with A the trimmed
     adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
     where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
     g is evaluated at the branch points only, a chain of links between two
     of them being one factor x ** k (see _branch_points).
     """
+    if not isinstance(a, Dfa):
+        return _words_growth_factor(a)
     a = trim(a)
     if not a.accepting:
         return 0.0
@@ -128,6 +132,27 @@ def _growth_factor(a: Dfa) -> float:
         # rounding depends on the numbering, which trim makes canonical.
         return spectral_radius(short_circuit(a).adjacency)
     return 1.0 / _root(*_branch_points(out, a.accepting, order))
+
+
+def _words_growth_factor(words) -> float:
+    """Growth factor of a finite set of words, from their lengths alone.
+
+    F(x) sums x ** (|w| + 1) over the words (see _growth_factor), so it is
+    c_n * x ** (n + 1) summed over the length profile, c_n being the number
+    of words of length n: one term per distinct length, however long the
+    words. Every term is at most c_n * x on (0, 1], so F(1 / len(words)) is
+    at most 1, a lower bound on the root.
+    """
+    if not words:
+        return 0.0
+    profile = Counter(map(len, words)).items()
+
+    def evaluate(x: float):
+        # x is in (0, 1], so no power overflows
+        f = math.fsum([c * x ** (n + 1) for n, c in profile])
+        return f, math.fsum([c * (n + 1) * x**n for n, c in profile])
+
+    return 1.0 / _root(evaluate, 1.0 / len(words))
 
 
 def _successors(a: Dfa) -> tuple[list[list[int]], list[int] | None]:
@@ -351,17 +376,33 @@ def controlled_partial_precision_recall(
     return PrecisionRecall(*_matching(rel, ret, (skips_rel, skips_ret)))
 
 
-def _matching(rel: Dfa, ret: Dfa, skips=None, sides=("precision", "recall")) -> list[float]:
+def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float]:
     """Each named side's growth quotient, solving the shared factor once and
     only the named sides' own: "precision" scores the shared language
     against ret's, "recall" against rel's. skips, a pair of deletion
     budgets for rel and ret, first closes each language under deletion.
+
+    rel and ret are Dfas. When skips is None, either may instead be a
+    finite set of words, such as a log's distinct traces, which no
+    automaton is built for (see _shared).
     """
     if skips is not None:
         rel, ret = _closure(rel, skips[0]), _closure(ret, skips[1])
-    shared = _growth_factor(product(rel, ret))
+    shared = _growth_factor(_shared(rel, ret))
     own = {"precision": ret, "recall": rel}
     return [_quotient(shared, _growth_factor(own[side])) for side in sides]
+
+
+def _shared(rel, ret):
+    """The words both sides accept: the product of two Dfas, the
+    intersection of two sets, or the words of a set that a Dfa accepts."""
+    if isinstance(rel, Dfa):
+        if isinstance(ret, Dfa):
+            return product(rel, ret)
+        rel, ret = ret, rel
+    if isinstance(ret, Dfa):
+        return {word for word in rel if ret.accepts(word)}
+    return rel & ret
 
 
 def _closure(a: Dfa, k) -> Dfa:

@@ -184,7 +184,9 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
 
     A strict cover has a larger token total than the marking it covers, so
     the walk up the ancestors stops where no marking left on the path has a
-    smaller total than the new one.
+    smaller total than the new one. The UnboundedModel raised carries the
+    witness: the covered ancestor, the covering marking and the ids of the
+    transitions fired from the one to the other.
     """
     order, rules = _firing_data(net)
 
@@ -192,10 +194,27 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
         return Marking.of(dict(zip(order, vector)))
 
     start = tuple(net.initial_marking.count(p) for p in order)
-    # marking -> (its BFS parent, the least token total on its path from start)
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, int]] = {
-        start: (None, sum(start))
+    # marking -> (its BFS parent, the transition fired from there, and the
+    # least token total on its path from start)
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, str | None, int]] = {
+        start: (None, None, sum(start))
     }
+
+    def unbounded(ancestor, marking, t, successor) -> UnboundedModel:
+        sequence = [t]
+        while marking != ancestor:
+            marking, fired, _ = parent[marking]
+            sequence.append(fired)
+        sequence.reverse()
+        covered, cover = to_marking(ancestor), to_marking(successor)
+        return UnboundedModel(
+            "the net is not bounded: from the reachable marking "
+            f"{covered.as_dict()} the firing sequence {' '.join(sequence)} reaches "
+            f"{cover.as_dict()}, which strictly covers it",
+            covered,
+            cover,
+            tuple(sequence),
+        )
 
     def successors(marking):
         for t, needs, changes in rules:
@@ -208,15 +227,11 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
             if successor not in parent:
                 total = sum(successor)
                 ancestor = marking
-                while ancestor is not None and parent[ancestor][1] < total:
+                while ancestor is not None and parent[ancestor][2] < total:
                     if all(a <= b for a, b in zip(ancestor, successor)):
-                        raise UnboundedModel(
-                            "the net is not bounded: from the reachable marking "
-                            f"{to_marking(ancestor).as_dict()} it reaches a marking "
-                            "that strictly covers it"
-                        )
+                        raise unbounded(ancestor, marking, t, successor)
                     ancestor = parent[ancestor][0]
-                parent[successor] = (marking, min(parent[marking][1], total))
+                parent[successor] = (marking, t, min(parent[marking][2], total))
             yield t, successor
 
     number, transitions = _explore(start, successors)

@@ -89,6 +89,17 @@ def test_log_to_dfa_prefix_sharing():
 def test_log_to_dfa_empty_log():
     with pytest.raises(EmptyLog):
         log_to_dfa(EventLog({}))
+    with pytest.raises(EmptyLog, match="empty log"):
+        automata._traces(EventLog({}))
+
+
+def test_prefix_tree_size_is_counted_without_the_tree():
+    rng = random.Random(11)
+    logs = [oracles.random_log(rng, max_traces=12, max_len=7) for _ in range(300)]
+    logs += [EventLog.from_traces([()]), EventLog.from_traces([(), ("a",), ("a", "b")])]
+    assert any(() in log.entries for log in logs)
+    for log in logs:
+        assert automata._prefix_tree_states(log) == len(log_to_dfa(log).states)
 
 
 def test_dfa_validation():

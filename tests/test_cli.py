@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entroconf
-from entroconf import cli, stochastic
+from entroconf import cli, measures, stochastic
 from entroconf.automata import EventLog
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
@@ -451,6 +451,64 @@ def test_boundedness_verdicts(capsys, fixtures):
 
     code, out, _ = invoke(capsys, "-b", "-rel", fixtures / "N.spnml", "-s")
     assert (code, out) == (0, "1\n")
+
+
+def test_an_unbounded_verdict_names_its_witness_on_stderr(capsys, fixtures):
+    code, out, err = invoke(capsys, "-b", "-rel", fixtures / "generator.pnml")
+    assert (code, out) == (3, "boundedness: unbounded\n")
+    witness, elapsed = err.splitlines()
+    assert witness == (
+        "the net is not bounded: from the reachable marking {} "
+        "the firing sequence t reaches {'p': 1}, which strictly covers it"
+    )
+    assert elapsed.startswith("elapsed: ")
+    # silent mode prints the bare verdict alone
+    assert invoke(capsys, "-b", "-rel", fixtures / "generator.pnml", "-s") == (3, "0\n", "")
+
+
+def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypatch):
+    calls = []
+
+    def spy(name, function):
+        def spied(*args):
+            calls.append(name)
+            return function(*args)
+
+        return spied
+
+    monkeypatch.setattr(cli, "log_to_dfa", spy("log_to_dfa", cli.log_to_dfa))
+    monkeypatch.setattr(measures, "product", spy("product", measures.product))
+    e, f, n = (fixtures / name for name in ("E.xes", "F.xes", "N.pnml"))
+    # a log's side reports the size of the prefix tree it is not built into
+    sizes = {(e, f): (23, 17), (f, e): (17, 23), (e, n): (23, 6), (n, e): (6, 23)}
+    for flag in ("-emp", "-emr"):
+        for (rel, ret), (rel_states, ret_states) in sizes.items():
+            code, _, err = invoke(capsys, flag, "-rel", rel, "-ret", ret)
+            assert code == 0
+            assert f"relevant_states={rel_states} retrieved_states={ret_states}" in err
+            assert calls == []
+        # two nets still meet in a product, and partial matching still
+        # closes a log's prefix tree
+        assert invoke(capsys, flag, "-rel", n, "-ret", n, "-s")[:2] == (0, "1.000\n")
+        assert calls == ["product"]
+        calls.clear()
+    invoke(capsys, "-pmp", "-rel", e, "-ret", f)
+    assert calls == ["log_to_dfa", "log_to_dfa", "product"]
+
+
+@pytest.mark.parametrize("flag", ["-emp", "-emr"])
+def test_an_empty_log_is_rejected_before_the_other_side_is_explored(
+    capsys, fixtures, tmp_path, flag
+):
+    empty = tmp_path / "empty.xes"
+    empty.write_text('<log xmlns="http://www.xes-standard.org/"></log>')
+    generator = fixtures / "generator.pnml"
+    code, _, err = invoke(capsys, flag, "-rel", empty, "-ret", generator)
+    assert (code, err) == (2, "input error: cannot build an automaton from an empty log\n")
+    # -rel comes first: there the unbounded net is rejected
+    code, _, err = invoke(capsys, flag, "-rel", generator, "-ret", empty)
+    assert code == 3
+    assert err.startswith("rejected: the net is not bounded")
 
 
 def test_usage_errors_exit_1(capsys):

@@ -24,6 +24,7 @@ from entroconf.errors import (
     UnreachableNode,
 )
 from entroconf.formats import (
+    _parse_number,
     load_artifact,
     parse_dfg,
     parse_pnml,
@@ -374,6 +375,28 @@ def test_sdfa_errors():
         )
     with pytest.raises(StochasticSumViolation):
         parse_sdfa("initial s0\nstate s0 0.9\n")
+
+
+@pytest.mark.parametrize(
+    "token, value",
+    [
+        ("1e00001", Fraction(10)),
+        ("5E+00001", Fraction(50)),
+        ("2.5e-0002", Fraction(1, 40)),
+        ("3e0000", Fraction(3)),
+        ("1e9999", Fraction(10**9999)),
+        ("1e99999999", None),
+        ("1e+00099999999", None),
+    ],
+)
+def test_number_exponents_count_their_significant_digits(token, value):
+    # zero padding is read; five significant digits fail at once, before
+    # the power of ten is built
+    if value is not None:
+        assert _parse_number(token, "weight") == value
+    else:
+        with pytest.raises(ParseError, match="exponent .* out of range"):
+            _parse_number(token, "weight")
 
 
 def test_dfg_fixture_normalizes_exactly(fixtures):

@@ -10,6 +10,7 @@ from entroconf.automata import (
     UNBOUNDED,
     Dfa,
     EventLog,
+    _traces,
     determinize,
     log_to_dfa,
     product,
@@ -17,7 +18,7 @@ from entroconf.automata import (
     trim,
 )
 from entroconf import measures
-from entroconf.errors import NotConverged, StateSpaceExceeded
+from entroconf.errors import NotConverged, SemanticError, StateSpaceExceeded
 from entroconf.measures import (
     EntropyValue,
     PrecisionRecall,
@@ -27,6 +28,7 @@ from entroconf.measures import (
     spectral_radius,
     topological_entropy,
 )
+from entroconf.petri import reachability_graph, rg_to_dfa
 
 import oracles
 
@@ -473,3 +475,86 @@ def test_partial_matching_on_crossed_pair():
     assert pair.precision == pytest.approx(expected, abs=1e-8)
     assert pair.recall == pair.precision
     assert 0.0 < pair.precision < 1.0
+
+
+def _net_languages(rng, count):
+    """Language automata of bounded random nets, each with its words up to
+    length 5, which logs are drawn from so that they share some."""
+    nets = []
+    while len(nets) < count:
+        net = oracles.random_net(rng)
+        try:
+            dfa = rg_to_dfa(reachability_graph(net), net)
+        except SemanticError:  # unbounded, or no marking to accept in
+            continue
+        nets.append((dfa, sorted(oracles.dfa_language(dfa, 5))))
+    return nets
+
+
+def _log_near(rng, words):
+    """A random log over a..e, with up to three traces taken from words."""
+    log = oracles.random_log(rng, alphabet="abcde", max_traces=8, max_len=6)
+    taken = rng.sample(words, k=min(len(words), rng.randint(0, 3)))
+    return EventLog.from_traces([*log.entries, *taken])
+
+
+def test_a_log_as_its_traces_agrees_with_its_prefix_tree():
+    # exact matching takes a log as its set of distinct traces: against the
+    # prefix-tree path, 2,100 pairs of log/log, log/net and net/log, both
+    # printed sides, agree to 1e-12 and swap bit for bit
+    rng = random.Random(7)
+    nets = _net_languages(rng, 30)
+    logs = [_log_near(rng, rng.choice(nets)[1]) for _ in range(60)]
+    pairs = []
+    for _ in range(700):
+        dfa, words = rng.choice(nets)
+        log = _log_near(rng, words)
+        other = _log_near(rng, sorted(rng.choice(logs).entries))
+        pairs += [(log, other), (log, dfa), (dfa, log)]
+    both = ("precision", "recall")
+    for rel, ret in pairs:
+        forms = [_traces(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
+        trees = [log_to_dfa(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
+        new = measures._matching(*forms, None, both)
+        for value, expected in zip(new, measures._matching(*trees, None, both)):
+            assert math.isclose(value, expected, rel_tol=1e-12), (rel, ret)
+        assert measures._matching(*forms[::-1], None, both) == new[::-1]
+        if isinstance(rel, EventLog):
+            assert measures._matching(forms[0], forms[0], None, both) == [1.0, 1.0]
+
+
+def test_long_traces_as_sets_match_closed_forms():
+    a, b, c = ("a",) * 800, ("b",) * 800, ("c",) * 800
+    # no shared trace: both quotients are 0
+    assert measures._matching({a}, {b}) == [0.0, 0.0]
+    # one shared trace of two on each side: 1 against 2 ** (1 / 801)
+    shared = 2 ** (-1 / 801)
+    for value in measures._matching({a, b}, {b, c}):
+        assert value == pytest.approx(shared, rel=1e-12)
+
+    # 20 distinct words of length 1,000 solve 20 x ** 1001 = 1, and half of
+    # them 10 x ** 1001 = 1
+    rng = random.Random(3)
+    words = {tuple(rng.choice("ab") for _ in range(1_000)) for _ in range(20)}
+    assert len(words) == 20
+    assert measures._growth_factor(words) == pytest.approx(20 ** (1 / 1001), rel=1e-12)
+    half = set(sorted(words)[:10])
+    precision, recall = measures._matching(words, half)
+    assert precision == 1.0
+    assert recall == pytest.approx(0.5 ** (1 / 1001), rel=1e-12)
+    # mixed lengths: the root of x ** 2 + x ** 6 + x ** 401 + x ** 1001 = 1,
+    # bisected here
+    mixed = {("a",) * n for n in (1, 5, 400, 1_000)}
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        x = (lo + hi) / 2
+        lo, hi = (lo, x) if sum(x ** (n + 1) for n in (1, 5, 400, 1_000)) > 1 else (x, hi)
+    assert measures._growth_factor(mixed) == pytest.approx(1 / lo, rel=1e-12)
+
+
+def test_growth_factor_of_small_sets_of_words():
+    assert measures._growth_factor(set()) == 0.0
+    assert measures._growth_factor({()}) == 1.0
+    assert measures._growth_factor({tuple("abc")}) == 1.0
+    # the empty word and a: x + x ** 2 = 1 at the golden ratio's inverse
+    assert measures._growth_factor({(), ("a",)}) == pytest.approx((1 + 5**0.5) / 2, rel=1e-15)

@@ -23,6 +23,7 @@ from entroconf.petri import (
     rg_to_dfa,
     stochastic_rg_to_sdfa,
 )
+from entroconf.formats import load_artifact
 from entroconf.stochastic import conjunction, log_to_sdfa
 
 import oracles
@@ -340,6 +341,79 @@ def test_reachability_graph_rejects_unbounded_nets(monkeypatch):
     )
     with pytest.raises(UnboundedModel, match=r"\{'q': 1\}"):
         reachability_graph(drop_then_pump)
+
+
+def _fire(net: PetriNet, tokens: dict, t: str) -> dict | None:
+    """The marking after firing t, or None when t is not enabled."""
+    after = dict(tokens)
+    for (src, dst), weight in net.arcs.items():
+        if dst == t:
+            if after.get(src, 0) < weight:
+                return None
+            after[src] -= weight
+    for (src, dst), weight in net.arcs.items():
+        if src == t:
+            after[dst] = after.get(dst, 0) + weight
+    return after
+
+
+def _reachable_within(net: PetriNet, target: Marking, cap: int) -> bool:
+    start = net.initial_marking
+    seen, frontier = {start}, [start]
+    while frontier and len(seen) < cap:
+        marking = frontier.pop(0)
+        if marking == target:
+            return True
+        for t in sorted(net.transitions):
+            after = _fire(net, marking.as_dict(), t)
+            if after is not None and Marking.of(after) not in seen:
+                seen.add(Marking.of(after))
+                frontier.append(Marking.of(after))
+    return False
+
+
+def test_unboundedness_witnesses_replay_on_the_net(fixtures):
+    # a token goes round p -> q -> r -> p, leaving one on s each round
+    round_trip = PetriNet(
+        places=frozenset("pqrs"),
+        transitions={"t1": "a", "t2": "b", "t3": "c"},
+        arcs={
+            ("p", "t1"): 1, ("t1", "q"): 1, ("q", "t2"): 1, ("t2", "r"): 1,
+            ("r", "t3"): 1, ("t3", "p"): 1, ("t3", "s"): 1,
+        },
+        initial_marking=Marking.of({"p": 1}),
+    )
+    nets = [load_artifact(fixtures / "generator.pnml"), round_trip]
+    # seeded unbounded nets, ten of them pumped by more than one transition
+    rng = random.Random(29)
+    wanted = {False: 25, True: 10}
+    while any(wanted.values()):
+        net = oracles.random_net(rng, max_transitions=6)
+        try:
+            reachability_graph(net)
+        except UnboundedModel as unbounded:
+            longer = len(unbounded.sequence) > 1
+            if wanted[longer]:
+                wanted[longer] -= 1
+                nets.append(net)
+    for net in nets:
+        with pytest.raises(UnboundedModel) as caught:
+            reachability_graph(net)
+        witness = caught.value
+        assert str(witness).startswith(
+            f"the net is not bounded: from the reachable marking {witness.ancestor.as_dict()} "
+        )
+        assert f" {' '.join(witness.sequence)} reaches {witness.cover.as_dict()}," in str(witness)
+        assert _reachable_within(net, witness.ancestor, 10_000)
+        # each transition is enabled in turn, and the end marking is the
+        # reported cover, which strictly covers the ancestor
+        tokens = witness.ancestor.as_dict()
+        for t in witness.sequence:
+            tokens = _fire(net, tokens, t)
+            assert tokens is not None, (net, witness.sequence, t)
+        assert Marking.of(tokens) == witness.cover
+        assert witness.cover != witness.ancestor
+        assert all(witness.cover.count(p) >= c for p, c in witness.ancestor.tokens)
 
 
 def test_stochastic_net_validation():
