@@ -314,7 +314,8 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         return 0
     started = time.perf_counter()
     rel = load_artifact(cfg.rel_path)
-    ret = load_artifact(cfg.ret_path) if cfg.ret_path is not None else None
+    # a -ret that the measure does not use is not read
+    ret = load_artifact(cfg.ret_path) if _selected(cfg)[1].ret else None
     validate_inputs(cfg, rel, ret)
     value, sizes = _evaluate(cfg, rel, ret)
     elapsed = time.perf_counter() - started

@@ -109,50 +109,65 @@ def spectral_radius(m) -> float:
 def _growth_factor(a) -> float:
     """Growth factor (2 ** entropy) of a language, 0 for the empty language.
 
-    a is a Dfa, or a finite set of words, which _words_growth_factor
-    solves. A Dfa's growth factor is the Perron root of the trimmed
-    automaton plus one back edge per accepting state. One with a cycle gets
-    it from spectral_radius of that short-circuit graph. An acyclic one (a
-    finite language) is solved directly, in pure Python: with A the trimmed
-    adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
+    a is a Dfa, or a finite set of words, which is solved from its length
+    profile by _words_growth_factor. A Dfa's growth factor is the Perron
+    root of the trimmed automaton plus one back edge per accepting state.
+    One with a cycle, a self-loop included, gets it from spectral_radius of
+    that short-circuit graph. An acyclic one (a finite language) is solved
+    directly, in pure Python: with A the trimmed adjacency and
+    g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
     where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
-    g is evaluated at the branch points only, a chain of links between two
-    of them being one factor x ** k (see _branch_points).
+    A trimmed automaton with one transition fewer than states is a tree,
+    holding one word per accepting state, as long as its depth: it is
+    solved from those depths, with the same bits as its set of words. Any
+    other acyclic one is solved by _back_substitution.
     """
     if not isinstance(a, Dfa):
-        return _words_growth_factor(a)
+        return _words_growth_factor(Counter(map(len, a)))
     a = trim(a)
     if not a.accepting:
         return 0.0
+    if len(a.transitions) == len(a.states) - 1:
+        # trim lists each transition after the one into its source
+        depth = [0] * len(a.states)
+        for (src, _), dst in a.transitions.items():
+            depth[dst] = depth[src] + 1
+        return _words_growth_factor(Counter([depth[s] for s in a.accepting]))
     out, order = _successors(a)
     if order is None:
         # a sparse LU of I - xA would fill in far beyond the edge count on
         # the reachability graphs of concurrent nets. The power iteration's
         # rounding depends on the numbering, which trim makes canonical.
         return spectral_radius(short_circuit(a).adjacency)
-    return 1.0 / _root(*_branch_points(out, a.accepting, order))
+    accepting = [float(s in a.accepting) for s in range(len(out))]
+    # the short-circuit graph's largest row sum bounds its Perron root
+    lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
+    return 1.0 / _root(_back_substitution(out, accepting, order), lo)
 
 
-def _words_growth_factor(words) -> float:
-    """Growth factor of a finite set of words, from their lengths alone.
+def _words_growth_factor(lengths: Counter) -> float:
+    """Growth factor of a finite set of words, from the Counter of their
+    lengths alone.
 
     F(x) sums x ** (|w| + 1) over the words (see _growth_factor), so it is
     c_n * x ** (n + 1) summed over the length profile, c_n being the number
     of words of length n: one term per distinct length, however long the
-    words. Every term is at most c_n * x on (0, 1], so F(1 / len(words)) is
-    at most 1, a lower bound on the root.
+    words. Every term is at most c_n * x on (0, 1], so F(1 / number of
+    words) is at most 1, a lower bound on the root. Each sum is an fsum,
+    exact before its one rounding, so the value depends on the profile
+    alone, not on the order of its lengths.
     """
-    if not words:
+    if not lengths:
         return 0.0
-    profile = Counter(map(len, words)).items()
+    profile = lengths.items()
 
     def evaluate(x: float):
         # x is in (0, 1], so no power overflows
         f = math.fsum([c * x ** (n + 1) for n, c in profile])
         return f, math.fsum([c * (n + 1) * x**n for n, c in profile])
 
-    return 1.0 / _root(evaluate, 1.0 / len(words))
+    return 1.0 / _root(evaluate, 1.0 / lengths.total())
 
 
 def _successors(a: Dfa) -> tuple[list[list[int]], list[int] | None]:
@@ -181,69 +196,38 @@ def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
     return order[::-1] if len(order) == len(out) else None
 
 
-def _branch_points(out, accepting, order):
+def _back_substitution(out, accepting, order):
     """evaluate(x) = (F(x), F'(x)) of a trimmed acyclic automaton, whose
-    initial state 0 comes last in order, and a lower bound on the root of
-    F(x) = 1.
+    initial state 0 comes last in order.
 
-    g_i = acc_i + x * (sum of g_j over the successors j) is evaluated at the
-    branch points only. A link, a state that is not initial, not accepting
-    and has one successor, has g_i = x * g_j, so a chain of k links into a
-    branch point t adds one term x ** k * g_t. Each state is resolved to its
-    (t, k) once, successors first, so many states feeding one chain cost
-    one step each. Each branch point's terms are summed with fsum, exact
-    before its one rounding, so isomorphic automata give bit-identical
-    values whatever the order of their transitions. The bound is 1 over the
-    short-circuit graph's largest row sum, which a link's 1 never is.
+    g_i = acc_i + x * (sum of g_j over the successors j), and g' alongside,
+    by one pass over order. Each state's terms are summed with fsum, which
+    is exact before its one rounding, so isomorphic automata give
+    bit-identical values whatever the order of their transitions.
     """
-    # g by slot: 0 holds 0, gathered twice so that every gather returns a
-    # tuple, and 1 holds every leaf, as a leaf accepts with g = 1
-    reach = [(1, 0)] * len(out)
     steps = []
-    lengths = set()
-    widest = 1.0
     for i in order:
         succ = out[i]
-        if len(succ) == 1 and i not in accepting and i != 0:
-            t, k = reach[succ[0]]
-            reach[i] = (t, k + 1)
-        elif succ:
-            direct, chained = [0, 0], []
-            for j in succ:
-                t, k = reach[j]
-                if k:
-                    chained.append((t, k))
-                    lengths.add(k)
-                else:
-                    direct.append(t)
-            reach[i] = (len(steps) + 2, 0)
-            acc = 1.0 if i in accepting else 0.0
-            steps.append((itemgetter(*direct), chained, acc))
-            if len(succ) + acc > widest:
-                widest = len(succ) + acc
+        # a single successor's value comes back bare, several as a tuple
+        gather = itemgetter(*succ) if succ else lambda values: ()
+        steps.append((i, gather, len(succ) != 1, accepting[i]))
 
     def evaluate(x: float):
-        # x ** k and its derivative, once per chain length
-        power = {k: x**k for k in lengths}
-        slope = {k: k * x ** (k - 1) for k in lengths}
-        g, dg = [0.0, 1.0], [0.0, 0.0]
+        g = [0.0] * len(out)
+        dg = [0.0] * len(out)
         try:
-            for gather, chained, acc in steps:
+            for i, gather, several, acc in steps:
                 s, ds = gather(g), gather(dg)
-                if chained:
-                    s, ds = [*s], [*ds]
-                    for t, k in chained:
-                        s.append(power[k] * g[t])
-                        ds.append(slope[k] * g[t] + power[k] * dg[t])
-                s, ds = math.fsum(s), math.fsum(ds)
-                g.append(acc + x * s)
-                dg.append(s + x * ds)
+                if several:
+                    s, ds = math.fsum(s), math.fsum(ds)
+                g[i] = acc + x * s
+                dg[i] = s + x * ds
         except OverflowError:
             return None
-        f = x * g[-1]
-        return (f, g[-1] + x * dg[-1]) if math.isfinite(f) else None
+        f = x * g[0]
+        return (f, g[0] + x * dg[0]) if math.isfinite(f) else None
 
-    return evaluate, 1.0 / widest
+    return evaluate
 
 
 def _root(evaluate, lo: float) -> float:
@@ -351,6 +335,9 @@ def exact_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
     shared = product(rel, ret); precision scores shared against retrieved,
     recall against relevant. The three growth factors come from _matching,
     which the command line calls for the printed side alone, solving two.
+    A log's prefix tree, and its product with any automaton, is solved from
+    its words' lengths, so the command line, which takes a log as its set
+    of traces, gives the same bits.
     """
     return PrecisionRecall(*_matching(rel, ret))
 

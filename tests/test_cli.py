@@ -394,6 +394,23 @@ def test_budget_free_controlled_matching_equals_exact(capsys, fixtures):
     assert controlled == exact
 
 
+def test_budget_zero_controlled_matching_equals_exact_bit_for_bit():
+    # with budgets 0 a log's closure is its prefix tree, which is solved as
+    # its trace lengths, as is the set of traces that exact matching takes
+    rng = random.Random(21)
+    for _ in range(300):
+        rel = oracles.random_log(rng, alphabet="abcd", max_traces=10, max_len=7)
+        taken = rng.sample(sorted(rel.entries), k=rng.randint(0, len(rel.entries)))
+        other = oracles.random_log(rng, alphabet="abcd", max_traces=10, max_len=7)
+        ret = EventLog.from_traces([*other.entries, *taken])
+        for side in ("p", "r"):
+            exact, _ = cli._evaluate(cli.RunConfig(measure="em" + side), rel, ret)
+            controlled, _ = cli._evaluate(
+                cli.RunConfig(measure="cpm" + side, skips_rel=0, skips_ret=0), rel, ret
+            )
+            assert controlled.hex() == exact.hex(), (side, rel, ret)
+
+
 def test_normal_output_shape(fixtures):
     cfg = parse_args(
         ["-emp", "-rel", str(fixtures / "E.xes"), "-ret", str(fixtures / "N.pnml")]
@@ -451,6 +468,14 @@ def test_boundedness_verdicts(capsys, fixtures):
 
     code, out, _ = invoke(capsys, "-b", "-rel", fixtures / "N.spnml", "-s")
     assert (code, out) == (0, "1\n")
+
+
+def test_boundedness_does_not_read_a_retrieved_path(capsys, fixtures, tmp_path):
+    # -b uses no -ret, so neither a missing file nor an unknown extension
+    # given as one is an input error
+    for ret in (tmp_path / "nowhere.xes", fixtures / "N.unknown"):
+        code, out, _ = invoke(capsys, "-b", "-rel", fixtures / "N.pnml", "-ret", ret)
+        assert (code, out) == (0, "boundedness: bounded\n")
 
 
 def test_an_unbounded_verdict_names_its_witness_on_stderr(capsys, fixtures):

@@ -28,7 +28,7 @@ from entroconf.measures import (
     spectral_radius,
     topological_entropy,
 )
-from entroconf.petri import reachability_graph, rg_to_dfa
+from entroconf.petri import Marking, PetriNet, reachability_graph, rg_to_dfa
 
 import oracles
 
@@ -226,6 +226,46 @@ def test_growth_factors_of_extreme_shapes_match_closed_forms():
     assert measures._growth_factor(fan_in) == pytest.approx(
         branches ** (1 / (chain + 3)), rel=1e-12
     )
+
+
+def test_trees_are_solved_as_their_lengths_and_other_finite_languages_by_back_substitution(
+    monkeypatch,
+):
+    calls = []
+    for name in ("_words_growth_factor", "_back_substitution"):
+        function = getattr(measures, name)
+        spied = lambda *args, name=name, function=function: calls.append(name) or function(*args)
+        monkeypatch.setattr(measures, name, spied)
+    # a and b fire concurrently: the language {ab, ba} as a diamond
+    net = PetriNet(
+        places=frozenset({"p", "q", "p2", "q2"}),
+        transitions={"ta": "a", "tb": "b"},
+        arcs={("p", "ta"): 1, ("ta", "p2"): 1, ("q", "tb"): 1, ("tb", "q2"): 1},
+        initial_marking=Marking.of({"p": 1, "q": 1}),
+    )
+    diamond = rg_to_dfa(reachability_graph(net), net)
+    tree = dfa_for("ab", "ba", "a", "abc")
+    ladder = Dfa(
+        states=frozenset(range(4)),
+        alphabet=frozenset("ab"),
+        initial=0,
+        accepting=frozenset({3}),
+        transitions={(i, label): i + 1 for i in range(3) for label in "ab"},
+    )
+    kernels = {
+        "_words_growth_factor": [
+            tree,
+            product(tree, diamond),
+            determinize(skip_closure(tree, 0)),
+        ],
+        # abc less one symbol: ac and bc meet in one subset
+        "_back_substitution": [ladder, diamond, determinize(skip_closure(dfa_for("abc"), 1))],
+    }
+    for kernel, automata in kernels.items():
+        for a in automata:
+            assert measures._growth_factor(a) > 1.0
+            assert calls == [kernel], a
+            calls.clear()
 
 
 def test_relabeled_logs_have_bit_identical_entropy():
@@ -501,7 +541,8 @@ def _log_near(rng, words):
 def test_a_log_as_its_traces_agrees_with_its_prefix_tree():
     # exact matching takes a log as its set of distinct traces: against the
     # prefix-tree path, 2,100 pairs of log/log, log/net and net/log, both
-    # printed sides, agree to 1e-12 and swap bit for bit
+    # printed sides, agree bit for bit and swap bit for bit, as a tree and
+    # its product with any automaton are solved as their words' lengths
     rng = random.Random(7)
     nets = _net_languages(rng, 30)
     logs = [_log_near(rng, rng.choice(nets)[1]) for _ in range(60)]
@@ -516,8 +557,8 @@ def test_a_log_as_its_traces_agrees_with_its_prefix_tree():
         forms = [_traces(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
         trees = [log_to_dfa(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
         new = measures._matching(*forms, None, both)
-        for value, expected in zip(new, measures._matching(*trees, None, both)):
-            assert math.isclose(value, expected, rel_tol=1e-12), (rel, ret)
+        expected = measures._matching(*trees, None, both)
+        assert list(map(float.hex, new)) == list(map(float.hex, expected)), (rel, ret)
         assert measures._matching(*forms[::-1], None, both) == new[::-1]
         if isinstance(rel, EventLog):
             assert measures._matching(forms[0], forms[0], None, both) == [1.0, 1.0]
