@@ -331,10 +331,10 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         stdout.write(bare + "\n")
     else:
         stdout.write(f"{_selected(cfg)[1].name}: {shown}\n")
-        if witness is not None:
-            stderr.write(f"{witness}\n")
         counters = " ".join(f"{k}={v}" for k, v in sorted(sizes.items()))
-        stderr.write(f"elapsed: {elapsed:.3f}s {counters}\n")
+        # one stderr line, which carries an unbounded verdict's witness
+        found = "" if witness is None else f"; {witness}"
+        stderr.write(f"elapsed: {elapsed:.3f}s {counters}{found}\n")
     # an unbounded verdict is a semantic rejection
     return 3 if value is False else 0
 

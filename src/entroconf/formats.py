@@ -5,6 +5,12 @@ PNML Petri nets (initialMarking, optional finalmarkings section, silent
 transitions by empty name or an invisible marker), and sPNML stochastic
 nets (PNML plus a per-transition weight annotation).
 
+An XES file is read in fixed blocks, so memory stays flat in its size. A
+common subset of XES (see _read_xes_fast) is read by one C-level expat
+pass over every byte plus pattern extraction of the traces, with no Python
+call per element; everything else takes the full streaming reader,
+_read_xes, which gives the same log or error for any file.
+
 Line formats, with '#' comments and blank lines ignored:
 
     SDFA                            DFG
@@ -19,6 +25,7 @@ are kept as exact rationals, so serializing and reparsing is lossless.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
@@ -210,6 +217,129 @@ def parse_xes(text: str) -> EventLog:
     with key="concept:name".
     """
     return _read_xes(lambda parser: parser.Parse(text, True))
+
+
+_BLOCK = 1 << 18  # bytes read, parsed and scanned at a time
+# a header, a trace or a tail longer than this is left to _read_xes, so
+# that the bytes held between blocks stay bounded
+_CARRY_LIMIT = 1 << 22
+
+# The subset read by _read_xes_fast: traces that follow one another with
+# only whitespace between them, each holding only <event> elements and leaf
+# attributes <tag key="..." value="..."/>, each event only leaves. A value
+# with no entity, tab, line break or other control character is its own
+# text; a tag with no prefix is its own local name.
+_SPACE = rb"[ \t\r\n]"
+_VALUE = rb'"[^"&<\x00-\x1f]*"'
+_LEAF = (
+    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*"
+    + _SPACE + rb"+key=" + _VALUE + _SPACE + rb"+value=" + _VALUE + _SPACE + rb"*/>"
+)
+_EVENT = rb"<event>(?:" + _SPACE + rb"*" + _LEAF + rb")*" + _SPACE + rb"*</event>"
+_TRACE = (
+    rb"<trace>(?:" + _SPACE + rb"*(?:" + _EVENT + rb"|" + _LEAF + rb"))*"
+    + _SPACE + rb"*</trace>" + _SPACE + rb"*"
+)
+# in a trace that _TRACE matched: each event, and the value of its first
+# leaf keyed concept:name, or b"" when it has none
+_NAME = (
+    rb"<event>(?:" + _SPACE + rb'*<[\w.\-]+' + _SPACE + rb'+key="(?!concept:name")[^"]*"'
+    + _SPACE + rb'+value="[^"]*"' + _SPACE + rb"*/>)*"
+    rb"(?:" + _SPACE + rb"*<[\w.\-]+" + _SPACE + rb'+key="concept:name"'
+    + _SPACE + rb'+value="([^"]*)")?'
+)
+_FIRST_TRACE = rb"<trace[ \t\r\n/>]"
+_DECLARATION = rb"(?:\xef\xbb\xbf)?(?:<\?xml[ \t\r\n][^>]*>)?"
+_ENCODING = rb"encoding[ \t\r\n]*=[ \t\r\n]*[\"']([^\"']*)"
+# a comment, CDATA section, DOCTYPE or processing instruction, or a prefixed tag
+_MARKUP = rb"<[!?]|<[^ \t\r\n/>]*:"
+_TAIL_MARKUP = rb"<trace|<event|&|" + _MARKUP
+
+
+class _Labels(dict):
+    """Cache of each raw UTF-8 event name's label."""
+
+    def __missing__(self, raw: bytes) -> str:
+        label = self[raw] = raw.decode("utf-8")
+        return label
+
+
+def _plain_header(header: bytes) -> bool:
+    """Whether the bytes before the first <trace> open an element, declare
+    no encoding but UTF-8 and hold nothing _TRACE's subset leaves out."""
+    declaration = re.match(_DECLARATION, header)
+    encoding = re.search(_ENCODING, declaration[0])
+    if encoding and encoding[1].lower() != b"utf-8":
+        return False
+    rest = header[declaration.end() :]
+    return re.search(rb"<[^/]", rest) is not None and re.search(_MARKUP, rest) is None
+
+
+def _read_xes_fast(stream) -> EventLog | None:
+    """The event log of an XES file in a common subset, or None outside it.
+
+    Every block goes to an expat parser with no handlers, which checks
+    well-formedness and the encoding in C, and is then scanned by the
+    patterns above, which take the traces out with no Python call per
+    element. None (a file outside the subset, or one expat rejects) leaves
+    the file to _read_xes, whose result, error class and message stand.
+    """
+    # compiled on first use, not on import, which every run would pay for;
+    # re keeps them compiled for the next file
+    trace, name, spaces = re.compile(_TRACE), re.compile(_NAME), re.compile(_SPACE + rb"*")
+    parser = expat.ParserCreate(namespace_separator="}")
+    raw: dict[tuple[bytes, ...], int] = {}
+    carry = b""
+    started = False  # whether the first <trace> has been reached
+    try:
+        while True:
+            block = stream.read(_BLOCK)
+            parser.Parse(block, not block)
+            if not block:
+                break
+            buf = carry + block
+            if not started:
+                # a NUL is never in UTF-8 XML that expat accepts, but is in UTF-16
+                if b"\x00" in buf:
+                    return None
+                first = re.search(_FIRST_TRACE, buf)
+                if first is None:
+                    carry = buf
+                    if len(carry) > _CARRY_LIMIT:
+                        return None
+                    continue
+                if not _plain_header(buf[: first.start()]):
+                    return None
+                started, pos = True, first.start()
+            else:
+                pos = spaces.match(buf).end()
+            last = buf.rfind(b"</trace>", pos)
+            if last >= 0:
+                # the traces up to the last complete one, back to back
+                end = last + len(b"</trace>")
+                for match in trace.finditer(buf, pos, end):
+                    start, stop = match.span()
+                    if start != pos:
+                        return None
+                    key = tuple(name.findall(buf, start, stop))
+                    raw[key] = raw.get(key, 0) + 1
+                    pos = stop
+                if pos != end:
+                    return None
+            carry = buf[pos:]
+            if len(carry) > _CARRY_LIMIT:
+                return None
+        if not started or re.search(_TAIL_MARKUP, carry):
+            return None
+        labels = _Labels()
+        counts = {}
+        for key, count in raw.items():
+            if b"" in key:  # a missing or empty name
+                return None
+            counts[tuple(map(labels.__getitem__, key))] = count
+    except (expat.ExpatError, LookupError, ValueError):
+        return None
+    return EventLog(counts)
 
 
 def serialize_xes(log: EventLog) -> str:
@@ -609,6 +739,14 @@ def load_artifact(path: str | Path):
         if suffix == ".xes":
             # streamed as bytes, so expat honours the encoding declaration
             with open(path, "rb") as stream:
+                # a pipe cannot be read twice, so it goes to _read_xes alone
+                if stream.seekable():
+                    log = _read_xes_fast(stream)
+                    if log is not None:
+                        return log
+                    # outside the fast subset: read again from the start by
+                    # _read_xes, whose result or error stands
+                    stream.seek(0)
                 return _read_xes(lambda parser: parser.ParseFile(stream))
         data = Path(path).read_bytes()
         # the XML parsers take bytes, so the encoding declaration is honoured

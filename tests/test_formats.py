@@ -1,6 +1,12 @@
+import os
+import random
+import re
 import tempfile
+import threading
 from fractions import Fraction
+from io import BytesIO
 from pathlib import Path
+from unittest import mock
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
@@ -8,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from entroconf import formats
 from entroconf.automata import EventLog
 from entroconf.errors import (
     DanglingArc,
@@ -233,6 +240,274 @@ def test_streaming_xes_reader_agrees_with_the_tree_reader(text):
         path = Path(tmp) / "log.xes"
         path.write_bytes(text.encode("utf-8"))
         assert read_outcome(load_artifact, path) == expected
+
+
+# --- the fast XES reader -------------------------------------------------------
+
+FAST_LABELS = ["a", "b", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "x y", "a>b"]
+
+
+def subset_xes(rng, traces=5):
+    """A log in the layout of the benchmark's generated logs: a root with a
+    default namespace and a name, and per trace a case name and events of
+    three leaves each."""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n',
+        '  <string key="concept:name" value="generated"/>\n',
+    ]
+    for case in range(traces):
+        parts.append(f'  <trace>\n    <string key="concept:name" value="case-{case}"/>\n')
+        for position in range(rng.randint(1, 4)):
+            parts.append(
+                f'    <event><string key="concept:name" value="{rng.choice(FAST_LABELS)}"/>'
+                '<string key="lifecycle:transition" value="complete"/>'
+                f'<date key="time:timestamp" value="2020-01-01T00:{position:02d}:00.000+00:00"/>'
+                "</event>\n"
+            )
+        parts.append("  </trace>\n")
+    parts.append("</log>\n")
+    return "".join(parts)
+
+
+def at_random(rng, text, pattern, replacement):
+    """text with one randomly chosen match of pattern replaced."""
+    match = rng.choice(list(re.finditer(pattern, text, re.S)))
+    return text[: match.start()] + match.expand(replacement) + text[match.end() :]
+
+
+def streamed(data):
+    """The log that _read_xes reads from data, as bytes."""
+    return formats._read_xes(lambda parser: parser.Parse(data, True))
+
+
+def exact_outcome(read, source):
+    """The entries read(source) gives, or its error class and message."""
+    try:
+        return dict(read(source).entries)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+# an event and its name leaf, which is first in every event of subset_xes
+NAME_LEAF = r'<event><string key="concept:name" value="([^"]*)"/>'
+PREFIXED_ROOT = (
+    r'<log xes.version="1.0" xmlns="http://www.xes-standard.org/">',
+    '<log xes.version="1.0" xmlns="http://www.xes-standard.org/" '
+    'xmlns:xes="http://www.xes-standard.org/">',
+)
+BETWEEN_TRACES = r"</trace>\s*<trace>"
+TAIL = r"</log>\n$"
+
+
+def encoded(declared, codec):
+    return lambda rng, text: text.replace("UTF-8", declared, 1).encode(codec, "replace")
+
+
+def on_root(pattern, replacement):
+    def mutate(rng, text):
+        return at_random(rng, text.replace(*PREFIXED_ROOT), pattern, replacement)
+
+    return mutate
+
+
+def at(pattern, replacement):
+    return lambda rng, text: at_random(rng, text, pattern, replacement)
+
+
+def renamed(value):
+    """One event's name changed to value, in which \\1 is the old name."""
+    return at(NAME_LEAF, '<event><string key="concept:name" value="' + value + '"/>')
+
+
+# each way out of the fast reader's subset, as a change to a subset document
+FALLBACK_CASES = {
+    "prefixed leaf": on_root(r"<event><string ", r"<event><xes:string "),
+    "prefixed trace": on_root(r"<trace>(.*?)</trace>", r"<xes:trace>\1</xes:trace>"),
+    "prefixed root": lambda rng, text: text.replace(*PREFIXED_ROOT)
+    .replace("<log ", "<xes:log ")
+    .replace("</log>", "</xes:log>"),
+    "trace leaf in an event": at(r"<event>", r'<event><trace key="concept:name" value="t"/>'),
+    "event leaf in a trace": at(r"<trace>", r'<trace><event key="concept:name" value="e"/>'),
+    "entity in a value": renamed(r"\1&amp;b"),
+    "character reference in a value": renamed(r"&#97;\1"),
+    "control character in a value": renamed("\\1\x01"),
+    "tab in a value": renamed("\\1\tz"),
+    "line feed in a value": renamed("\\1\nz"),
+    "carriage return in a value": renamed("\\1\rz"),
+    "single quotes": at(NAME_LEAF, r"<event><string key='concept:name' value='\1'/>"),
+    "value before key": at(NAME_LEAF, r'<event><string value="\1" key="concept:name"/>'),
+    "another attribute": at(NAME_LEAF, r'<event><string key="concept:name" value="\1" id="x"/>'),
+    "attribute on a trace": at(r"<trace>", r'<trace id="x">'),
+    "attribute on an event": at(r"<event>", r'<event id="x">'),
+    "nested element in an event": at(
+        r"<event>", r'<event><list key="l"><string key="concept:name" value="z"/></list>'
+    ),
+    "text between traces": at(BETWEEN_TRACES, r"</trace>x<trace>"),
+    "leaf between traces": at(BETWEEN_TRACES, r'</trace><string key="k" value="v"/><trace>'),
+    "comment in the header": at(r"<log [^>]*>", r"\g<0><!-- a comment -->"),
+    "comment in a trace": at(r"<trace>", r"<trace><!-- a comment -->"),
+    "CDATA in an event": at(r"<event>", r"<event><![CDATA[x]]>"),
+    "processing instruction in a trace": at(r"<trace>", r"<trace><?pi x?>"),
+    "processing instruction in the header": at(r"<log ", r"<?pi x?>\g<0>"),
+    "DOCTYPE": at(r"<log ", r'<!DOCTYPE log [<!ATTLIST event id CDATA "x">]>\g<0>'),
+    "declared Latin-1": encoded("ISO-8859-1", "latin-1"),
+    "declared ASCII": encoded("US-ASCII", "ascii"),
+    "UTF-16 with a byte-order mark": encoded("UTF-16", "utf-16"),
+    "declared codec that does not exist": encoded("bogus", "utf-8"),
+    "declared multi-byte codec": encoded("utf-7", "utf-8"),
+    "no element before the first trace": lambda rng, text: re.search(
+        r"<trace>.*?</trace>", text, re.S
+    )[0],
+    "no trace": lambda rng, text: re.sub(r"\s*<trace>.*</trace>", "", text, flags=re.S),
+    "trace in the tail": at(TAIL, "<list><trace/></list>\\g<0>"),
+    "event in the tail": at(TAIL, "<event/>\\g<0>"),
+    "comment in the tail": at(TAIL, "<!-- a comment -->\\g<0>"),
+    "processing instruction in the tail": at(TAIL, "<?pi x?>\\g<0>"),
+    "entity in the tail": at(TAIL, "&amp;\\g<0>"),
+    "missing name": at(NAME_LEAF, r'<event><string key="other" value="\1"/>'),
+    "empty name": renamed(""),
+    "truncated": lambda rng, text: text[: rng.randrange(text.index("</trace>") + 9, len(text) - 2)],
+    "unbound prefix": at(r"<event><string ", r"<event><undeclared:string "),
+    "undefined entity": at(r"<trace>", r"<trace>&undefined;"),
+}
+
+
+def spied_reads(monkeypatch):
+    """The calls load_artifact makes to the full streaming reader."""
+    calls = []
+    full = formats._read_xes
+
+    def spy(feed):
+        calls.append(feed)
+        return full(feed)
+
+    monkeypatch.setattr(formats, "_read_xes", spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_a_file_outside_the_fast_subset_is_read_by_the_full_reader(
+    case, seed, tmp_path, monkeypatch
+):
+    rng = random.Random(f"{case}/{seed}")
+    document = FALLBACK_CASES[case](rng, subset_xes(rng))
+    data = document if isinstance(document, bytes) else document.encode("utf-8")
+    path = tmp_path / "log.xes"
+    path.write_bytes(data)
+    expected = exact_outcome(streamed, data)
+    calls = spied_reads(monkeypatch)
+    assert exact_outcome(load_artifact, path) == expected
+    assert len(calls) == 1
+
+
+def test_subset_files_take_the_fast_reader(fixtures, tmp_path, monkeypatch):
+    generated = tmp_path / "generated.xes"
+    generated.write_text(subset_xes(random.Random(7), traces=20), encoding="utf-8")
+    paths = [fixtures / "E.xes", fixtures / "F.xes", generated]
+    expected = [exact_outcome(streamed, path.read_bytes()) for path in paths]
+    calls = spied_reads(monkeypatch)
+    assert [exact_outcome(load_artifact, path) for path in paths] == expected
+    assert calls == []
+    # a trace longer than the bytes held between blocks is left to the full reader
+    monkeypatch.setattr(formats, "_BLOCK", 64)
+    monkeypatch.setattr(formats, "_CARRY_LIMIT", 100)
+    assert exact_outcome(load_artifact, generated) == expected[2]
+    assert len(calls) == 1
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_a_log_from_a_named_pipe_is_read_once(fixtures, tmp_path):
+    pipe = tmp_path / "log.xes"
+    os.mkfifo(pipe)
+    data = (fixtures / "E.xes").read_bytes()
+    writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        log = load_artifact(pipe)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert log == load_artifact(fixtures / "E.xes")
+
+
+@pytest.mark.parametrize("name", ["E.xes", "multi-byte"])
+def test_the_fast_reader_agrees_at_every_block_size(name, fixtures, tmp_path, monkeypatch):
+    if name == "multi-byte":
+        path = tmp_path / "log.xes"
+        path.write_text(subset_xes(random.Random(3)), encoding="utf-8")
+    else:
+        path = fixtures / name
+    data = path.read_bytes()
+    expected = exact_outcome(streamed, data)
+    # every size splits the file somewhere new: inside </trace>, inside a
+    # multi-byte UTF-8 sequence, inside the XML declaration
+    for size in range(1, len(data) + 1):
+        monkeypatch.setattr(formats, "_BLOCK", size)
+        with open(path, "rb") as stream:
+            log = formats._read_xes_fast(stream)
+        assert log is not None and dict(log.entries) == expected, size
+
+
+# Generated documents inside the fast reader's subset: any leaf tags, keys
+# and values, whitespace or none between elements, and traces that may sit
+# inside a further element of the root.
+SUBSET_SPACES = st.sampled_from(["", " ", "\n  ", "\r\n", "\t"])
+SUBSET_VALUES = st.one_of(
+    st.sampled_from(FAST_LABELS + ["", "it's"]),
+    st.text(
+        st.characters(min_codepoint=32, exclude_characters='"&<', exclude_categories=("Cs",)),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def subset_leaves(draw, tags=("string", "date", "x.y", "traces", "eventual")):
+    tag = draw(st.sampled_from(tags))
+    key = draw(st.sampled_from(["concept:name", "concept:name", "org:resource", "concept:name2"]))
+    space, end = draw(st.sampled_from([" ", "\n  ", "\r\n", "\t"])), draw(SUBSET_SPACES)
+    return f'<{tag}{space}key="{key}"{space}value="{draw(SUBSET_VALUES)}"{end}/>'
+
+
+def subset_element(tag, members):
+    return st.tuples(SUBSET_SPACES, st.lists(st.tuples(members, SUBSET_SPACES), max_size=4)).map(
+        lambda parts: f"<{tag}>{parts[0]}{''.join(m + s for m, s in parts[1])}</{tag}>"
+    )
+
+
+SUBSET_EVENTS = subset_element("event", subset_leaves())
+SUBSET_TRACES = subset_element("trace", st.one_of(subset_leaves(), *[SUBSET_EVENTS] * 3))
+
+
+@st.composite
+def subset_documents(draw):
+    declarations = ["", "<?xml version='1.0'?>", '<?xml version="1.0" encoding="utf-8"?>']
+    head = draw(st.sampled_from(declarations))
+    root = draw(st.sampled_from(["<log>", f'<log xmlns="{XES_NAMESPACE}" xes.version="1.0">']))
+    header = "".join(draw(st.lists(subset_leaves(), max_size=2)))
+    traces = draw(st.lists(st.tuples(SUBSET_TRACES, SUBSET_SPACES), min_size=1, max_size=4))
+    body = "".join(t + s for t, s in traces)
+    if draw(st.booleans()):
+        body = f"<list>{body}</list>"
+    # the tail holds no "<trace" or "<event", even as the start of another tag
+    tail = "".join(draw(st.lists(subset_leaves(("string", "x.y")), max_size=2)))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + head + root + header + body + tail + "</log>\n").encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_documents(), st.sampled_from([1, 2, 3, 7, 64, formats._BLOCK]))
+def test_the_fast_reader_reads_its_subset_as_the_streaming_reader_does(data, block):
+    expected = exact_outcome(streamed, data)
+    with mock.patch.object(formats, "_BLOCK", block):
+        log = formats._read_xes_fast(BytesIO(data))
+    # only a missing or empty name takes a file in the subset out of it
+    if isinstance(expected, dict):
+        assert log is not None and dict(log.entries) == expected
+    else:
+        assert log is None and expected[0] is MissingConceptName
 
 
 def test_pnml_round_trip(fixtures, net_n):
