@@ -41,7 +41,7 @@ from .petri import (
     rg_to_dfa,
     stochastic_rg_to_sdfa,
 )
-from .stochastic import Sdfa, _log_weights, _precision_recall, entropic_relevance
+from .stochastic import Sdfa, _precision_recall, entropic_relevance
 
 VERSION = "1.5-reimpl"
 
@@ -245,13 +245,6 @@ def _language_automaton(artifact):
     return rg_to_dfa(reachability_graph(artifact), artifact)
 
 
-def _stochastic_automaton(artifact):
-    # a log as its prefix tree and integer weights, which -sp/-sr solve as they are
-    if isinstance(artifact, EventLog):
-        return _log_weights(artifact)
-    return stochastic_rg_to_sdfa(artifact)
-
-
 def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, dict[str, int]]:
     """The value and the size diagnostics, one branch per measure family.
 
@@ -272,9 +265,13 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
         return relevance.bits, sizes
     side = _selected(cfg)[1].side
     if measure.startswith("s"):
-        forms = _stochastic_automaton(rel), _stochastic_automaton(ret)
+        # a log is taken as it is; _traces rejects an empty one here, before
+        # a net on the other side is explored
+        forms = [
+            a if isinstance(a, EventLog) and _traces(a) else stochastic_rg_to_sdfa(a)
+            for a in (rel, ret)
+        ]
         (value,) = _precision_recall(*forms, (side,))
-        forms = [form[0] if isinstance(form, tuple) else form for form in forms]
     else:
         skips = None
         if measure.startswith("pm"):
@@ -288,7 +285,7 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
             for a in (rel, ret)
         ]
         (value,) = _matching(*forms, skips, (side,))
-    # a log's set of traces reports the size of its prefix tree
+    # a log, or its set of traces, reports the size of its prefix tree
     states = [
         len(form.states) if hasattr(form, "states") else _prefix_tree_states(artifact)
         for form, artifact in zip(forms, (rel, ret))

@@ -5,6 +5,13 @@ semantic rejection (3), numerical failure (4).
 """
 
 
+def _shown(ident: str) -> str:
+    """An id as a message writes it: as it is, or as its repr when it holds
+    a character that is not printable, such as a line separator, which
+    would split the message's one line."""
+    return ident if ident.isprintable() else repr(ident)
+
+
 class EntroconfError(Exception):
     """Base class for all errors raised by this package."""
 

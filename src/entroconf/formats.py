@@ -44,6 +44,7 @@ from .errors import (
     StochasticSumViolation,
     UnknownExtension,
     UnreachableNode,
+    _shown,
 )
 from .petri import Marking, PetriNet, StochasticPetriNet
 from .stochastic import Sdfa
@@ -383,7 +384,7 @@ def _parse_net_elements(root: ET.Element):
                 raise ParseError("place without id")
             marking_text = _child_text(el, "initialMarking")
             places[ident] = (
-                _parse_count(marking_text, f"place {ident}") if marking_text else 0
+                _parse_count(marking_text, f"place {_shown(ident)}") if marking_text else 0
             )
         elif tag == "transition":
             ident = el.get("id")
@@ -400,7 +401,7 @@ def _parse_net_elements(root: ET.Element):
                 for grandchild in child:
                     if _local(grandchild.tag) == "weight":
                         weight = _parse_number(
-                            (grandchild.text or "").strip(), f"transition {ident}"
+                            (grandchild.text or "").strip(), f"transition {_shown(ident)}"
                         )
             transitions[ident] = label or None
             weights[ident] = weight
@@ -411,7 +412,7 @@ def _parse_net_elements(root: ET.Element):
                 raise ParseError("arc without source or target")
             inscription = _child_text(el, "inscription")
             multiplicity = (
-                _parse_count(inscription, f"arc {source}->{target}")
+                _parse_count(inscription, f"arc {_shown(source)}->{_shown(target)}")
                 if inscription
                 else 1
             )
@@ -432,7 +433,7 @@ def _parse_net_elements(root: ET.Element):
                     count_text = _child_text(place_el, "text")
                     if count_text is None:
                         count_text = place_el.text or "1"
-                    count = _parse_count(count_text, f"final marking of {idref}")
+                    count = _parse_count(count_text, f"final marking of {_shown(idref)}")
                     tokens[idref] = tokens.get(idref, 0) + count
                 finals.append(Marking.of(tokens))
     for source, target in arcs:
@@ -448,7 +449,7 @@ def _parse_net(text: str | bytes, weighted: bool) -> PetriNet:
     if weighted:
         for ident, weight in weights.items():
             if weight is not None and weight <= 0:
-                raise NonPositiveWeight(f"transition {ident} has weight {weight}")
+                raise NonPositiveWeight(f"transition {_shown(ident)} has weight {weight}")
         extra["weights"] = {t: w or Fraction(1) for t, w in weights.items()}
     try:
         return (StochasticPetriNet if weighted else PetriNet)(

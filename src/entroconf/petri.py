@@ -19,6 +19,7 @@ from .errors import (
     NondeterministicStochasticModel,
     SilentTransitionUnsupported,
     UnboundedModel,
+    _shown,
 )
 from .stochastic import Sdfa, _sdfa, _shaped
 
@@ -107,7 +108,7 @@ class StochasticPetriNet(PetriNet):
     ) -> None:
         super().__init__(places, transitions, arcs, initial_marking, final_markings)
         object.__setattr__(self, "weights", weights)
-        silent = sorted(t for t, label in self.transitions.items() if label is None)
+        silent = sorted(_shown(t) for t, label in self.transitions.items() if label is None)
         if silent:
             raise SilentTransitionUnsupported(
                 f"stochastic nets cannot contain silent transitions: {', '.join(silent)}"
@@ -207,9 +208,10 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
             sequence.append(fired)
         sequence.reverse()
         covered, cover = to_marking(ancestor), to_marking(successor)
+        shown = " ".join(map(_shown, sequence))
         return UnboundedModel(
             "the net is not bounded: from the reachable marking "
-            f"{covered.as_dict()} the firing sequence {' '.join(sequence)} reaches "
+            f"{covered.as_dict()} the firing sequence {shown} reaches "
             f"{cover.as_dict()}, which strictly covers it",
             covered,
             cover,

@@ -16,8 +16,8 @@ a Dfa on states 0..n-1, and each state's probabilities are integer weights
 over one total, in a list that every solve reads as it is. So validation,
 conjunction weighting and entropy use integers only, and each float is one
 correctly rounded integer quotient. The command line's log enters precision
-and recall in the same layout, as its prefix tree and instance counts, with
-no Sdfa and no Fraction between.
+and recall as its counted trie instead, with no Dfa, Sdfa or Fraction: its
+distribution and its conjunctions are trees, each solved by one walk.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .automata import (
     _explore,
     _reachable,
     _Record,
-    log_to_dfa,
+    _traces,
     product,
     trim,
 )
@@ -199,27 +199,39 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     prefix; termination is the fraction ending there. Sums are exactly 1
     by construction.
     """
-    return _sdfa(*_log_weights(log))
+    rows = _log_rows(log)
+    # numbered as log_to_dfa numbers its tree: breadth-first, labels sorted
+    order, transitions, termination = [0], {}, {}
+    for n, i in enumerate(order):
+        stop, edges = rows[i]
+        total = stop + sum([w for _, w in edges.values()])
+        for label in sorted(edges):
+            j, w = edges[label]
+            transitions[n, label] = (len(order), Fraction(w, total))
+            order.append(j)
+        if stop:
+            termination[n] = Fraction(stop, total)
+    return Sdfa(frozenset(range(len(order))), log.alphabet, 0, transitions, termination)
 
 
-def _log_weights(log: EventLog) -> tuple[Dfa, list]:
-    """log_to_dfa's tree and, per state, _shaped's (stop weight, {label:
-    (child, weight)}, total) as instance counts: those ending there, those
-    reaching each child and those reaching the state, unreduced."""
-    tree = log_to_dfa(log)
-    reaching = [0] * len(tree.states)
-    ending = [0] * len(tree.states)
+def _log_rows(log: EventLog) -> list:
+    """A log's counted trie, built in one pass over its entries, as rows
+    laid out as Sdfa._weights' first two fields: per prefix, the instances
+    that end there and {label: [child, instances reaching it]}, the root
+    row 0. EmptyLog for an empty log."""
+    _traces(log)
+    rows = [[0, {}]]
     for trace, count in log.entries.items():
-        state = 0
-        reaching[0] += count
+        row = rows[0]
         for label in trace:
-            state = tree.transitions[state, label]
-            reaching[state] += count
-        ending[state] += count
-    edges: list[dict] = [{} for _ in tree.states]
-    for (src, label), dst in tree.transitions.items():
-        edges[src][label] = (dst, reaching[dst])
-    return tree, list(zip(ending, edges, reaching))
+            edge = row[1].get(label)
+            if edge is None:
+                edge = row[1][label] = [len(rows), 0]
+                rows.append([0, {}])
+            edge[1] += count
+            row = rows[edge[0]]
+        row[0] += count
+    return rows
 
 
 def _log2(n: int, d: int) -> float:
@@ -434,33 +446,105 @@ def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
 
 def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
     """Each named side's entropy quotient, of two sides that are each an
-    Sdfa or a log's (tree, weights) from _log_weights: "recall" scores the
-    shared shape weighted by rel against rel's own entropy, "precision" the
-    mirror image. Either way a side is a support and weights in the layout
-    of Sdfa._weights, so a log is solved as it is, with no Sdfa between.
+    Sdfa or an EventLog: "recall" scores the conjunction weighted by rel
+    against rel's own entropy, "precision" the mirror image.
 
+    A log is its counted trie, so its own distribution and its conjunction
+    with either kind of side are trees, each solved by one walk over the
+    log's rows; two Sdfas share the trimmed product of their supports.
     Only the named sides' conjunctions are weighted and solved. An unnamed
     Sdfa's own entropy is still solved, by the public sdfa_entropy: that is
     where a model that cannot terminate is rejected, on either side, and
     where a traced run reads the model's entropy. An unnamed log's is not,
-    as a prefix tree always terminates. rel is taken before ret, and a named
+    as a trie always terminates. rel is taken before ret, and a named
     side's shared entropy before its own, so the first error raised is the
     same whatever is named and whatever the sides' forms.
     """
-    forms = [(s._support, s._weights) if isinstance(s, Sdfa) else s for s in (rel, ret)]
-    try:
-        shape = _shared_shape(*(support for support, _ in forms))
-    except EmptyConjunction:
-        return [0.0 for _ in sides]
+    sources = (rel, ret)
+    rows = [_log_rows(s) if isinstance(s, EventLog) else s._weights for s in sources]
+    logs = [i for i, s in enumerate(sources) if isinstance(s, EventLog)]
+    if not logs:
+        try:
+            shape = _shared_shape(rel._support, ret._support)
+        except EmptyConjunction:
+            return [0.0 for _ in sides]
+    else:
+        # the shared prefixes are walked on a log's rows, rel's if both are logs
+        t = logs[0]
+        tree, other = rows[t], rows[1 - t]
+        kept = _pair(sources[t], tree, other)
+        if not kept:
+            return [0.0 for _ in sides]
     values = {}
-    for name, side, (_, weights) in zip(("recall", "precision"), (rel, ret), forms):
+    for i, (name, side) in enumerate(zip(("recall", "precision"), sources)):
         if name in sides:
-            shared = _entropy(_shaped(shape, 0, weights)).bits
-            own = sdfa_entropy(side) if isinstance(side, Sdfa) else _entropy(weights)
-            values[name] = _quotient(shared, own.bits)
+            if not logs:
+                shared = _entropy(_shaped(shape, 0, side._weights)).bits
+            else:
+                shared = _tree_bits(tree, kept, other, i != t)
+            own = sdfa_entropy(side).bits if isinstance(side, Sdfa) else _tree_bits(rows[i])
+            values[name] = _quotient(shared, own)
         elif isinstance(side, Sdfa):
             sdfa_entropy(side)
     return [values[name] for name in sides]
+
+
+def _pair(log, tree, other) -> dict:
+    """Each prefix of tree, log's rows, on a trace that walks through
+    other, a log's rows or an Sdfa's, to a positive stop weight, mapped to
+    other's row there; empty when no trace does."""
+    kept = {}
+    for trace in log.entries:
+        j = 0
+        for label in trace:
+            edge = other[j][1].get(label)
+            if edge is None:
+                break
+            j = edge[0]
+        else:
+            if other[j][0]:
+                i = j = kept[0] = 0
+                for label in trace:
+                    i, j = tree[i][1][label][0], other[j][1][label][0]
+                    kept[i] = j
+    return kept
+
+
+def _tree_bits(tree, kept=None, other=None, by_other=False) -> float:
+    """_entropy's bits, to the bit, of the trees that a log's rows lay out:
+    all of tree, or the prefixes in kept, each weighted by its own row or,
+    if by_other, by the row of other that kept maps it to. A kept prefix
+    keeps its kept children at their full weight, and its stop if both
+    sides stop there, so its total is renormalized as _shaped's are. A
+    visit count is its parent's times w / total, as _forward_counts' one-
+    edge rows, and a local entropy is the fsum of _visit_system's terms."""
+    terms, stack = [], [(0, 1.0)]
+    while stack:
+        i, count = stack.pop()
+        stop, edges = tree[i]
+        # a prefix with one outcome in the log has one in every tree walked:
+        # p = 1.0 passes the count on as it is, and the local entropy is
+        # fsum([-0.0]) = 0.0, a term that fsum drops
+        while len(edges) == 1 and not stop:
+            ((i, _),) = edges.values()
+            stop, edges = tree[i]
+        if not edges:
+            continue
+        if kept is not None:
+            theirs = other[kept[i]]
+            row = theirs if by_other else tree[i]
+            stop = row[0] if stop and theirs[0] else 0
+            edges = {x: (j, row[1][x][1]) for x, (j, _) in edges.items() if j in kept}
+        total = stop + sum([w for _, w in edges.values()])
+        local = [_plog2p(w, total) for _, w in edges.values()]
+        if stop:
+            local.append(_plog2p(stop, total))
+        terms.append(count * math.fsum(local))
+        stack += [(j, count * (w / total)) for j, w in edges.values()]
+    bits = math.fsum(terms)
+    if not math.isfinite(bits):
+        raise NotConverged("entropy overflows a float")
+    return bits
 
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entroconf
-from entroconf import cli, measures, stochastic
+from entroconf import automata, cli, measures, stochastic
 from entroconf.automata import EventLog
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
@@ -241,8 +241,8 @@ def test_the_cli_prints_the_public_functions_value():
 
 
 def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
-    # the command line passes a log as its prefix tree and integer weights
-    # and solves the printed side alone; the public function takes
+    # the command line passes a log as it is, which is solved as its counted
+    # trie, and solves the printed side alone; the public function takes
     # log_to_sdfa's Sdfa and solves both, and every float agrees
     rng = random.Random(43)
     # traces that end as L.spnml's do, then as the benchmark's eight-label
@@ -265,8 +265,26 @@ def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
         )
         for letters in ("ab", "xy")
     ]
-    pairs += [(logs[-2], logs[-1])] + [(log, net) for log in logs for net in nets]
-    pairs += [(log, log) for log in logs] + [tuple(disjoint)]
+    # logs that hold the empty trace: random pairs, pairs that share the
+    # empty trace alone, and each against a copy of itself
+    empty = [
+        EventLog.from_traces(
+            [*oracles.random_log(rng, letters, max_traces=8, max_len=4).entries, ()]
+        )
+        for letters in ("ab", "ab", "xy", "abx")
+    ]
+    pairs += [(empty[0], empty[1]), (empty[1], empty[3]), (empty[0], empty[2])]
+    pairs += [(log, EventLog(dict(log.entries))) for log in empty]
+    # each trace also without its last label: a prefix that ends in the log
+    # but neither in a net nor in the log it comes from
+    prefixed = [
+        EventLog.from_traces([*log.entries, *(t[:-1] for t in log.entries)])
+        for log in logs[:2] + logs[4:6]
+    ]
+    pairs += [(log, logs[i]) for log, i in zip(prefixed, (0, 1, 4, 5))]
+    logs += empty + prefixed
+    pairs += [(logs[8], logs[9])] + [(log, net) for log in logs for net in nets]
+    pairs += [(log, log) for log in logs[:10]] + [tuple(disjoint)]
     pairs += [(first, second) for first in nets for second in nets]
 
     def automaton(artifact):
@@ -292,6 +310,43 @@ def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
 
 
 def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fixtures):
+    log, other, net = (load_artifact(fixtures / n) for n in ("E.xes", "F.xes", "L.spnml"))
+    # what each run solves, in order: the conjunction weighted by one side,
+    # a log's own entropy, and the model's own by sdfa_entropy
+    cases = [
+        ("-sr", log, net, ["shared by rel", "own rel", "sdfa_entropy"]),
+        ("-sp", log, net, ["shared by ret", "sdfa_entropy"]),
+        ("-sr", net, log, ["shared by rel", "sdfa_entropy"]),
+        # the unprinted model's own entropy comes first, as rel is taken first
+        ("-sp", net, log, ["sdfa_entropy", "shared by ret", "own ret"]),
+        # an unprinted log is not solved
+        ("-sp", log, other, ["shared by ret", "own ret"]),
+        ("-sr", log, other, ["shared by rel", "own rel"]),
+    ]
+
+    def automaton(artifact):
+        if isinstance(artifact, EventLog):
+            return stochastic.log_to_sdfa(artifact)
+        return stochastic_rg_to_sdfa(artifact)
+
+    public = [
+        stochastic.stochastic_precision_recall(automaton(rel), automaton(ret))
+        for _, rel, ret, _ in cases
+    ]
+
+    # a log side is its counted trie: no tree Dfa, product, trim or reweighting
+    def forbidden(*args):
+        raise AssertionError("a log side built an automaton")
+
+    for module, name in (
+        (automata, "log_to_dfa"),
+        (cli, "log_to_dfa"),
+        (stochastic, "product"),
+        (stochastic, "trim"),
+        (stochastic, "_shaped"),
+        (stochastic, "log_to_sdfa"),
+    ):
+        monkeypatch.setattr(module, name, forbidden)
     calls = []
 
     def spy(name):
@@ -304,29 +359,44 @@ def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fix
 
         monkeypatch.setattr(stochastic, name, spied)
 
-    for name in ("_shaped", "_entropy", "sdfa_entropy"):
+    for name in ("_log_rows", "_tree_bits", "sdfa_entropy"):
         spy(name)
-    log, net = load_artifact(fixtures / "E.xes"), load_artifact(fixtures / "L.spnml")
-    for flag, solved in (
-        # the log's conjunction and own entropy, then the model's own alone
-        ("-sr", ["_shaped", "_entropy", "_entropy", "_entropy", "sdfa_entropy"]),
-        # nothing of the log's side, then the model's conjunction and own
-        ("-sp", ["_shaped", "_entropy", "_entropy", "sdfa_entropy"]),
-    ):
+    for (flag, rel, ret, solved), pair in zip(cases, public):
         calls.clear()
-        value, _ = cli._evaluate(parse_args([flag, "-rel", "r", "-ret", "t"]), log, net)
-        # calls are listed as they return, so sdfa_entropy follows its _entropy
-        assert [name for name, _, _ in calls] == solved, flag
-        ((_, (model,), _),) = [call for call in calls if call[0] == "sdfa_entropy"]
-        ((_, (_, _, weights), shaped),) = [call for call in calls if call[0] == "_shaped"]
-        entropies = [args[0] for name, args, _ in calls if name == "_entropy"]
-        assert entropies[0] is shaped and entropies[-1] is model._weights
-        # the conjunction is weighted by the printed side only
-        assert (weights is model._weights) == (flag == "-sp")
-        pair = stochastic.stochastic_precision_recall(
-            stochastic.log_to_sdfa(log), stochastic_rg_to_sdfa(net)
-        )
+        value, _ = cli._evaluate(parse_args([flag, "-rel", "r", "-ret", "t"]), rel, ret)
+        # each log's rows by its side
+        sides = {
+            id(rows): "rel" if args[0] is rel else "ret"
+            for name, args, rows in calls
+            if name == "_log_rows"
+        }
+        walked = []
+        for name, args, _ in calls:
+            if name == "sdfa_entropy":
+                walked.append(name)
+            elif name == "_tree_bits" and len(args) == 1:
+                walked.append(f"own {sides[id(args[0])]}")
+            elif name == "_tree_bits":
+                # the shared prefixes are a log's, weighted by its rows or the other's
+                tree, _, _, by_other = args
+                side = sides[id(tree)]
+                if by_other:
+                    side = "ret" if side == "rel" else "rel"
+                walked.append(f"shared by {side}")
+        # the conjunction is weighted by the printed side only, and the
+        # model's own entropy is solved exactly once, by sdfa_entropy
+        assert walked == solved, (flag, rel, ret)
         assert value.hex() == (pair.precision if flag == "-sp" else pair.recall).hex()
+
+
+def test_stochastic_measures_report_the_size_of_a_logs_prefix_tree(capsys, fixtures):
+    e, f, n = (fixtures / name for name in ("E.xes", "F.xes", "N.spnml"))
+    sizes = {(e, f): (23, 17), (f, e): (17, 23), (n, f): (6, 17), (f, n): (17, 6)}
+    for flag in ("-sp", "-sr"):
+        for (rel, ret), (rel_states, ret_states) in sizes.items():
+            code, _, err = invoke(capsys, flag, "-rel", rel, "-ret", ret)
+            assert code == 0
+            assert f"relevant_states={rel_states} retrieved_states={ret_states}" in err
 
 
 @pytest.mark.parametrize("flag", ["-sp", "-sr"])
@@ -491,6 +561,26 @@ def test_an_unbounded_verdict_names_its_witness_on_stderr(capsys, fixtures):
     assert invoke(capsys, "-b", "-rel", fixtures / "generator.pnml", "-s") == (3, "0\n", "")
 
 
+def test_an_id_that_is_not_printable_keeps_a_message_on_one_line(capsys, fixtures, tmp_path):
+    # U+2028 is a line boundary to str.splitlines, so the id is written as its repr
+    net = (fixtures / "generator.pnml").read_text().replace('"t"', '"t\u2028x"')
+    assert net.count("t\u2028x") == 2
+    renamed = tmp_path / "generator.pnml"
+    renamed.write_text(net, encoding="utf-8")
+    code, _, err = invoke(capsys, "-b", "-rel", renamed)
+    assert code == 3
+    (line,) = err.splitlines()
+    assert "the firing sequence 't\\u2028x' reaches {'p': 1}" in line
+    # the same id on a transition of weight 0
+    weight = '</name><toolspecific tool="stochastic"><weight>0</weight></toolspecific>'
+    zero = tmp_path / "zero.spnml"
+    zero.write_text(net.replace("</name>", weight), encoding="utf-8")
+    code, _, err = invoke(capsys, "-b", "-rel", zero)
+    assert code == 2
+    (line,) = err.splitlines()
+    assert line == "input error: transition 't\\u2028x' has weight 0"
+
+
 def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypatch):
     calls = []
 
@@ -521,13 +611,17 @@ def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypa
     assert calls == ["log_to_dfa", "log_to_dfa", "product"]
 
 
-@pytest.mark.parametrize("flag", ["-emp", "-emr"])
+@pytest.mark.parametrize("flag", ["-emp", "-emr", "-sp", "-sr"])
 def test_an_empty_log_is_rejected_before_the_other_side_is_explored(
     capsys, fixtures, tmp_path, flag
 ):
     empty = tmp_path / "empty.xes"
     empty.write_text('<log xmlns="http://www.xes-standard.org/"></log>')
     generator = fixtures / "generator.pnml"
+    if flag.startswith("-s"):
+        # the same net read as a stochastic one, its transition of weight 1
+        generator = tmp_path / "generator.spnml"
+        generator.write_text((fixtures / "generator.pnml").read_text())
     code, _, err = invoke(capsys, flag, "-rel", empty, "-ret", generator)
     assert (code, err) == (2, "input error: cannot build an automaton from an empty log\n")
     # -rel comes first: there the unbounded net is rejected

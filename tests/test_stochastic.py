@@ -511,7 +511,8 @@ def test_a_logs_sdfa_has_its_prefix_tree_as_support():
         for _ in range(30):
             log = oracles.random_log(rng, alphabet="abcd", max_traces=30, max_len=8)
             tree = automata.log_to_dfa(log)
-            assert log_to_sdfa(log)._support == tree == stochastic._log_weights(log)[0]
+            assert log_to_sdfa(log)._support == tree
+            assert len(stochastic._log_rows(log)) == len(tree.states)
 
 
 def test_out_edges_read_the_transitions_of_any_state():
@@ -615,9 +616,8 @@ def test_a_trap_behind_a_stopping_state_cannot_terminate(trap):
         {0: Fraction(1, 2)},
     )
     log = EventLog.from_traces(["", "", "a"])
-    tree = stochastic._log_weights(log)
     coded = log_to_sdfa(log)
-    for pair in ((model, coded), (coded, model), (model, tree), (tree, model)):
+    for pair in ((model, coded), (coded, model), (model, log), (log, model)):
         # whichever side is printed, the model's own entropy rejects it
         for sides in (("precision", "recall"), ("precision",), ("recall",)):
             with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
@@ -703,15 +703,29 @@ def test_a_logs_integer_weights_solve_as_its_sdfa_and_its_shannon_entropy():
     rng = random.Random(1601)
     for _ in range(60):
         log = oracles.random_log(rng, alphabet="abcd", max_traces=40, max_len=9)
-        tree, weights = stochastic._log_weights(log)
-        assert tree == automata.log_to_dfa(log)
-        value = stochastic._entropy(weights)
-        coded = sdfa_entropy(log_to_sdfa(log))
-        assert hexed((value.bits, value.residual)) == hexed((coded.bits, coded.residual))
+        bits = stochastic._tree_bits(stochastic._log_rows(log))
+        assert bits.hex() == sdfa_entropy(log_to_sdfa(log)).bits.hex()
         # a log's traces are its outcomes, so H is the entropy of their frequencies
         total = log.total_instances()
         shannon = -math.fsum(n / total * math.log2(n / total) for n in log.entries.values())
-        assert value.bits == pytest.approx(shannon, rel=1e-12, abs=1e-15)
+        assert bits == pytest.approx(shannon, rel=1e-12, abs=1e-15)
+
+
+def test_a_log_solves_as_its_sdfa_against_models_that_stop_and_go_on():
+    # a net's SDFA stops only where it cannot go on; these models stop with
+    # positive weight in every state, so a shared prefix of the log may end
+    # in the model but not in the log, and the other way round
+    rng = random.Random(2301)
+    for _ in range(60):
+        log = oracles.random_log(rng, max_traces=12, max_len=5)
+        models = [oracles.random_terminating_sdfa(rng), log_to_sdfa(oracles.random_log(rng))]
+        for model in models:
+            for pair in ((log, model), (model, log)):
+                public = stochastic_precision_recall(
+                    *(log_to_sdfa(side) if side is log else side for side in pair)
+                )
+                expected = hexed((public.precision, public.recall))
+                assert hexed(stochastic._precision_recall(*pair)) == expected
 
 
 def test_conjunction_with_itself_preserves_the_distribution():
