@@ -17,7 +17,8 @@ over one total, in a list that every solve reads as it is. So validation,
 conjunction weighting and entropy use integers only, and each float is one
 correctly rounded integer quotient. The command line's log enters precision
 and recall as its counted trie instead, with no Dfa, Sdfa or Fraction: its
-distribution and its conjunctions are trees, each solved by one walk.
+distribution and its conjunctions are trees, each solved by one walk. So is
+any Sdfa that is an exact tree; the visit-count system solves graphs only.
 """
 
 from __future__ import annotations
@@ -250,38 +251,48 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     """Shannon entropy in bits of the trace distribution of an SDFA.
 
     H = sum over states of (expected visit count) * (local entropy of the
-    state's outgoing-plus-termination distribution). The counts c solve
-    (I - P)^T c = e_initial, with each diagonal 1 - p(self-loop) taken on the
-    exact integer weights. I - P is nonsingular only when every reachable
-    state can reach positive termination; NonTerminatingSdfa otherwise,
-    raised while the system is built, before any solve. When the only
-    cycles are self-loops (a log, a conjunction with a log, a one-state
-    loop) the system is triangular and one forward pass in topological
-    order solves it, in pure Python; a longer cycle takes a sparse LU.
-    NotConverged when the residual, the backward error ||A c - e||inf /
-    (||A||inf ||c||inf + 1) of A = (I - P)^T, exceeds 1e-9, or when a
-    diagonal is not positive as a float or a count or the sum is not finite.
+    state's outgoing-plus-termination distribution). An exact tree, such as
+    a log's SDFA or a conjunction with one, is walked from its root, each
+    count its parent's times the edge's probability, with residual 0.0. Any
+    other graph's counts c solve (I - P)^T c = e_initial, with each diagonal
+    1 - p(self-loop) taken on the exact integer weights. I - P is
+    nonsingular only when every reachable state can reach positive
+    termination; NonTerminatingSdfa otherwise, raised while the system is
+    built, before any solve. When the only cycles are self-loops one
+    forward pass in Kahn's order solves it, in pure Python; a longer cycle
+    takes a sparse LU. NotConverged when the residual, the backward error
+    ||A c - e||inf / (||A||inf ||c||inf + 1) of A = (I - P)^T, exceeds 1e-9,
+    or when a diagonal is not positive as a float or a count or the sum is
+    not finite.
     """
     return _entropy(a._weights)
 
 
 def _entropy(weights: list) -> StochasticEntropy:
-    """sdfa_entropy of weights laid out as Sdfa._weights, solved in index
-    order unless an edge goes back: then in Kahn's order, or by sparse LU."""
-    diagonal, incoming, local, back = _visit_system(weights)
+    """sdfa_entropy of weights laid out as Sdfa._weights: an exact tree by
+    _tree_bits, any other graph by its visit counts in Kahn's order, or by
+    sparse LU on a cycle.
+
+    An exact tree has one edge fewer than its states, all reached from
+    state 0, and each row's stop and edge weights sum to its total; a
+    parsed row within the 1e-9 slack keeps its own total, so it is solved."""
+    if sum([len(edges) for _, edges, _ in weights]) == len(weights) - 1 and all(
+        [stop + sum([w for _, w in edges.values()]) == total for stop, edges, total in weights]
+    ):
+        return StochasticEntropy(_tree_bits([(stop, edges) for stop, edges, _ in weights]), 0.0)
+    diagonal, incoming, local = _visit_system(weights)
     if not min(diagonal) > 0.0:
         # an exit probability below the float range, or a self-loop mass at
         # or above 1 within the parsed inputs' slack
         raise NotConverged("a state's exit probability is not positive as a float")
-    order = range(len(weights))
-    if back:
-        # predecessors first, as every successor comes first in the reverse graph
-        order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
+    # predecessors first, as every successor comes first in the reverse graph
+    order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
     try:
         if order is None:
-            counts, residual = _sparse_counts(diagonal, incoming)
+            counts = _sparse_counts(diagonal, incoming)
         else:
-            counts, residual = _forward_counts(diagonal, incoming, order)
+            counts = _forward_counts(diagonal, incoming, order)
+        residual = _backward_error(diagonal, incoming, counts)
         if not residual <= _BACKWARD_ERROR_TOL:
             raise NotConverged(f"visit-count solve has backward error {residual:.3g}")
         bits = math.fsum(map(operator.mul, counts, local))
@@ -294,86 +305,54 @@ def _entropy(weights: list) -> StochasticEntropy:
 
 def _visit_system(weights: list):
     """(I - P)^T of weights in the layout of Sdfa._weights, states 0..n-1
-    numbered breadth-first from state 0, all reachable.
+    all reachable from state 0.
 
     Per state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
-    and the local entropy; then whether some edge goes back to an earlier
-    state. Each sum is an fsum or exact, so no value depends on the order of
-    the labels.
-
-    NonTerminatingSdfa when a reachable state cannot reach positive
-    termination, which makes the system singular. A stuck state, one that
-    cannot stop and whose every edge is a self-loop, is one. While every
-    other edge goes to a later state, no other is: by induction from the
-    last state, a state that is not stuck stops or moves on to a later one
-    that terminates. So the reverse reachability pass runs only when some
-    edge goes back to an earlier state.
+    and the local entropy. Each sum is an fsum or exact, so no value depends
+    on the order of the labels. NonTerminatingSdfa when a reachable state
+    cannot reach positive termination, which makes the system singular:
+    when the states that stop do not reach every state along the in-edges.
     """
     diagonal = []
     incoming: list[list[tuple[int, float]]] = [[] for _ in weights]
     local = []
-    back = False
+    terminating = []
     for i, (stop, edges, total) in enumerate(weights):
-        stay, moves, terms = 0, False, []
+        stay, terms = 0, []
         for j, w in edges.values():
             terms.append(_plog2p(w, total))
             if j == i:
                 stay += w
             else:
-                moves = True
-                back = back or j < i
                 incoming[j].append((i, w / total))
         if stop:
             terms.append(_plog2p(stop, total))
-        elif not moves:
-            raise NonTerminatingSdfa(_CANNOT_TERMINATE)
+            terminating.append(i)
         diagonal.append((total - stay) / total)
         local.append(math.fsum(terms))
-    if back:
-        terminating = [i for i, (stop, _, _) in enumerate(weights) if stop]
-        if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(weights):
-            raise NonTerminatingSdfa(_CANNOT_TERMINATE)
-    return diagonal, incoming, local, back
+    if len(_reachable(terminating, lambda i: (j for j, _ in incoming[i]))) < len(weights):
+        raise NonTerminatingSdfa(_CANNOT_TERMINATE)
+    return diagonal, incoming, local
 
 
-def _forward_counts(diagonal, incoming, order) -> tuple[list[float], float]:
-    """Visit counts of a system whose only cycles are self-loops, and residual.
+def _forward_counts(diagonal, incoming, order) -> list[float]:
+    """Visit counts of a system whose only cycles are self-loops.
 
     c_i = (delta_i0 + sum_j c_j P_ji) / (1 - P_ii) along order, with every
     in-edge summed by fsum, so the counts do not depend on the numbering.
     The initial state 0 has no other in-edges, since any would close a cycle.
-    Each row's term of _backward_error is summed in the same pass from the
-    same products, negated, so the residual is _backward_error's to the bit;
-    every diagonal and probability is positive, so no absolute value is
-    needed but the row's.
-
-    A row with one in-edge (j, p) and a diagonal of 1.0, as every row of a
-    log's tree or of a conjunction with a log but state 0's, takes
-    c_i = c_j p in one product: the fsum of one term is that term, dividing
-    by 1.0 is exact and the row's term fsum([c_i, 0, -c_i]) is 0, so the
-    bits are the same.
     """
     counts = [0.0] * len(diagonal)
-    error = norm = 0.0
     for i in order:
-        d, edges = diagonal[i], incoming[i]
-        if d == 1.0 and len(edges) == 1:
-            ((j, p),) = edges
-            counts[i] = counts[j] * p
-            norm = max(norm, 1.0 + p)
-            continue
-        flows = [counts[j] * p for j, p in edges]
-        c = counts[i] = (math.fsum(flows) + (i == 0)) / d
+        flows = [counts[j] * p for j, p in incoming[i]]
+        c = counts[i] = (math.fsum(flows) + (i == 0)) / diagonal[i]
         if not math.isfinite(c):
             raise NotConverged("visit counts overflow a float")
-        flows += (i == 0, -d * c)
-        error = max(error, abs(math.fsum(flows)))
-        norm = max(norm, d + math.fsum([p for _, p in edges]))
-    return counts, error / (norm * max(counts) + 1.0)
+    return counts
 
 
-def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
-    """Visit counts of any system by a sparse LU of (I - P)^T, and residual."""
+def _sparse_counts(diagonal, incoming) -> list[float]:
+    """Visit counts of any system by a sparse LU of (I - P)^T."""
     # imported here, not at module load, as in automata
     import numpy as np
     from scipy.sparse import csc_matrix
@@ -389,8 +368,7 @@ def _sparse_counts(diagonal, incoming) -> tuple[list[float], float]:
     with warnings.catch_warnings():
         # a float-singular system yields NaN counts; the residual check reports it
         warnings.simplefilter("ignore", MatrixRankWarning)
-        counts = spsolve(system, e_initial).tolist()
-    return counts, _backward_error(diagonal, incoming, counts)
+        return spsolve(system, e_initial).tolist()
 
 
 def _backward_error(diagonal, incoming, counts) -> float:
@@ -511,13 +489,15 @@ def _pair(log, tree, other) -> dict:
 
 
 def _tree_bits(tree, kept=None, other=None, by_other=False) -> float:
-    """_entropy's bits, to the bit, of the trees that a log's rows lay out:
-    all of tree, or the prefixes in kept, each weighted by its own row or,
-    if by_other, by the row of other that kept maps it to. A kept prefix
-    keeps its kept children at their full weight, and its stop if both
-    sides stop there, so its total is renormalized as _shaped's are. A
-    visit count is its parent's times w / total, as _forward_counts' one-
-    edge rows, and a local entropy is the fsum of _visit_system's terms."""
+    """Entropy in bits of a tree laid out in rows of (stop weight, {label:
+    (child, weight)}), a log's or an exact tree's from _entropy: all of
+    tree, or the prefixes in kept, each weighted by its own row or, if
+    by_other, by the row of other that kept maps it to. A kept prefix keeps
+    its kept children at their full weight, and its stop if both sides stop
+    there, so its total is renormalized as _shaped's are. A visit count is
+    its parent's times w / total, which is the forward pass's fsum of one
+    in-edge divided by a diagonal of 1.0, and a local entropy is the fsum
+    of _visit_system's terms, so the bits are the system's to the bit."""
     terms, stack = [], [(0, 1.0)]
     while stack:
         i, count = stack.pop()

@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from entroconf.errors import (
     StateSpaceExceeded,
     UnboundedModel,
 )
-from entroconf.formats import load_artifact
+from entroconf.formats import load_artifact, parse_sdfa
 from entroconf.measures import PrecisionRecall
 from entroconf.petri import StochasticPetriNet, stochastic_rg_to_sdfa
 from entroconf.stochastic import (
@@ -349,9 +350,9 @@ def test_entropy_matches_exact_counts_on_either_solve(monkeypatch):
 
 
 def sparse_entropy(a: Sdfa) -> float:
-    diagonal, incoming, local, _ = stochastic._visit_system(a._weights)
-    counts, residual = stochastic._sparse_counts(diagonal, incoming)
-    assert residual <= 1e-9
+    diagonal, incoming, local = stochastic._visit_system(a._weights)
+    counts = stochastic._sparse_counts(diagonal, incoming)
+    assert stochastic._backward_error(diagonal, incoming, counts) <= 1e-9
     return math.fsum(c * h for c, h in zip(counts, local))
 
 
@@ -381,9 +382,10 @@ def reference_entropy(a: Sdfa) -> tuple[float, float]:
     diagonal, incoming, local = oracles.reference_visit_system(a)
     order = measures._reverse_topological_order([[j for j, _ in edges] for edges in incoming])
     if order is None:
-        counts, residual = stochastic._sparse_counts(diagonal, incoming)
+        counts = stochastic._sparse_counts(diagonal, incoming)
     else:
-        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
+        counts = stochastic._forward_counts(diagonal, incoming, order)
+    residual = stochastic._backward_error(diagonal, incoming, counts)
     return math.fsum(map(operator.mul, counts, local)), residual
 
 
@@ -446,43 +448,6 @@ def slackened(a: Sdfa, rng) -> Sdfa:
         for state, p in a.termination.items()
     }
     return Sdfa(a.states, a.alphabet, a.initial, a.transitions, termination)
-
-
-def test_kahns_sort_runs_only_when_an_edge_goes_back(monkeypatch, fixtures):
-    calls = []
-    sort = stochastic._reverse_topological_order
-    monkeypatch.setattr(
-        stochastic, "_reverse_topological_order", lambda out: calls.append(out) or sort(out)
-    )
-    coded = log_to_sdfa(LOG)
-    loop = Sdfa(
-        frozenset({0}),
-        frozenset("abce"),
-        0,
-        {(0, label): (0, Fraction(1, 5)) for label in "abce"},
-        {0: Fraction(1, 5)},
-    )
-    # breadth-first with sorted labels numbers s2 before s1, so s1's edge to
-    # s2 goes back, although nothing cycles
-    late = Sdfa(
-        frozenset({"s0", "s1", "s2"}),
-        frozenset("xyz"),
-        "s0",
-        {
-            ("s0", "x"): ("s2", Fraction(1, 2)),
-            ("s0", "y"): ("s1", Fraction(1, 2)),
-            ("s1", "z"): ("s2", Fraction(1)),
-        },
-        {"s2": Fraction(1)},
-    )
-    net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
-    cases = [(coded, False), (conjunction(coded, loop), False), (loop, False)]
-    cases += [(net, True), (late, True)]
-    for model, sorted_ in cases:
-        calls.clear()
-        value = sdfa_entropy(model)
-        assert bool(calls) == sorted_
-        assert hexed((value.bits, value.residual)) == hexed(reference_entropy(model))
 
 
 def test_an_sdfa_is_numbered_once_whatever_its_names_and_order():
@@ -589,8 +554,11 @@ def test_entropy_rejects_states_that_cannot_stop():
 STUCK = [Fraction(1), 0.9999999999]
 
 
+# a model that cannot terminate is rejected before any solve, so in an
+# environment without numpy too: any import of it fails in these tests
 @pytest.mark.parametrize("stay", STUCK)
-def test_a_stuck_initial_state_cannot_terminate(stay):
+def test_a_stuck_initial_state_cannot_terminate(stay, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
     sink = Sdfa(frozenset({0}), frozenset("a"), 0, {(0, "a"): (0, stay)}, {})
     with pytest.raises(NonTerminatingSdfa, match="^a reachable state has no positive"):
         sdfa_entropy(sink)
@@ -607,7 +575,8 @@ def test_a_stuck_initial_state_cannot_terminate(stay):
         {(1, "b"): (2, Fraction(1)), (2, "c"): (1, Fraction(1))},
     ],
 )
-def test_a_trap_behind_a_stopping_state_cannot_terminate(trap):
+def test_a_trap_behind_a_stopping_state_cannot_terminate(trap, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)
     model = Sdfa(
         frozenset({0, *(dst for dst, _ in trap.values())}),
         frozenset("abc"),
@@ -626,33 +595,144 @@ def test_a_trap_behind_a_stopping_state_cannot_terminate(trap):
         sdfa_entropy(model)
 
 
-def test_the_forward_pass_residual_is_the_backward_error_to_the_bit():
-    # the forward pass sums each row's residual term as it goes
-    rng = random.Random(1602)
-    models = [random_visit_model(rng, rng.choice(["none", "self"])) for _ in range(60)]
-    models += [log_to_sdfa(oracles.random_log(rng, max_traces=20)) for _ in range(20)]
-    for model in models:
-        diagonal, incoming, _, _ = stochastic._visit_system(model._weights)
+def earlier_entropy(weights) -> tuple[float, float]:
+    """Bits and residual of weights laid out as Sdfa._weights, as sdfa_entropy
+    solved them when trees went through the visit-count system too: in
+    index order unless an edge goes back, each row with one in-edge and a
+    diagonal of 1.0 as one product, and the residual summed in the forward
+    pass. For models that terminate."""
+    diagonal, incoming, local = [], [[] for _ in weights], []
+    back = False
+    for i, (stop, edges, total) in enumerate(weights):
+        stay, terms = 0, []
+        for j, w in edges.values():
+            terms.append(stochastic._plog2p(w, total))
+            if j == i:
+                stay += w
+            else:
+                back = back or j < i
+                incoming[j].append((i, w / total))
+        if stop:
+            terms.append(stochastic._plog2p(stop, total))
+        diagonal.append((total - stay) / total)
+        local.append(math.fsum(terms))
+    order = range(len(weights))
+    if back:
         order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
-        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
-        assert residual.hex() == stochastic._backward_error(diagonal, incoming, counts).hex()
+    if order is None:
+        counts = stochastic._sparse_counts(diagonal, incoming)
+        residual = stochastic._backward_error(diagonal, incoming, counts)
+    else:
+        counts = [0.0] * len(weights)
+        error = norm = 0.0
+        for i in order:
+            d, edges = diagonal[i], incoming[i]
+            if d == 1.0 and len(edges) == 1:
+                ((j, p),) = edges
+                counts[i] = counts[j] * p
+                norm = max(norm, 1.0 + p)
+                continue
+            flows = [counts[j] * p for j, p in edges]
+            c = counts[i] = (math.fsum(flows) + (i == 0)) / d
+            flows += (i == 0, -d * c)
+            error = max(error, abs(math.fsum(flows)))
+            norm = max(norm, d + math.fsum([p for _, p in edges]))
+        residual = error / (norm * max(counts) + 1.0)
+    return math.fsum(map(operator.mul, counts, local)), residual
 
 
-def general_forward_counts(diagonal, incoming, order):
-    """_forward_counts with every row on the fsum path, none as one product."""
-    counts = [0.0] * len(diagonal)
-    error = norm = 0.0
-    for i in order:
-        d, edges = diagonal[i], incoming[i]
-        flows = [counts[j] * p for j, p in edges]
-        c = counts[i] = (math.fsum(flows) + (i == 0)) / d
-        flows += (i == 0, -d * c)
-        error = max(error, abs(math.fsum(flows)))
-        norm = max(norm, d + math.fsum([p for _, p in edges]))
-    return counts, error / (norm * max(counts) + 1.0)
+def is_tree(model: Sdfa) -> bool:
+    return sum(len(edges) for _, edges, _ in model._weights) == len(model._weights) - 1
 
 
-def test_one_edge_rows_of_the_forward_pass_match_the_fsum_path_to_the_bit(fixtures):
+# a root that moves on by a, b or c to a leaf that stops: the arcs of the
+# exact tree are 1/3, those of the slack one 0.3333333333
+THIRDS = """
+initial s0
+state s0 0
+state s1 1
+state s2 1
+state s3 1
+arc s0 s1 a {p}
+arc s0 s2 b {p}
+arc s0 s3 c {p}
+"""
+
+
+def test_exact_trees_are_walked_and_other_graphs_solved(monkeypatch, fixtures):
+    calls = []
+    for name in ("_tree_bits", "_visit_system", "_forward_counts", "_sparse_counts"):
+        monkeypatch.setattr(
+            stochastic,
+            name,
+            lambda *args, run=getattr(stochastic, name), name=name: calls.append(name)
+            or run(*args),
+        )
+    rng = random.Random(2402)
+    loop = Sdfa(
+        frozenset({0}),
+        frozenset("abce"),
+        0,
+        {(0, label): (0, Fraction(1, 5)) for label in "abce"},
+        {0: Fraction(1, 5)},
+    )
+    logs = [EventLog.from_traces(["", "ab", "b"]), EventLog.from_traces([""]), LOG]
+    logs += [oracles.random_log(rng, alphabet="abce", max_traces=30, max_len=8) for _ in range(30)]
+    assert sum(() in log.entries for log in logs) > 10
+    trees = [log_to_sdfa(log) for log in logs] + [parse_sdfa(THIRDS.format(p="1/3"))]
+    for log in logs:
+        for model in (MODEL, loop, random_visit_model(rng, "long")):
+            try:
+                trees.append(conjunction(log_to_sdfa(log), model))
+            except EmptyConjunction:
+                pass
+    assert len(trees) > 80
+    # breadth-first with sorted labels numbers s2 before s1, so s1's edge to
+    # s2 goes back, although nothing cycles
+    late = Sdfa(
+        frozenset({"s0", "s1", "s2"}),
+        frozenset("xyz"),
+        "s0",
+        {
+            ("s0", "x"): ("s2", Fraction(1, 2)),
+            ("s0", "y"): ("s1", Fraction(1, 2)),
+            ("s1", "z"): ("s2", Fraction(1)),
+        },
+        {"s2": Fraction(1)},
+    )
+    # a parsed tree within the slack keeps its own totals, so it is solved
+    graphs = [parse_sdfa(THIRDS.format(p="0.3333333333")), loop, late, conjunction(loop, MODEL)]
+    while len(graphs) < 40:
+        model = random_visit_model(rng, rng.choice(["none", "self"]))
+        try:
+            if len(graphs) % 2:
+                model = conjunction(model, random_visit_model(rng, "none"))
+        except EmptyConjunction:
+            continue
+        if not is_tree(model):
+            graphs.append(model)
+    # none of these needs numpy: a tree is walked and a graph without a
+    # longer cycle is solved in pure Python
+    with monkeypatch.context() as bare:
+        bare.setitem(sys.modules, "numpy", None)
+        walked, solved = ["_tree_bits"], ["_visit_system", "_forward_counts"]
+        for models, path in ((trees, walked), (graphs, solved)):
+            for model in models:
+                calls.clear()
+                value = sdfa_entropy(model)
+                assert calls == path
+                assert path == solved or value.residual.hex() == "0x0.0p+0"
+                expected = earlier_entropy(model._weights)
+                assert hexed((value.bits, value.residual)) == hexed(expected)
+    # N.spnml's reachability graph has longer cycles, which take the sparse LU
+    net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
+    calls.clear()
+    value = sdfa_entropy(net)
+    assert calls == ["_visit_system", "_sparse_counts"]
+    assert hexed((value.bits, value.residual)) == hexed(earlier_entropy(net._weights))
+
+
+def test_entropy_matches_the_earlier_kernel_to_the_bit(fixtures):
     rng = random.Random(1801)
     # state 1 stays with probability 10**-20, so its diagonal rounds to 1.0
     # although it has a self-loop
@@ -663,7 +743,7 @@ def test_one_edge_rows_of_the_forward_pass_match_the_fsum_path_to_the_bit(fixtur
         {(0, "a"): (1, Fraction(1, 2)), (1, "b"): (1, Fraction(1, 10**20))},
         {0: Fraction(1, 2), 1: Fraction(10**20 - 1, 10**20)},
     )
-    # a self-loop on a one-edge row keeps the fsum path: its diagonal is below 1
+    # a self-loop on a row with one in-edge: its diagonal is below 1
     loop = Sdfa(
         frozenset({0, 1}),
         frozenset("ab"),
@@ -673,30 +753,22 @@ def test_one_edge_rows_of_the_forward_pass_match_the_fsum_path_to_the_bit(fixtur
     )
     net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
     log = log_to_sdfa(load_artifact(fixtures / "E.xes"))
-    models = [rounded, loop, log, conjunction(log, net), conjunction(net, log)]
+    models = [rounded, loop, net, log, conjunction(log, net), conjunction(net, log)]
     for _ in range(40):
         coded = log_to_sdfa(oracles.random_log(rng, alphabet="abcd", max_traces=30, max_len=9))
-        model = random_visit_model(rng, rng.choice(["none", "self"]))
-        models += [coded, model]
+        model = random_visit_model(rng, rng.choice(["none", "self", "long"]))
+        models += [coded, model, slackened(model, rng)]
         try:
             models += [conjunction(coded, model), conjunction(model, coded)]
         except EmptyConjunction:
             pass
-    rows = 0
     for model in models:
-        diagonal, incoming, _, _ = stochastic._visit_system(model._weights)
-        order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
-        counts, residual = stochastic._forward_counts(diagonal, incoming, order)
-        expected = general_forward_counts(diagonal, incoming, order)
-        assert hexed(counts + [residual]) == hexed(expected[0] + [expected[1]])
-        rows += sum(d == 1.0 and len(e) == 1 for d, e in zip(diagonal, incoming))
+        value = sdfa_entropy(model)
+        assert hexed((value.bits, value.residual)) == hexed(earlier_entropy(model._weights))
     assert stochastic._visit_system(rounded._weights)[0] == [1.0, 1.0]
-    assert rows > 1000
     # a longer cycle still takes the sparse LU, not the forward pass
-    diagonal, incoming, _, back = stochastic._visit_system(net._weights)
-    assert back and measures._reverse_topological_order(
-        [[j for j, _ in e] for e in incoming]
-    ) is None
+    incoming = stochastic._visit_system(net._weights)[1]
+    assert measures._reverse_topological_order([[j for j, _ in e] for e in incoming]) is None
 
 
 def test_a_logs_integer_weights_solve_as_its_sdfa_and_its_shannon_entropy():
