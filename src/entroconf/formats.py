@@ -6,10 +6,11 @@ transitions by empty name or an invisible marker), and sPNML stochastic
 nets (PNML plus a per-transition weight annotation).
 
 An XES file is read in fixed blocks, so memory stays flat in its size. A
-common subset of XES (see _read_xes_fast) is read by one C-level expat
-pass over every byte plus pattern extraction of the traces, with no Python
-call per element; everything else takes the full streaming reader,
-_read_xes, which gives the same log or error for any file.
+common subset of XES (see _read_xes_fast) is read with no Python call per
+element: patterns take out the traces and a UTF-8 check covers their
+bytes, while a C-level expat pass reads only the header and the tail
+around them. Everything else takes the full streaming reader, _read_xes,
+which gives the same log or error for any file.
 
 Line formats, with '#' comments and blank lines ignored:
 
@@ -279,12 +280,27 @@ def _plain_header(header: bytes) -> bool:
 def _read_xes_fast(stream) -> EventLog | None:
     """The event log of an XES file in a common subset, or None outside it.
 
-    Every block goes to an expat parser with no handlers, which checks
-    well-formedness and the encoding in C, and is then scanned by the
-    patterns above, which take the traces out with no Python call per
-    element. None (a file outside the subset, or one expat rejects) leaves
-    the file to _read_xes, whose result, error class and message stand.
+    The patterns above take the traces out with no Python call per element,
+    and a UTF-8 check covers their bytes. Only the bytes around them, the
+    header before the first <trace> and the tail after the last trace, go
+    to an expat parser with no handlers, which checks their well-formedness
+    and encoding in C. None (a file outside the subset, or one either check
+    rejects) leaves the file to _read_xes, whose result, error class and
+    message stand.
     """
+    # Why expat need not read the traces: _TRACE matches only elements that
+    # are well-formed in themselves, with no prefixes, entities, comments,
+    # CDATA or PIs, only key and value attributes, and no "&<, control
+    # character or other whitespace than [ \t\r\n]. What expat would still
+    # reject there is a character that is not an XML Char: invalid UTF-8
+    # (overlong forms, surrogates, code points above U+10FFFF), U+FFFE or
+    # U+FFFF. Python's strict UTF-8 decoder and a search for those two reject
+    # the same. Expat gets the stand-in <trace/> where the traces were, and
+    # rejects it wherever the traces could not sit as element content: inside
+    # an attribute value or an unfinished tag, or after the root element. So
+    # the whole document is well-formed exactly when header + <trace/> + tail
+    # is and every tiled run of traces passes the character check.
+    #
     # compiled on first use, not on import, which every run would pay for;
     # re keeps them compiled for the next file
     trace, name, spaces = re.compile(_TRACE), re.compile(_NAME), re.compile(_SPACE + rb"*")
@@ -295,7 +311,6 @@ def _read_xes_fast(stream) -> EventLog | None:
     try:
         while True:
             block = stream.read(_BLOCK)
-            parser.Parse(block, not block)
             if not block:
                 break
             buf = carry + block
@@ -309,15 +324,17 @@ def _read_xes_fast(stream) -> EventLog | None:
                     if len(carry) > _CARRY_LIMIT:
                         return None
                     continue
-                if not _plain_header(buf[: first.start()]):
+                header = buf[: first.start()]
+                if not _plain_header(header):
                     return None
+                parser.Parse(header, False)
                 started, pos = True, first.start()
             else:
                 pos = spaces.match(buf).end()
             last = buf.rfind(b"</trace>", pos)
             if last >= 0:
                 # the traces up to the last complete one, back to back
-                end = last + len(b"</trace>")
+                begin, end = pos, last + len(b"</trace>")
                 for match in trace.finditer(buf, pos, end):
                     start, stop = match.span()
                     if start != pos:
@@ -327,11 +344,17 @@ def _read_xes_fast(stream) -> EventLog | None:
                     pos = stop
                 if pos != end:
                     return None
+                region = buf[begin:end]
+                if not region.isascii():
+                    region.decode("utf-8")  # a UnicodeDecodeError is a ValueError
+                    if b"\xef\xbf\xbe" in region or b"\xef\xbf\xbf" in region:
+                        return None
             carry = buf[pos:]
             if len(carry) > _CARRY_LIMIT:
                 return None
         if not started or re.search(_TAIL_MARKUP, carry):
             return None
+        parser.Parse(b"<trace/>" + carry, True)
         labels = _Labels()
         counts = {}
         for key, count in raw.items():

@@ -7,6 +7,7 @@ from fractions import Fraction
 from io import BytesIO
 from pathlib import Path
 from unittest import mock
+from xml.parsers import expat
 from xml.sax.saxutils import escape, quoteattr
 
 import pytest
@@ -320,6 +321,26 @@ def renamed(value):
     return at(NAME_LEAF, '<event><string key="concept:name" value="' + value + '"/>')
 
 
+def suffixed(raw):
+    """One trace's case name with the bytes raw appended, in a UTF-8 document.
+
+    No event name holds them, so only the check of the traces' bytes sees them.
+    """
+    case = rb'(<trace>\s*<string key="concept:name" value="[^"]*)"'
+    return lambda rng, text: at_random(rng, text.encode("utf-8"), case, b"\\1" + raw + b'"')
+
+
+def around_the_traces(before, after):
+    """before put ahead of the first trace, and after ahead of the root's end tag."""
+
+    def mutate(rng, text):
+        text = text.replace("  <trace>", before + "  <trace>", 1)
+        end = text.rindex("</log>")
+        return text[:end] + after + text[end:]
+
+    return mutate
+
+
 # each way out of the fast reader's subset, as a change to a subset document
 FALLBACK_CASES = {
     "prefixed leaf": on_root(r"<event><string ", r"<event><xes:string "),
@@ -335,6 +356,12 @@ FALLBACK_CASES = {
     "tab in a value": renamed("\\1\tz"),
     "line feed in a value": renamed("\\1\nz"),
     "carriage return in a value": renamed("\\1\rz"),
+    "lone 0xFF byte in a value": suffixed(b"\xff"),
+    "overlong UTF-8 in a value": suffixed(b"\xc0\xaf"),
+    "UTF-8 surrogate in a value": suffixed(b"\xed\xa0\x80"),
+    "code point above U+10FFFF in a value": suffixed(b"\xf4\x90\x80\x80"),
+    "U+FFFE in a value": suffixed("\ufffe".encode()),
+    "U+FFFF in a value": suffixed("\uffff".encode()),
     "single quotes": at(NAME_LEAF, r"<event><string key='concept:name' value='\1'/>"),
     "value before key": at(NAME_LEAF, r'<event><string value="\1" key="concept:name"/>'),
     "another attribute": at(NAME_LEAF, r'<event><string key="concept:name" value="\1" id="x"/>'),
@@ -351,6 +378,12 @@ FALLBACK_CASES = {
     "processing instruction in a trace": at(r"<trace>", r"<trace><?pi x?>"),
     "processing instruction in the header": at(r"<log ", r"<?pi x?>\g<0>"),
     "DOCTYPE": at(r"<log ", r'<!DOCTYPE log [<!ATTLIST event id CDATA "x">]>\g<0>'),
+    # the tail would close what the header opens, if no trace stood between
+    "header ending inside an attribute value": around_the_traces('<log a="', '"></log>'),
+    "header ending inside an open tag": around_the_traces('<log a="x"', "></log>"),
+    "traces after the root element": lambda rng, text: text.replace(
+        "  <trace>", "</log>  <trace>", 1
+    ).removesuffix("</log>\n"),
     "declared Latin-1": encoded("ISO-8859-1", "latin-1"),
     "declared ASCII": encoded("US-ASCII", "ascii"),
     "UTF-16 with a byte-order mark": encoded("UTF-16", "utf-16"),
@@ -432,6 +465,23 @@ def test_a_log_from_a_named_pipe_is_read_once(fixtures, tmp_path):
     assert log == load_artifact(fixtures / "E.xes")
 
 
+def spied_expat_input(monkeypatch):
+    """The chunks that the expat parsers made from now on are fed."""
+    chunks = []
+    create = expat.ParserCreate
+
+    class Spy:
+        def __init__(self, *args, **kwargs):
+            self.parser = create(*args, **kwargs)
+
+        def Parse(self, data, final=False):
+            chunks.append(data)
+            return self.parser.Parse(data, final)
+
+    monkeypatch.setattr(formats.expat, "ParserCreate", Spy)
+    return chunks
+
+
 @pytest.mark.parametrize("name", ["E.xes", "multi-byte"])
 def test_the_fast_reader_agrees_at_every_block_size(name, fixtures, tmp_path, monkeypatch):
     if name == "multi-byte":
@@ -441,23 +491,82 @@ def test_the_fast_reader_agrees_at_every_block_size(name, fixtures, tmp_path, mo
         path = fixtures / name
     data = path.read_bytes()
     expected = exact_outcome(streamed, data)
+    # expat reads the header, then the stand-in <trace/> and the tail, and
+    # never the traces themselves; whitespace after the last trace may be
+    # left out of the tail
+    header = data[: data.index(b"<trace>")]
+    tail = data[data.rindex(b"</trace>") + len(b"</trace>") :]
+    fed = ([header, b"<trace/>" + tail], [header, b"<trace/>" + tail.lstrip(b" \t\r\n")])
+    chunks = spied_expat_input(monkeypatch)
     # every size splits the file somewhere new: inside </trace>, inside a
     # multi-byte UTF-8 sequence, inside the XML declaration
     for size in range(1, len(data) + 1):
         monkeypatch.setattr(formats, "_BLOCK", size)
+        chunks.clear()
         with open(path, "rb") as stream:
             log = formats._read_xes_fast(stream)
         assert log is not None and dict(log.entries) == expected, size
+        assert chunks in fed, size
+
+
+# inserted into values in the trace region: bytes that are not UTF-8 or
+# encode no XML character, and characters that expat takes
+VALUE_BYTES = [
+    b"\xff",
+    b"\xc0\xaf",
+    b"\xed\xa0\x80",
+    b"\xf4\x90\x80\x80",
+    "\ufffe".encode(),
+    "\uffff".encode(),
+    b"\x80",
+    b"\xe2\x82",
+    b"\x7f",
+    "\x85".encode(),
+    "\ufffd".encode(),
+    "\U0010ffff".encode(),
+]
+
+
+def random_value_bytes(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice(VALUE_BYTES)
+    if kind == 1:
+        return bytes(rng.randrange(0x80, 0x100) for _ in range(rng.randint(1, 4)))
+    return chr(rng.randrange(0x80, 0x110000)).encode("utf-8", "surrogatepass")
+
+
+def test_bytes_in_the_traces_are_checked_as_expat_checks_them():
+    read = {True: 0, False: 0}  # how many reads the fast reader took or left
+    for seed in range(300):
+        rng = random.Random(seed)
+        data = subset_xes(rng).encode("utf-8")
+        values = re.compile(rb'value="([^"]*)"').finditer(data, data.index(b"<trace>"))
+        # anywhere in each value, even inside a multi-byte character
+        cuts = [rng.randint(*m.span(1)) for m in rng.sample(list(values), rng.randint(1, 3))]
+        for cut in sorted(cuts, reverse=True):
+            data = data[:cut] + random_value_bytes(rng) + data[cut:]
+        expected = exact_outcome(streamed, data)
+        for block in (7, 64, 256):
+            with mock.patch.object(formats, "_BLOCK", block):
+                log = formats._read_xes_fast(BytesIO(data))
+            assert log is None or dict(log.entries) == expected, (seed, block)
+            read[log is not None] += 1
+    # both ways are taken, so the check is seen to accept and to reject
+    assert min(read.values()) > 100, read
 
 
 # Generated documents inside the fast reader's subset: any leaf tags, keys
 # and values, whitespace or none between elements, and traces that may sit
 # inside a further element of the root.
 SUBSET_SPACES = st.sampled_from(["", " ", "\n  ", "\r\n", "\t"])
+# U+FFFE and U+FFFF are no XML characters; the byte cases above take them
 SUBSET_VALUES = st.one_of(
-    st.sampled_from(FAST_LABELS + ["", "it's"]),
+    st.sampled_from(FAST_LABELS + ["", "it's", "\x7f", "\x85", "\ufffd", "\U0010ffff"]),
     st.text(
-        st.characters(min_codepoint=32, exclude_characters='"&<', exclude_categories=("Cs",)),
+        st.characters(
+            min_codepoint=32, exclude_characters='"&<\ufffe\uffff', exclude_categories=("Cs",)
+        ),
         max_size=3,
     ),
 )
