@@ -6,9 +6,9 @@ repeated runs; silent mode suppresses everything except the bare value.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable input, 3 semantic
 rejection (incompatible formats, unbounded model, non-terminating
-automaton), 4 numerical failure. A boundedness check (-b) reports its
-verdict on stdout and exits 3 when the model is unbounded, naming the
-firing sequence that pumps it on stderr.
+automaton, a run that exhausts memory), 4 numerical failure. A
+boundedness check (-b) reports its verdict on stdout and exits 3 when the
+model is unbounded, naming the firing sequence that pumps it on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
-from .automata import UNBOUNDED, EventLog, _prefix_tree_states, _traces, log_to_dfa
+from .automata import UNBOUNDED, EventLog, _prefix_tree_states
 from .errors import (
     ConflictingMeasures,
     IncompatibleFormat,
@@ -33,15 +33,9 @@ from .errors import (
     UsageError,
 )
 from .formats import _parse_count, load_artifact
-from .measures import _matching
-from .petri import (
-    PetriNet,
-    StochasticPetriNet,
-    reachability_graph,
-    rg_to_dfa,
-    stochastic_rg_to_sdfa,
-)
-from .stochastic import Sdfa, _precision_recall, entropic_relevance
+from .measures import _language, _matching
+from .petri import PetriNet, StochasticPetriNet, reachability_graph
+from .stochastic import Sdfa, _distribution, _precision_recall, entropic_relevance
 
 VERSION = "1.5-reimpl"
 
@@ -71,9 +65,6 @@ _MEASURES = {
     "-cpmr": _Measure(
         "cpmr", "controlled partial matching recall", _LANGUAGE, _LANGUAGE, "recall"
     ),
-    # only the printed side's conjunction is solved; an unprinted model's own
-    # entropy still is, as that is where a model that cannot terminate is
-    # rejected, so both measures accept and reject the same inputs
     "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC, "precision"),
     "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC, "recall"),
     "-r": _Measure("r", "entropic relevance", (EventLog,), (Sdfa,)),
@@ -239,12 +230,6 @@ def validate_inputs(cfg: RunConfig, rel, ret) -> None:
             )
 
 
-def _language_automaton(artifact):
-    if isinstance(artifact, EventLog):
-        return log_to_dfa(artifact)
-    return rg_to_dfa(reachability_graph(artifact), artifact)
-
-
 def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, dict[str, int]]:
     """The value and the size diagnostics, one branch per measure family.
 
@@ -264,13 +249,10 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
         sizes = {"log_instances": rel.total_instances(), "model_states": len(ret.states)}
         return relevance.bits, sizes
     side = _selected(cfg)[1].side
+    # each side is taken as the public functions take it, rel first, so an
+    # empty log is rejected before a net on the other side is explored
     if measure.startswith("s"):
-        # a log is taken as it is; _traces rejects an empty one here, before
-        # a net on the other side is explored
-        forms = [
-            a if isinstance(a, EventLog) and _traces(a) else stochastic_rg_to_sdfa(a)
-            for a in (rel, ret)
-        ]
+        forms = [_distribution(a) for a in (rel, ret)]
         (value,) = _precision_recall(*forms, (side,))
     else:
         skips = None
@@ -278,12 +260,7 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
             skips = (UNBOUNDED, UNBOUNDED)
         elif measure.startswith("cpm"):
             skips = (cfg.skips_rel or 0, cfg.skips_ret or 0)
-        # exact matching takes a log as its set of distinct traces; an empty
-        # log is rejected there, before a net on the other side is explored
-        forms = [
-            _traces(a) if skips is None and isinstance(a, EventLog) else _language_automaton(a)
-            for a in (rel, ret)
-        ]
+        forms = [_language(a, skips is None) for a in (rel, ret)]
         (value,) = _matching(*forms, skips, (side,))
     # a log, or its set of traces, reports the size of its prefix tree
     states = [
@@ -341,6 +318,7 @@ _EXITS = (
     (UsageError, 1, "usage error"),
     (InputError, 2, "input error"),
     (SemanticError, 3, "rejected"),
+    (MemoryError, 3, "rejected"),
     (NumericalError, 4, "numerical failure"),
 )
 
@@ -351,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         return run(parse_args(arguments))
     except tuple(error for error, _, _ in _EXITS) as exc:
         code, prefix = next((c, p) for error, c, p in _EXITS if isinstance(exc, error))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        # a MemoryError, from an input that outgrows memory, has no message
+        print(f"{prefix}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return code
 
 

@@ -13,18 +13,25 @@ from __future__ import annotations
 import math
 from collections import Counter
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .automata import (
     UNBOUNDED,
     Dfa,
+    EventLog,
     _Record,
+    _traces,
     determinize,
+    log_to_dfa,
     product,
     short_circuit,
     skip_closure,
     trim,
 )
 from .errors import NotConverged
+
+if TYPE_CHECKING:
+    from .petri import PetriNet
 
 # spectral_radius's relative tolerance, and its cap on power iterations
 _TOL = 1e-9
@@ -329,20 +336,21 @@ def _quotient(shared: float, own: float) -> float:
     return 1.0 if not own else min(1.0, shared / own)
 
 
-def exact_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
+def exact_precision_recall(
+    rel: Dfa | EventLog | PetriNet, ret: Dfa | EventLog | PetriNet
+) -> PrecisionRecall:
     """Precision and recall of exactly matching traces.
 
-    shared = product(rel, ret); precision scores shared against retrieved,
-    recall against relevant. The three growth factors come from _matching,
-    which the command line calls for the printed side alone, solving two.
-    A log's prefix tree, and its product with any automaton, is solved from
-    its words' lengths, so the command line, which takes a log as its set
-    of traces, gives the same bits.
+    Each side is a Dfa, an EventLog or a PetriNet, taken by _language.
+    precision scores the growth factor of the shared language (see _shared)
+    against retrieved, recall against relevant.
     """
-    return PrecisionRecall(*_matching(rel, ret))
+    return PrecisionRecall(*_matching(_language(rel, True), _language(ret, True)))
 
 
-def partial_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
+def partial_precision_recall(
+    rel: Dfa | EventLog | PetriNet, ret: Dfa | EventLog | PetriNet
+) -> PrecisionRecall:
     """Exact measure after closing both languages under symbol deletion.
 
     Every trace collection is widened to all subtraces (subsequences) of
@@ -352,7 +360,10 @@ def partial_precision_recall(rel: Dfa, ret: Dfa) -> PrecisionRecall:
 
 
 def controlled_partial_precision_recall(
-    rel: Dfa, ret: Dfa, skips_rel: int, skips_ret: int
+    rel: Dfa | EventLog | PetriNet,
+    ret: Dfa | EventLog | PetriNet,
+    skips_rel: int,
+    skips_ret: int,
 ) -> PrecisionRecall:
     """Partial matching with per-side deletion budgets.
 
@@ -360,7 +371,23 @@ def controlled_partial_precision_recall(
     relevant resp. retrieved trace, or are UNBOUNDED; budgets of zero
     reproduce the exact measure.
     """
+    rel, ret = _language(rel, False), _language(ret, False)
     return PrecisionRecall(*_matching(rel, ret, (skips_rel, skips_ret)))
+
+
+def _language(side, exact: bool):
+    """side as _matching takes it: a Dfa as it is, a log as its distinct
+    traces when exact and its prefix tree for a closure, a net as its
+    automaton; else TypeError."""
+    if isinstance(side, Dfa):
+        return side
+    if isinstance(side, EventLog):
+        return _traces(side) if exact else log_to_dfa(side)
+    from .petri import PetriNet, reachability_graph, rg_to_dfa  # petri imports this module
+
+    if not isinstance(side, PetriNet):
+        raise TypeError(f"not a Dfa, EventLog or PetriNet: {type(side).__name__}")
+    return rg_to_dfa(reachability_graph(side), side)
 
 
 def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float]:
@@ -369,9 +396,8 @@ def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float
     against ret's, "recall" against rel's. skips, a pair of deletion
     budgets for rel and ret, first closes each language under deletion.
 
-    rel and ret are Dfas. When skips is None, either may instead be a
-    finite set of words, such as a log's distinct traces, which no
-    automaton is built for (see _shared).
+    rel and ret are as _language gives them: Dfas, or, when skips is None,
+    a log's distinct traces, for which no automaton is built (see _shared).
     """
     if skips is not None:
         rel, ret = _closure(rel, skips[0]), _closure(ret, skips[1])

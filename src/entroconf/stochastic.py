@@ -8,17 +8,16 @@ entropy of a conjunction (one side's probabilities restricted to the other
 side's support) against the operand entropies; entropic relevance prices a
 log against a model as an average per-trace compression cost.
 
-Every SDFA built here is a canonical language automaton of automata plus
-exact weights, normalized per state; a conjunction's automaton is the
-trimmed product of the two supports. Probabilities are exact fractions
+Every SDFA built here, from a log, a net or a conjunction (the trimmed
+product of two supports), is a canonical language automaton of automata
+plus exact weights, normalized per state. Probabilities are exact fractions
 outside. Inside, an Sdfa is numbered once, when it is built: its support is
 a Dfa on states 0..n-1, and each state's probabilities are integer weights
-over one total, in a list that every solve reads as it is. So validation,
-conjunction weighting and entropy use integers only, and each float is one
-correctly rounded integer quotient. The command line's log enters precision
-and recall as its counted trie instead, with no Dfa, Sdfa or Fraction: its
-distribution and its conjunctions are trees, each solved by one walk. So is
-any Sdfa that is an exact tree; the visit-count system solves graphs only.
+over one total, which validation, weighting and every solve read as they
+are, so each float is one correctly rounded integer quotient. A log enters
+precision and recall as its counted trie, with no Dfa, Sdfa or Fraction:
+its distribution and its conjunctions are trees, each solved by one walk,
+as is any Sdfa that is an exact tree; the visit-count system solves graphs.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 import operator
 import warnings
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .automata import (
     Dfa,
@@ -37,11 +36,15 @@ from .automata import (
     _reachable,
     _Record,
     _traces,
+    log_to_dfa,
     product,
     trim,
 )
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 from .measures import PrecisionRecall, _quotient, _reverse_topological_order
+
+if TYPE_CHECKING:
+    from .petri import StochasticPetriNet
 
 _BACKWARD_ERROR_TOL = 1e-9
 _CANNOT_TERMINATE = "a reachable state has no positive-probability path to termination"
@@ -161,8 +164,8 @@ def _shaped(shape: Dfa, initial, weights) -> list:
     """Per state of shape, Sdfa._weights' (stop weight, {label: (target,
     weight)}, total), each total the surviving weight, from a source model
     whose weights[state] begins (stop weight, {label: (target, weight)}), as
-    Sdfa._weights or a net's map by marking: state 0 is the source state
-    initial, an edge is the source edge of its label, and only accepted
+    Sdfa._weights, _log_rows or a net's map by marking: state 0 is the source
+    state initial, an edge is the source edge of its label, and only accepted
     states stop. One pass over shape's transitions, breadth-first with sorted
     labels as automata lists them, maps each state of shape to its source."""
     sources = [initial]
@@ -200,27 +203,15 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     prefix; termination is the fraction ending there. Sums are exactly 1
     by construction.
     """
-    rows = _log_rows(log)
-    # numbered as log_to_dfa numbers its tree: breadth-first, labels sorted
-    order, transitions, termination = [0], {}, {}
-    for n, i in enumerate(order):
-        stop, edges = rows[i]
-        total = stop + sum([w for _, w in edges.values()])
-        for label in sorted(edges):
-            j, w = edges[label]
-            transitions[n, label] = (len(order), Fraction(w, total))
-            order.append(j)
-        if stop:
-            termination[n] = Fraction(stop, total)
-    return Sdfa(frozenset(range(len(order))), log.alphabet, 0, transitions, termination)
+    shape = log_to_dfa(log)
+    return _sdfa(shape, _shaped(shape, 0, _log_rows(log)))
 
 
 def _log_rows(log: EventLog) -> list:
     """A log's counted trie, built in one pass over its entries, as rows
     laid out as Sdfa._weights' first two fields: per prefix, the instances
     that end there and {label: [child, instances reaching it]}, the root
-    row 0. EmptyLog for an empty log."""
-    _traces(log)
+    row 0."""
     rows = [[0, {}]]
     for trace, count in log.entries.items():
         row = rows[0]
@@ -383,18 +374,6 @@ def _backward_error(diagonal, incoming, counts) -> float:
     return error / (norm * max(map(abs, counts)) + 1.0)
 
 
-def _shared_shape(a: Dfa, b: Dfa) -> Dfa:
-    """The trimmed product of two supports; EmptyConjunction if empty.
-
-    It is the same Dfa for (b, a): product visits the same pairs along the
-    same labels in the same order either way, and trim renumbers canonically.
-    """
-    shape = trim(product(a, b))
-    if not shape.accepting:
-        raise EmptyConjunction("no trace has positive probability in both inputs")
-    return shape
-
-
 def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     """Restrict prob_source to traces also possible in structure.
 
@@ -406,26 +385,42 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     EmptyConjunction when no trace has positive probability in both inputs;
     StateSpaceExceeded when there are more than 10**6 pairs.
     """
-    shape = _shared_shape(prob_source._support, structure._support)
+    shape = trim(product(prob_source._support, structure._support))
+    if not shape.accepting:
+        raise EmptyConjunction("no trace has positive probability in both inputs")
     return _sdfa(shape, _shaped(shape, 0, prob_source._weights))
 
 
-def stochastic_precision_recall(rel: Sdfa, ret: Sdfa) -> PrecisionRecall:
+def stochastic_precision_recall(
+    rel: Sdfa | EventLog | StochasticPetriNet, ret: Sdfa | EventLog | StochasticPetriNet
+) -> PrecisionRecall:
     """Entropy quotients of the two conjunctions against their sources.
 
-    recall = H(conjunction(rel, ret)) / H(rel), precision the mirror
-    image; an empty conjunction (disjoint supports) maps to 0/0. Both
-    conjunctions share one shape, which is built once. Each side's own
-    entropy is its sdfa_entropy, so a side with a state that cannot
-    terminate raises NonTerminatingSdfa unless the supports are disjoint.
+    Each side is an Sdfa, an EventLog or a StochasticPetriNet, taken by
+    _distribution. recall = H(conjunction(rel, ret)) / H(rel), precision
+    the mirror image; an empty conjunction (disjoint supports) maps to 0/0.
+    A model with a state that cannot terminate raises NonTerminatingSdfa
+    unless the supports are disjoint (see _precision_recall).
     """
-    return PrecisionRecall(*_precision_recall(rel, ret))
+    return PrecisionRecall(*_precision_recall(_distribution(rel), _distribution(ret)))
+
+
+def _distribution(side):
+    """side as _precision_recall takes it: an Sdfa as it is, a log once
+    _traces finds it not empty, a stochastic net as its Sdfa; else TypeError."""
+    if isinstance(side, Sdfa) or (isinstance(side, EventLog) and _traces(side)):
+        return side
+    from . import petri  # which imports this module
+
+    if not isinstance(side, petri.StochasticPetriNet):
+        raise TypeError(f"not an Sdfa, EventLog or StochasticPetriNet: {type(side).__name__}")
+    return petri.stochastic_rg_to_sdfa(side)
 
 
 def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
-    """Each named side's entropy quotient, of two sides that are each an
-    Sdfa or an EventLog: "recall" scores the conjunction weighted by rel
-    against rel's own entropy, "precision" the mirror image.
+    """Each named side's entropy quotient, of two sides as _distribution
+    gives them, an Sdfa or an EventLog: "recall" scores the conjunction
+    weighted by rel against rel's own entropy, "precision" the mirror image.
 
     A log is its counted trie, so its own distribution and its conjunction
     with either kind of side are trees, each solved by one walk over the
@@ -442,9 +437,9 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
     rows = [_log_rows(s) if isinstance(s, EventLog) else s._weights for s in sources]
     logs = [i for i, s in enumerate(sources) if isinstance(s, EventLog)]
     if not logs:
-        try:
-            shape = _shared_shape(rel._support, ret._support)
-        except EmptyConjunction:
+        # one Dfa for (rel, ret) and (ret, rel), as trim numbers it canonically
+        shape = trim(product(rel._support, ret._support))
+        if not shape.accepting:
             return [0.0 for _ in sides]
     else:
         # the shared prefixes are walked on a log's rows, rel's if both are logs
@@ -556,8 +551,7 @@ def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:
     background_bits = math.log2(len(log.alphabet) + 1)
     fitting = 0
     cost_sum = 0.0
-    for trace in sorted(log.entries):
-        count = log.entries[trace]
+    for trace, count in sorted(log.entries.items()):
         probability = trace_probability(model, trace)
         if probability:
             fitting += count

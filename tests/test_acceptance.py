@@ -5,6 +5,7 @@ with -s, or in the captured output on failure) in addition to the usual
 pytest report, so a transcript shows one line per criterion.
 """
 
+import ast
 import functools
 import math
 import random
@@ -12,6 +13,7 @@ import time
 from fractions import Fraction
 from io import StringIO
 
+import entroconf
 from entroconf.automata import (
     UNBOUNDED,
     EventLog,
@@ -257,3 +259,22 @@ def test_criterion_8_round_trips(fixtures):
     assert parse_dfg(serialize_dfg(graph)) == parse_dfg(
         (fixtures / "billing.dfg").read_text()
     )
+
+
+def test_the_readme_library_usage_prints_its_comments(capsys, fixtures, monkeypatch):
+    readme = (fixtures.parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## Library usage", 1)[1]
+    block = usage.split("```python\n", 1)[1].split("```", 1)[0]
+    # every name the block imports is public in entroconf
+    nodes = ast.walk(ast.parse(block))
+    imports = [node for node in nodes if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports
+    for node in imports:
+        assert isinstance(node, ast.ImportFrom) and node.module == "entroconf", ast.dump(node)
+        assert {alias.name for alias in node.names} <= set(entroconf.__all__)
+    # the block's paths are relative to the repository root
+    monkeypatch.chdir(fixtures.parents[1])
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    commented = [line.split("#", 1)[1].strip() for line in block.splitlines() if "#" in line]
+    assert printed == commented

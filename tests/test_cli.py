@@ -23,12 +23,16 @@ from entroconf.automata import EventLog
 from entroconf.cli import HELP_TEXT, VERSION, main, parse_args, run
 from entroconf.errors import (
     ConflictingMeasures,
+    EmptyLog,
     EntroconfError,
     InputError,
     MissingArgument,
+    NoAcceptingState,
+    NonTerminatingSdfa,
     NumericalError,
     SemanticError,
     SkipsWithoutCpm,
+    UnboundedModel,
     UnknownOption,
     UsageError,
 )
@@ -38,7 +42,7 @@ from entroconf.measures import (
     exact_precision_recall,
     partial_precision_recall,
 )
-from entroconf.petri import stochastic_rg_to_sdfa
+from entroconf.petri import Marking, PetriNet, stochastic_rg_to_sdfa
 
 import oracles
 
@@ -196,7 +200,7 @@ def _language_inputs(rng):
     while len(nets) < 4:
         net = oracles.random_net(rng)
         try:
-            cli._language_automaton(net)
+            measures._language(net, False)
         except SemanticError:  # unbounded, or no marking to accept in
             continue
         nets.append(net)
@@ -218,26 +222,54 @@ def _language_inputs(rng):
     return pairs
 
 
-def test_the_cli_prints_the_public_functions_value():
+def _raised(call, *args) -> type:
+    """The class of the EntroconfError that call(*args) raises."""
+    with pytest.raises(EntroconfError) as caught:
+        call(*args)
+    return type(caught.value)
+
+
+def test_the_cli_prints_the_public_functions_value(fixtures):
     public = {
         "em": exact_precision_recall,
         "pm": partial_precision_recall,
         "cpm": lambda rel, ret: controlled_partial_precision_recall(rel, ret, 1, 2),
     }
+
+    def config(family, side):
+        budgets = ["-srel", "1", "-sret", "2"] if family == "cpm" else []
+        return parse_args([f"-{family}{side[0]}", "-rel", "r", "-ret", "t", *budgets])
+
     seen = set()
     for rel, ret in _language_inputs(random.Random(31)):
-        automata = cli._language_automaton(rel), cli._language_automaton(ret)
+        automata = measures._language(rel, False), measures._language(ret, False)
         for family, measure in public.items():
-            pair = measure(*automata)
+            # each side as its automaton, and as the log or net it is
+            results = [measure(*automata), measure(rel, ret)]
             for side in ("precision", "recall"):
-                flag = f"-{family}{side[0]}"
-                budgets = ["-srel", "1", "-sret", "2"] if family == "cpm" else []
-                cfg = parse_args([flag, "-rel", "r", "-ret", "t", *budgets])
-                value, _ = cli._evaluate(cfg, rel, ret)
-                assert value.hex() == getattr(pair, side).hex(), (flag, rel, ret)
+                value, _ = cli._evaluate(config(family, side), rel, ret)
+                for pair in results:
+                    assert value.hex() == getattr(pair, side).hex(), (family, side, rel, ret)
                 seen.add(value)
     # identical inputs score 1 and disjoint logs 0 on exact matching
     assert {0.0, 1.0} < seen
+    # an input that the command line rejects raises the same error passed
+    # directly, and with two such inputs rel's comes first
+    loop = PetriNet(
+        frozenset({"p"}), {"t": "a"}, {("p", "t"): 1, ("t", "p"): 1}, Marking.of({"p": 1})
+    )
+    rejected = [
+        (EventLog({}), EmptyLog),
+        (load_artifact(fixtures / "generator.pnml"), UnboundedModel),
+        (loop, NoAcceptingState),
+    ]
+    good = load_artifact(fixtures / "E.xes")
+    for bad, error in rejected:
+        for rel, ret in [(bad, good), (good, bad), *((bad, other) for other, _ in rejected)]:
+            for family, measure in public.items():
+                assert _raised(measure, rel, ret) is error, (family, rel, ret)
+                for side in ("precision", "recall"):
+                    assert _raised(cli._evaluate, config(family, side), rel, ret) is error
 
 
 def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
@@ -292,21 +324,42 @@ def test_the_cli_prints_the_public_stochastic_value(fixtures, tmp_path):
             return stochastic.log_to_sdfa(artifact)
         return stochastic_rg_to_sdfa(artifact)
 
+    def config(side):
+        return parse_args([f"-s{side[0]}", "-rel", "r", "-ret", "t"])
+
+    public = stochastic.stochastic_precision_recall
     seen = set()
     for rel, ret in pairs:
         values = {}
         for swapped, (first, second) in enumerate(((rel, ret), (ret, rel))):
-            pair = stochastic.stochastic_precision_recall(automaton(first), automaton(second))
+            # each side as its Sdfa, and as the log or net it is
+            results = [public(automaton(first), automaton(second)), public(first, second)]
             for side in ("precision", "recall"):
-                cfg = parse_args([f"-s{side[0]}", "-rel", "r", "-ret", "t"])
-                value, _ = cli._evaluate(cfg, first, second)
-                assert value.hex() == getattr(pair, side).hex(), (side, first, second)
+                value, _ = cli._evaluate(config(side), first, second)
+                for pair in results:
+                    assert value.hex() == getattr(pair, side).hex(), (side, first, second)
                 values[swapped, side] = value.hex()
                 seen.add(value)
         # swapping the inputs swaps precision and recall, bit for bit
         assert values[0, "precision"] == values[1, "recall"]
         assert values[0, "recall"] == values[1, "precision"]
     assert {0.0, 1.0} < seen
+    # an input that the command line rejects raises the same error passed
+    # directly. An empty log and an unbounded net are rejected as they are
+    # taken, rel before ret, and a model that cannot terminate once solved,
+    # after both sides are taken.
+    generator = tmp_path / "generator.spnml"
+    generator.write_text((fixtures / "generator.pnml").read_text())
+    taken = [(EventLog({}), EmptyLog), (load_artifact(generator), UnboundedModel)]
+    trap, log = load_artifact(fixtures / "T.spnml"), load_artifact(fixtures / "E.xes")
+    cases = [(trap, log, NonTerminatingSdfa), (log, trap, NonTerminatingSdfa)]
+    for bad, error in taken:
+        cases += [(bad, log, error), (log, bad, error), (bad, trap, error), (trap, bad, error)]
+        cases += [(bad, other, error) for other, _ in taken]
+    for rel, ret, error in cases:
+        assert _raised(public, rel, ret) is error, (rel, ret)
+        for side in ("precision", "recall"):
+            assert _raised(cli._evaluate, config(side), rel, ret) is error, (side, rel, ret)
 
 
 def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fixtures):
@@ -340,7 +393,7 @@ def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fix
 
     for module, name in (
         (automata, "log_to_dfa"),
-        (cli, "log_to_dfa"),
+        (measures, "log_to_dfa"),
         (stochastic, "product"),
         (stochastic, "trim"),
         (stochastic, "_shaped"),
@@ -591,7 +644,7 @@ def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypa
 
         return spied
 
-    monkeypatch.setattr(cli, "log_to_dfa", spy("log_to_dfa", cli.log_to_dfa))
+    monkeypatch.setattr(measures, "log_to_dfa", spy("log_to_dfa", measures.log_to_dfa))
     monkeypatch.setattr(measures, "product", spy("product", measures.product))
     e, f, n = (fixtures / name for name in ("E.xes", "F.xes", "N.pnml"))
     # a log's side reports the size of the prefix tree it is not built into
@@ -634,6 +687,15 @@ def test_usage_errors_exit_1(capsys):
     code, _, err = invoke(capsys)
     assert code == 1
     assert err.startswith("usage error: ")
+
+
+def test_running_out_of_memory_exits_3(capsys, fixtures, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_evaluate", exhausted)
+    code, out, err = invoke(capsys, "-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes")
+    assert (code, out, err) == (3, "", "rejected: out of memory\n")
 
 
 def test_every_error_falls_under_an_exit_code():

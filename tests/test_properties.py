@@ -26,11 +26,12 @@ from entroconf.automata import EventLog
 from entroconf.cli import parse_args
 from entroconf.errors import SemanticError
 from entroconf.measures import (
+    PrecisionRecall,
+    _language,
     controlled_partial_precision_recall,
     exact_precision_recall,
     partial_precision_recall,
 )
-from entroconf.measures import PrecisionRecall
 from entroconf.petri import StochasticPetriNet, stochastic_rg_to_sdfa
 from entroconf.stochastic import log_to_sdfa, stochastic_precision_recall
 
@@ -66,7 +67,7 @@ def bounded_nets(rng, count: int) -> list:
     while len(nets) < count:
         net = oracles.random_net(rng)
         try:
-            cli._language_automaton(net)
+            _language(net, False)
         except SemanticError:  # unbounded, or no marking to accept in
             continue
         nets.append(net)
@@ -75,21 +76,25 @@ def bounded_nets(rng, count: int) -> list:
 
 def language_values(family: str, budgets, rel, ret) -> dict[str, list[float]]:
     """(precision, recall) of rel against ret, as the command line prints
-    each and as the public function returns both."""
+    each and as the public function returns both, given each side as its
+    automaton and as the log or net it is."""
     options = ["-rel", "r", "-ret", "t"]
     if budgets is not None:
         options += ["-srel", str(budgets[0]), "-sret", str(budgets[1])]
     printed = [
         cli._evaluate(parse_args([f"-{family}{side}", *options]), rel, ret)[0] for side in "pr"
     ]
-    automata = cli._language_automaton(rel), cli._language_automaton(ret)
-    if family == "em":
-        public = exact_precision_recall(*automata)
-    elif family == "pm":
-        public = partial_precision_recall(*automata)
-    else:
-        public = controlled_partial_precision_recall(*automata, *budgets)
-    return {"cli": printed, "public": [public.precision, public.recall]}
+    values = {"cli": printed}
+    automata = _language(rel, False), _language(ret, False)
+    for path, sides in (("public", automata), ("raw", (rel, ret))):
+        if family == "em":
+            public = exact_precision_recall(*sides)
+        elif family == "pm":
+            public = partial_precision_recall(*sides)
+        else:
+            public = controlled_partial_precision_recall(*sides, *budgets)
+        values[path] = [public.precision, public.recall]
+    return values
 
 
 def swapped(budgets):
@@ -103,7 +108,7 @@ def test_language_measures_keep_the_papers_properties():
     for net in nets:
         # L ⊆ L', against a net and against a third log
         log = oracles.random_log(rng, "abc")
-        words = oracles.dfa_language(cli._language_automaton(net), 5)
+        words = oracles.dfa_language(_language(net, False), 5)
         samples.append((net, *nested_logs(rng, words)))
         samples.append((log, *nested_logs(rng, log.entries)))
     rose = set()
@@ -112,7 +117,11 @@ def test_language_measures_keep_the_papers_properties():
             # each grown log as ret with rel fixed, then as rel with ret fixed
             as_ret = [language_values(family, budgets, fixed, log) for log in grown]
             as_rel = [language_values(family, swapped(budgets), log, fixed) for log in grown]
-            for path in ("cli", "public"):
+            for forward, backward in zip(as_ret, as_rel):
+                # a log or net passed directly takes the command line's path
+                for values in (forward, backward):
+                    assert [v.hex() for v in values["raw"]] == [v.hex() for v in values["cli"]]
+            for path in ("cli", "public", "raw"):
                 for forward, backward in zip(as_ret, as_rel):
                     assert all(0.0 <= value <= 1.0 for value in forward[path] + backward[path])
                     # swapping the inputs and their budgets swaps the quotients
@@ -133,7 +142,7 @@ def test_language_measures_keep_the_papers_properties():
     for family, budgets in FAMILIES[:3]:
         for artifact in nets + [small for _, small, _ in samples]:
             values = language_values(family, budgets, artifact, artifact)
-            assert values["cli"] == values["public"] == [1.0, 1.0]
+            assert values["cli"] == values["public"] == values["raw"] == [1.0, 1.0]
 
 
 def weighted(net) -> StochasticPetriNet:
@@ -182,10 +191,13 @@ def test_stochastic_measures_keep_range_identity_and_swap():
                 values[forward, side] = cli._evaluate(cfg, first, second)[0]
             public = stochastic_precision_recall(automaton(first), automaton(second))
             values[forward, "public"] = (public.precision, public.recall)
+            raw = stochastic_precision_recall(first, second)
+            values[forward, "raw"] = (raw.precision, raw.recall)
         for forward in (True, False):
             printed = (values[forward, "p"], values[forward, "r"])
             assert all(0.0 <= value <= 1.0 for value in printed)
-            assert [v.hex() for v in printed] == [v.hex() for v in values[forward, "public"]]
+            for path in ("public", "raw"):
+                assert [v.hex() for v in printed] == [v.hex() for v in values[forward, path]]
             seen.update(printed)
         # swapping rel and ret swaps the quotients bit for bit
         assert values[True, "p"].hex() == values[False, "r"].hex()
@@ -196,4 +208,4 @@ def test_stochastic_measures_keep_range_identity_and_swap():
             cfg = parse_args([f"-s{side}", "-rel", "r", "-ret", "t"])
             assert cli._evaluate(cfg, artifact, artifact)[0] == 1.0
         pair = stochastic_precision_recall(automaton(artifact), automaton(artifact))
-        assert pair == PrecisionRecall(1.0, 1.0)
+        assert pair == stochastic_precision_recall(artifact, artifact) == PrecisionRecall(1.0, 1.0)
