@@ -82,6 +82,10 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _positive_integer(value) -> bool:
+    return hasattr(value, "__index__") and operator.index(value) >= 1
+
+
 class EventLog(_Record):
     """Finite multiset of traces with occurrence counts."""
 
@@ -92,7 +96,7 @@ class EventLog(_Record):
         for trace, count in entries.items():
             if not isinstance(trace, tuple):
                 raise ValueError(f"a trace must be a tuple of labels, got {trace!r}")
-            if not hasattr(count, "__index__") or operator.index(count) < 1:
+            if not _positive_integer(count):
                 raise ValueError(f"trace count must be a positive integer, got {count!r}")
             if not all(isinstance(label, str) and label for label in trace):
                 raise ValueError("activity labels must be non-empty strings")
@@ -264,16 +268,6 @@ def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
     )
 
 
-def _empty_dfa(alphabet) -> Dfa:
-    return Dfa(
-        states=frozenset({0}),
-        alphabet=frozenset(alphabet),
-        initial=0,
-        accepting=frozenset(),
-        transitions={},
-    )
-
-
 def _traces(log: EventLog):
     """The set of distinct traces of a log, the keys of its entries.
 
@@ -340,7 +334,7 @@ def trim(a: Dfa) -> Dfa:
     # initial state cannot reach
     useful = _reachable(a.accepting, lambda s: rev.get(s, ()))
     if a.initial not in useful:
-        empty = _empty_dfa(a.alphabet)
+        empty = _canonical(0, (), {}, a.alphabet)
         return a if a == empty else empty
     kept = a.transitions
     if len(useful) < len(a.states):

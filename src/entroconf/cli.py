@@ -34,7 +34,7 @@ from .errors import (
 )
 from .formats import _parse_count, load_artifact
 from .measures import _language, _matching
-from .petri import PetriNet, StochasticPetriNet, reachability_graph
+from .petri import PetriNet, StochasticPetriNet, _explored
 from .stochastic import Sdfa, _distribution, _precision_recall, entropic_relevance
 
 VERSION = "1.5-reimpl"
@@ -240,7 +240,7 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
     if measure == "bounded":
         sizes = {"places": len(rel.places), "transitions": len(rel.transitions)}
         try:
-            reachability_graph(rel)
+            _explored(rel)
         except UnboundedModel as unbounded:
             return unbounded, sizes
         return True, sizes

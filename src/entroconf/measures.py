@@ -383,11 +383,12 @@ def _language(side, exact: bool):
         return side
     if isinstance(side, EventLog):
         return _traces(side) if exact else log_to_dfa(side)
-    from .petri import PetriNet, reachability_graph, rg_to_dfa  # petri imports this module
+    from .petri import PetriNet, _explored, _net_dfa  # petri imports this module
 
     if not isinstance(side, PetriNet):
         raise TypeError(f"not a Dfa, EventLog or PetriNet: {type(side).__name__}")
-    return rg_to_dfa(reachability_graph(side), side)
+    number, edges, finals = _explored(side)
+    return _net_dfa(side, range(len(number)), 0, edges, finals)
 
 
 def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float]:

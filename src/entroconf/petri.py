@@ -1,18 +1,20 @@
 """Petri net semantics: reachability graphs, boundedness, and conversion of
 nets to the automata the measures consume.
 
-Boundedness is decided natively, inside the one breadth-first exploration
-that builds the reachability graph: a new marking that strictly covers one
-of its ancestors is a pump and proves unboundedness, so neither an external
-model checker nor a second pass over the net is involved.
+A net is explored once, breadth-first, into numbered token vectors, which
+decides boundedness too: a new marking that strictly covers one of its
+ancestors is a pump and proves unboundedness. The boundedness verdict and
+the automata read that numbering; Markings are built only for
+reachability_graph's result and an unbounded verdict's witness.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import SILENT, Dfa, Nfa, _canonical, _explore, _Record, determinize
+from .automata import Dfa, Nfa, _canonical, _explore, _positive_integer, _Record, determinize
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -36,7 +38,7 @@ class Marking(_Record):
         places = [p for p, _ in tokens]
         if len(set(places)) != len(places):
             raise ValueError("duplicate place in marking")
-        if any(c < 1 for _, c in tokens):
+        if not all(_positive_integer(c) for _, c in tokens):
             raise ValueError("marking stores only positive token counts")
 
     # _Record's two methods for the one field, without the field list:
@@ -81,8 +83,8 @@ class PetriNet(_Record):
         if self.places & set(self.transitions):
             raise ValueError("place and transition ids must be disjoint")
         for (src, dst), weight in self.arcs.items():
-            if weight < 1:
-                raise ValueError("arc weights must be positive")
+            if not _positive_integer(weight):
+                raise ValueError(f"arc weights must be positive integers, got {weight!r}")
             known = {src, dst} <= (self.places | set(self.transitions))
             mixed = (src in self.places) != (dst in self.places)
             if not (known and mixed):
@@ -115,8 +117,13 @@ class StochasticPetriNet(PetriNet):
             )
         if set(self.weights) != set(self.transitions):
             raise ValueError("exactly one weight per transition required")
-        if any(w <= 0 for w in self.weights.values()):
-            raise ValueError("weights must be positive")
+        for weight in self.weights.values():
+            try:
+                n, _ = weight.as_integer_ratio()
+            except (AttributeError, ValueError, OverflowError):  # not a number, nan, infinities
+                n = 0
+            if n < 1:
+                raise ValueError(f"weights must be finite positive numbers, got {weight!r}")
 
 
 class ReachabilityGraph(_Record):
@@ -157,20 +164,25 @@ def _firing_data(net: PetriNet):
 
 
 def is_bounded(net: PetriNet) -> bool:
-    """Whether the reachability set is finite, decided by reachability_graph.
+    """Whether the reachability set is finite, decided by _explored's one
+    exploration, with no graph built.
 
     A bounded net with more than 10**6 markings (the state cap) raises
     StateSpaceExceeded instead of returning.
     """
     try:
-        reachability_graph(net)
+        _explored(net)
     except UnboundedModel:
         return False
     return True
 
 
-def reachability_graph(net: PetriNet) -> ReachabilityGraph:
-    """Breadth-first exploration of all reachable markings.
+def _explored(net: PetriNet) -> tuple[dict, list, frozenset | None]:
+    """Breadth-first exploration of all reachable markings: their numbering
+    {token vector over the sorted places: i} in discovery order, the
+    initial one 0, the edges (i, transition id, j) as ReachabilityGraph's,
+    and the numbers of the reachable declared final markings, None when
+    the net declares none.
 
     Raises UnboundedModel as soon as a newly found marking covers one of
     its ancestors in the BFS tree. That is sound: the ancestor reaches the
@@ -190,10 +202,6 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
     transitions fired from the one to the other.
     """
     order, rules = _firing_data(net)
-
-    def to_marking(vector: tuple[int, ...]) -> Marking:
-        return Marking.of(dict(zip(order, vector)))
-
     start = tuple(net.initial_marking.count(p) for p in order)
     # marking -> (its BFS parent, the transition fired from there, and the
     # least token total on its path from start)
@@ -207,7 +215,7 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
             marking, fired, _ = parent[marking]
             sequence.append(fired)
         sequence.reverse()
-        covered, cover = to_marking(ancestor), to_marking(successor)
+        covered, cover = (Marking.of(dict(zip(order, v))) for v in (ancestor, successor))
         shown = " ".join(map(_shown, sequence))
         return UnboundedModel(
             "the net is not bounded: from the reachable marking "
@@ -236,79 +244,82 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
                 parent[successor] = (marking, t, min(parent[marking][2], total))
             yield t, successor
 
-    number, transitions = _explore(start, successors)
-    markings = [to_marking(v) for v in number]
+    number, numbered = _explore(start, successors)
+    edges = [(i, t, j) for (i, t), j in numbered.items()]
+    if net.final_markings is None:
+        return number, edges, None
+    finals = [tuple(m.count(p) for p in order) for m in net.final_markings]
+    return number, edges, frozenset(number[v] for v in finals if v in number)
+
+
+def reachability_graph(net: PetriNet) -> ReachabilityGraph:
+    """The reachable markings and their firing edges, as _explored finds
+    them and raising what it raises."""
+    order = sorted(net.places)
+    number, edges, _ = _explored(net)
+    markings = [Marking.of(dict(zip(order, v))) for v in number]
     return ReachabilityGraph(
         nodes=frozenset(markings),
         initial=markings[0],
-        edges=frozenset(
-            (markings[src], t, markings[dst]) for (src, t), dst in transitions.items()
-        ),
+        edges=frozenset((markings[i], t, markings[j]) for i, t, j in edges),
     )
+
+
+def _net_dfa(net: PetriNet, states, initial, edges, finals) -> Dfa:
+    """Language automaton of a net's reachability graph, given as its
+    states, initial state, edges (state, transition id, state) and
+    reachable declared final states (None when none are declared):
+    _explored's numbering or reachability_graph's markings. Edges take their
+    transition's label, and silent ones (None, which is SILENT) go in
+    determinization. Accepting are the declared finals, else the deadlocks;
+    a net with neither raises NoAcceptingState rather than accept nothing.
+    """
+    if finals is None:
+        finals = frozenset(states).difference(src for src, _, _ in edges)
+        if not finals:
+            raise NoAcceptingState("no final markings declared and the net never deadlocks")
+    labels = net.transitions
+    alphabet = frozenset(label for label in labels.values() if label is not None)
+    labelled = frozenset((src, labels[t], dst) for src, t, dst in edges)
+    return determinize(Nfa(frozenset(states), alphabet, initial, finals, labelled))
 
 
 def rg_to_dfa(rg: ReachabilityGraph, net: PetriNet) -> Dfa:
-    """Language automaton of a reachability graph.
-
-    Edges take their transition's label, silent transitions become silent
-    edges removed by determinization. Accepting markings are the declared
-    final markings when the net has any, otherwise the deadlocks; a net
-    with neither cannot accept at all, which is reported rather than
-    silently producing the empty language.
-    """
-    if net.final_markings is not None:
-        accepting = frozenset(net.final_markings) & rg.nodes
-    else:
-        accepting = rg.deadlocks()
-        if not accepting:
-            raise NoAcceptingState(
-                "no final markings declared and the net never deadlocks"
-            )
-    triples = frozenset(
-        (src, net.transitions[t] if net.transitions[t] is not None else SILENT, dst)
-        for src, t, dst in rg.edges
-    )
-    alphabet = frozenset(
-        label for label in net.transitions.values() if label is not None
-    )
-    return determinize(
-        Nfa(
-            states=rg.nodes,
-            alphabet=alphabet,
-            initial=rg.initial,
-            accepting=accepting,
-            transitions=triples,
-        )
-    )
+    """Language automaton of a reachability graph: _net_dfa's, as a measure
+    builds a net's from its numbered exploration, so the two are equal."""
+    finals = None if net.final_markings is None else rg.nodes.intersection(net.final_markings)
+    return _net_dfa(net, rg.nodes, rg.initial, rg.edges, finals)
 
 
 def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
-    """Reachability graph of a weighted net as an SDFA.
+    """The SDFA of a weighted net, read from _explored's numbering.
 
     At each marking the enabled transitions fire with probability
     proportional to their weights; deadlock markings terminate with
     probability 1. Declared final markings must coincide with the
     reachable deadlocks, since any other convention leaves some state's
-    probability short of 1.
+    probability short of 1. The weights are scaled once to integers over
+    the lcm of their denominators, so Fractions appear only in the result.
     """
-    rg = reachability_graph(net)
-    deadlocks = rg.deadlocks()
-    if net.final_markings is not None:
-        declared = frozenset(net.final_markings) & rg.nodes
-        if declared != deadlocks:
-            raise InvalidFinalMarking(
-                "declared final markings must be exactly the reachable deadlocks"
-            )
-    # marking -> (stop weight, {label: (marking, weight)}), the source map _shaped reads
-    weights = {m: (int(m in deadlocks), {}) for m in rg.nodes}
-    transitions: dict[tuple[Marking, str], Marking] = {}
-    for src, t, dst in rg.edges:
-        key = (src, net.transitions[t])
+    number, edges, finals = _explored(net)
+    deadlocks = frozenset(range(len(number))).difference(i for i, _, _ in edges)
+    if finals is not None and finals != deadlocks:
+        raise InvalidFinalMarking(
+            "declared final markings must be exactly the reachable deadlocks"
+        )
+    ratios = {t: w.as_integer_ratio() for t, w in net.weights.items()}
+    scale = math.lcm(*[d for _, d in ratios.values()])
+    weights = {t: n * (scale // d) for t, (n, d) in ratios.items()}
+    # per marking, (stop weight, {label: (marking, weight)}), the rows _shaped reads
+    rows = [(int(i in deadlocks), {}) for i in range(len(number))]
+    transitions: dict[tuple[int, str], int] = {}
+    for i, t, j in edges:
+        key = (i, net.transitions[t])
         if key in transitions:
             raise NondeterministicStochasticModel(
                 "two equally labeled transitions enabled at one marking"
             )
-        transitions[key] = dst
-        weights[src][1][key[1]] = (dst, net.weights[t])
-    shape = _canonical(rg.initial, deadlocks, transitions, frozenset(net.transitions.values()))
-    return _sdfa(shape, _shaped(shape, rg.initial, weights))
+        transitions[key] = j
+        rows[i][1][key[1]] = (j, weights[t])
+    shape = _canonical(0, deadlocks, transitions, frozenset(net.transitions.values()))
+    return _sdfa(shape, _shaped(shape, rows))

@@ -160,15 +160,15 @@ class RelevanceValue(_Record):
         object.__setattr__(self, "avg_trace_bits", avg_trace_bits)
 
 
-def _shaped(shape: Dfa, initial, weights) -> list:
+def _shaped(shape: Dfa, weights) -> list:
     """Per state of shape, Sdfa._weights' (stop weight, {label: (target,
     weight)}, total), each total the surviving weight, from a source model
     whose weights[state] begins (stop weight, {label: (target, weight)}), as
-    Sdfa._weights, _log_rows or a net's map by marking: state 0 is the source
-    state initial, an edge is the source edge of its label, and only accepted
-    states stop. One pass over shape's transitions, breadth-first with sorted
-    labels as automata lists them, maps each state of shape to its source."""
-    sources = [initial]
+    Sdfa._weights, _log_rows or a net's rows by marking: state 0 is the
+    source's state 0, an edge is the source edge of its label, and only
+    accepted states stop. One pass over shape's transitions, breadth-first
+    with sorted labels as automata lists them, maps each state to its source."""
+    sources = [0]
     edges: list[dict] = [{}]
     for (i, label), j in shape.transitions.items():
         target, w = weights[sources[i]][1][label]
@@ -204,7 +204,7 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     by construction.
     """
     shape = log_to_dfa(log)
-    return _sdfa(shape, _shaped(shape, 0, _log_rows(log)))
+    return _sdfa(shape, _shaped(shape, _log_rows(log)))
 
 
 def _log_rows(log: EventLog) -> list:
@@ -388,7 +388,7 @@ def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     shape = trim(product(prob_source._support, structure._support))
     if not shape.accepting:
         raise EmptyConjunction("no trace has positive probability in both inputs")
-    return _sdfa(shape, _shaped(shape, 0, prob_source._weights))
+    return _sdfa(shape, _shaped(shape, prob_source._weights))
 
 
 def stochastic_precision_recall(
@@ -452,7 +452,7 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
     for i, (name, side) in enumerate(zip(("recall", "precision"), sources)):
         if name in sides:
             if not logs:
-                shared = _entropy(_shaped(shape, 0, side._weights)).bits
+                shared = _entropy(_shaped(shape, side._weights)).bits
             else:
                 shared = _tree_bits(tree, kept, other, i != t)
             own = sdfa_entropy(side).bits if isinstance(side, Sdfa) else _tree_bits(rows[i])

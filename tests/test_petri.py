@@ -99,8 +99,10 @@ def test_marking_normalizes_and_compares():
     assert m.count("p1") == 0
     assert m.as_dict() == {"p0": 1}
     assert Marking.of({"a": 1, "b": 2}) == Marking.of({"b": 2, "a": 1})
-    with pytest.raises(ValueError):
-        Marking.of({"p0": -1})
+    # token counts are positive integers
+    for count in (-1, 1.5, 1.0, float("nan"), "1"):
+        with pytest.raises(ValueError):
+            Marking.of({"p0": count})
 
 
 def test_net_validation():
@@ -126,13 +128,16 @@ def test_net_validation():
             arcs={("p", "q"): 1},
             initial_marking=Marking.of({}),
         )
-    with pytest.raises(ValueError):
-        PetriNet(
-            places=frozenset({"p"}),
-            transitions={"t": "a"},
-            arcs={("p", "t"): 0},
-            initial_marking=Marking.of({}),
-        )
+    # arc weights are positive integers: 1.5 would explore markings holding
+    # 1.5 tokens, and NaN would explore up to the state cap
+    for weight in (0, 1.5, float("nan"), "1"):
+        with pytest.raises(ValueError, match="positive integers"):
+            PetriNet(
+                places=frozenset({"p"}),
+                transitions={"t": "a"},
+                arcs={("p", "t"): weight},
+                initial_marking=Marking.of({}),
+            )
     with pytest.raises(ValueError):
         PetriNet(
             places=frozenset({"p"}),
@@ -427,6 +432,28 @@ def test_stochastic_net_validation():
         )
     with pytest.raises(ValueError):
         weighted(NET, t0=0)
+    # weights are finite positive numbers, read exactly by as_integer_ratio
+    for weight in (0, -1, Fraction(-1, 2), float("nan"), float("inf"), "1"):
+        with pytest.raises(ValueError, match="finite positive"):
+            StochasticPetriNet(
+                places=NET.places,
+                transitions=NET.transitions,
+                arcs=NET.arcs,
+                initial_marking=NET.initial_marking,
+                weights={t: weight if t == "t1" else 1 for t in NET.transitions},
+            )
+    halves = [
+        StochasticPetriNet(
+            places=NET.places,
+            transitions=NET.transitions,
+            arcs=NET.arcs,
+            initial_marking=NET.initial_marking,
+            weights={t: half if t == "t1" else 1 for t in NET.transitions},
+        )
+        for half in (0.5, Fraction(1, 2))
+    ]
+    assert stochastic_rg_to_sdfa(halves[0]) == stochastic_rg_to_sdfa(halves[1])
+    assert stochastic_rg_to_sdfa(halves[0]).out_edges(1)[0][2] == Fraction(1, 3)
     with pytest.raises(ValueError):
         StochasticPetriNet(
             places=NET.places,
