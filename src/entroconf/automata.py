@@ -90,6 +90,7 @@ class EventLog(_Record):
     """Finite multiset of traces with occurrence counts."""
 
     entries: Mapping[Trace, int]
+    _rows: list | None = None  # _log_rows' counted trie, built on its first call
 
     def __init__(self, entries) -> None:
         object.__setattr__(self, "entries", entries)
@@ -118,6 +119,27 @@ class EventLog(_Record):
 
     def distinct_traces(self) -> frozenset[Trace]:
         return frozenset(self.entries)
+
+
+def _log_rows(log: EventLog) -> list:
+    """A log's counted trie, built in one pass over its entries when first
+    asked for and kept on the log, as rows laid out as Sdfa._weights' first
+    two fields: per prefix, the instances ending there and {label: [child,
+    instances reaching it]}, the root row 0; EmptyLog for a log with no traces."""
+    if log._rows is None and _traces(log):
+        rows = [[0, {}]]
+        for trace, count in log.entries.items():
+            row = rows[0]
+            for label in trace:
+                edge = row[1].get(label)
+                if edge is None:
+                    edge = row[1][label] = [len(rows), 0]
+                    rows.append([0, {}])
+                edge[1] += count
+                row = rows[edge[0]]
+            row[0] += count
+        object.__setattr__(log, "_rows", rows)
+    return log._rows
 
 
 class Dfa(_Record):
@@ -280,7 +302,7 @@ def _traces(log: EventLog):
 
 
 def _prefix_tree_states(log: EventLog) -> int:
-    """len(log_to_dfa(log).states), counted without building the tree.
+    """len(log_to_dfa(log).states), counted without building the trie.
 
     In sorted order, each trace adds one state per label past its common
     prefix with the trace before it; the root is the one more.
@@ -298,25 +320,15 @@ def _prefix_tree_states(log: EventLog) -> int:
 
 
 def log_to_dfa(log: EventLog) -> Dfa:
-    """Prefix-tree acceptor of the distinct traces of a log.
+    """Prefix-tree acceptor of the distinct traces of a log: _log_rows'
+    trie, canonically numbered.
 
     Counts are ignored: the language measures below are set-of-traces
     properties. Raises EmptyLog for a log with no traces at all.
     """
-    transitions: dict[tuple[int, str], int] = {}
-    accepting = set()
-    next_state = 1
-    for trace in sorted(_traces(log)):
-        state = 0
-        for label in trace:
-            nxt = transitions.get((state, label))
-            if nxt is None:
-                nxt = next_state
-                transitions[(state, label)] = nxt
-                next_state += 1
-            state = nxt
-        accepting.add(state)
-    return _canonical(0, accepting, transitions, log.alphabet)
+    rows = _log_rows(log)
+    edges = {(i, x): j for i, (_, out) in enumerate(rows) for x, (j, _) in out.items()}
+    return _canonical(0, [i for i, (stop, _) in enumerate(rows) if stop], edges, log.alphabet)
 
 
 def trim(a: Dfa) -> Dfa:

@@ -18,7 +18,7 @@ import time
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
-from .automata import UNBOUNDED, EventLog, _prefix_tree_states
+from .automata import UNBOUNDED, EventLog, _log_rows, _prefix_tree_states
 from .errors import (
     ConflictingMeasures,
     IncompatibleFormat,
@@ -262,9 +262,11 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
             skips = (cfg.skips_rel or 0, cfg.skips_ret or 0)
         forms = [_language(a, skips is None) for a in (rel, ret)]
         (value,) = _matching(*forms, skips, (side,))
-    # a log, or its set of traces, reports the size of its prefix tree
+    # a log reports its prefix tree's size: its trie's, or counted without one by -emp/-emr
     states = [
-        len(form.states) if hasattr(form, "states") else _prefix_tree_states(artifact)
+        len(form.states) if hasattr(form, "states")
+        else len(_log_rows(form)) if isinstance(form, EventLog)
+        else _prefix_tree_states(artifact)
         for form, artifact in zip(forms, (rel, ret))
     ]
     return value, {"relevant_states": states[0], "retrieved_states": states[1]}

@@ -774,7 +774,8 @@ def load_artifact(path: str | Path):
                 return _read_xes(lambda parser: parser.ParseFile(stream))
         data = Path(path).read_bytes()
         # the XML parsers take bytes, so the encoding declaration is honoured
-        content = data if suffix in (".pnml", ".spnml") else data.decode("utf-8")
+        # the line formats, as XES and PNML, may start with a byte-order mark
+        content = data if suffix in (".pnml", ".spnml") else data.decode("utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     return parser(content)

@@ -42,7 +42,7 @@ class Marking(_Record):
             raise ValueError("marking stores only positive token counts")
 
     # _Record's two methods for the one field, without the field list:
-    # markings key the maps of every net exploration
+    # markings key reachability_graph's result and rg_to_dfa's determinization
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.tokens == other.tokens

@@ -33,6 +33,7 @@ from .automata import (
     EventLog,
     Trace,
     _explore,
+    _log_rows,
     _reachable,
     _Record,
     _traces,
@@ -66,7 +67,7 @@ class Sdfa(_Record):
     termination: Mapping[object, Fraction]
     # the positive-probability part reachable from initial, numbered by _explore:
     # its language automaton and, per state i, (stop weight, {label: (j, weight)},
-    # total), its probabilities over the lcm of their denominators, by label
+    # total) by label, its probabilities as integer weights over one total
     _support: Dfa
     _weights: list
     # out_edges' lists by state, built on its first call
@@ -181,22 +182,25 @@ def _shaped(shape: Dfa, weights) -> list:
 
 
 def _sdfa(shape: Dfa, weights: list) -> Sdfa:
-    """The SDFA of shape with weights as _shaped's, each divided by its state's total."""
-    return Sdfa(
-        states=shape.states,
-        alphabet=shape.alphabet,
-        initial=0,
-        transitions={
-            (i, label): (j, Fraction(w, total))
-            for i, (_, out, total) in enumerate(weights)
-            for label, (j, w) in out.items()
-        },
-        termination={i: Fraction(weights[i][0], weights[i][2]) for i in shape.accepting},
-    )
+    """The SDFA of a canonical shape with _shaped's weights, kept as its
+    _support and _weights, each probability a weight over its state's total:
+    what Sdfa.__init__, the check of outside input, would rebuild from it."""
+    transitions = {
+        (i, label): (j, Fraction(w, total))
+        for i, (_, out, total) in enumerate(weights)
+        for label, (j, w) in out.items()
+    }
+    termination = {i: Fraction(weights[i][0], weights[i][2]) for i in shape.accepting}
+    sdfa = Sdfa.__new__(Sdfa)
+    # Sdfa.__init__'s fields, stored past _Record's __setattr__ as it stores them
+    fields = (shape.states, shape.alphabet, 0, transitions, termination)
+    vars(sdfa).update(zip(Sdfa._fields, fields), _support=shape, _weights=weights, _out=None)
+    return sdfa
 
 
 def log_to_sdfa(log: EventLog) -> Sdfa:
-    """Frequency prefix tree of a log: log_to_dfa's, weighted by instances.
+    """Frequency prefix tree of a log: its one trie, numbered as log_to_dfa
+    numbers it and weighted by instances.
 
     Transition probability out of a prefix state is the fraction of
     instances continuing with that label among instances reaching the
@@ -205,25 +209,6 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     """
     shape = log_to_dfa(log)
     return _sdfa(shape, _shaped(shape, _log_rows(log)))
-
-
-def _log_rows(log: EventLog) -> list:
-    """A log's counted trie, built in one pass over its entries, as rows
-    laid out as Sdfa._weights' first two fields: per prefix, the instances
-    that end there and {label: [child, instances reaching it]}, the root
-    row 0."""
-    rows = [[0, {}]]
-    for trace, count in log.entries.items():
-        row = rows[0]
-        for label in trace:
-            edge = row[1].get(label)
-            if edge is None:
-                edge = row[1][label] = [len(rows), 0]
-                rows.append([0, {}])
-            edge[1] += count
-            row = rows[edge[0]]
-        row[0] += count
-    return rows
 
 
 def _log2(n: int, d: int) -> float:

@@ -22,6 +22,7 @@ from entroconf.automata import (
     Dfa,
     EventLog,
     Nfa,
+    _canonical,
     _explore,
     _out_map,
     _reachable,
@@ -372,6 +373,27 @@ def random_log(rng, alphabet="abc", max_traces: int = 6, max_len: int = 5) -> Ev
         length = rng.randint(0, max_len)
         traces.append(tuple(rng.choice(alphabet) for _ in range(length)))
     return EventLog.from_traces(traces)
+
+
+def reference_log_to_dfa(log: EventLog) -> Dfa:
+    """Prefix-tree acceptor of a log's distinct traces, each inserted in
+    sorted order into a trie of its own, then canonically numbered."""
+    if not log.entries:
+        raise EmptyLog("cannot build an automaton from an empty log")
+    transitions: dict[tuple[int, str], int] = {}
+    accepting = set()
+    next_state = 1
+    for trace in sorted(log.entries):
+        state = 0
+        for label in trace:
+            nxt = transitions.get((state, label))
+            if nxt is None:
+                nxt = next_state
+                transitions[(state, label)] = nxt
+                next_state += 1
+            state = nxt
+        accepting.add(state)
+    return _canonical(0, accepting, transitions, log.alphabet)
 
 
 def random_net(rng, max_places: int = 6, max_transitions: int = 5) -> PetriNet:

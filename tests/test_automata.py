@@ -93,6 +93,29 @@ def test_log_to_dfa_empty_log():
         automata._traces(EventLog({}))
 
 
+def test_log_to_dfa_numbers_the_logs_one_trie_as_the_sorted_insert_reference():
+    rng = random.Random(2801)
+    logs = [oracles.random_log(rng, max_traces=12, max_len=6) for _ in range(300)]
+    logs += [
+        EventLog.from_traces([()]),
+        EventLog.from_traces([("b", "a"), (), ("a",), ("a",), ("b", "a"), ()]),
+        EventLog({("c",): 5, ("a", "c"): 2, ("a",): 1}),
+    ]
+    assert any(() in log.entries for log in logs)
+    assert any(max(log.entries.values()) > 1 for log in logs)
+    for log in logs:
+        built, expected = log_to_dfa(log), oracles.reference_log_to_dfa(log)
+        assert built == expected
+        assert list(built.transitions.items()) == list(expected.transitions.items())
+        # the trie is built once and kept on the log, and read again as it is
+        rows = automata._log_rows(log)
+        assert rows is automata._log_rows(log)
+        assert len(rows) == len(built.states)
+        assert log_to_dfa(log) == built and automata._log_rows(log) is rows
+    with pytest.raises(EmptyLog, match="empty log"):
+        oracles.reference_log_to_dfa(EventLog({}))
+
+
 def test_prefix_tree_size_is_counted_without_the_tree():
     rng = random.Random(11)
     logs = [oracles.random_log(rng, max_traces=12, max_len=7) for _ in range(300)]

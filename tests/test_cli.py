@@ -452,6 +452,38 @@ def test_stochastic_measures_report_the_size_of_a_logs_prefix_tree(capsys, fixtu
             assert f"relevant_states={rel_states} retrieved_states={ret_states}" in err
 
 
+def test_sp_and_sr_build_each_logs_trie_once_and_no_sdfa_by_its_constructor(fixtures, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError(f"called with {args!r}")
+
+    # the size is the trie's length, and every SDFA is built by its builder only
+    for module in (automata, cli):
+        monkeypatch.setattr(module, "_prefix_tree_states", forbidden)
+    monkeypatch.setattr(stochastic.Sdfa, "__init__", forbidden)
+    tries = {}
+    read = automata._log_rows
+
+    def spied(log):
+        rows = read(log)
+        tries.setdefault(id(log), (log, []))[1].append(rows)
+        return rows
+
+    for module in (automata, stochastic, cli):
+        monkeypatch.setattr(module, "_log_rows", spied)
+    e, f, n = (str(fixtures / name) for name in ("E.xes", "F.xes", "N.spnml"))
+    sizes = {(e, f): (23, 17), (f, e): (17, 23), (e, e): (23, 23), (n, f): (6, 17)}
+    for flag in ("-sp", "-sr"):
+        for (rel, ret), (rel_states, ret_states) in sizes.items():
+            tries.clear()
+            stdout, stderr = StringIO(), StringIO()
+            assert run(parse_args([flag, "-rel", rel, "-ret", ret]), stdout, stderr) == 0
+            sized = f"relevant_states={rel_states} retrieved_states={ret_states}"
+            assert sized in stderr.getvalue()
+            # one trie per log side, each read as the one object built
+            assert len(tries) == (rel, ret).count(e) + (rel, ret).count(f)
+            assert all(rows is calls[0] for _, calls in tries.values() for rows in calls)
+
+
 @pytest.mark.parametrize("flag", ["-sp", "-sr"])
 def test_the_trap_fixture_exits_3_on_either_side(capsys, fixtures, flag):
     # T.spnml ends after b c e, one of E.xes's traces, and loops forever
@@ -475,6 +507,18 @@ def test_relevance_on_fixtures(capsys, fixtures):
         capsys, "-r", "-rel", fixtures / "E.xes", "-ret", fixtures / "billing.dfg", "-s"
     )
     assert (code, out) == (0, "10.186\n")
+
+
+def test_line_formats_may_start_with_a_byte_order_mark(capsys, fixtures, tmp_path):
+    marked = {}
+    for name in ("A.sdfa", "billing.dfg"):
+        marked[name] = tmp_path / name
+        marked[name].write_bytes(b"\xef\xbb\xbf" + (fixtures / name).read_bytes())
+        assert load_artifact(marked[name]) == load_artifact(fixtures / name)
+    for name, expected in (("A.sdfa", "11.368"), ("billing.dfg", "10.186")):
+        argv = ("-r", "-rel", fixtures / "E.xes", "-ret", marked[name], "-s")
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_stochastic_measures_on_fixtures(capsys, fixtures):

@@ -919,6 +919,70 @@ def test_sdfa_constructions_match_their_reference_copies(monkeypatch):
     }
 
 
+def test_internal_sdfas_are_what_the_constructor_builds_from_their_fields(monkeypatch):
+    rng = random.Random(2802)
+    models = [oracles.random_terminating_sdfa(rng) for _ in range(40)]
+    logs = [oracles.random_log(rng, max_traces=10) for _ in range(80)]
+    nets = [weighted_random_net(rng) for _ in range(150)]
+    pairs = []
+    monkeypatch.setattr(automata, "_MAX_STATES", 300)
+    with monkeypatch.context() as patch:
+
+        def forbidden(*args):
+            raise AssertionError("an internal builder ran Sdfa.__init__")
+
+        # the builders keep their own rows, and check nothing twice
+        patch.setattr(Sdfa, "__init__", forbidden)
+        built = {"log": [log_to_sdfa(log) for log in logs], "net": [], "conjunction": []}
+        for net in nets:
+            try:
+                built["net"].append(stochastic_rg_to_sdfa(net))
+            except EntroconfError:
+                pass
+        sources = models + built["log"][:40] + built["net"]
+        for _ in range(300):
+            pair = rng.sample(sources, 2)
+            try:
+                built["conjunction"].append(conjunction(*pair))
+            except EntroconfError:
+                continue
+            pairs.append(pair)
+    assert all(len(results) >= 20 for results in built.values()), built
+    for s in [s for results in built.values() for s in results]:
+        rebuilt = Sdfa(s.states, s.alphabet, s.initial, s.transitions, s.termination)
+        assert s == rebuilt
+        assert s._support == rebuilt._support
+        assert list(s._support.transitions.items()) == list(rebuilt._support.transitions.items())
+        # each state's weights are the builder's, over its own total: the
+        # same probabilities, so the same floats, as the lcm-scaled ones
+        assert probabilities(s._weights) == probabilities(rebuilt._weights)
+        assert solved(sdfa_entropy, s) == solved(sdfa_entropy, rebuilt)
+    for pair in pairs:
+        rebuilt = [
+            Sdfa(a.states, a.alphabet, a.initial, a.transitions, a.termination) for a in pair
+        ]
+        assert conjunction(*pair) == conjunction(*rebuilt)
+        assert solved(stochastic_precision_recall, *pair) == solved(
+            stochastic_precision_recall, *rebuilt
+        )
+
+
+def probabilities(weights) -> list:
+    """Each state's stop and edge probabilities of weights laid out as Sdfa._weights."""
+    return [
+        (Fraction(stop, total), {x: (j, Fraction(w, total)) for x, (j, w) in out.items()})
+        for stop, out, total in weights
+    ]
+
+
+def solved(measure, *args):
+    """The float.hex of each float measure(*args) returns, or the class of its error."""
+    try:
+        return [value.hex() for value in measure(*args)._values()]
+    except EntroconfError as exc:
+        return type(exc)
+
+
 def test_stochastic_precision_recall_conventions():
     assert stochastic_precision_recall(MODEL, MODEL) == PrecisionRecall(1.0, 1.0)
 
