@@ -5,12 +5,10 @@ PNML Petri nets (initialMarking, optional finalmarkings section, silent
 transitions by empty name or an invisible marker), and sPNML stochastic
 nets (PNML plus a per-transition weight annotation).
 
-An XES file is read in fixed blocks, so memory stays flat in its size. A
-common subset of XES (see _read_xes_fast) is read with no Python call per
-element: patterns take out the traces and a UTF-8 check covers their
-bytes, while a C-level expat pass reads only the header and the tail
-around them. Everything else takes the full streaming reader, _read_xes,
-which gives the same log or error for any file.
+An XES file is read in fixed blocks by one expat pass, so memory stays
+flat in its size. Expat is not fed runs of traces in a common subset of
+XES that follow a trace it has read: patterns count their events with no
+Python call per element (see _xes_pass).
 
 Line formats, with '#' comments and blank lines ignored:
 
@@ -143,8 +141,57 @@ class _LocalNames(dict):
         return local
 
 
-def _read_xes(parse) -> EventLog:
-    """Event log from one streaming expat pass; parse(parser) feeds the input.
+_BLOCK = 1 << 18  # bytes read and parsed at a time
+# the bytes held between blocks stay under this; a longer header, trace or
+# tail goes to expat as it comes
+_CARRY_LIMIT = 1 << 22
+
+# The traces that expat need not read (see _xes_pass): each holds only
+# <event> elements and leaf attributes <tag key="..." value="..."/>, each
+# event only leaves. A value with no entity, tab, line break or other
+# control character is its own text; a tag with no prefix is its own local
+# name.
+_SPACE = rb"[ \t\r\n]"
+_VALUE = rb'"[^"&<\x00-\x1f]*"'
+_LEAF = (
+    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*"
+    + _SPACE + rb"+key=" + _VALUE + _SPACE + rb"+value=" + _VALUE + _SPACE + rb"*/>"
+)
+_EVENT = rb"<event>(?:" + _SPACE + rb"*" + _LEAF + rb")*" + _SPACE + rb"*</event>"
+_TRACE = (
+    rb"<trace>(?:" + _SPACE + rb"*(?:" + _EVENT + rb"|" + _LEAF + rb"))*"
+    + _SPACE + rb"*</trace>" + _SPACE + rb"*"
+)
+# in a trace that _TRACE matched: each event, and the value of its first
+# leaf keyed concept:name, or b"" when it has none
+_NAME = (
+    rb"<event>(?:" + _SPACE + rb'*<[\w.\-]+' + _SPACE + rb'+key="(?!concept:name")[^"]*"'
+    + _SPACE + rb'+value="[^"]*"' + _SPACE + rb"*/>)*"
+    rb"(?:" + _SPACE + rb"*<[\w.\-]+" + _SPACE + rb'+key="concept:name"'
+    + _SPACE + rb'+value="([^"]*)")?'
+)
+
+
+def _xml_characters(region: bytes) -> bool:
+    """Whether region is strict UTF-8 with no U+FFFE or U+FFFF, as expat
+    requires of the characters of a UTF-8 document."""
+    if region.isascii():
+        return True
+    try:
+        region.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return b"\xef\xbf\xbe" not in region and b"\xef\xbf\xbf" not in region
+
+
+def _read_xes(source) -> EventLog:
+    """Event log from a str, or a binary stream read with skips if it can seek."""
+    return _xes_pass(source, not isinstance(source, str) and source.seekable())
+
+
+def _xes_pass(source, skipping: bool) -> EventLog:
+    """The event log of source, in one expat pass, or in a second with no
+    skips if expat rejects it after a skip.
 
     No tree is built. Each open element's role goes on a stack: "trace" for
     a <trace> at any depth, "event" for an <event> directly inside one, ""
@@ -152,14 +199,38 @@ def _read_xes(parse) -> EventLog:
     events' names are held. A missing name is reported once the whole
     document has been read, so that malformed XML takes precedence, as it
     does when the tree is built first.
+
+    A stream is read in _BLOCKs. While skipping, expat is not fed a trace
+    that _TRACE matches and that directly follows, with only whitespace
+    between, a trace whose end tag expat parsed while that trace alone was
+    fed, or a trace skipped so; _NAME counts its events instead.
     """
+    # Why expat need not read such a trace: it is in element content there,
+    # as it reported an element end at the byte index of the fed trace's
+    # "</trace>", with an element still open and no byte left over. _TRACE
+    # matches only elements that are well-formed in themselves, with no
+    # prefixes, entities, comments, CDATA or PIs, only key and value
+    # attributes, and no "&<, control character or other whitespace than
+    # [ \t\r\n], so each skipped trace leaves expat in element content
+    # again. What expat would still reject in it is a character that is not
+    # an XML Char of a UTF-8 document, which _xml_characters rejects once
+    # per run and block; a run that fails is fed with the rest of the file.
+    # And nothing else changes what expat makes of it: no DOCTYPE has
+    # started, so no attribute default or entity is declared, and no
+    # encoding but UTF-8 is declared (in UTF-16, no end tag starts where an
+    # ASCII "</trace>" does, so nothing is skipped). Expat would report the
+    # trace's start, its events with the names _NAME takes out, and its end.
     parser = expat.ParserCreate(namespace_separator="}")
     local_names = _LocalNames()
     roles = [""]  # of the open elements, under a sentinel for the root's parent
     traces: list[list] = []  # event names of each open trace
     names: list = []  # concept:name of each open event; None until seen
-    counts: dict[Trace, int] = {}
+    # per trace, in the order they end: its names from expat, or the raw
+    # UTF-8 bytes of a skipped trace's names
+    counts: dict[tuple, int] = {}
     missing = False
+    closed = -1  # expat's byte index of the last trace end tag it parsed
+    fed = 0  # bytes given to expat
 
     def start(tag, attrs):
         parent = roles[-1]
@@ -180,7 +251,7 @@ def _read_xes(parse) -> EventLog:
             roles.append("")
 
     def end(tag):
-        nonlocal missing
+        nonlocal missing, closed
         role = roles.pop()
         if role == "event":
             name = names.pop()
@@ -190,6 +261,7 @@ def _read_xes(parse) -> EventLog:
         elif role == "trace":
             trace = tuple(traces.pop())
             counts[trace] = counts.get(trace, 0) + 1
+            closed = parser.CurrentByteIndex
 
     def skipped_entity(entity, is_parameter_entity):
         # an entity reference no declaration defines, left by expat because
@@ -197,18 +269,98 @@ def _read_xes(parse) -> EventLog:
         if not is_parameter_entity:
             raise MalformedXml(f"undefined entity &{entity};")
 
+    def no_skips(*_):
+        nonlocal skipping
+        skipping = False
+
+    def declaration(version, encoding, standalone):
+        if encoding and encoding.lower() != "utf-8":
+            no_skips()
+
+    def feed(chunk):
+        nonlocal fed
+        if chunk:
+            parser.Parse(chunk, False)
+            fed += len(chunk)
+
     parser.StartElementHandler = start
     parser.EndElementHandler = end
     parser.SkippedEntityHandler = skipped_entity
+    parser.StartDoctypeDeclHandler = no_skips
+    parser.XmlDeclHandler = declaration
+    skipped = False
     try:
-        parse(parser)
+        if isinstance(source, str):
+            parser.Parse(source, True)
+        else:
+            # compiled on first use, not on import, which every run would
+            # pay for; re keeps them compiled for the next file
+            trace, name = re.compile(_TRACE), re.compile(_NAME)
+            spaces = re.compile(_SPACE + rb"*")
+            confirmed = False  # whether a subset trace at pos may be skipped
+            carry = b""
+            while block := source.read(_BLOCK):
+                buf = carry + block
+                # bytes before pos are fed or skipped; no trace that _TRACE
+                # matches starts between pos and search
+                pos = search = 0
+                while skipping:
+                    if confirmed:
+                        begin = end = spaces.match(buf, pos).end()
+                        last = buf.rfind(b"</trace>", begin)
+                        if last < 0:
+                            break
+                        run = []
+                        while match := trace.match(buf, end, last + 8):
+                            run.append(tuple(name.findall(buf, end, match.end())))
+                            end = match.end()
+                        if not run:
+                            confirmed, search = False, pos
+                        elif _xml_characters(buf[begin:end]):
+                            skipped, pos = True, end
+                            for key in run:
+                                counts[key] = counts.get(key, 0) + 1
+                        else:
+                            no_skips()
+                        continue
+                    first = buf.find(b"<trace>", search)
+                    last = buf.find(b"</trace>", first) if first >= 0 else -1
+                    if last < 0:
+                        # held: a trace not yet complete, or what no search passed
+                        feed(buf[pos : max(first, search)])
+                        pos = max(first, search)
+                        break
+                    if trace.match(buf, first, last + 8) is None:
+                        search = first + 1
+                        continue
+                    feed(buf[pos:first])
+                    target = fed + last - first
+                    feed(buf[first : last + 8])
+                    confirmed = closed == target and len(roles) > 1
+                    pos = search = last + 8
+                carry = buf[pos:]
+                if not skipping or len(carry) > _CARRY_LIMIT:
+                    feed(carry)
+                    carry, confirmed = b"", False
+            parser.Parse(carry, True)
     except (expat.ExpatError, LookupError, ValueError) as exc:
         # LookupError: a declared encoding Python has no codec for;
         # ValueError: a declared multi-byte encoding other than UTF-8/16
+        if skipped:
+            # expat counts lines and columns without the skipped bytes, so
+            # the error is taken from a pass that skips none
+            source.seek(0)
+            return _xes_pass(source, False)
         raise MalformedXml(str(exc)) from None
+    entries: dict[Trace, int] = {}
+    for key, count in counts.items():
+        if key and type(key[0]) is bytes:
+            missing = missing or b"" in key
+            key = tuple(raw.decode("utf-8") for raw in key)
+        entries[key] = entries.get(key, 0) + count
     if missing:
         raise MissingConceptName("event without a concept:name attribute")
-    return EventLog(counts)
+    return EventLog(entries)
 
 
 def parse_xes(text: str) -> EventLog:
@@ -218,152 +370,7 @@ def parse_xes(text: str) -> EventLog:
     children, and an event's name is the value of its first direct child
     with key="concept:name".
     """
-    return _read_xes(lambda parser: parser.Parse(text, True))
-
-
-_BLOCK = 1 << 18  # bytes read, parsed and scanned at a time
-# a header, a trace or a tail longer than this is left to _read_xes, so
-# that the bytes held between blocks stay bounded
-_CARRY_LIMIT = 1 << 22
-
-# The subset read by _read_xes_fast: traces that follow one another with
-# only whitespace between them, each holding only <event> elements and leaf
-# attributes <tag key="..." value="..."/>, each event only leaves. A value
-# with no entity, tab, line break or other control character is its own
-# text; a tag with no prefix is its own local name.
-_SPACE = rb"[ \t\r\n]"
-_VALUE = rb'"[^"&<\x00-\x1f]*"'
-_LEAF = (
-    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*"
-    + _SPACE + rb"+key=" + _VALUE + _SPACE + rb"+value=" + _VALUE + _SPACE + rb"*/>"
-)
-_EVENT = rb"<event>(?:" + _SPACE + rb"*" + _LEAF + rb")*" + _SPACE + rb"*</event>"
-_TRACE = (
-    rb"<trace>(?:" + _SPACE + rb"*(?:" + _EVENT + rb"|" + _LEAF + rb"))*"
-    + _SPACE + rb"*</trace>" + _SPACE + rb"*"
-)
-# in a trace that _TRACE matched: each event, and the value of its first
-# leaf keyed concept:name, or b"" when it has none
-_NAME = (
-    rb"<event>(?:" + _SPACE + rb'*<[\w.\-]+' + _SPACE + rb'+key="(?!concept:name")[^"]*"'
-    + _SPACE + rb'+value="[^"]*"' + _SPACE + rb"*/>)*"
-    rb"(?:" + _SPACE + rb"*<[\w.\-]+" + _SPACE + rb'+key="concept:name"'
-    + _SPACE + rb'+value="([^"]*)")?'
-)
-_FIRST_TRACE = rb"<trace[ \t\r\n/>]"
-_DECLARATION = rb"(?:\xef\xbb\xbf)?(?:<\?xml[ \t\r\n][^>]*>)?"
-_ENCODING = rb"encoding[ \t\r\n]*=[ \t\r\n]*[\"']([^\"']*)"
-# a comment, CDATA section, DOCTYPE or processing instruction, or a prefixed tag
-_MARKUP = rb"<[!?]|<[^ \t\r\n/>]*:"
-_TAIL_MARKUP = rb"<trace|<event|&|" + _MARKUP
-
-
-class _Labels(dict):
-    """Cache of each raw UTF-8 event name's label."""
-
-    def __missing__(self, raw: bytes) -> str:
-        label = self[raw] = raw.decode("utf-8")
-        return label
-
-
-def _plain_header(header: bytes) -> bool:
-    """Whether the bytes before the first <trace> open an element, declare
-    no encoding but UTF-8 and hold nothing _TRACE's subset leaves out."""
-    declaration = re.match(_DECLARATION, header)
-    encoding = re.search(_ENCODING, declaration[0])
-    if encoding and encoding[1].lower() != b"utf-8":
-        return False
-    rest = header[declaration.end() :]
-    return re.search(rb"<[^/]", rest) is not None and re.search(_MARKUP, rest) is None
-
-
-def _read_xes_fast(stream) -> EventLog | None:
-    """The event log of an XES file in a common subset, or None outside it.
-
-    The patterns above take the traces out with no Python call per element,
-    and a UTF-8 check covers their bytes. Only the bytes around them, the
-    header before the first <trace> and the tail after the last trace, go
-    to an expat parser with no handlers, which checks their well-formedness
-    and encoding in C. None (a file outside the subset, or one either check
-    rejects) leaves the file to _read_xes, whose result, error class and
-    message stand.
-    """
-    # Why expat need not read the traces: _TRACE matches only elements that
-    # are well-formed in themselves, with no prefixes, entities, comments,
-    # CDATA or PIs, only key and value attributes, and no "&<, control
-    # character or other whitespace than [ \t\r\n]. What expat would still
-    # reject there is a character that is not an XML Char: invalid UTF-8
-    # (overlong forms, surrogates, code points above U+10FFFF), U+FFFE or
-    # U+FFFF. Python's strict UTF-8 decoder and a search for those two reject
-    # the same. Expat gets the stand-in <trace/> where the traces were, and
-    # rejects it wherever the traces could not sit as element content: inside
-    # an attribute value or an unfinished tag, or after the root element. So
-    # the whole document is well-formed exactly when header + <trace/> + tail
-    # is and every tiled run of traces passes the character check.
-    #
-    # compiled on first use, not on import, which every run would pay for;
-    # re keeps them compiled for the next file
-    trace, name, spaces = re.compile(_TRACE), re.compile(_NAME), re.compile(_SPACE + rb"*")
-    parser = expat.ParserCreate(namespace_separator="}")
-    raw: dict[tuple[bytes, ...], int] = {}
-    carry = b""
-    started = False  # whether the first <trace> has been reached
-    try:
-        while True:
-            block = stream.read(_BLOCK)
-            if not block:
-                break
-            buf = carry + block
-            if not started:
-                # a NUL is never in UTF-8 XML that expat accepts, but is in UTF-16
-                if b"\x00" in buf:
-                    return None
-                first = re.search(_FIRST_TRACE, buf)
-                if first is None:
-                    carry = buf
-                    if len(carry) > _CARRY_LIMIT:
-                        return None
-                    continue
-                header = buf[: first.start()]
-                if not _plain_header(header):
-                    return None
-                parser.Parse(header, False)
-                started, pos = True, first.start()
-            else:
-                pos = spaces.match(buf).end()
-            last = buf.rfind(b"</trace>", pos)
-            if last >= 0:
-                # the traces up to the last complete one, back to back
-                begin, end = pos, last + len(b"</trace>")
-                for match in trace.finditer(buf, pos, end):
-                    start, stop = match.span()
-                    if start != pos:
-                        return None
-                    key = tuple(name.findall(buf, start, stop))
-                    raw[key] = raw.get(key, 0) + 1
-                    pos = stop
-                if pos != end:
-                    return None
-                region = buf[begin:end]
-                if not region.isascii():
-                    region.decode("utf-8")  # a UnicodeDecodeError is a ValueError
-                    if b"\xef\xbf\xbe" in region or b"\xef\xbf\xbf" in region:
-                        return None
-            carry = buf[pos:]
-            if len(carry) > _CARRY_LIMIT:
-                return None
-        if not started or re.search(_TAIL_MARKUP, carry):
-            return None
-        parser.Parse(b"<trace/>" + carry, True)
-        labels = _Labels()
-        counts = {}
-        for key, count in raw.items():
-            if b"" in key:  # a missing or empty name
-                return None
-            counts[tuple(map(labels.__getitem__, key))] = count
-    except (expat.ExpatError, LookupError, ValueError):
-        return None
-    return EventLog(counts)
+    return _read_xes(text)
 
 
 def serialize_xes(log: EventLog) -> str:
@@ -401,18 +408,18 @@ def _parse_net_elements(root: ET.Element):
         if el in nested:
             continue
         tag = _local(el.tag)
-        if tag == "place":
+        if tag in ("place", "transition"):
             ident = el.get("id")
             if ident is None:
-                raise ParseError("place without id")
+                raise ParseError(f"{tag} without id")
+            if ident in (places if tag == "place" else transitions):
+                raise ParseError(f"{tag} {_shown(ident)} declared twice")
+        if tag == "place":
             marking_text = _child_text(el, "initialMarking")
             places[ident] = (
                 _parse_count(marking_text, f"place {_shown(ident)}") if marking_text else 0
             )
         elif tag == "transition":
-            ident = el.get("id")
-            if ident is None:
-                raise ParseError("transition without id")
             name = _child_text(el, "name")
             label = name.strip() if name else ""
             weight: Fraction | None = None
@@ -674,12 +681,12 @@ def read_dfg(text: str) -> Dfg:
     if source == sink or source in nodes or sink in nodes:
         raise ParseError("source and sink must be distinct, undeclared endpoints")
     for src, dst in arcs:
+        if src == sink or dst == source:
+            raise ParseError("arcs may not leave the sink or enter the source")
         if src not in nodes and src != source:
             raise ParseError(f"arc leaves unknown node {src!r}")
         if dst not in nodes and dst != sink:
             raise ParseError(f"arc enters unknown node {dst!r}")
-        if src == sink or dst == source:
-            raise ParseError("arcs may not leave the sink or enter the source")
 
     outgoing: dict[str, list[str]] = {}
     for src, dst in arcs:
@@ -763,15 +770,7 @@ def load_artifact(path: str | Path):
         if suffix == ".xes":
             # streamed as bytes, so expat honours the encoding declaration
             with open(path, "rb") as stream:
-                # a pipe cannot be read twice, so it goes to _read_xes alone
-                if stream.seekable():
-                    log = _read_xes_fast(stream)
-                    if log is not None:
-                        return log
-                    # outside the fast subset: read again from the start by
-                    # _read_xes, whose result or error stands
-                    stream.seek(0)
-                return _read_xes(lambda parser: parser.ParseFile(stream))
+                return _read_xes(stream)
         data = Path(path).read_bytes()
         # the XML parsers take bytes, so the encoding declaration is honoured
         # the line formats, as XES and PNML, may start with a byte-order mark

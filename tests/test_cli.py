@@ -774,6 +774,42 @@ def test_input_errors_exit_2(capsys, fixtures, tmp_path):
     assert err.startswith("input error: ")
 
 
+@pytest.mark.parametrize(
+    "flags, name, text, message",
+    [
+        # the second place p, with no token, would replace the first
+        (
+            ["-b", "-rel"], "twice.pnml",
+            '<pnml><net><page><place id="p"><initialMarking><text>1</text></initialMarking>'
+            '</place><place id="p"/></page></net></pnml>',
+            "place p declared twice",
+        ),
+        (
+            ["-b", "-rel"], "twice.pnml",
+            '<pnml><net><page><transition id="t"><name><text>a</text></name></transition>'
+            '<transition id="t"/></page></net></pnml>',
+            "transition t declared twice",
+        ),
+        (["-b", "-rel"], "anonymous.pnml", "<pnml><net><place/></net></pnml>", "place without id"),
+        (
+            ["-r", "-rel", "E.xes", "-ret"], "twice.sdfa", "initial s0\nstate s0 1\nstate s0 1\n",
+            "line 3: state s0 redeclared",
+        ),
+        (
+            ["-r", "-rel", "E.xes", "-ret"], "loop.dfg",
+            "source s\nsink e\nnode n a\narc s n 1\narc n e 1\narc e n 1\n",
+            "arcs may not leave the sink or enter the source",
+        ),
+    ],
+)
+def test_parser_rejections_exit_2(capsys, fixtures, tmp_path, flags, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    argv = [fixtures / flag if flag.endswith(".xes") else flag for flag in flags]
+    code, out, err = invoke(capsys, *argv, path)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 def test_xes_encoding_declaration_is_honoured(capsys, fixtures, tmp_path):
     body = '<log><trace><event><string key="concept:name" value="caf\u00e9"/></event></trace></log>'
     declared = tmp_path / "declared.xes"

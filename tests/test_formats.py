@@ -243,15 +243,15 @@ def test_streaming_xes_reader_agrees_with_the_tree_reader(text):
         assert read_outcome(load_artifact, path) == expected
 
 
-# --- the fast XES reader -------------------------------------------------------
+# --- traces that expat is not fed ---------------------------------------------
 
-FAST_LABELS = ["a", "b", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "x y", "a>b"]
+SUBSET_LABELS = ["a", "b", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "x y", "a>b"]
 
 
-def subset_xes(rng, traces=5):
+def subset_xes(rng, traces=5, events=4):
     """A log in the layout of the benchmark's generated logs: a root with a
-    default namespace and a name, and per trace a case name and events of
-    three leaves each."""
+    default namespace and a name, and per trace a case name and up to events
+    events of three leaves each."""
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         '<log xes.version="1.0" xmlns="http://www.xes-standard.org/">\n',
@@ -259,9 +259,9 @@ def subset_xes(rng, traces=5):
     ]
     for case in range(traces):
         parts.append(f'  <trace>\n    <string key="concept:name" value="case-{case}"/>\n')
-        for position in range(rng.randint(1, 4)):
+        for position in range(rng.randint(1, events)):
             parts.append(
-                f'    <event><string key="concept:name" value="{rng.choice(FAST_LABELS)}"/>'
+                f'    <event><string key="concept:name" value="{rng.choice(SUBSET_LABELS)}"/>'
                 '<string key="lifecycle:transition" value="complete"/>'
                 f'<date key="time:timestamp" value="2020-01-01T00:{position:02d}:00.000+00:00"/>'
                 "</event>\n"
@@ -277,9 +277,16 @@ def at_random(rng, text, pattern, replacement):
     return text[: match.start()] + match.expand(replacement) + text[match.end() :]
 
 
+class Unseekable(BytesIO):
+    """A stream that cannot seek, as a pipe, so that it is read with no skips."""
+
+    def seekable(self):
+        return False
+
+
 def streamed(data):
-    """The log that _read_xes reads from data, as bytes."""
-    return formats._read_xes(lambda parser: parser.Parse(data, True))
+    """The log of data, as bytes, from a pass that feeds expat every byte."""
+    return formats._read_xes(Unseekable(data))
 
 
 def exact_outcome(read, source):
@@ -341,8 +348,9 @@ def around_the_traces(before, after):
     return mutate
 
 
-# each way out of the fast reader's subset, as a change to a subset document
-FALLBACK_CASES = {
+# each way out of the subset of traces that expat need not read, as a change
+# to a subset document
+OUTSIDE_CASES = {
     "prefixed leaf": on_root(r"<event><string ", r"<event><xes:string "),
     "prefixed trace": on_root(r"<trace>(.*?)</trace>", r"<xes:trace>\1</xes:trace>"),
     "prefixed root": lambda rng, text: text.replace(*PREFIXED_ROOT)
@@ -406,62 +414,148 @@ FALLBACK_CASES = {
 }
 
 
-def spied_reads(monkeypatch):
-    """The calls load_artifact makes to the full streaming reader."""
-    calls = []
-    full = formats._read_xes
+def pass_spy(passes):
+    """_xes_pass, appending to passes whether each pass skips."""
+    read = formats._xes_pass
 
-    def spy(feed):
-        calls.append(feed)
-        return full(feed)
+    def spy(source, skipping):
+        passes.append(skipping)
+        return read(source, skipping)
 
-    monkeypatch.setattr(formats, "_read_xes", spy)
-    return calls
+    return spy
+
+
+def spied_passes(monkeypatch):
+    """Whether each expat pass made from now on skips."""
+    passes = []
+    monkeypatch.setattr(formats, "_xes_pass", pass_spy(passes))
+    return passes
+
+
+def assert_passes(passes, expected):
+    """A document is read in one pass; an expat error after a skip in one more."""
+    if isinstance(expected, tuple) and expected[0] is MalformedXml:
+        assert passes in ([True], [True, False]), passes
+    else:
+        assert passes == [True], passes
+
+
+VALID_CASES = {
+    "comment in the header",
+    "comment in a trace",
+    "comment in the tail",
+    "processing instruction in the header",
+    "processing instruction in a trace",
+    "processing instruction in the tail",
+    "entity in a value",
+    "entity in the tail",
+    "prefixed root",
+}
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("case", FALLBACK_CASES)
-def test_a_file_outside_the_fast_subset_is_read_by_the_full_reader(
-    case, seed, tmp_path, monkeypatch
-):
+@pytest.mark.parametrize("case", OUTSIDE_CASES)
+def test_a_file_outside_the_subset_reads_as_with_no_skips(case, seed, tmp_path, monkeypatch):
     rng = random.Random(f"{case}/{seed}")
-    document = FALLBACK_CASES[case](rng, subset_xes(rng))
+    document = OUTSIDE_CASES[case](rng, subset_xes(rng))
     data = document if isinstance(document, bytes) else document.encode("utf-8")
     path = tmp_path / "log.xes"
     path.write_bytes(data)
     expected = exact_outcome(streamed, data)
-    calls = spied_reads(monkeypatch)
+    passes = spied_passes(monkeypatch)
     assert exact_outcome(load_artifact, path) == expected
-    assert len(calls) == 1
+    assert_passes(passes, expected)
+    # these are valid, so assert_passes holds them to one pass
+    assert case not in VALID_CASES or isinstance(expected, dict)
+
+# the comment block that the OpenXES library writes after the XML declaration
+OPENXES_HEADER = """
+<!-- This file has been generated with the OpenXES library. It conforms -->
+<!-- to the XML serialization of the XES standard for log storage and -->
+<!-- management. -->
+<!-- XES standard version: 1.0 -->
+<!-- OpenXES library version: 1.0RC7 -->
+<!-- OpenXES is available from http://www.openxes.org/ -->"""
+
+# kinds of trace outside the subset that each change one trace
+MIXED_CASES = [
+    "prefixed leaf",
+    "prefixed trace",
+    "trace leaf in an event",
+    "event leaf in a trace",
+    "entity in a value",
+    "character reference in a value",
+    "control character in a value",
+    "tab in a value",
+    "carriage return in a value",
+    "lone 0xFF byte in a value",
+    "U+FFFF in a value",
+    "single quotes",
+    "value before key",
+    "another attribute",
+    "attribute on a trace",
+    "nested element in an event",
+    "text between traces",
+    "leaf between traces",
+    "comment in a trace",
+    "CDATA in an event",
+    "processing instruction in a trace",
+    "missing name",
+    "empty name",
+    "unbound prefix",
+    "undefined entity",
+]
 
 
-def test_subset_files_take_the_fast_reader(fixtures, tmp_path, monkeypatch):
-    generated = tmp_path / "generated.xes"
-    generated.write_text(subset_xes(random.Random(7), traces=20), encoding="utf-8")
-    paths = [fixtures / "E.xes", fixtures / "F.xes", generated]
+def mixed_xes(rng, case, traces=5, events=2):
+    """A subset document with one or two traces changed as case changes one,
+    so that subset traces come before, between or after them."""
+    document = subset_xes(rng, traces, events)
+    for _ in range(rng.randint(1, 2)):
+        if isinstance(document, bytes):
+            break
+        document = OUTSIDE_CASES[case](rng, document)
+    return document if isinstance(document, bytes) else document.encode("utf-8")
+
+
+def test_valid_files_are_read_in_one_pass(fixtures, tmp_path, monkeypatch):
+    rng = random.Random(7)
+    documents = {
+        "generated.xes": subset_xes(rng, traces=20).encode("utf-8"),
+        "openxes.xes": subset_xes(rng, traces=20).replace("?>", "?>" + OPENXES_HEADER, 1)
+        .encode("utf-8"),
+        "mixed.xes": mixed_xes(rng, "entity in a value", traces=20),
+    }
+    for name, data in documents.items():
+        (tmp_path / name).write_bytes(data)
+    paths = [fixtures / "E.xes", fixtures / "F.xes"] + [tmp_path / name for name in documents]
     expected = [exact_outcome(streamed, path.read_bytes()) for path in paths]
-    calls = spied_reads(monkeypatch)
+    assert all(isinstance(entries, dict) for entries in expected)
+    passes = spied_passes(monkeypatch)
     assert [exact_outcome(load_artifact, path) for path in paths] == expected
-    assert calls == []
-    # a trace longer than the bytes held between blocks is left to the full reader
+    assert passes == [True] * len(paths)
+    # a trace longer than the bytes held between blocks is fed to expat
     monkeypatch.setattr(formats, "_BLOCK", 64)
     monkeypatch.setattr(formats, "_CARRY_LIMIT", 100)
-    assert exact_outcome(load_artifact, generated) == expected[2]
-    assert len(calls) == 1
+    passes.clear()
+    assert [exact_outcome(load_artifact, path) for path in paths] == expected
+    assert passes == [True] * len(paths)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
-def test_a_log_from_a_named_pipe_is_read_once(fixtures, tmp_path):
+def test_a_log_from_a_named_pipe_is_read_once(fixtures, tmp_path, monkeypatch):
     pipe = tmp_path / "log.xes"
     os.mkfifo(pipe)
     data = (fixtures / "E.xes").read_bytes()
     writer = threading.Thread(target=pipe.write_bytes, args=(data,), daemon=True)
     writer.start()
+    passes = spied_passes(monkeypatch)
     try:
         log = load_artifact(pipe)
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
+    assert passes == [False]
     assert log == load_artifact(fixtures / "E.xes")
 
 
@@ -472,7 +566,13 @@ def spied_expat_input(monkeypatch):
 
     class Spy:
         def __init__(self, *args, **kwargs):
-            self.parser = create(*args, **kwargs)
+            object.__setattr__(self, "parser", create(*args, **kwargs))
+
+        def __getattr__(self, name):
+            return getattr(self.parser, name)
+
+        def __setattr__(self, name, value):
+            setattr(self.parser, name, value)
 
         def Parse(self, data, final=False):
             chunks.append(data)
@@ -482,8 +582,10 @@ def spied_expat_input(monkeypatch):
     return chunks
 
 
-@pytest.mark.parametrize("name", ["E.xes", "multi-byte"])
-def test_the_fast_reader_agrees_at_every_block_size(name, fixtures, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name", ["E.xes", "F.xes", "multi-byte"])
+def test_expat_reads_a_subset_log_s_ends_at_every_block_size(
+    name, fixtures, tmp_path, monkeypatch
+):
     if name == "multi-byte":
         path = tmp_path / "log.xes"
         path.write_text(subset_xes(random.Random(3)), encoding="utf-8")
@@ -491,22 +593,103 @@ def test_the_fast_reader_agrees_at_every_block_size(name, fixtures, tmp_path, mo
         path = fixtures / name
     data = path.read_bytes()
     expected = exact_outcome(streamed, data)
-    # expat reads the header, then the stand-in <trace/> and the tail, and
-    # never the traces themselves; whitespace after the last trace may be
-    # left out of the tail
-    header = data[: data.index(b"<trace>")]
-    tail = data[data.rindex(b"</trace>") + len(b"</trace>") :]
-    fed = ([header, b"<trace/>" + tail], [header, b"<trace/>" + tail.lstrip(b" \t\r\n")])
+    # expat reads the header, then the first trace alone, after which it is
+    # in element content, and the tail; it never reads the other traces
+    first = data.index(b"<trace>")
+    fed = [
+        data[:first],
+        data[first : data.index(b"</trace>") + len(b"</trace>")],
+        data[data.rindex(b"</trace>") + len(b"</trace>") :],
+    ]
     chunks = spied_expat_input(monkeypatch)
+    passes = spied_passes(monkeypatch)
     # every size splits the file somewhere new: inside </trace>, inside a
     # multi-byte UTF-8 sequence, inside the XML declaration
     for size in range(1, len(data) + 1):
         monkeypatch.setattr(formats, "_BLOCK", size)
         chunks.clear()
-        with open(path, "rb") as stream:
-            log = formats._read_xes_fast(stream)
-        assert log is not None and dict(log.entries) == expected, size
-        assert chunks in fed, size
+        passes.clear()
+        assert exact_outcome(load_artifact, path) == expected, size
+        assert chunks == fed, size
+        assert passes == [True], size
+
+
+def every_block_size(data):
+    """The outcome of a skipping read of data at each block size, with its
+    passes, where it differs from a read with no skips."""
+    expected = exact_outcome(streamed, data)
+    wrong = []
+    for size in range(1, len(data) + 1):
+        passes = []
+        with mock.patch.object(formats, "_BLOCK", size), mock.patch.object(
+            formats, "_xes_pass", pass_spy(passes)
+        ):
+            outcome = exact_outcome(formats._read_xes, BytesIO(data))
+        if outcome != expected:
+            wrong.append((size, outcome))
+        assert_passes(passes, expected)
+    return expected, wrong
+
+
+@pytest.mark.parametrize("case", MIXED_CASES)
+def test_mixed_documents_read_as_with_no_skips_at_every_block_size(case):
+    rng = random.Random(case)
+    expected, wrong = every_block_size(mixed_xes(rng, case))
+    assert wrong == [], expected
+
+
+# documents that put subset traces where expat reads no element, or that
+# expat rejects after traces it was not fed
+T = '<trace><event><string key="concept:name" value="a"/></event></trace>'
+U = '<trace><event><string key="concept:name" value="b"/></event></trace>'
+SPACED, ACCENTED = (T.replace('value="a"', f'value="{value}"') for value in (" a  b ", "\u00e9"))
+# a trace with one leaf whose value holds value
+LEAF = '<trace><x key="k" value="{}"/></trace>'.format
+ADVERSARIAL = {
+    "traces in a comment": f"<log>{T}<!-- {U} {U} -->{T}</log>",
+    "traces in CDATA": f"<log>{T}<x><![CDATA[{U}{U}]]></x>{T}</log>",
+    "traces in a processing instruction": f"<log>{T}<?pi {U}{U}?>{T}</log>",
+    "traces in an attribute value": f'<log>{T}<x a="{U}{U}"/>{T}</log>',
+    "-- in a commented-out trace": f"<log>{T}<!-- {U}{LEAF('a--b')} --></log>",
+    "a comment closed in a value": f"<log><trace><!-- {LEAF('-->')}{U}{U}</log>",
+    "a processing instruction closed in a value": f"<log><trace><?pi {LEAF('?>')}{U}{U}</log>",
+    "traces after the root": f"<log>{T}{U}{U}</log>{U}{U}",
+    "a trace as the root": T,
+    "traces after a trace as the root": f"{T}\n{U}{U}",
+    "nested traces": f"<log><trace>{T}{U}{U}</trace></log>",
+    "traces in an event":
+        f'<log><trace><event><x key="concept:name" value="c"/>{T}{U}</event></trace></log>',
+    "an entity declared in a DOCTYPE": f'<!DOCTYPE log [<!ENTITY e "x">]><log>{T}{U}{U}</log>',
+    # expat collapses the spaces of a value of a declared tokenized type
+    "a value type declared in a DOCTYPE":
+        f"<!DOCTYPE log [<!ATTLIST string value NMTOKENS #IMPLIED>]><log>{T}{SPACED}</log>",
+    # the bytes of "\u00e9" in UTF-8 are "\u00c3\u00a9" in Latin-1
+    "UTF-8 bytes in a Latin-1 document": '<?xml version="1.0" encoding="ISO-8859-1"?>'
+    f"<log>{T}{ACCENTED}</log>",
+    "an undefined entity after skips": f"<log>{T}{U}{U}\n<trace>&undefined;</trace></log>",
+    "a bad byte after skips": f"<log>{T}{U}{U}\n<x>\udcff</x></log>",
+    "truncated after skips": f"<log>{T}\n{U}\n{U}\n</lo",
+    "a missing name after skips":
+        f'<log>{T}{U}<trace><event><x key="k" value="v"/></event></trace></log>',
+}
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL)
+def test_adversarial_documents_read_as_with_no_skips_at_every_block_size(case):
+    data = ADVERSARIAL[case].encode("utf-8", "surrogateescape")
+    expected, wrong = every_block_size(data)
+    assert wrong == [], expected
+
+
+def test_an_error_after_a_skip_is_that_of_a_read_with_no_skips(tmp_path, monkeypatch):
+    text = subset_xes(random.Random(5), traces=8)
+    path = tmp_path / "log.xes"
+    path.write_text(text[: text.rindex("</trace>") - 20], encoding="utf-8")
+    expected = exact_outcome(streamed, path.read_bytes())
+    assert expected[0] is MalformedXml and "line" in expected[1]
+    passes = spied_passes(monkeypatch)
+    assert exact_outcome(load_artifact, path) == expected
+    assert passes == [True, False]
 
 
 # inserted into values in the trace region: bytes that are not UTF-8 or
@@ -536,8 +719,12 @@ def random_value_bytes(rng):
     return chr(rng.randrange(0x80, 0x110000)).encode("utf-8", "surrogatepass")
 
 
-def test_bytes_in_the_traces_are_checked_as_expat_checks_them():
-    read = {True: 0, False: 0}  # how many reads the fast reader took or left
+def test_bytes_in_the_traces_are_checked_as_expat_checks_them(monkeypatch):
+    verdicts = []  # of the check of each run of traces
+    check = formats._xml_characters
+    monkeypatch.setattr(
+        formats, "_xml_characters", lambda region: verdicts.append(check(region)) or verdicts[-1]
+    )
     for seed in range(300):
         rng = random.Random(seed)
         data = subset_xes(rng).encode("utf-8")
@@ -549,20 +736,18 @@ def test_bytes_in_the_traces_are_checked_as_expat_checks_them():
         expected = exact_outcome(streamed, data)
         for block in (7, 64, 256):
             with mock.patch.object(formats, "_BLOCK", block):
-                log = formats._read_xes_fast(BytesIO(data))
-            assert log is None or dict(log.entries) == expected, (seed, block)
-            read[log is not None] += 1
-    # both ways are taken, so the check is seen to accept and to reject
-    assert min(read.values()) > 100, read
+                assert exact_outcome(formats._read_xes, BytesIO(data)) == expected, (seed, block)
+    # the check is seen to accept and to reject
+    assert min(verdicts.count(True), verdicts.count(False)) > 100, len(verdicts)
 
 
-# Generated documents inside the fast reader's subset: any leaf tags, keys
+# Generated documents whose traces are all in the subset: any leaf tags, keys
 # and values, whitespace or none between elements, and traces that may sit
 # inside a further element of the root.
 SUBSET_SPACES = st.sampled_from(["", " ", "\n  ", "\r\n", "\t"])
 # U+FFFE and U+FFFF are no XML characters; the byte cases above take them
 SUBSET_VALUES = st.one_of(
-    st.sampled_from(FAST_LABELS + ["", "it's", "\x7f", "\x85", "\ufffd", "\U0010ffff"]),
+    st.sampled_from(SUBSET_LABELS + ["", "it's", "\x7f", "\x85", "\ufffd", "\U0010ffff"]),
     st.text(
         st.characters(
             min_codepoint=32, exclude_characters='"&<\ufffe\uffff', exclude_categories=("Cs",)
@@ -608,15 +793,16 @@ def subset_documents(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(subset_documents(), st.sampled_from([1, 2, 3, 7, 64, formats._BLOCK]))
-def test_the_fast_reader_reads_its_subset_as_the_streaming_reader_does(data, block):
+def test_subset_documents_read_as_with_no_skips_in_one_pass(data, block):
     expected = exact_outcome(streamed, data)
-    with mock.patch.object(formats, "_BLOCK", block):
-        log = formats._read_xes_fast(BytesIO(data))
-    # only a missing or empty name takes a file in the subset out of it
-    if isinstance(expected, dict):
-        assert log is not None and dict(log.entries) == expected
-    else:
-        assert log is None and expected[0] is MissingConceptName
+    passes = []
+    with mock.patch.object(formats, "_BLOCK", block), mock.patch.object(
+        formats, "_xes_pass", pass_spy(passes)
+    ):
+        assert exact_outcome(formats._read_xes, BytesIO(data)) == expected
+    # only a missing or empty name makes a document in the subset an error
+    assert isinstance(expected, dict) or expected[0] is MissingConceptName
+    assert passes == [True]
 
 
 def test_pnml_round_trip(fixtures, net_n):
@@ -830,6 +1016,109 @@ def test_dfg_errors():
             "source s\nsink e\nnode n1 a\nnode n2 a\n"
             "arc s n1 1\narc s n2 1\narc n1 e 1\narc n2 e 1\n"
         )
+
+
+def pnml(page, finals=""):
+    return f"<pnml><net><page>{page}</page>{finals}</net></pnml>"
+
+
+def final_marking(places):
+    return f"<finalmarkings><marking>{places}</marking></finalmarkings>"
+
+
+MARKED = "<initialMarking><text>1</text></initialMarking>"
+
+
+PARSER_REJECTIONS = {
+    "repeated initial": (
+        parse_sdfa, "initial s0\ninitial s0\nstate s0 1\n", "line 2: repeated initial declaration"
+    ),
+    "redeclared state": (
+        parse_sdfa, "initial s0\nstate s0 1\nstate s0 1\n", "line 3: state s0 redeclared"
+    ),
+    "undeclared initial state": (
+        parse_sdfa, "initial s9\nstate s0 1\n", "initial state s9 is not declared"
+    ),
+    "repeated source": (
+        read_dfg, "source s\nsource t\n", "line 2: repeated source declaration"
+    ),
+    "repeated sink": (read_dfg, "sink e\nsink f\n", "line 2: repeated sink declaration"),
+    "redeclared node": (
+        read_dfg, "source s\nnode n a\nnode n b\n", "line 3: node n redeclared"
+    ),
+    "unrecognized record": (
+        read_dfg, "source s\nnode n\n", "line 2: unrecognized record 'node n'"
+    ),
+    "source equal to the sink": (
+        read_dfg, "source s\nsink s\narc s s 1\n",
+        "source and sink must be distinct, undeclared endpoints",
+    ),
+    "source declared as a node": (
+        read_dfg, "source s\nsink e\nnode s a\narc s e 1\n",
+        "source and sink must be distinct, undeclared endpoints",
+    ),
+    "arc from an unknown node": (
+        read_dfg, "source s\nsink e\nnode n a\narc s n 1\narc ghost e 1\narc n e 1\n",
+        "arc leaves unknown node 'ghost'",
+    ),
+    "arc leaving the sink": (
+        read_dfg, "source s\nsink e\nnode n a\narc s n 1\narc n e 1\narc e n 1\n",
+        "arcs may not leave the sink or enter the source",
+    ),
+    "arc entering the source": (
+        read_dfg, "source s\nsink e\nnode n a\narc s n 1\narc n e 1\narc n s 1\n",
+        "arcs may not leave the sink or enter the source",
+    ),
+    "source with no outgoing arc": (
+        read_dfg, "source s\nsink e\nnode n a\narc n e 1\n", "the source has no outgoing arc"
+    ),
+    "place without id": (parse_pnml, pnml("<place/>"), "place without id"),
+    "transition without id": (parse_pnml, pnml("<transition/>"), "transition without id"),
+    "arc without target": (
+        parse_pnml, pnml('<place id="p"/><arc id="a" source="p"/>'),
+        "arc without source or target",
+    ),
+    "arc without source": (
+        parse_pnml, pnml('<place id="p"/><arc id="a" target="p"/>'),
+        "arc without source or target",
+    ),
+    "final marking place without idref": (
+        parse_pnml, pnml('<place id="p"/>', final_marking("<place/>")),
+        "final marking place without idref",
+    ),
+    "place id equal to a transition id": (
+        parse_pnml, pnml('<place id="x"/><transition id="x"/>'),
+        "place and transition ids must be disjoint",
+    ),
+    "place declared twice": (
+        parse_pnml,
+        pnml(f'<place id="p">{MARKED}</place><place id="p"/>'),
+        "place p declared twice",
+    ),
+    "transition declared twice": (
+        parse_pnml,
+        pnml('<transition id="t"><name><text>a</text></name></transition><transition id="t"/>'),
+        "transition t declared twice",
+    ),
+    "id declared twice, not printable": (
+        parse_pnml, pnml('<place id="p\u2028"/><place id="p\u2028"/>'),
+        "place 'p\\u2028' declared twice",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PARSER_REJECTIONS)
+def test_parser_rejections_name_their_cause(case):
+    parse, text, message = PARSER_REJECTIONS[case]
+    with pytest.raises(InputError) as caught:
+        parse(text)
+    expected = DeadEndNode if case == "source with no outgoing arc" else ParseError
+    assert (type(caught.value), str(caught.value)) == (expected, message)
+
+
+def test_a_final_marking_place_without_text_holds_one_token():
+    net = parse_pnml(pnml('<place id="p"/>', final_marking('<place idref="p"/>')))
+    assert net.final_markings == frozenset({Marking.of({"p": 1})})
 
 
 def test_load_artifact_dispatch(fixtures):

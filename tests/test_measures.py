@@ -599,3 +599,17 @@ def test_growth_factor_of_small_sets_of_words():
     assert measures._growth_factor({tuple("abc")}) == 1.0
     # the empty word and a: x + x ** 2 = 1 at the golden ratio's inverse
     assert measures._growth_factor({(), ("a",)}) == pytest.approx((1 + 5**0.5) / 2, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "measure, budgets",
+    [(exact_precision_recall, ()), (partial_precision_recall, ()),
+     (controlled_partial_precision_recall, (1, 1))],
+)
+def test_a_side_of_the_wrong_type_is_a_type_error(measure, budgets, log_e, net_n):
+    # a path is not read for the caller
+    for rel, ret in (("E.xes", log_e), (net_n, 3)):
+        wrong = type(rel if isinstance(rel, str) else ret).__name__
+        with pytest.raises(TypeError) as caught:
+            measure(rel, ret, *budgets)
+        assert str(caught.value) == f"not a Dfa, EventLog or PetriNet: {wrong}"

@@ -10,6 +10,7 @@ from entroconf import automata, measures, stochastic
 from entroconf.automata import _MAX_STATES, EventLog
 from entroconf.errors import (
     EmptyConjunction,
+    EmptyLog,
     EntroconfError,
     InvalidFinalMarking,
     NondeterministicStochasticModel,
@@ -1068,3 +1069,17 @@ def test_relevance_favors_the_empirical_coder():
     ]
     for rival in rivals:
         assert floor <= entropic_relevance(LOG, rival).bits + 1e-9
+
+
+def test_a_side_of_the_wrong_type_is_a_type_error(log_e, net_n):
+    # a plain net has no weights; a path is not read for the caller
+    for rel, ret, wrong in ((net_n, log_e, "PetriNet"), (log_e, "L.spnml", "str")):
+        with pytest.raises(TypeError) as caught:
+            stochastic_precision_recall(rel, ret)
+        assert str(caught.value) == f"not an Sdfa, EventLog or StochasticPetriNet: {wrong}"
+
+
+def test_an_empty_log_has_no_entropic_relevance(sdfa_a):
+    with pytest.raises(EmptyLog) as caught:
+        entropic_relevance(EventLog({}), sdfa_a)
+    assert str(caught.value) == "cannot score an empty log"
