@@ -8,7 +8,10 @@ nets (PNML plus a per-transition weight annotation).
 An XES file is read in fixed blocks by one expat pass, so memory stays
 flat in its size. Expat is not fed runs of traces in a common subset of
 XES that follow a trace it has read: patterns count their events with no
-Python call per element (see _xes_pass).
+Python call per element (see _xes_pass). Their repeats are possessive and
+keep no backtracking state (Python 3.11 and later); each is followed by a
+byte that its body cannot start with, so they match what backtracking
+repeats would.
 
 Line formats, with '#' comments and blank lines ignored:
 
@@ -151,24 +154,38 @@ _CARRY_LIMIT = 1 << 22
 # event only leaves. A value with no entity, tab, line break or other
 # control character is its own text; a tag with no prefix is its own local
 # name.
+#
+# Every repeat is possessive (*+, ++, ?+): it keeps no state to give back
+# an iteration, and a backtracking repeat would never need to, so the
+# patterns match the same bytes and capture the same names as their
+# backtracking forms. A single-byte repeat is followed by a byte that its
+# class excludes, or ends the pattern: a value's bytes by '"', a tag's by
+# a space, spaces by k, v, / or <. A group's iteration and what follows
+# it skip the same spaces and then part at the byte after "<": a leaf or
+# an event goes on with [A-Za-z_], an end tag with /. In _NAME the
+# lookahead parts the leaves before the name from the name's own leaf.
+# Each part of an iteration has one match, so no other split of the same
+# bytes exists either.
 _SPACE = rb"[ \t\r\n]"
-_VALUE = rb'"[^"&<\x00-\x1f]*"'
+# the bytes but "&< and \x00-\x1f, written as a positive class, which sre
+# tests faster than the negated one
+_VALUE = rb'''"[ !#-%'-;=-\xff]*+"'''
 _LEAF = (
-    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*"
-    + _SPACE + rb"+key=" + _VALUE + _SPACE + rb"+value=" + _VALUE + _SPACE + rb"*/>"
+    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*+"
+    + _SPACE + rb"++key=" + _VALUE + _SPACE + rb"++value=" + _VALUE + _SPACE + rb"*+/>"
 )
-_EVENT = rb"<event>(?:" + _SPACE + rb"*" + _LEAF + rb")*" + _SPACE + rb"*</event>"
+_EVENT = rb"<event>(?:" + _SPACE + rb"*+" + _LEAF + rb")*+" + _SPACE + rb"*+</event>"
 _TRACE = (
-    rb"<trace>(?:" + _SPACE + rb"*(?:" + _EVENT + rb"|" + _LEAF + rb"))*"
-    + _SPACE + rb"*</trace>" + _SPACE + rb"*"
+    rb"<trace>(?:" + _SPACE + rb"*+(?:" + _EVENT + rb"|" + _LEAF + rb"))*+"
+    + _SPACE + rb"*+</trace>" + _SPACE + rb"*+"
 )
 # in a trace that _TRACE matched: each event, and the value of its first
 # leaf keyed concept:name, or b"" when it has none
 _NAME = (
-    rb"<event>(?:" + _SPACE + rb'*<[\w.\-]+' + _SPACE + rb'+key="(?!concept:name")[^"]*"'
-    + _SPACE + rb'+value="[^"]*"' + _SPACE + rb"*/>)*"
-    rb"(?:" + _SPACE + rb"*<[\w.\-]+" + _SPACE + rb'+key="concept:name"'
-    + _SPACE + rb'+value="([^"]*)")?'
+    rb"<event>(?:" + _SPACE + rb'*+<[\w.\-]++' + _SPACE + rb'++key="(?!concept:name")[^"]*+"'
+    + _SPACE + rb'++value="[^"]*+"' + _SPACE + rb"*+/>)*+"
+    rb"(?:" + _SPACE + rb"*+<[\w.\-]++" + _SPACE + rb'++key="concept:name"'
+    + _SPACE + rb'++value="([^"]*+)")?+'
 )
 
 
@@ -759,13 +776,22 @@ _PARSERS = {
 
 
 def load_artifact(path: str | Path):
-    """Parse a file into its domain object, dispatching on the extension."""
+    """Parse a file into its domain object, dispatching on the extension.
+
+    An InputError keeps its class, and its message starts with the path,
+    as _shown writes it, so that it names which input failed on one line.
+    """
+    try:
+        return _load(path)
+    except InputError as exc:
+        raise type(exc)(f"{_shown(str(path))}: {exc}") from None
+
+
+def _load(path: str | Path):
     suffix = Path(path).suffix.lower()
     parser = _PARSERS.get(suffix)
     if parser is None:
-        raise UnknownExtension(
-            f"{path}: expected one of {', '.join(sorted(_PARSERS))}"
-        )
+        raise UnknownExtension(f"expected one of {', '.join(sorted(_PARSERS))}")
     try:
         if suffix == ".xes":
             # streamed as bytes, so expat honours the encoding declaration
@@ -775,6 +801,9 @@ def load_artifact(path: str | Path):
         # the XML parsers take bytes, so the encoding declaration is honoured
         # the line formats, as XES and PNML, may start with a byte-order mark
         content = data if suffix in (".pnml", ".spnml") else data.decode("utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    except OSError as exc:
+        # strerror leaves out the path, which the message starts with
+        raise InputError(f"cannot read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read: {exc}") from None
     return parser(content)

@@ -612,3 +612,29 @@ def reference_visit_system(a: Sdfa):
         diagonal.append(float(1 - stay))
         local.append(math.fsum(terms))
     return diagonal, incoming, local
+
+
+# --- reference copies of the backtracking XES subset patterns -------------
+#
+# formats._TRACE and formats._NAME are written with possessive repeats and a
+# positive value class; these are the backtracking forms they replaced, so
+# that a test can show that both match the same bytes and capture the same
+# names.
+
+_SPACE = rb"[ \t\r\n]"
+_VALUE = rb'"[^"&<\x00-\x1f]*"'
+_LEAF = (
+    rb"<(?!(?:trace|event)[ \t\r\n])[A-Za-z_][\w.\-]*"
+    + _SPACE + rb"+key=" + _VALUE + _SPACE + rb"+value=" + _VALUE + _SPACE + rb"*/>"
+)
+_EVENT = rb"<event>(?:" + _SPACE + rb"*" + _LEAF + rb")*" + _SPACE + rb"*</event>"
+REFERENCE_TRACE = (
+    rb"<trace>(?:" + _SPACE + rb"*(?:" + _EVENT + rb"|" + _LEAF + rb"))*"
+    + _SPACE + rb"*</trace>" + _SPACE + rb"*"
+)
+REFERENCE_NAME = (
+    rb"<event>(?:" + _SPACE + rb'*<[\w.\-]+' + _SPACE + rb'+key="(?!concept:name")[^"]*"'
+    + _SPACE + rb'+value="[^"]*"' + _SPACE + rb"*/>)*"
+    rb"(?:" + _SPACE + rb"*<[\w.\-]+" + _SPACE + rb'+key="concept:name"'
+    + _SPACE + rb'+value="([^"]*)")?'
+)

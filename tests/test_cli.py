@@ -675,7 +675,7 @@ def test_an_id_that_is_not_printable_keeps_a_message_on_one_line(capsys, fixture
     code, _, err = invoke(capsys, "-b", "-rel", zero)
     assert code == 2
     (line,) = err.splitlines()
-    assert line == "input error: transition 't\\u2028x' has weight 0"
+    assert line == f"input error: {zero}: transition 't\\u2028x' has weight 0"
 
 
 def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypatch):
@@ -807,7 +807,39 @@ def test_parser_rejections_exit_2(capsys, fixtures, tmp_path, flags, name, text,
     path.write_text(text, encoding="utf-8")
     argv = [fixtures / flag if flag.endswith(".xes") else flag for flag in flags]
     code, out, err = invoke(capsys, *argv, path)
-    assert (code, out, err) == (2, "", f"input error: {message}\n")
+    assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+
+
+def test_a_failed_read_names_the_input_that_failed(capsys, fixtures, tmp_path):
+    empty, unnamed = tmp_path / "empty.xes", tmp_path / "unnamed.xes"
+    empty.write_text("")
+    unnamed.write_text('<log><trace><event><string key="k" value="v"/></event></trace></log>')
+    good = fixtures / "E.xes"
+    expected = {
+        empty: "no element found: line 1, column 0",
+        unnamed: "event without a concept:name attribute",
+    }
+    for bad, message in expected.items():
+        # two logs that fail alike are told apart by their paths
+        for rel, ret in ((good, bad), (bad, good)):
+            code, out, err = invoke(capsys, "-emp", "-rel", rel, "-ret", ret)
+            assert (code, out, err) == (2, "", f"input error: {bad}: {message}\n")
+
+
+def test_a_path_with_a_line_break_keeps_a_message_on_one_line(capsys, fixtures, tmp_path):
+    folder = tmp_path / "a\nb"
+    folder.mkdir()
+    broken = folder / "log.xes"
+    broken.write_text("<log><trace>")
+    cases = {
+        folder / "absent.xes": "cannot read: No such file or directory",
+        folder / "model.txt": "expected one of .dfg, .pnml, .sdfa, .spnml, .xes",
+        broken: "no element found: line 1, column 12",
+    }
+    for path, message in cases.items():
+        code, out, err = invoke(capsys, "-emp", "-rel", fixtures / "E.xes", "-ret", path)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"input error: {str(path)!r}: {message}"]
 
 
 def test_xes_encoding_declaration_is_honoured(capsys, fixtures, tmp_path):
