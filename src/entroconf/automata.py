@@ -2,9 +2,14 @@
 (trim, product, determinization, skip closure, short-circuiting) that the
 conformance measures are built on.
 
-All operations are pure and return canonically renumbered automata (states
-are 0..n-1 in breadth-first discovery order with labels visited in sorted
-order), so repeated runs produce identical objects.
+Inside, an automaton is rows, one per state, state 0 initial: a stop
+weight and {label: (target, weight)}, weights 1 in a language automaton,
+instances in a log's trie and probabilities in an SDFA. The constructions
+read and return rows, numbered where built; where a numbering reaches a
+public record or a numbering-sensitive solve it is the canonical one:
+breadth-first from state 0, labels in sorted order. The public functions
+convert a Dfa or Nfa to rows on entry and build a record only for what
+they return, so repeated runs produce identical objects.
 """
 
 from __future__ import annotations
@@ -216,21 +221,9 @@ class ShortCircuitGraph(_Record):
         return (self.node_count,)
 
 
-def _out_map(transitions: Mapping[tuple[object, str], object]) -> dict:
-    out: dict[object, list[tuple[str, object]]] = {}
-    for (src, label), dst in transitions.items():
-        out.setdefault(src, []).append((label, dst))
-    for succ in out.values():
-        succ.sort()
-    return out
-
-
 def _reachable(seeds, successors) -> dict:
-    """Everything reachable from seeds through successors(state).
-
-    The states are the keys of the result, in breadth-first discovery order
-    with the seeds first.
-    """
+    """Everything reachable from seeds through successors(state), as the keys
+    of the result in breadth-first discovery order, the seeds first."""
     found = dict.fromkeys(seeds)
     queue = deque(found)
     while queue:
@@ -241,24 +234,21 @@ def _reachable(seeds, successors) -> dict:
     return found
 
 
-def _explore(start, successors, capped: bool = True) -> tuple[dict, dict]:
-    """Breadth-first construction of the automaton reachable from start.
-
-    successors(state) must yield (label, target) pairs sorted by label.
-    States are numbered 0..n-1 in discovery order, which under that
-    precondition is the canonical numbering: it depends only on the
-    automaton, not on how its states are named or its edges stored.
-    Returns the numbering {state: number} and the numbered transitions
-    {(number, label): number}. Raises StateSpaceExceeded when a new state
-    would make more than _MAX_STATES, unless capped is false.
+def _explore(start, successors, capped: bool = True) -> tuple[dict, list]:
+    """Breadth-first construction of what is reachable from start, where
+    successors(state) yields (label, target, weight) triples: the numbering
+    {state: 0..n-1} in discovery order, and by number the edges {label:
+    (number, weight)}. With each state's triples sorted by label that is
+    the canonical numbering, which depends only on the automaton, not on
+    how its states are named or its edges stored. StateSpaceExceeded when a
+    new state would make more than _MAX_STATES, unless capped is false.
     """
     number = {start: 0}
-    transitions = {}
-    queue = deque([start])
-    while queue:
-        state = queue.popleft()
-        src = number[state]
-        for label, target in successors(state):
+    edges = []
+    queue = [start]
+    for state in queue:
+        out = {}
+        for label, target, weight in successors(state):
             dst = number.get(target)
             if dst is None:
                 if capped and len(number) >= _MAX_STATES:
@@ -267,26 +257,61 @@ def _explore(start, successors, capped: bool = True) -> tuple[dict, dict]:
                     )
                 dst = number[target] = len(number)
                 queue.append(target)
-            transitions[src, label] = dst
-    return number, transitions
+            out[label] = (dst, weight)
+        edges.append(out)
+    return number, edges
 
 
-def _canonical(initial, accepting, transitions, alphabet) -> Dfa:
-    """Renumber states 0..n-1 by BFS from initial, labels in sorted order.
+def _canonical(rows: list, keep) -> list:
+    """The rows of the states in keep that state 0 reaches within keep,
+    canonically numbered: the unique representative of their isomorphism
+    class, which keeps downstream numerics reproducible. Uncapped, as it is
+    never larger than rows."""
 
-    Drops anything unreachable; the result is the unique representative of
-    its isomorphism class, which keeps downstream numerics reproducible.
-    Uncapped, as the parts are never larger than an input already read or
-    capped.
-    """
-    out = _out_map(transitions)
-    number, numbered = _explore(initial, lambda s: out.get(s, ()), capped=False)
+    def successors(i):
+        for label, (j, weight) in sorted(rows[i][1].items()):
+            if j in keep:
+                yield label, j, weight
+
+    number, edges = _explore(0, successors, capped=False)
+    return [(rows[i][0], out) for i, out in zip(number, edges)]
+
+
+def _trim(rows: list) -> list:
+    """The states of rows on some path from state 0 to a positive stop
+    weight, canonically renumbered, or [(0, {})], the canonical empty
+    automaton, when state 0 is on none. The language is unchanged."""
+    into: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, _ in row[1].values():
+            into[j].append(i)
+    useful = _reachable([i for i, row in enumerate(rows) if row[0]], into.__getitem__)
+    return _canonical(rows, useful) if 0 in useful else [(0, {})]
+
+
+def _empty(rows: list) -> bool:
+    # trimmed rows accept nothing when their one state neither stops nor moves
+    return not (rows[0][0] or rows[0][1])
+
+
+def _rows(a: Dfa) -> list:
+    """The rows of a Dfa, stop and edge weights 1, canonically numbered."""
+    out: dict = {}
+    for (src, label), dst in a.transitions.items():
+        out.setdefault(src, []).append((label, dst, 1))
+    number, edges = _explore(a.initial, lambda s: sorted(out.get(s, ())), capped=False)
+    return [(int(s in a.accepting), e) for s, e in zip(number, edges)]
+
+
+def _dfa(rows: list, alphabet) -> Dfa:
+    """The Dfa of rows, canonically numbered, accepting where they stop."""
+    rows = _canonical(rows, range(len(rows)))
     return Dfa(
-        states=frozenset(number.values()),
+        states=frozenset(range(len(rows))),
         alphabet=frozenset(alphabet),
         initial=0,
-        accepting=frozenset(number[s] for s in accepting if s in number),
-        transitions=numbered,
+        accepting=frozenset(i for i, row in enumerate(rows) if row[0]),
+        transitions={(i, x): j for i, row in enumerate(rows) for x, (j, _) in row[1].items()},
     )
 
 
@@ -321,54 +346,38 @@ def _prefix_tree_states(log: EventLog) -> int:
 
 def log_to_dfa(log: EventLog) -> Dfa:
     """Prefix-tree acceptor of the distinct traces of a log: _log_rows'
-    trie, canonically numbered.
-
-    Counts are ignored: the language measures below are set-of-traces
-    properties. Raises EmptyLog for a log with no traces at all.
+    trie, canonically numbered, its counts ignored, as the language
+    measures are set-of-traces properties. EmptyLog for a log with no traces.
     """
-    rows = _log_rows(log)
-    edges = {(i, x): j for i, (_, out) in enumerate(rows) for x, (j, _) in out.items()}
-    return _canonical(0, [i for i, (stop, _) in enumerate(rows) if stop], edges, log.alphabet)
+    return _dfa(_log_rows(log), log.alphabet)
 
 
 def trim(a: Dfa) -> Dfa:
-    """Restrict to states on some initial-to-accepting path.
-
-    The language is unchanged. When no accepting state is reachable the
-    canonical empty automaton (single useless initial state) is returned.
-    An input that is trim and stored in canonical order, numbered and
-    listed as _explore would, is returned itself.
+    """Restrict to states on some initial-to-accepting path, canonically
+    numbered; the language is unchanged. With no accepting state reachable
+    that is the empty automaton, a single useless initial state. An input
+    that is trim and canonically numbered is returned itself.
     """
-    rev: dict[object, list[object]] = {}
-    for (src, _), dst in a.transitions.items():
-        rev.setdefault(dst, []).append(src)
-    # forward reachability is left to _canonical, which drops what the
-    # initial state cannot reach
-    useful = _reachable(a.accepting, lambda s: rev.get(s, ()))
-    if a.initial not in useful:
-        empty = _canonical(0, (), {}, a.alphabet)
-        return a if a == empty else empty
-    kept = a.transitions
-    if len(useful) < len(a.states):
-        kept = {key: dst for key, dst in kept.items() if key[0] in useful and dst in useful}
-    elif _in_canonical_order(a):
-        return a
-    return _canonical(a.initial, a.accepting, kept, a.alphabet)
+    trimmed = _dfa(_trim(_rows(a)), a.alphabet)
+    return a if trimmed == a else trimmed
 
 
-def _in_canonical_order(a: Dfa) -> bool:
-    """Whether a's states are 0..n-1 and its transitions stored as _explore
-    lists them, so that _canonical would rebuild a: sources never decrease
-    and are found already, labels increase per source, each new target is
-    next."""
-    if a.initial != 0 or a.states != frozenset(range(len(a.states))):
-        return False
-    found, last = 1, (-1,)
-    for key, dst in a.transitions.items():
-        if not (key[0] < found and last < key and dst <= found):
-            return False
-        found, last = found + (dst == found), key
-    return found == len(a.states)
+def _product(a: list, b: list) -> list:
+    """Rows of the synchronous product of rows a and b, weighted by a: the
+    pairs reachable from (0, 0) along labels both have, each edge with a's
+    weight, each pair stopping with a's stop weight where both stop. As
+    explored, so canonical when a's labels are sorted; the pairs are capped.
+    """
+
+    def successors(pair):
+        theirs = b[pair[1]][1]
+        for label, (i, weight) in a[pair[0]][1].items():
+            edge = theirs.get(label)
+            if edge is not None:
+                yield label, (i, edge[0]), weight
+
+    number, edges = _explore((0, 0), successors)
+    return [(a[i][0] if b[j][0] else 0, out) for (i, j), out in zip(number, edges)]
 
 
 def product(a: Dfa, b: Dfa) -> Dfa:
@@ -378,27 +387,30 @@ def product(a: Dfa, b: Dfa) -> Dfa:
     preprocessing: a label missing on one side simply never fires. The
     number of state pairs is capped (StateSpaceExceeded beyond it).
     """
-    out_a = _out_map(a.transitions)
+    return _dfa(_product(_rows(a), _rows(b)), a.alphabet & b.alphabet)
 
-    def successors(pair):
-        sa, sb = pair
-        for label, da in out_a.get(sa, ()):
-            db = b.transitions.get((sb, label))
-            if db is not None:
-                yield label, (da, db)
 
-    number, transitions = _explore((a.initial, b.initial), successors)
-    return Dfa(
-        states=frozenset(number.values()),
-        alphabet=frozenset(a.alphabet & b.alphabet),
-        initial=0,
-        accepting=frozenset(
-            i
-            for (sa, sb), i in number.items()
-            if sa in a.accepting and sb in b.accepting
-        ),
-        transitions=transitions,
-    )
+def _determinized(start, silent, moves, accepting) -> list:
+    """Untrimmed rows of the subset construction from the states start, of
+    an automaton given by silent(q), the targets of q's silent edges,
+    moves(q), its (label, target) pairs, and accepting(q). A subset is
+    closed under silent edges and accepts when a member does; the subsets
+    are capped.
+    """
+
+    def closure(states) -> frozenset:
+        return frozenset(_reachable(states, silent))
+
+    def successors(subset):
+        targets: dict[str, list] = {}
+        for q in subset:
+            for label, target in moves(q):
+                targets.setdefault(label, []).append(target)
+        for label in sorted(targets):
+            yield label, closure(targets[label]), 1
+
+    number, edges = _explore(closure(start), successors)
+    return [(int(any(map(accepting, subset))), out) for subset, out in zip(number, edges)]
 
 
 def determinize(n: Nfa) -> Dfa:
@@ -407,101 +419,82 @@ def determinize(n: Nfa) -> Dfa:
     Subsequence closures of large inputs can blow up exponentially, so the
     number of subset states is capped (StateSpaceExceeded beyond it).
     """
-    eps: dict[object, set] = {}
-    moves: dict[object, dict[str, set]] = {}
+    eps: dict[object, list] = {}
+    moves: dict[object, list] = {}
     for src, label, dst in n.transitions:
         if label is SILENT:
-            eps.setdefault(src, set()).add(dst)
+            eps.setdefault(src, []).append(dst)
         else:
-            moves.setdefault(src, {}).setdefault(label, set()).add(dst)
-
-    def closure(states) -> frozenset:
-        return frozenset(_reachable(states, lambda s: eps.get(s, ())))
-
-    def successors(subset):
-        targets: dict[str, set] = {}
-        for s in subset:
-            for label, dsts in moves.get(s, {}).items():
-                targets.setdefault(label, set()).update(dsts)
-        for label in sorted(targets):
-            yield label, closure(targets[label])
-
-    number, transitions = _explore(closure({n.initial}), successors)
-    dfa = Dfa(
-        states=frozenset(number.values()),
-        alphabet=n.alphabet,
-        initial=0,
-        accepting=frozenset(i for subset, i in number.items() if subset & n.accepting),
-        transitions=transitions,
+            moves.setdefault(src, []).append((label, dst))
+    rows = _determinized(
+        [n.initial], lambda q: eps.get(q, ()), lambda q: moves.get(q, ()), n.accepting.__contains__
     )
-    return trim(dfa)
+    return _dfa(_trim(rows), n.alphabet)
+
+
+def _check_budget(k, states: int) -> None:
+    """ValueError unless k is a nonnegative integer or UNBOUNDED;
+    StateSpaceExceeded when k + 1 copies of states pass _MAX_STATES."""
+    if k is UNBOUNDED:
+        return
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("skip budget must be a nonnegative integer or UNBOUNDED")
+    if (k + 1) * states > _MAX_STATES:
+        raise StateSpaceExceeded(
+            f"a skip budget of {k} on {states} states exceeds the cap of {_MAX_STATES} states"
+        )
 
 
 def skip_closure(a: Dfa, k) -> Nfa:
-    """Close a language under deletion of up to k symbols per word.
-
-    k may be a nonnegative integer budget or UNBOUNDED (any number of
-    deletions, i.e. all subsequences). Skips are realized as silent edges
-    running parallel to the labeled ones; a bounded budget is tracked in a
-    per-state counter component, so each accepted word spends its own
-    deletions independently. A bounded budget takes (k + 1) copies of the
-    states; StateSpaceExceeded, before anything is built, when that is more
-    than _MAX_STATES.
+    """Close a language under deletion of up to k symbols per word, k a
+    nonnegative integer or UNBOUNDED (all subsequences). Skips are silent
+    edges parallel to the labeled ones; a bounded budget is a per-state
+    counter component, so each word spends its own deletions. Its k + 1
+    copies of the states raise StateSpaceExceeded, before anything is
+    built, when they are more than _MAX_STATES.
     """
+    _check_budget(k, len(a.states))
+    # a state and its deletions spent, or the state alone when unbounded
     if k is UNBOUNDED:
-        triples = set()
-        for (src, label), dst in a.transitions.items():
-            triples.add((src, label, dst))
-            triples.add((src, SILENT, dst))
-        return Nfa(
-            states=a.states,
-            alphabet=a.alphabet,
-            initial=a.initial,
-            accepting=a.accepting,
-            transitions=frozenset(triples),
-        )
-    if not isinstance(k, int) or k < 0:
-        raise ValueError("skip budget must be a nonnegative integer or UNBOUNDED")
-    if (k + 1) * len(a.states) > _MAX_STATES:
-        raise StateSpaceExceeded(
-            f"a skip budget of {k} on {len(a.states)} states exceeds the cap of "
-            f"{_MAX_STATES} states"
-        )
+        spent, skip, name = [0], 0, lambda s, used: s
+    else:
+        spent, skip, name = range(k + 1), 1, lambda s, used: (s, used)
     triples = set()
     for (src, label), dst in a.transitions.items():
-        for used in range(k + 1):
-            triples.add(((src, used), label, (dst, used)))
-            if used < k:
-                triples.add(((src, used), SILENT, (dst, used + 1)))
-    states = {(s, used) for s in a.states for used in range(k + 1)}
-    accepting = {(s, used) for s in a.accepting for used in range(k + 1)}
+        for used in spent:
+            triples.add((name(src, used), label, name(dst, used)))
+            if k is UNBOUNDED or used < k:
+                triples.add((name(src, used), SILENT, name(dst, used + skip)))
     return Nfa(
-        states=frozenset(states),
+        states=frozenset(name(s, used) for s in a.states for used in spent),
         alphabet=a.alphabet,
-        initial=(a.initial, 0),
-        accepting=frozenset(accepting),
+        initial=name(a.initial, 0),
+        accepting=frozenset(name(s, used) for s in a.accepting for used in spent),
         transitions=frozenset(triples),
     )
+
+
+def _adjacency(n: int, edges: list) -> csr_matrix:
+    """The n x n int64 csr_matrix counting each pair (i, j) of edges at [i, j]."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
+    rows, cols = [i for i, _ in edges], [j for _, j in edges]
+    counts = np.ones(len(edges), dtype=np.int64)
+    return csr_matrix((counts, (rows, cols)), shape=(n, n))
 
 
 def short_circuit(a: Dfa) -> ShortCircuitGraph:
     """Sparse adjacency of a trimmed DFA plus one back edge per accepting state.
 
-    The back edges (a fresh symbol, one per accepting state, pointing at the
-    initial state) make the graph strongly connected, which is what gives
-    finite languages a well-defined, inclusion-monotone growth rate. Nodes
-    are the states in sorted order; parallel edges add up in one entry. An
-    empty-language automaton yields the 0-node graph.
+    The back edges (a fresh symbol, to the initial state) make the graph
+    strongly connected, which gives finite languages a well-defined,
+    inclusion-monotone growth rate. Nodes are the states in sorted order;
+    parallel edges add up. The empty language yields the 0-node graph.
     """
-    import numpy as np
-    from scipy.sparse import csr_matrix
-
     if not a.accepting:
-        return ShortCircuitGraph(0, csr_matrix((0, 0), dtype=np.int64))
+        return ShortCircuitGraph(0, _adjacency(0, []))
     index = {s: i for i, s in enumerate(sorted(a.states))}
-    n = len(index)
     edges = [(index[src], index[dst]) for (src, _), dst in a.transitions.items()]
     edges += [(index[acc], index[a.initial]) for acc in a.accepting]
-    rows, cols = zip(*edges)
-    counts = np.ones(len(edges), dtype=np.int64)
-    return ShortCircuitGraph(n, csr_matrix((counts, (rows, cols)), shape=(n, n)))
+    return ShortCircuitGraph(len(index), _adjacency(len(index), edges))

@@ -21,6 +21,7 @@ from typing import NamedTuple
 from .automata import UNBOUNDED, EventLog, _log_rows, _prefix_tree_states
 from .errors import (
     ConflictingMeasures,
+    EmptyLog,
     IncompatibleFormat,
     InputError,
     MissingArgument,
@@ -31,6 +32,7 @@ from .errors import (
     UnboundedModel,
     UnknownOption,
     UsageError,
+    _shown,
 )
 from .formats import _parse_count, load_artifact
 from .measures import _language, _matching
@@ -264,7 +266,8 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
         (value,) = _matching(*forms, skips, (side,))
     # a log reports its prefix tree's size: its trie's, or counted without one by -emp/-emr
     states = [
-        len(form.states) if hasattr(form, "states")
+        len(form) if isinstance(form, list)
+        else len(form.states) if hasattr(form, "states")
         else len(_log_rows(form)) if isinstance(form, EventLog)
         else _prefix_tree_states(artifact)
         for form, artifact in zip(forms, (rel, ret))
@@ -293,7 +296,12 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
     # a -ret that the measure does not use is not read
     ret = load_artifact(cfg.ret_path) if _selected(cfg)[1].ret else None
     validate_inputs(cfg, rel, ret)
-    value, sizes = _evaluate(cfg, rel, ret)
+    try:
+        value, sizes = _evaluate(cfg, rel, ret)
+    except EmptyLog as error:
+        # named by its path, as load_artifact names an input; rel is taken first
+        path = cfg.rel_path if rel == EventLog({}) else cfg.ret_path
+        raise EmptyLog(f"{_shown(path)}: {error}") from None
     elapsed = time.perf_counter() - started
     witness = None
     if isinstance(value, UnboundedModel):

@@ -19,14 +19,16 @@ from .automata import (
     UNBOUNDED,
     Dfa,
     EventLog,
+    _adjacency,
+    _check_budget,
+    _determinized,
+    _empty,
+    _log_rows,
+    _product,
     _Record,
+    _rows,
     _traces,
-    determinize,
-    log_to_dfa,
-    product,
-    short_circuit,
-    skip_closure,
-    trim,
+    _trim,
 )
 from .errors import NotConverged
 
@@ -116,38 +118,39 @@ def spectral_radius(m) -> float:
 def _growth_factor(a) -> float:
     """Growth factor (2 ** entropy) of a language, 0 for the empty language.
 
-    a is a Dfa, or a finite set of words, which is solved from its length
-    profile by _words_growth_factor. A Dfa's growth factor is the Perron
-    root of the trimmed automaton plus one back edge per accepting state.
-    One with a cycle, a self-loop included, gets it from spectral_radius of
-    that short-circuit graph. An acyclic one (a finite language) is solved
-    directly, in pure Python: with A the trimmed adjacency and
-    g = (I - xA)^-1 acc, the determinant lemma gives
+    a is trimmed, canonically numbered rows, or a finite set of words,
+    solved from its length profile by _words_growth_factor. Rows have the
+    Perron root of their graph plus one back edge per accepting state: by
+    spectral_radius of that short-circuit graph on a cycle, a self-loop
+    included, and directly, in pure Python, for a finite language: with A
+    the adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
     where F(x) = x g0(x) = 1; F(x) sums x ** (|w| + 1) over the words w.
-    A trimmed automaton with one transition fewer than states is a tree,
-    holding one word per accepting state, as long as its depth: it is
-    solved from those depths, with the same bits as its set of words. Any
-    other acyclic one is solved by _back_substitution.
+    A tree, with one edge fewer than states, holds one word per accepting
+    state, as long as its depth, and is solved from those depths with the
+    same bits as its set of words; other acyclic rows by _back_substitution.
     """
-    if not isinstance(a, Dfa):
+    if not isinstance(a, list):
         return _words_growth_factor(Counter(map(len, a)))
-    a = trim(a)
-    if not a.accepting:
+    if _empty(a):
         return 0.0
-    if len(a.transitions) == len(a.states) - 1:
-        # trim lists each transition after the one into its source
-        depth = [0] * len(a.states)
-        for (src, _), dst in a.transitions.items():
-            depth[dst] = depth[src] + 1
-        return _words_growth_factor(Counter([depth[s] for s in a.accepting]))
-    out, order = _successors(a)
+    out = [[j for j, _ in row[1].values()] for row in a]
+    if sum(map(len, out)) == len(a) - 1:
+        # breadth-first numbering lists each state after its parent
+        depth = [0] * len(a)
+        for i, succ in enumerate(out):
+            for j in succ:
+                depth[j] = depth[i] + 1
+        return _words_growth_factor(Counter([depth[i] for i, row in enumerate(a) if row[0]]))
+    order = _reverse_topological_order(out)
+    accepting = [float(bool(row[0])) for row in a]
     if order is None:
         # a sparse LU of I - xA would fill in far beyond the edge count on
         # the reachability graphs of concurrent nets. The power iteration's
-        # rounding depends on the numbering, which trim makes canonical.
-        return spectral_radius(short_circuit(a).adjacency)
-    accepting = [float(s in a.accepting) for s in range(len(out))]
+        # rounding depends on the numbering, which is canonical.
+        edges = [(i, j) for i, succ in enumerate(out) for j in succ]
+        edges += [(i, 0) for i, acc in enumerate(accepting) if acc]
+        return spectral_radius(_adjacency(len(a), edges))
     # the short-circuit graph's largest row sum bounds its Perron root
     lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
     return 1.0 / _root(_back_substitution(out, accepting, order), lo)
@@ -155,15 +158,11 @@ def _growth_factor(a) -> float:
 
 def _words_growth_factor(lengths: Counter) -> float:
     """Growth factor of a finite set of words, from the Counter of their
-    lengths alone.
-
-    F(x) sums x ** (|w| + 1) over the words (see _growth_factor), so it is
-    c_n * x ** (n + 1) summed over the length profile, c_n being the number
-    of words of length n: one term per distinct length, however long the
-    words. Every term is at most c_n * x on (0, 1], so F(1 / number of
-    words) is at most 1, a lower bound on the root. Each sum is an fsum,
-    exact before its one rounding, so the value depends on the profile
-    alone, not on the order of its lengths.
+    lengths alone: F(x) (see _growth_factor) sums c_n * x ** (n + 1) over
+    the profile, c_n words of length n, one term per distinct length. Every
+    term is at most c_n * x on (0, 1], so 1 / (number of words) is a lower
+    bound on the root. Each sum is an fsum, exact before its one rounding,
+    so the value does not depend on the order of the lengths.
     """
     if not lengths:
         return 0.0
@@ -175,14 +174,6 @@ def _words_growth_factor(lengths: Counter) -> float:
         return f, math.fsum([c * (n + 1) * x**n for n, c in profile])
 
     return 1.0 / _root(evaluate, 1.0 / lengths.total())
-
-
-def _successors(a: Dfa) -> tuple[list[list[int]], list[int] | None]:
-    """Each state's successor list, and _reverse_topological_order of them."""
-    out: list[list[int]] = [[] for _ in a.states]
-    for (src, _), dst in a.transitions.items():
-        out[src].append(dst)
-    return out, _reverse_topological_order(out)
 
 
 def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
@@ -315,7 +306,7 @@ def topological_entropy(a: Dfa) -> EntropyValue:
     (0, emptyLanguage); finite languages come out at 0 bits only when they
     hold a single word, since the back edges let distinct words compound.
     """
-    growth = _growth_factor(a)
+    growth = _growth_factor(_trim(_rows(a)))
     if not growth:
         return EntropyValue(0.0, empty_language=True)
     # trimmed short-circuited graphs have growth >= 1; guard against the
@@ -324,14 +315,12 @@ def topological_entropy(a: Dfa) -> EntropyValue:
 
 
 def _quotient(shared: float, own: float) -> float:
-    """A size of the shared behaviour against one input's own size.
-
-    The size is a growth factor or an entropy, and 0 for the empty language
-    (and, for an entropy, for a single trace). The shared behaviour is
-    included in the input's own, so an own size of 0 leaves only agreement:
-    identical inputs stay at 1 all the way down to two empty languages. A
-    shared size of 0 against a positive own one is disagreement, hence 0.
-    Inclusion also bounds the ratio by 1; the clamp only absorbs roundoff.
+    """A size of the shared behaviour, a growth factor or an entropy, against
+    one input's own: 0 for the empty language (and an entropy's for a single
+    trace). The shared behaviour is included in the own, so an own size of
+    0 leaves only agreement, 1, down to two empty languages; a shared 0
+    against a positive own is 0. Inclusion bounds the ratio by 1; the clamp
+    only absorbs roundoff.
     """
     return 1.0 if not own else min(1.0, shared / own)
 
@@ -376,19 +365,19 @@ def controlled_partial_precision_recall(
 
 
 def _language(side, exact: bool):
-    """side as _matching takes it: a Dfa as it is, a log as its distinct
-    traces when exact and its prefix tree for a closure, a net as its
-    automaton; else TypeError."""
+    """side as _matching takes it: a Dfa as its trimmed rows, a log as its
+    distinct traces when exact and its counted trie for a closure, a net as
+    the trimmed rows of its language; else TypeError."""
     if isinstance(side, Dfa):
-        return side
+        return _trim(_rows(side))
     if isinstance(side, EventLog):
-        return _traces(side) if exact else log_to_dfa(side)
-    from .petri import PetriNet, _explored, _net_dfa  # petri imports this module
+        return _traces(side) if exact else _log_rows(side)
+    from .petri import PetriNet, _explored, _net_rows  # petri imports this module
 
     if not isinstance(side, PetriNet):
         raise TypeError(f"not a Dfa, EventLog or PetriNet: {type(side).__name__}")
-    number, edges, finals = _explored(side)
-    return _net_dfa(side, range(len(number)), 0, edges, finals)
+    _, edges, finals = _explored(side)
+    return _net_rows(side, edges, finals)
 
 
 def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float]:
@@ -397,7 +386,7 @@ def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float
     against ret's, "recall" against rel's. skips, a pair of deletion
     budgets for rel and ret, first closes each language under deletion.
 
-    rel and ret are as _language gives them: Dfas, or, when skips is None,
+    rel and ret are as _language gives them: rows, or, when skips is None,
     a log's distinct traces, for which no automaton is built (see _shared).
     """
     if skips is not None:
@@ -408,28 +397,51 @@ def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float
 
 
 def _shared(rel, ret):
-    """The words both sides accept: the product of two Dfas, the
-    intersection of two sets, or the words of a set that a Dfa accepts."""
-    if isinstance(rel, Dfa):
-        if isinstance(ret, Dfa):
-            return product(rel, ret)
+    """The words both sides accept: the trimmed product of two sides' rows,
+    the intersection of two sets, or the words of a set that rows accept."""
+    if isinstance(rel, list):
+        if isinstance(ret, list):
+            return _trim(_product(rel, ret))
         rel, ret = ret, rel
-    if isinstance(ret, Dfa):
-        return {word for word in rel if ret.accepts(word)}
+    if isinstance(ret, list):
+        return {word for word in rel if _accepts(ret, word)}
     return rel & ret
 
 
-def _closure(a: Dfa, k) -> Dfa:
-    """determinize(skip_closure(trim(a), k)), k lowered to a's longest word.
+def _accepts(rows: list, word) -> bool:
+    """Whether word walks through rows to a positive stop weight."""
+    i = 0
+    for label in word:
+        edge = rows[i][1].get(label)
+        if edge is None:
+            return False
+        i = edge[0]
+    return bool(rows[i][0])
 
-    No word of an acyclic a has more symbols to delete than its length: the
-    state copies past the longest are unreachable, so the NFA is the same.
+
+def _closure(a: list, k) -> list:
+    """determinize(skip_closure(trim(a), k)) on rows, the skip closure read
+    from a's rows as state q = s * copies + used: state s of a with used of
+    k deletions spent, or s itself when k is UNBOUNDED. An acyclic a's k is
+    lowered to its longest word, as the copies past it are unreachable.
     """
-    a = trim(a)
-    out, order = _successors(a)
+    a = _trim(a)
+    out = [[j for j, _ in row[1].values()] for row in a]
+    order = _reverse_topological_order(out)
     if order is not None and isinstance(k, int):
         height = [0] * len(out)
         for i in order:
             height[i] = max((height[j] + 1 for j in out[i]), default=0)
         k = min(k, height[0])
-    return determinize(skip_closure(a, k))
+    _check_budget(k, len(a))
+    copies, skip = (1, 0) if k is UNBOUNDED else (k + 1, 1)
+
+    def silent(q):
+        s, used = divmod(q, copies)
+        return [j * copies + used + skip for j in out[s]] if k is UNBOUNDED or used < k else ()
+
+    def moves(q):
+        s, used = divmod(q, copies)
+        return [(label, j * copies + used) for label, (j, _) in a[s][1].items()]
+
+    return _trim(_determinized([0], silent, moves, lambda q: a[q // copies][0]))

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Mapping
 
-from .automata import Dfa, Nfa, _canonical, _explore, _positive_integer, _Record, determinize
+from .automata import Dfa, _determinized, _dfa, _explore, _positive_integer, _Record, _trim
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -23,7 +23,7 @@ from .errors import (
     UnboundedModel,
     _shown,
 )
-from .stochastic import Sdfa, _sdfa, _shaped
+from .stochastic import Sdfa, _sdfa
 
 
 class Marking(_Record):
@@ -180,9 +180,9 @@ def is_bounded(net: PetriNet) -> bool:
 def _explored(net: PetriNet) -> tuple[dict, list, frozenset | None]:
     """Breadth-first exploration of all reachable markings: their numbering
     {token vector over the sorted places: i} in discovery order, the
-    initial one 0, the edges (i, transition id, j) as ReachabilityGraph's,
-    and the numbers of the reachable declared final markings, None when
-    the net declares none.
+    initial one 0, by number the edges {transition id: (j, 1)}, and the
+    numbers of the reachable declared final markings, None when the net
+    declares none.
 
     Raises UnboundedModel as soon as a newly found marking covers one of
     its ancestors in the BFS tree. That is sound: the ancestor reaches the
@@ -242,10 +242,9 @@ def _explored(net: PetriNet) -> tuple[dict, list, frozenset | None]:
                         raise unbounded(ancestor, marking, t, successor)
                     ancestor = parent[ancestor][0]
                 parent[successor] = (marking, t, min(parent[marking][2], total))
-            yield t, successor
+            yield t, successor, 1
 
-    number, numbered = _explore(start, successors)
-    edges = [(i, t, j) for (i, t), j in numbered.items()]
+    number, edges = _explore(start, successors)
     if net.final_markings is None:
         return number, edges, None
     finals = [tuple(m.count(p) for p in order) for m in net.final_markings]
@@ -261,34 +260,51 @@ def reachability_graph(net: PetriNet) -> ReachabilityGraph:
     return ReachabilityGraph(
         nodes=frozenset(markings),
         initial=markings[0],
-        edges=frozenset((markings[i], t, markings[j]) for i, t, j in edges),
+        edges=frozenset(
+            (markings[i], t, markings[j]) for i, e in enumerate(edges) for t, (j, _) in e.items()
+        ),
     )
 
 
-def _net_dfa(net: PetriNet, states, initial, edges, finals) -> Dfa:
-    """Language automaton of a net's reachability graph, given as its
-    states, initial state, edges (state, transition id, state) and
-    reachable declared final states (None when none are declared):
-    _explored's numbering or reachability_graph's markings. Edges take their
-    transition's label, and silent ones (None, which is SILENT) go in
-    determinization. Accepting are the declared finals, else the deadlocks;
-    a net with neither raises NoAcceptingState rather than accept nothing.
+def _net_rows(net: PetriNet, edges: list, finals) -> list:
+    """Trimmed rows of the language of a net's reachability graph, given as
+    each state's edges {transition id: (state, _)}, 0 initial, and the
+    reachable declared finals (None when none are declared). Edges take
+    their transition's label, None (SILENT) when silent. Accepting are the
+    declared finals, else the deadlocks; a net with neither raises
+    NoAcceptingState rather than accept nothing. The graph is determinized
+    only when a state has a silent edge or two equally labelled ones.
     """
     if finals is None:
-        finals = frozenset(states).difference(src for src, _, _ in edges)
+        finals = frozenset(i for i, out in enumerate(edges) if not out)
         if not finals:
             raise NoAcceptingState("no final markings declared and the net never deadlocks")
     labels = net.transitions
-    alphabet = frozenset(label for label in labels.values() if label is not None)
-    labelled = frozenset((src, labels[t], dst) for src, t, dst in edges)
-    return determinize(Nfa(frozenset(states), alphabet, initial, finals, labelled))
+    rows = [
+        (int(i in finals), {labels[t]: e for t, e in out.items()}) for i, out in enumerate(edges)
+    ]
+    if any(len(row[1]) < len(out) or None in row[1] for row, out in zip(rows, edges)):
+        rows = _determinized(
+            [0],
+            lambda q: [j for t, (j, _) in edges[q].items() if labels[t] is None],
+            lambda q: [(labels[t], j) for t, (j, _) in edges[q].items() if labels[t] is not None],
+            finals.__contains__,
+        )
+    return _trim(rows)
 
 
 def rg_to_dfa(rg: ReachabilityGraph, net: PetriNet) -> Dfa:
-    """Language automaton of a reachability graph: _net_dfa's, as a measure
+    """Language automaton of a reachability graph: _net_rows', as a measure
     builds a net's from its numbered exploration, so the two are equal."""
-    finals = None if net.final_markings is None else rg.nodes.intersection(net.final_markings)
-    return _net_dfa(net, rg.nodes, rg.initial, rg.edges, finals)
+    number = {m: i for i, m in enumerate(dict.fromkeys([rg.initial, *rg.nodes]))}
+    edges: list[dict] = [{} for _ in number]
+    for src, t, dst in rg.edges:
+        edges[number[src]][t] = (number[dst], 1)
+    finals = None
+    if net.final_markings is not None:
+        finals = frozenset(number[m] for m in rg.nodes.intersection(net.final_markings))
+    alphabet = frozenset(label for label in net.transitions.values() if label is not None)
+    return _dfa(_net_rows(net, edges, finals), alphabet)
 
 
 def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
@@ -301,8 +317,8 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
     probability short of 1. The weights are scaled once to integers over
     the lcm of their denominators, so Fractions appear only in the result.
     """
-    number, edges, finals = _explored(net)
-    deadlocks = frozenset(range(len(number))).difference(i for i, _, _ in edges)
+    _, edges, finals = _explored(net)
+    deadlocks = frozenset(i for i, out in enumerate(edges) if not out)
     if finals is not None and finals != deadlocks:
         raise InvalidFinalMarking(
             "declared final markings must be exactly the reachable deadlocks"
@@ -310,16 +326,13 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
     ratios = {t: w.as_integer_ratio() for t, w in net.weights.items()}
     scale = math.lcm(*[d for _, d in ratios.values()])
     weights = {t: n * (scale // d) for t, (n, d) in ratios.items()}
-    # per marking, (stop weight, {label: (marking, weight)}), the rows _shaped reads
-    rows = [(int(i in deadlocks), {}) for i in range(len(number))]
-    transitions: dict[tuple[int, str], int] = {}
-    for i, t, j in edges:
-        key = (i, net.transitions[t])
-        if key in transitions:
+    # per marking, (stop weight, {label: (marking, weight)})
+    rows = []
+    for out in edges:
+        named = {net.transitions[t]: (j, weights[t]) for t, (j, _) in out.items()}
+        if len(named) < len(out):
             raise NondeterministicStochasticModel(
                 "two equally labeled transitions enabled at one marking"
             )
-        transitions[key] = j
-        rows[i][1][key[1]] = (j, weights[t])
-    shape = _canonical(0, deadlocks, transitions, frozenset(net.transitions.values()))
-    return _sdfa(shape, _shaped(shape, rows))
+        rows.append((int(not out), named))
+    return _sdfa(rows, frozenset(net.transitions.values()))

@@ -8,16 +8,15 @@ entropy of a conjunction (one side's probabilities restricted to the other
 side's support) against the operand entropies; entropic relevance prices a
 log against a model as an average per-trace compression cost.
 
-Every SDFA built here, from a log, a net or a conjunction (the trimmed
-product of two supports), is a canonical language automaton of automata
-plus exact weights, normalized per state. Probabilities are exact fractions
-outside. Inside, an Sdfa is numbered once, when it is built: its support is
-a Dfa on states 0..n-1, and each state's probabilities are integer weights
-over one total, which validation, weighting and every solve read as they
-are, so each float is one correctly rounded integer quotient. A log enters
-precision and recall as its counted trie, with no Dfa, Sdfa or Fraction:
-its distribution and its conjunctions are trees, each solved by one walk,
-as is any Sdfa that is an exact tree; the visit-count system solves graphs.
+Probabilities are exact fractions outside. Inside, an Sdfa is its rows
+(see automata), numbered once, when it is built: per state 0..n-1, integer
+weights over one total, which validation, products and every solve read as
+they are, so each float is one correctly rounded integer quotient. An SDFA
+built from a log, a net or a conjunction (the trimmed product of two,
+weighted by the first) is canonically numbered. A log enters precision and
+recall as its counted trie: its distribution and its conjunctions are
+trees, each solved by one walk, as is any Sdfa that is an exact tree; the
+visit-count system solves graphs.
 """
 
 from __future__ import annotations
@@ -29,20 +28,20 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 from .automata import (
-    Dfa,
     EventLog,
     Trace,
+    _canonical,
+    _empty,
     _explore,
     _log_rows,
+    _product,
     _reachable,
     _Record,
     _traces,
-    log_to_dfa,
-    product,
-    trim,
+    _trim,
 )
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
-from .measures import PrecisionRecall, _quotient, _reverse_topological_order
+from .measures import PrecisionRecall, _accepts, _quotient, _reverse_topological_order
 
 if TYPE_CHECKING:
     from .petri import StochasticPetriNet
@@ -65,10 +64,8 @@ class Sdfa(_Record):
     initial: object
     transitions: Mapping[tuple[object, str], tuple[object, Fraction]]
     termination: Mapping[object, Fraction]
-    # the positive-probability part reachable from initial, numbered by _explore:
-    # its language automaton and, per state i, (stop weight, {label: (j, weight)},
-    # total) by label, its probabilities as integer weights over one total
-    _support: Dfa
+    # the rows of the positive-probability part reachable from initial, numbered
+    # by _explore: per state, (stop weight, {label: (j, weight)}, total) by label
     _weights: list
     # out_edges' lists by state, built on its first call
     _out: dict | None
@@ -103,16 +100,10 @@ class Sdfa(_Record):
             # the least state by name, so the message does not depend on set order
             state = min(sums, key=str)
             raise ValueError(f"probabilities at state {state} sum to {sums[state]:.12g}, not 1")
-        number, numbered = _explore(
-            initial, lambda s: [(x, d) for x, (d, _) in named[s][1].items()], capped=False
+        number, edges = _explore(
+            initial, lambda s: [(x, d, w) for x, (d, w) in named[s][1].items()], capped=False
         )
-        weights = []
-        for state in number:
-            stop, scaled, total = named[state]
-            weights.append((stop, {x: (number[d], w) for x, (d, w) in scaled.items()}, total))
-        accepting = frozenset(i for i, (stop, _, _) in enumerate(weights) if stop)
-        support = Dfa(frozenset(range(len(weights))), alphabet, 0, accepting, numbered)
-        object.__setattr__(self, "_support", support)
+        weights = [(named[s][0], out, named[s][2]) for s, out in zip(number, edges)]
         object.__setattr__(self, "_weights", weights)
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
@@ -161,54 +152,34 @@ class RelevanceValue(_Record):
         object.__setattr__(self, "avg_trace_bits", avg_trace_bits)
 
 
-def _shaped(shape: Dfa, weights) -> list:
-    """Per state of shape, Sdfa._weights' (stop weight, {label: (target,
-    weight)}, total), each total the surviving weight, from a source model
-    whose weights[state] begins (stop weight, {label: (target, weight)}), as
-    Sdfa._weights, _log_rows or a net's rows by marking: state 0 is the
-    source's state 0, an edge is the source edge of its label, and only
-    accepted states stop. One pass over shape's transitions, breadth-first
-    with sorted labels as automata lists them, maps each state to its source."""
-    sources = [0]
-    edges: list[dict] = [{}]
-    for (i, label), j in shape.transitions.items():
-        target, w = weights[sources[i]][1][label]
-        if j == len(sources):
-            sources.append(target)
-            edges.append({})
-        edges[i][label] = (j, w)
-    stops = [weights[sources[i]][0] if i in shape.accepting else 0 for i in range(len(sources))]
-    return [(s, out, s + sum(w for _, w in out.values())) for s, out in zip(stops, edges)]
+def _weighted(rows: list) -> list:
+    """rows as Sdfa._weights, each total the sum of its row's weights."""
+    return [(stop, out, stop + sum(w for _, w in out.values())) for stop, out in rows]
 
 
-def _sdfa(shape: Dfa, weights: list) -> Sdfa:
-    """The SDFA of a canonical shape with _shaped's weights, kept as its
-    _support and _weights, each probability a weight over its state's total:
-    what Sdfa.__init__, the check of outside input, would rebuild from it."""
+def _sdfa(rows: list, alphabet) -> Sdfa:
+    """The SDFA of rows, canonically numbered and kept as its _weights: what
+    Sdfa.__init__, the check of outside input, would rebuild from it."""
+    weights = _weighted(_canonical(rows, range(len(rows))))
     transitions = {
         (i, label): (j, Fraction(w, total))
         for i, (_, out, total) in enumerate(weights)
         for label, (j, w) in out.items()
     }
-    termination = {i: Fraction(weights[i][0], weights[i][2]) for i in shape.accepting}
+    termination = {i: Fraction(stop, total) for i, (stop, _, total) in enumerate(weights) if stop}
     sdfa = Sdfa.__new__(Sdfa)
     # Sdfa.__init__'s fields, stored past _Record's __setattr__ as it stores them
-    fields = (shape.states, shape.alphabet, 0, transitions, termination)
-    vars(sdfa).update(zip(Sdfa._fields, fields), _support=shape, _weights=weights, _out=None)
+    fields = (frozenset(range(len(weights))), frozenset(alphabet), 0, transitions, termination)
+    vars(sdfa).update(zip(Sdfa._fields, fields), _weights=weights, _out=None)
     return sdfa
 
 
 def log_to_sdfa(log: EventLog) -> Sdfa:
     """Frequency prefix tree of a log: its one trie, numbered as log_to_dfa
-    numbers it and weighted by instances.
-
-    Transition probability out of a prefix state is the fraction of
-    instances continuing with that label among instances reaching the
-    prefix; termination is the fraction ending there. Sums are exactly 1
-    by construction.
+    numbers it. A prefix continues with a label, or ends, with the share of
+    the instances reaching it that do; sums are exactly 1 by construction.
     """
-    shape = log_to_dfa(log)
-    return _sdfa(shape, _shaped(shape, _log_rows(log)))
+    return _sdfa(_log_rows(log), log.alphabet)
 
 
 def _log2(n: int, d: int) -> float:
@@ -245,13 +216,11 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
 
 
 def _entropy(weights: list) -> StochasticEntropy:
-    """sdfa_entropy of weights laid out as Sdfa._weights: an exact tree by
-    _tree_bits, any other graph by its visit counts in Kahn's order, or by
-    sparse LU on a cycle.
-
-    An exact tree has one edge fewer than its states, all reached from
-    state 0, and each row's stop and edge weights sum to its total; a
-    parsed row within the 1e-9 slack keeps its own total, so it is solved."""
+    """sdfa_entropy of rows laid out as Sdfa._weights: an exact tree by
+    _tree_bits, any other graph by its visit counts, in Kahn's order or by
+    sparse LU on a cycle. An exact tree has one edge fewer than states and
+    each row's weights sum to its total; a parsed row within the 1e-9 slack
+    keeps its own total, so it is solved."""
     if sum([len(edges) for _, edges, _ in weights]) == len(weights) - 1 and all(
         [stop + sum([w for _, w in edges.values()]) == total for stop, edges, total in weights]
     ):
@@ -280,14 +249,11 @@ def _entropy(weights: list) -> StochasticEntropy:
 
 
 def _visit_system(weights: list):
-    """(I - P)^T of weights in the layout of Sdfa._weights, states 0..n-1
-    all reachable from state 0.
-
-    Per state i: the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
-    and the local entropy. Each sum is an fsum or exact, so no value depends
-    on the order of the labels. NonTerminatingSdfa when a reachable state
-    cannot reach positive termination, which makes the system singular:
-    when the states that stop do not reach every state along the in-edges.
+    """(I - P)^T of rows laid out as Sdfa._weights, all reachable from 0:
+    per state i the diagonal 1 - P_ii, the in-edges (j, P_ji) with j != i,
+    and the local entropy, each sum an fsum or exact, so independent of the
+    order of the labels. NonTerminatingSdfa, as the system is singular, when
+    the states that stop do not reach every state along the in-edges.
     """
     diagonal = []
     incoming: list[list[tuple[int, float]]] = [[] for _ in weights]
@@ -362,18 +328,17 @@ def _backward_error(diagonal, incoming, counts) -> float:
 def conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     """Restrict prob_source to traces also possible in structure.
 
-    The shape is the trimmed product of the two supports: pairs of states
-    along labels that carry positive probability on both sides, without the
-    pairs that cannot reach positive termination on both sides anymore. It
-    keeps prob_source's probabilities, renormalized per state by the
-    surviving mass, so the result is again a proper distribution.
-    EmptyConjunction when no trace has positive probability in both inputs;
-    StateSpaceExceeded when there are more than 10**6 pairs.
+    The shape is the trimmed product of the two, weighted by prob_source:
+    the pairs of states along labels with positive probability on both
+    sides that can still reach positive termination on both. Each keeps
+    prob_source's probabilities, renormalized by the surviving mass, so the
+    result is again a distribution. EmptyConjunction when no trace has
+    positive probability in both; StateSpaceExceeded beyond 10**6 pairs.
     """
-    shape = trim(product(prob_source._support, structure._support))
-    if not shape.accepting:
+    rows = _trim(_product(prob_source._weights, structure._weights))
+    if _empty(rows):
         raise EmptyConjunction("no trace has positive probability in both inputs")
-    return _sdfa(shape, _shaped(shape, prob_source._weights))
+    return _sdfa(rows, prob_source.alphabet & structure.alphabet)
 
 
 def stochastic_precision_recall(
@@ -408,23 +373,26 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
     weighted by rel against rel's own entropy, "precision" the mirror image.
 
     A log is its counted trie, so its own distribution and its conjunction
-    with either kind of side are trees, each solved by one walk over the
-    log's rows; two Sdfas share the trimmed product of their supports.
-    Only the named sides' conjunctions are weighted and solved. An unnamed
-    Sdfa's own entropy is still solved, by the public sdfa_entropy: that is
-    where a model that cannot terminate is rejected, on either side, and
-    where a traced run reads the model's entropy. An unnamed log's is not,
-    as a trie always terminates. rel is taken before ret, and a named
-    side's shared entropy before its own, so the first error raised is the
-    same whatever is named and whatever the sides' forms.
+    with either side are trees, each solved by one walk over its rows; two
+    Sdfas make the trimmed product of their rows, weighted by the named
+    side. An unnamed Sdfa's own entropy is still solved, by the public
+    sdfa_entropy: there a model that cannot terminate is rejected, and a
+    traced run reads the model's entropy. rel is taken before ret, and a
+    named side's shared entropy before its own, so the first error raised
+    is the same whatever is named and whatever the sides' forms.
     """
     sources = (rel, ret)
     rows = [_log_rows(s) if isinstance(s, EventLog) else s._weights for s in sources]
     logs = [i for i, s in enumerate(sources) if isinstance(s, EventLog)]
     if not logs:
-        # one Dfa for (rel, ret) and (ret, rel), as trim numbers it canonically
-        shape = trim(product(rel._support, ret._support))
-        if not shape.accepting:
+        # each named side's conjunction, weighted by that side; both have
+        # the same pairs, so one is empty when the other is
+        shared = {
+            name: _trim(_product(rows[i], rows[1 - i]))
+            for i, name in enumerate(("recall", "precision"))
+            if name in sides
+        }
+        if any(map(_empty, shared.values())):
             return [0.0 for _ in sides]
     else:
         # the shared prefixes are walked on a log's rows, rel's if both are logs
@@ -437,11 +405,11 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
     for i, (name, side) in enumerate(zip(("recall", "precision"), sources)):
         if name in sides:
             if not logs:
-                shared = _entropy(_shaped(shape, side._weights)).bits
+                bits = _entropy(_weighted(shared[name])).bits
             else:
-                shared = _tree_bits(tree, kept, other, i != t)
+                bits = _tree_bits(tree, kept, other, i != t)
             own = sdfa_entropy(side).bits if isinstance(side, Sdfa) else _tree_bits(rows[i])
-            values[name] = _quotient(shared, own)
+            values[name] = _quotient(bits, own)
         elif isinstance(side, Sdfa):
             sdfa_entropy(side)
     return [values[name] for name in sides]
@@ -453,18 +421,11 @@ def _pair(log, tree, other) -> dict:
     other's row there; empty when no trace does."""
     kept = {}
     for trace in log.entries:
-        j = 0
-        for label in trace:
-            edge = other[j][1].get(label)
-            if edge is None:
-                break
-            j = edge[0]
-        else:
-            if other[j][0]:
-                i = j = kept[0] = 0
-                for label in trace:
-                    i, j = tree[i][1][label][0], other[j][1][label][0]
-                    kept[i] = j
+        if _accepts(other, trace):
+            i = j = kept[0] = 0
+            for label in trace:
+                i, j = tree[i][1][label][0], other[j][1][label][0]
+                kept[i] = j
     return kept
 
 
@@ -474,10 +435,11 @@ def _tree_bits(tree, kept=None, other=None, by_other=False) -> float:
     tree, or the prefixes in kept, each weighted by its own row or, if
     by_other, by the row of other that kept maps it to. A kept prefix keeps
     its kept children at their full weight, and its stop if both sides stop
-    there, so its total is renormalized as _shaped's are. A visit count is
-    its parent's times w / total, which is the forward pass's fsum of one
-    in-edge divided by a diagonal of 1.0, and a local entropy is the fsum
-    of _visit_system's terms, so the bits are the system's to the bit."""
+    there, so its total is renormalized as a conjunction's are. A visit
+    count is its parent's times w / total, which is the forward pass's fsum
+    of one in-edge divided by a diagonal of 1.0, and a local entropy is the
+    fsum of _visit_system's terms, so the bits are the system's to the
+    bit."""
     terms, stack = [], [(0, 1.0)]
     while stack:
         i, count = stack.pop()

@@ -17,17 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from entroconf.automata import (
-    SILENT,
-    Dfa,
-    EventLog,
-    Nfa,
-    _canonical,
-    _explore,
-    _out_map,
-    _reachable,
-    trim,
-)
+from entroconf.automata import SILENT, Dfa, EventLog, Nfa
 from entroconf.errors import (
     EmptyConjunction,
     EmptyLog,
@@ -35,9 +25,54 @@ from entroconf.errors import (
     MalformedXml,
     MissingConceptName,
     NondeterministicStochasticModel,
+    StateSpaceExceeded,
 )
 from entroconf.petri import Marking, PetriNet, StochasticPetriNet, reachability_graph
 from entroconf.stochastic import Sdfa
+
+
+def breadth_first(start, successors, cap=None) -> dict:
+    """{state: number} in breadth-first discovery order from start, each
+    state's successors(state), (label, target) pairs, visited in sorted
+    order: the canonical numbering of an automaton. StateSpaceExceeded when
+    a new state would make more than cap."""
+    number = {start: 0}
+    queue = deque([start])
+    while queue:
+        for _, target in sorted(successors(queue.popleft())):
+            if target not in number:
+                if cap is not None and len(number) >= cap:
+                    raise StateSpaceExceeded(f"state space exceeds the cap of {cap} states")
+                number[target] = len(number)
+                queue.append(target)
+    return number
+
+
+def canonical_dfa(initial, accepting, transitions, alphabet) -> Dfa:
+    """The states on some path from initial to accepting, numbered by
+    breadth_first, or the one-state empty automaton when there are none."""
+    useful = set(accepting)
+    grew = True
+    while grew:
+        grew = False
+        for (src, _), dst in transitions.items():
+            if dst in useful and src not in useful:
+                useful.add(src)
+                grew = True
+    if initial not in useful:
+        return Dfa(frozenset({0}), frozenset(alphabet), 0, frozenset(), {})
+    out: dict = {}
+    for (src, label), dst in transitions.items():
+        if src in useful and dst in useful:
+            out.setdefault(src, []).append((label, dst))
+    number = breadth_first(initial, lambda s: out.get(s, ()))
+    return Dfa(
+        states=frozenset(number.values()),
+        alphabet=frozenset(alphabet),
+        initial=0,
+        accepting=frozenset(number[s] for s in accepting if s in number),
+        transitions={(number[s], x): number[d] for s in number for x, d in out.get(s, ())},
+    )
 
 
 def words_up_to(alphabet, max_len):
@@ -48,6 +83,22 @@ def words_up_to(alphabet, max_len):
 def dfa_language(a: Dfa, max_len: int) -> set:
     """Accepted words up to max_len by running the automaton on each."""
     return {w for w in words_up_to(a.alphabet, max_len) if a.accepts(w)}
+
+
+def sdfa_language(a: Sdfa, max_len: int) -> set:
+    """Words up to max_len with positive probability, by running the SDFA
+    on each."""
+
+    def positive(word) -> bool:
+        state = a.initial
+        for label in word:
+            step = a.transitions.get((state, label))
+            if step is None or not step[1]:
+                return False
+            state = step[0]
+        return a.termination.get(state, 0) > 0
+
+    return {w for w in words_up_to(a.alphabet, max_len) if positive(w)}
 
 
 def nfa_accepts(n: Nfa, word) -> bool:
@@ -354,15 +405,7 @@ def random_dfa(rng, max_states: int = 6, alphabet_size: int = 3) -> Dfa:
         accepting = frozenset(
             s for s in range(size) if rng.random() < 0.4
         ) or frozenset({rng.randrange(size)})
-        candidate = trim(
-            Dfa(
-                states=frozenset(range(size)),
-                alphabet=frozenset(alphabet),
-                initial=0,
-                accepting=accepting,
-                transitions=transitions,
-            )
-        )
+        candidate = canonical_dfa(0, accepting, transitions, alphabet)
         if candidate.accepting:
             return candidate
 
@@ -393,7 +436,7 @@ def reference_log_to_dfa(log: EventLog) -> Dfa:
                 next_state += 1
             state = nxt
         accepting.add(state)
-    return _canonical(0, accepting, transitions, log.alphabet)
+    return canonical_dfa(0, accepting, transitions, log.alphabet)
 
 
 def random_net(rng, max_places: int = 6, max_transitions: int = 5) -> PetriNet:
@@ -462,16 +505,18 @@ def random_terminating_sdfa(rng, max_states: int = 5, alphabet="abc") -> Sdfa:
 
 
 def _reference_canonical_sdfa(initial, transitions, termination, alphabet) -> Sdfa:
-    out = _out_map({key: dst for key, (dst, _) in transitions.items()})
-    number, numbered = _explore(initial, lambda s: out.get(s, ()), capped=False)
-    states = list(number)
+    out: dict = {}
+    for (src, label), (dst, _) in transitions.items():
+        out.setdefault(src, []).append((label, dst))
+    number = breadth_first(initial, lambda s: out.get(s, ()))
     return Sdfa(
         states=frozenset(number.values()),
         alphabet=frozenset(alphabet),
         initial=0,
         transitions={
-            (src, label): (dst, transitions[states[src], label][1])
-            for (src, label), dst in numbered.items()
+            (number[src], label): (number[dst], transitions[src, label][1])
+            for src in number
+            for label, dst in out.get(src, ())
         },
         termination={
             number[s]: p for s, p in termination.items() if s in number and p > 0
@@ -504,7 +549,7 @@ def reference_log_to_sdfa(log: EventLog) -> Sdfa:
     return _reference_canonical_sdfa((), transitions, termination, log.alphabet)
 
 
-def reference_conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
+def reference_conjunction(prob_source: Sdfa, structure: Sdfa, cap=None) -> Sdfa:
     def successors(pair):
         sp, ss = pair
         structure_out = {label: dst for label, dst, _ in structure.out_edges(ss)}
@@ -513,11 +558,12 @@ def reference_conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
             if dst_s is not None:
                 yield label, (dst_p, dst_s)
 
-    number, forward = _explore((prob_source.initial, structure.initial), successors)
+    number = breadth_first((prob_source.initial, structure.initial), successors, cap)
     pairs = list(number)
     transitions = {
-        (src, label): (dst, prob_source.transitions[pairs[src][0], label][1])
-        for (src, label), dst in forward.items()
+        (number[pair], label): (number[dst], prob_source.transitions[pair[0], label][1])
+        for pair in pairs
+        for label, dst in successors(pair)
     }
     termination = {
         i: prob_source.termination[sp]
@@ -528,7 +574,13 @@ def reference_conjunction(prob_source: Sdfa, structure: Sdfa) -> Sdfa:
     reverse: dict = {}
     for (src, _), (dst, _) in transitions.items():
         reverse.setdefault(dst, []).append(src)
-    surviving = _reachable(termination, lambda s: reverse.get(s, ()))
+    surviving = set(termination)
+    queue = deque(surviving)
+    while queue:
+        for src in reverse.get(queue.popleft(), ()):
+            if src not in surviving:
+                surviving.add(src)
+                queue.append(src)
     if 0 not in surviving:
         raise EmptyConjunction("no trace has positive probability in both inputs")
     kept = {
@@ -593,8 +645,7 @@ def _reference_plog2p(p: Fraction) -> float:
 
 def reference_visit_system(a: Sdfa):
     """(diagonal, incoming, local) of (I - P)^T, as sdfa_entropy solves it."""
-    reachable = _reachable((a.initial,), lambda s: (d for _, d, _ in a.out_edges(s)))
-    position = {s: i for i, s in enumerate(reachable)}
+    position = breadth_first(a.initial, lambda s: [(x, d) for x, d, _ in a.out_edges(s)])
     diagonal = []
     incoming: list[list[tuple[int, float]]] = [[] for _ in position]
     local = []

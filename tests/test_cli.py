@@ -45,6 +45,7 @@ from entroconf.measures import (
 from entroconf.petri import Marking, PetriNet, stochastic_rg_to_sdfa
 
 import oracles
+from test_properties import language_dfa
 
 
 def invoke(capsys, *argv):
@@ -200,7 +201,7 @@ def _language_inputs(rng):
     while len(nets) < 4:
         net = oracles.random_net(rng)
         try:
-            measures._language(net, False)
+            language_dfa(net)
         except SemanticError:  # unbounded, or no marking to accept in
             continue
         nets.append(net)
@@ -242,7 +243,7 @@ def test_the_cli_prints_the_public_functions_value(fixtures):
 
     seen = set()
     for rel, ret in _language_inputs(random.Random(31)):
-        automata = measures._language(rel, False), measures._language(ret, False)
+        automata = language_dfa(rel), language_dfa(ret)
         for family, measure in public.items():
             # each side as its automaton, and as the log or net it is
             results = [measure(*automata), measure(rel, ret)]
@@ -387,16 +388,14 @@ def test_stochastic_measures_solve_only_the_printed_conjunction(monkeypatch, fix
         for _, rel, ret, _ in cases
     ]
 
-    # a log side is its counted trie: no tree Dfa, product, trim or reweighting
+    # a log side is its counted trie: no tree Dfa or Sdfa, product or trim
     def forbidden(*args):
         raise AssertionError("a log side built an automaton")
 
     for module, name in (
         (automata, "log_to_dfa"),
-        (measures, "log_to_dfa"),
-        (stochastic, "product"),
-        (stochastic, "trim"),
-        (stochastic, "_shaped"),
+        (stochastic, "_product"),
+        (stochastic, "_trim"),
         (stochastic, "log_to_sdfa"),
     ):
         monkeypatch.setattr(module, name, forbidden)
@@ -688,8 +687,8 @@ def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypa
 
         return spied
 
-    monkeypatch.setattr(measures, "log_to_dfa", spy("log_to_dfa", measures.log_to_dfa))
-    monkeypatch.setattr(measures, "product", spy("product", measures.product))
+    monkeypatch.setattr(measures, "_log_rows", spy("_log_rows", measures._log_rows))
+    monkeypatch.setattr(measures, "_product", spy("_product", measures._product))
     e, f, n = (fixtures / name for name in ("E.xes", "F.xes", "N.pnml"))
     # a log's side reports the size of the prefix tree it is not built into
     sizes = {(e, f): (23, 17), (f, e): (17, 23), (e, n): (23, 6), (n, e): (6, 23)}
@@ -702,10 +701,10 @@ def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypa
         # two nets still meet in a product, and partial matching still
         # closes a log's prefix tree
         assert invoke(capsys, flag, "-rel", n, "-ret", n, "-s")[:2] == (0, "1.000\n")
-        assert calls == ["product"]
+        assert calls == ["_product"]
         calls.clear()
     invoke(capsys, "-pmp", "-rel", e, "-ret", f)
-    assert calls == ["log_to_dfa", "log_to_dfa", "product"]
+    assert calls == ["_log_rows", "_log_rows", "_product"]
 
 
 @pytest.mark.parametrize("flag", ["-emp", "-emr", "-sp", "-sr"])
@@ -719,12 +718,28 @@ def test_an_empty_log_is_rejected_before_the_other_side_is_explored(
         # the same net read as a stochastic one, its transition of weight 1
         generator = tmp_path / "generator.spnml"
         generator.write_text((fixtures / "generator.pnml").read_text())
+    message = "cannot build an automaton from an empty log"
     code, _, err = invoke(capsys, flag, "-rel", empty, "-ret", generator)
-    assert (code, err) == (2, "input error: cannot build an automaton from an empty log\n")
+    assert (code, err) == (2, f"input error: {empty}: {message}\n")
     # -rel comes first: there the unbounded net is rejected
     code, _, err = invoke(capsys, flag, "-rel", generator, "-ret", empty)
     assert code == 3
     assert err.startswith("rejected: the net is not bounded")
+    # of two logs, the empty one is named, and rel's first when both are
+    log = fixtures / "E.xes"
+    for rel, ret, named in ((empty, log, empty), (log, empty, empty), (empty, empty, empty)):
+        code, _, err = invoke(capsys, flag, "-rel", rel, "-ret", ret)
+        assert (code, err) == (2, f"input error: {named}: {message}\n")
+
+
+def test_relevance_names_the_empty_log_it_cannot_score(capsys, fixtures, tmp_path):
+    for name in ("empty.xes", "a\nb.xes"):
+        empty = tmp_path / name
+        empty.write_text('<log xmlns="http://www.xes-standard.org/"></log>')
+        code, _, err = invoke(capsys, "-r", "-rel", empty, "-ret", fixtures / "A.sdfa")
+        # a path holding a line break is shown as its repr, on one line
+        shown = str(empty) if name.isprintable() else repr(str(empty))
+        assert (code, err) == (2, f"input error: {shown}: cannot score an empty log\n")
 
 
 def test_usage_errors_exit_1(capsys):
@@ -951,8 +966,8 @@ def spnml(path: Path, transitions) -> Path:
 
 
 def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
-    log, sdfa, net, weighted = (
-        fixtures / name for name in ("E.xes", "A.sdfa", "N.pnml", "N.spnml")
+    log, sdfa, net, weighted, acyclic = (
+        fixtures / name for name in ("E.xes", "A.sdfa", "N.pnml", "N.spnml", "S.pnml")
     )
     loop = loop_spnml(tmp_path / "loop.spnml", "20")
     values, stages = probe_numeric_modules(
@@ -965,15 +980,17 @@ def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
         ["-pmp", "-rel", log, "-ret", log, "-s"],
         ["-cpmr", "-rel", log, "-ret", log, "-srel", "1", "-sret", "2", "-s"],
         ["-b", "-rel", net, "-s"],
+        ["-emp", "-rel", log, "-ret", acyclic, "-s"],
         ["-emp", "-rel", log, "-ret", net, "-s"],
     )
-    assert values == [VERSION, "11.368"] + ["1.000"] * 6 + ["1", "0.776"]
+    assert values == [VERSION, "11.368"] + ["1.000"] * 6 + ["1", "0.841", "0.776"]
     # a log's automaton and its deletion closures are acyclic and the loop's
     # only cycles are self-loops, so neither the growth factor nor the visit
-    # counts need numpy, and -b only explores the net; the net's automaton
-    # has a longer cycle, which takes the power iteration
-    assert stages[:10] == [[]] * 10
-    assert {"numpy", "scipy"} <= set(stages[10])
+    # counts need numpy, and -b only explores the net; an acyclic net's
+    # automaton is solved as a finite language, while N.pnml's has a longer
+    # cycle, which takes the power iteration
+    assert stages[:11] == [[]] * 11
+    assert {"numpy", "scipy"} <= set(stages[11])
 
     # N.spnml's reachability graph has a longer cycle, so its visit counts
     # take the sparse LU

@@ -10,7 +10,7 @@ from entroconf.automata import (
     UNBOUNDED,
     Dfa,
     EventLog,
-    _traces,
+    _dfa,
     determinize,
     log_to_dfa,
     product,
@@ -31,6 +31,11 @@ from entroconf.measures import (
 from entroconf.petri import Marking, PetriNet, reachability_graph, rg_to_dfa
 
 import oracles
+
+
+def growth_factor(a: Dfa) -> float:
+    """_growth_factor of a Dfa as a measure takes one: as its trimmed rows."""
+    return measures._growth_factor(measures._language(a, True))
 
 
 def dfa_for(*words) -> Dfa:
@@ -194,7 +199,7 @@ def test_growth_factors_of_extreme_shapes_match_closed_forms():
     for _ in range(200):
         t = (lo + hi) / 2
         lo, hi = (t, hi) if 2 * math.exp(-30_001 * t) + math.exp(-15_001 * t) > 1 else (lo, t)
-    assert measures._growth_factor(long_words) == pytest.approx(math.exp(lo), rel=1e-12)
+    assert growth_factor(long_words) == pytest.approx(math.exp(lo), rel=1e-12)
 
     # no state with a single successor: 3,000 layers of two labels each
     # hold 2^3000 words of length 3000
@@ -206,7 +211,7 @@ def test_growth_factors_of_extreme_shapes_match_closed_forms():
         accepting=frozenset({layers}),
         transitions={(i, label): i + 1 for i in range(layers) for label in "ab"},
     )
-    assert measures._growth_factor(ladder) == pytest.approx(
+    assert growth_factor(ladder) == pytest.approx(
         2 ** (layers / (layers + 1)), rel=1e-12
     )
 
@@ -223,7 +228,7 @@ def test_growth_factors_of_extreme_shapes_match_closed_forms():
         accepting=frozenset({tail + 1}),
         transitions=transitions,
     )
-    assert measures._growth_factor(fan_in) == pytest.approx(
+    assert growth_factor(fan_in) == pytest.approx(
         branches ** (1 / (chain + 3)), rel=1e-12
     )
 
@@ -263,7 +268,7 @@ def test_trees_are_solved_as_their_lengths_and_other_finite_languages_by_back_su
     }
     for kernel, automata in kernels.items():
         for a in automata:
-            assert measures._growth_factor(a) > 1.0
+            assert growth_factor(a) > 1.0
             assert calls == [kernel], a
             calls.clear()
 
@@ -284,7 +289,7 @@ def test_relabeled_logs_have_bit_identical_entropy():
         )
 
 
-def test_growth_factor_skips_trim_only_where_it_changes_nothing():
+def test_trim_copies_only_what_it_changes():
     rng = random.Random(12)
     skipped = renumbered = 0
     for _ in range(500):
@@ -307,7 +312,7 @@ def test_growth_factor_skips_trim_only_where_it_changes_nothing():
         skipped += trimmed is raw
         renumbered += trimmed is not raw and len(trimmed.states) == size
         # bit for bit, whether the states keep their numbers or not
-        assert measures._growth_factor(raw) == measures._growth_factor(trimmed)
+        assert growth_factor(raw) == growth_factor(trimmed)
     # both kinds occur: kept as is, and trim already but numbered otherwise
     assert skipped and renumbered
 
@@ -416,7 +421,8 @@ def test_a_budget_above_the_longest_word_is_lowered_to_it():
     inputs += [log_to_dfa(oracles.random_log(rng)) for _ in range(40)]
     for a in inputs:
         for k in range(9):
-            assert measures._closure(a, k) == determinize(skip_closure(trim(a), k))
+            closed = measures._closure(measures._language(a, True), k)
+            assert _dfa(closed, a.alphabet) == determinize(skip_closure(trim(a), k))
 
 
 def test_a_budget_on_a_cyclic_automaton_is_not_lowered():
@@ -554,8 +560,11 @@ def test_a_log_as_its_traces_agrees_with_its_prefix_tree():
         pairs += [(log, other), (log, dfa), (dfa, log)]
     both = ("precision", "recall")
     for rel, ret in pairs:
-        forms = [_traces(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
-        trees = [log_to_dfa(a) if isinstance(a, EventLog) else a for a in (rel, ret)]
+        forms = [measures._language(a, True) for a in (rel, ret)]
+        trees = [
+            measures._language(log_to_dfa(a) if isinstance(a, EventLog) else a, True)
+            for a in (rel, ret)
+        ]
         new = measures._matching(*forms, None, both)
         expected = measures._matching(*trees, None, both)
         assert list(map(float.hex, new)) == list(map(float.hex, expected)), (rel, ret)

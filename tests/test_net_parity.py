@@ -1,10 +1,11 @@
 """A net's language automaton and SDFA, built from its one numbered
 exploration, against the builders that read reachability_graph's Markings.
 
-earlier_rg_to_dfa and earlier_stochastic_rg_to_sdfa are those builders as
-they were: the automata built now must equal theirs with the same
-transition order, and every net they rejected must be rejected with the
-same error class, message and witness, the first error raised first.
+earlier_rg_to_dfa and earlier_stochastic_rg_to_sdfa are such builders,
+over the public records: the automata built now must equal theirs with the
+same transition and termination order, and every net they reject must be
+rejected with the same error class, message and witness, the first error
+raised first.
 """
 
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from entroconf import automata, cli
-from entroconf.automata import SILENT, Nfa, _canonical, determinize
+from entroconf.automata import SILENT, Nfa, _dfa, determinize
 from entroconf.cli import parse_args
 from entroconf.errors import (
     EntroconfError,
@@ -32,8 +33,9 @@ from entroconf.petri import (
     rg_to_dfa,
     stochastic_rg_to_sdfa,
 )
-from entroconf.stochastic import _sdfa, _shaped
+from entroconf.stochastic import Sdfa
 
+import oracles
 from test_petri import GENERATOR, NET
 from test_properties import bounded_nets
 
@@ -74,21 +76,30 @@ def earlier_stochastic_rg_to_sdfa(net):
             raise InvalidFinalMarking(
                 "declared final markings must be exactly the reachable deadlocks"
             )
-    # marking -> (stop weight, {label: (marking, weight)}), the source map _shaped reads
-    weights = {m: (int(m in deadlocks), {}) for m in rg.nodes}
-    transitions = {}
+    # marking -> {label: (marking, weight)}
+    out = {m: {} for m in rg.nodes}
     for src, t, dst in rg.edges:
-        key = (src, net.transitions[t])
-        if key in transitions:
+        if net.transitions[t] in out[src]:
             raise NondeterministicStochasticModel(
                 "two equally labeled transitions enabled at one marking"
             )
-        transitions[key] = dst
-        weights[src][1][key[1]] = (dst, net.weights[t])
-    shape = _canonical(rg.initial, deadlocks, transitions, frozenset(net.transitions.values()))
-    # _shaped starts from the source's state 0, where this one starts from rg.initial
-    weights[0] = weights[rg.initial]
-    return _sdfa(shape, _shaped(shape, weights))
+        out[src][net.transitions[t]] = (dst, net.weights[t])
+    number = oracles.breadth_first(rg.initial, lambda m: [(x, d) for x, (d, _) in out[m].items()])
+    transitions, termination = {}, {}
+    for m, i in number.items():
+        total = sum(w for _, w in out[m].values())
+        for x, (d, w) in sorted(out[m].items()):
+            transitions[i, x] = (number[d], w / total)
+        if m in deadlocks:
+            termination[i] = Fraction(1)
+    alphabet = frozenset(net.transitions.values())
+    return Sdfa(frozenset(number.values()), alphabet, 0, transitions, termination)
+
+
+def measured_dfa(net, exact: bool):
+    """The automaton a measure builds of a net, as a Dfa over its labels."""
+    alphabet = frozenset(label for label in net.transitions.values() if label is not None)
+    return _dfa(_language(net, exact), alphabet)
 
 
 def outcome(build, net):
@@ -197,7 +208,7 @@ def test_numbered_builders_match_the_marking_based_ones(fixtures, monkeypatch):
         kinds.add(kind(expected))
         assert outcome(lambda n: rg_to_dfa(reachability_graph(n), n), net) == expected
         for exact in (True, False):
-            assert outcome(lambda n: _language(n, exact), net) == expected
+            assert outcome(lambda n: measured_dfa(n, exact), net) == expected
         if isinstance(net, StochasticPetriNet):
             expected = outcome(earlier_stochastic_rg_to_sdfa, net)
             kinds.add(kind(expected))
@@ -217,7 +228,7 @@ def test_numbered_builders_match_the_marking_based_ones(fixtures, monkeypatch):
         expected = outcome(earlier_stochastic_rg_to_sdfa, net)
         assert kind(expected) == "StateSpaceExceeded"
         assert outcome(stochastic_rg_to_sdfa, net) == expected
-        assert outcome(lambda n: _language(n, True), net) == expected
+        assert outcome(lambda n: measured_dfa(n, True), net) == expected
         assert outcome(lambda n: rg_to_dfa(reachability_graph(n), n), net) == expected
 
 

@@ -22,17 +22,21 @@ import random
 from fractions import Fraction
 
 from entroconf import cli
-from entroconf.automata import EventLog
+from entroconf.automata import Dfa, EventLog, log_to_dfa
 from entroconf.cli import parse_args
 from entroconf.errors import SemanticError
 from entroconf.measures import (
     PrecisionRecall,
-    _language,
     controlled_partial_precision_recall,
     exact_precision_recall,
     partial_precision_recall,
 )
-from entroconf.petri import StochasticPetriNet, stochastic_rg_to_sdfa
+from entroconf.petri import (
+    StochasticPetriNet,
+    reachability_graph,
+    rg_to_dfa,
+    stochastic_rg_to_sdfa,
+)
 from entroconf.stochastic import log_to_sdfa, stochastic_precision_recall
 
 import oracles
@@ -61,13 +65,20 @@ def nested_logs(rng, words) -> tuple[EventLog, EventLog]:
     return EventLog.from_traces(small), EventLog.from_traces(small + draw())
 
 
+def language_dfa(side) -> Dfa:
+    """A log's or a net's language automaton, built by the public functions."""
+    if isinstance(side, EventLog):
+        return log_to_dfa(side)
+    return rg_to_dfa(reachability_graph(side), side)
+
+
 def bounded_nets(rng, count: int) -> list:
     """Random nets whose reachability graph is finite and accepts something."""
     nets = []
     while len(nets) < count:
         net = oracles.random_net(rng)
         try:
-            _language(net, False)
+            language_dfa(net)
         except SemanticError:  # unbounded, or no marking to accept in
             continue
         nets.append(net)
@@ -85,7 +96,7 @@ def language_values(family: str, budgets, rel, ret) -> dict[str, list[float]]:
         cli._evaluate(parse_args([f"-{family}{side}", *options]), rel, ret)[0] for side in "pr"
     ]
     values = {"cli": printed}
-    automata = _language(rel, False), _language(ret, False)
+    automata = language_dfa(rel), language_dfa(ret)
     for path, sides in (("public", automata), ("raw", (rel, ret))):
         if family == "em":
             public = exact_precision_recall(*sides)
@@ -108,7 +119,7 @@ def test_language_measures_keep_the_papers_properties():
     for net in nets:
         # L ⊆ L', against a net and against a third log
         log = oracles.random_log(rng, "abc")
-        words = oracles.dfa_language(_language(net, False), 5)
+        words = oracles.dfa_language(language_dfa(net), 5)
         samples.append((net, *nested_logs(rng, words)))
         samples.append((log, *nested_logs(rng, log.entries)))
     rose = set()
@@ -170,7 +181,7 @@ def test_stochastic_measures_keep_range_identity_and_swap():
     logs = [
         log
         for net in nets
-        for log in nested_logs(rng, oracles.dfa_language(stochastic_rg_to_sdfa(net)._support, 5))
+        for log in nested_logs(rng, oracles.sdfa_language(stochastic_rg_to_sdfa(net), 5))
     ]
 
     def automaton(artifact):

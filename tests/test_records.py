@@ -254,7 +254,7 @@ def test_private_and_matrix_fields_are_not_compared():
     one, two = build(Sdfa), build(Sdfa)
     assert one.out_edges(0) == [("a", 1, Fraction(1))]
     assert one == two
-    assert "_support" not in repr(one) and "_weights" not in repr(one) and "_out" not in repr(one)
+    assert "_weights" not in repr(one) and "_out" not in repr(one)
     graph = ShortCircuitGraph(2, "one adjacency")
     assert graph == ShortCircuitGraph(2, "another") and hash(graph) == hash((2,))
 
