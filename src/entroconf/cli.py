@@ -257,14 +257,12 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
         forms = [_distribution(a) for a in (rel, ret)]
         (value,) = _precision_recall(*forms, (side,))
     else:
-        skips = None
-        if measure.startswith("pm"):
-            skips = (UNBOUNDED, UNBOUNDED)
-        elif measure.startswith("cpm"):
-            skips = (cfg.skips_rel or 0, cfg.skips_ret or 0)
-        forms = [_language(a, skips is None) for a in (rel, ret)]
+        budgets = {"em": (0, 0), "pm": (UNBOUNDED, UNBOUNDED)}  # cpm: -srel, -sret
+        skips = budgets.get(measure[:2], (cfg.skips_rel or 0, cfg.skips_ret or 0))
+        forms = [_language(a, k) for a, k in zip((rel, ret), skips)]
         (value,) = _matching(*forms, skips, (side,))
-    # a log reports its prefix tree's size: its trie's, or counted without one by -emp/-emr
+    # a log reports its prefix tree's size: its trie's, or counted without
+    # one under a budget of 0, which leaves the log its set of traces
     states = [
         len(form) if isinstance(form, list)
         else len(form.states) if hasattr(form, "states")

@@ -3,9 +3,9 @@
 A trace collection is scored by the asymptotic growth rate of its
 short-circuited language; precision and recall are quotients of the growth
 factors of the shared behavior against retrieved and relevant behavior.
-The variants differ only in a preprocessing step: exact matching compares
-languages as-is, partial matching closes both under arbitrary symbol
-deletion, controlled partial matching under a per-side deletion budget.
+The variants differ only in the per-side deletion budgets that close each
+language first: exact matching has budgets 0, which leave it as it is,
+partial matching UNBOUNDED, controlled partial matching any pair of them.
 """
 
 from __future__ import annotations
@@ -328,13 +328,11 @@ def _quotient(shared: float, own: float) -> float:
 def exact_precision_recall(
     rel: Dfa | EventLog | PetriNet, ret: Dfa | EventLog | PetriNet
 ) -> PrecisionRecall:
-    """Precision and recall of exactly matching traces.
-
-    Each side is a Dfa, an EventLog or a PetriNet, taken by _language.
-    precision scores the growth factor of the shared language (see _shared)
-    against retrieved, recall against relevant.
+    """Precision and recall of exactly matching traces, controlled partial
+    matching with budgets 0: precision scores the growth factor of the
+    shared language (see _shared) against retrieved, recall against relevant.
     """
-    return PrecisionRecall(*_matching(_language(rel, True), _language(ret, True)))
+    return controlled_partial_precision_recall(rel, ret, 0, 0)
 
 
 def partial_precision_recall(
@@ -360,18 +358,18 @@ def controlled_partial_precision_recall(
     relevant resp. retrieved trace, or are UNBOUNDED; budgets of zero
     reproduce the exact measure.
     """
-    rel, ret = _language(rel, False), _language(ret, False)
+    rel, ret = _language(rel, skips_rel), _language(ret, skips_ret)
     return PrecisionRecall(*_matching(rel, ret, (skips_rel, skips_ret)))
 
 
-def _language(side, exact: bool):
-    """side as _matching takes it: a Dfa as its trimmed rows, a log as its
-    distinct traces when exact and its counted trie for a closure, a net as
-    the trimmed rows of its language; else TypeError."""
+def _language(side, k):
+    """side as _matching takes it under a deletion budget k: a Dfa as its
+    trimmed rows, a log as its distinct traces when k is 0 and its counted
+    trie otherwise, a net as the trimmed rows of its language; else TypeError."""
     if isinstance(side, Dfa):
         return _trim(_rows(side))
     if isinstance(side, EventLog):
-        return _traces(side) if exact else _log_rows(side)
+        return _traces(side) if k == 0 else _log_rows(side)
     from .petri import PetriNet, _explored, _net_rows  # petri imports this module
 
     if not isinstance(side, PetriNet):
@@ -380,17 +378,15 @@ def _language(side, exact: bool):
     return _net_rows(side, edges, finals)
 
 
-def _matching(rel, ret, skips=None, sides=("precision", "recall")) -> list[float]:
+def _matching(rel, ret, skips, sides=("precision", "recall")) -> list[float]:
     """Each named side's growth quotient, solving the shared factor once and
     only the named sides' own: "precision" scores the shared language
-    against ret's, "recall" against rel's. skips, a pair of deletion
-    budgets for rel and ret, first closes each language under deletion.
-
-    rel and ret are as _language gives them: rows, or, when skips is None,
-    a log's distinct traces, for which no automaton is built (see _shared).
+    against ret's, "recall" against rel's, once each is closed under its
+    deletion budget in skips. rel and ret are as _language gives them under
+    those budgets: rows, or a log's distinct traces, for which no automaton
+    is built (see _shared).
     """
-    if skips is not None:
-        rel, ret = _closure(rel, skips[0]), _closure(ret, skips[1])
+    rel, ret = _closure(rel, skips[0]), _closure(ret, skips[1])
     shared = _growth_factor(_shared(rel, ret))
     own = {"precision": ret, "recall": rel}
     return [_quotient(shared, _growth_factor(own[side])) for side in sides]
@@ -419,12 +415,16 @@ def _accepts(rows: list, word) -> bool:
     return bool(rows[i][0])
 
 
-def _closure(a: list, k) -> list:
+def _closure(a, k):
     """determinize(skip_closure(trim(a), k)) on rows, the skip closure read
     from a's rows as state q = s * copies + used: state s of a with used of
     k deletions spent, or s itself when k is UNBOUNDED. An acyclic a's k is
-    lowered to its longest word, as the copies past it are unreachable.
+    lowered to its longest word, as the copies past it are unreachable. A
+    checked k of 0 closes nothing: a, a set of traces or rows, is returned.
     """
+    if k == 0:
+        _check_budget(k, 0)
+        return a
     a = _trim(a)
     out = [[j for j, _ in row[1].values()] for row in a]
     order = _reverse_topological_order(out)

@@ -55,7 +55,7 @@ class Sdfa(_Record):
 
     Per state, termination plus outgoing probabilities must sum to 1;
     parsed inputs are allowed 1e-9 of slack, internal constructions are
-    exact. States absent from the termination map terminate with 0.
+    exact. termination maps a subset of the states; the others terminate with 0.
     Probabilities are Fractions, or any number with as_integer_ratio().
     """
 
@@ -79,6 +79,8 @@ class Sdfa(_Record):
         object.__setattr__(self, "_out", None)
         if initial not in states:
             raise ValueError("initial state missing from state set")
+        if not termination.keys() <= states:
+            raise ValueError("termination states missing from state set")
         stops = {s: _ratio(termination.get(s, 0), "termination") for s in states}
         out: dict = {}
         for (src, label), (dst, prob) in transitions.items():

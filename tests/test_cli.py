@@ -561,8 +561,8 @@ def test_budget_free_controlled_matching_equals_exact(capsys, fixtures):
 
 
 def test_budget_zero_controlled_matching_equals_exact_bit_for_bit():
-    # with budgets 0 a log's closure is its prefix tree, which is solved as
-    # its trace lengths, as is the set of traces that exact matching takes
+    # budgets of 0 leave each log its set of traces, as exact matching
+    # takes it: both measures run the same code
     rng = random.Random(21)
     for _ in range(300):
         rel = oracles.random_log(rng, alphabet="abcd", max_traces=10, max_len=7)
@@ -689,22 +689,25 @@ def test_exact_matching_builds_no_automaton_for_a_log(capsys, fixtures, monkeypa
 
     monkeypatch.setattr(measures, "_log_rows", spy("_log_rows", measures._log_rows))
     monkeypatch.setattr(measures, "_product", spy("_product", measures._product))
+    monkeypatch.setattr(measures, "_determinized", spy("_determinized", measures._determinized))
     e, f, n = (fixtures / name for name in ("E.xes", "F.xes", "N.pnml"))
-    # a log's side reports the size of the prefix tree it is not built into
+    # a log's side reports the size of the prefix tree it is not built into,
+    # and budgets of 0 close nothing
     sizes = {(e, f): (23, 17), (f, e): (17, 23), (e, n): (23, 6), (n, e): (6, 23)}
-    for flag in ("-emp", "-emr"):
+    zero = ("-srel", "0", "-sret", "0")
+    for flags in (["-emp"], ["-emr"], ["-cpmp", *zero], ["-cpmr", *zero]):
         for (rel, ret), (rel_states, ret_states) in sizes.items():
-            code, _, err = invoke(capsys, flag, "-rel", rel, "-ret", ret)
+            code, _, err = invoke(capsys, *flags, "-rel", rel, "-ret", ret)
             assert code == 0
             assert f"relevant_states={rel_states} retrieved_states={ret_states}" in err
             assert calls == []
         # two nets still meet in a product, and partial matching still
         # closes a log's prefix tree
-        assert invoke(capsys, flag, "-rel", n, "-ret", n, "-s")[:2] == (0, "1.000\n")
+        assert invoke(capsys, *flags, "-rel", n, "-ret", n, "-s")[:2] == (0, "1.000\n")
         assert calls == ["_product"]
         calls.clear()
     invoke(capsys, "-pmp", "-rel", e, "-ret", f)
-    assert calls == ["_log_rows", "_log_rows", "_product"]
+    assert calls == ["_log_rows", "_log_rows", "_determinized", "_determinized", "_product"]
 
 
 @pytest.mark.parametrize("flag", ["-emp", "-emr", "-sp", "-sr"])

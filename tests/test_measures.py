@@ -35,7 +35,7 @@ import oracles
 
 def growth_factor(a: Dfa) -> float:
     """_growth_factor of a Dfa as a measure takes one: as its trimmed rows."""
-    return measures._growth_factor(measures._language(a, True))
+    return measures._growth_factor(measures._language(a, 0))
 
 
 def dfa_for(*words) -> Dfa:
@@ -421,7 +421,7 @@ def test_a_budget_above_the_longest_word_is_lowered_to_it():
     inputs += [log_to_dfa(oracles.random_log(rng)) for _ in range(40)]
     for a in inputs:
         for k in range(9):
-            closed = measures._closure(measures._language(a, True), k)
+            closed = measures._closure(measures._language(a, k), k)
             assert _dfa(closed, a.alphabet) == determinize(skip_closure(trim(a), k))
 
 
@@ -560,26 +560,26 @@ def test_a_log_as_its_traces_agrees_with_its_prefix_tree():
         pairs += [(log, other), (log, dfa), (dfa, log)]
     both = ("precision", "recall")
     for rel, ret in pairs:
-        forms = [measures._language(a, True) for a in (rel, ret)]
+        forms = [measures._language(a, 0) for a in (rel, ret)]
         trees = [
-            measures._language(log_to_dfa(a) if isinstance(a, EventLog) else a, True)
+            measures._language(log_to_dfa(a) if isinstance(a, EventLog) else a, 0)
             for a in (rel, ret)
         ]
-        new = measures._matching(*forms, None, both)
-        expected = measures._matching(*trees, None, both)
+        new = measures._matching(*forms, (0, 0), both)
+        expected = measures._matching(*trees, (0, 0), both)
         assert list(map(float.hex, new)) == list(map(float.hex, expected)), (rel, ret)
-        assert measures._matching(*forms[::-1], None, both) == new[::-1]
+        assert measures._matching(*forms[::-1], (0, 0), both) == new[::-1]
         if isinstance(rel, EventLog):
-            assert measures._matching(forms[0], forms[0], None, both) == [1.0, 1.0]
+            assert measures._matching(forms[0], forms[0], (0, 0), both) == [1.0, 1.0]
 
 
 def test_long_traces_as_sets_match_closed_forms():
     a, b, c = ("a",) * 800, ("b",) * 800, ("c",) * 800
     # no shared trace: both quotients are 0
-    assert measures._matching({a}, {b}) == [0.0, 0.0]
+    assert measures._matching({a}, {b}, (0, 0)) == [0.0, 0.0]
     # one shared trace of two on each side: 1 against 2 ** (1 / 801)
     shared = 2 ** (-1 / 801)
-    for value in measures._matching({a, b}, {b, c}):
+    for value in measures._matching({a, b}, {b, c}, (0, 0)):
         assert value == pytest.approx(shared, rel=1e-12)
 
     # 20 distinct words of length 1,000 solve 20 x ** 1001 = 1, and half of
@@ -589,7 +589,7 @@ def test_long_traces_as_sets_match_closed_forms():
     assert len(words) == 20
     assert measures._growth_factor(words) == pytest.approx(20 ** (1 / 1001), rel=1e-12)
     half = set(sorted(words)[:10])
-    precision, recall = measures._matching(words, half)
+    precision, recall = measures._matching(words, half, (0, 0))
     assert precision == 1.0
     assert recall == pytest.approx(0.5 ** (1 / 1001), rel=1e-12)
     # mixed lengths: the root of x ** 2 + x ** 6 + x ** 401 + x ** 1001 = 1,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from entroconf import automata, cli
-from entroconf.automata import SILENT, Nfa, _dfa, determinize
+from entroconf.automata import SILENT, UNBOUNDED, Nfa, _dfa, determinize
 from entroconf.cli import parse_args
 from entroconf.errors import (
     EntroconfError,
@@ -96,10 +96,10 @@ def earlier_stochastic_rg_to_sdfa(net):
     return Sdfa(frozenset(number.values()), alphabet, 0, transitions, termination)
 
 
-def measured_dfa(net, exact: bool):
-    """The automaton a measure builds of a net, as a Dfa over its labels."""
+def measured_dfa(net, k):
+    """The automaton a measure builds of a net under budget k, as a Dfa over its labels."""
     alphabet = frozenset(label for label in net.transitions.values() if label is not None)
-    return _dfa(_language(net, exact), alphabet)
+    return _dfa(_language(net, k), alphabet)
 
 
 def outcome(build, net):
@@ -207,8 +207,8 @@ def test_numbered_builders_match_the_marking_based_ones(fixtures, monkeypatch):
         expected = outcome(lambda n: earlier_rg_to_dfa(reachability_graph(n), n), net)
         kinds.add(kind(expected))
         assert outcome(lambda n: rg_to_dfa(reachability_graph(n), n), net) == expected
-        for exact in (True, False):
-            assert outcome(lambda n: measured_dfa(n, exact), net) == expected
+        for k in (0, UNBOUNDED):
+            assert outcome(lambda n: measured_dfa(n, k), net) == expected
         if isinstance(net, StochasticPetriNet):
             expected = outcome(earlier_stochastic_rg_to_sdfa, net)
             kinds.add(kind(expected))
@@ -228,7 +228,7 @@ def test_numbered_builders_match_the_marking_based_ones(fixtures, monkeypatch):
         expected = outcome(earlier_stochastic_rg_to_sdfa, net)
         assert kind(expected) == "StateSpaceExceeded"
         assert outcome(stochastic_rg_to_sdfa, net) == expected
-        assert outcome(lambda n: measured_dfa(n, True), net) == expected
+        assert outcome(lambda n: measured_dfa(n, 0), net) == expected
         assert outcome(lambda n: rg_to_dfa(reachability_graph(n), n), net) == expected
 
 

@@ -111,16 +111,11 @@ RECORDS = {
             "alphabet": (frozenset({"a"}), frozenset({"a", "b"})),
             "initial": (0, 1),
             "transitions": ({(0, "a"): (1, Fraction(1))}, {(0, "a"): (0, Fraction(1))}),
-            # state 2 is not a state of the base value, so its entry is unread
-            "termination": (
-                {1: Fraction(1), 2: Fraction(1)},
-                {0: Fraction(0), 1: Fraction(1), 2: Fraction(1)},
-            ),
+            "termination": ({1: Fraction(1)}, {0: Fraction(0), 1: Fraction(1)}),
         },
         False,
         "Sdfa(states=frozenset({0, 1}), alphabet=frozenset({'a'}), initial=0, "
-        "transitions={(0, 'a'): (1, Fraction(1, 1))}, "
-        "termination={1: Fraction(1, 1), 2: Fraction(1, 1)})",
+        "transitions={(0, 'a'): (1, Fraction(1, 1))}, termination={1: Fraction(1, 1)})",
     ),
     StochasticEntropy: (
         {"bits": (1.5, 2.5), "residual": (0.0, 1e-12)},
@@ -155,6 +150,9 @@ RECORDS = {
 }
 # fields that the constructor takes but == and hash ignore
 EXTRA = {ShortCircuitGraph: {"adjacency": "adjacency"}}
+# the changes that a field's different value needs to stay valid: an SDFA's
+# added state needs its termination, which only a state may have
+ALONGSIDE = {(Sdfa, "states"): {"termination": {1: Fraction(1), 2: Fraction(1)}}}
 
 
 def build(cls, **changes):
@@ -169,7 +167,7 @@ def test_records_compare_on_their_fields(cls):
     record = build(cls)
     assert record == build(cls) and not record != build(cls)
     for name, (_, other) in fields.items():
-        changed = build(cls, **{name: other})
+        changed = build(cls, **{name: other, **ALONGSIDE.get((cls, name), {})})
         assert record != changed and not record == changed, name
     assert record != object() and record != tuple(base for base, _ in fields.values())
 
@@ -294,6 +292,10 @@ INVALID = {
         "endpoint",
     ),
     "SDFA sum": (lambda: build(Sdfa, termination={}), "sum to 0, not 1"),
+    "SDFA termination": (
+        lambda: build(Sdfa, termination={1: Fraction(1), 7: Fraction(5)}),
+        "termination states missing",
+    ),
     "empty language entropy": (lambda: EntropyValue(0.5, True), "zero entropy"),
 }
 
