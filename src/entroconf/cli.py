@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import sys
 import time
-from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
-from .automata import UNBOUNDED, EventLog, _log_rows, _prefix_tree_states
+# each layer runs on its first use, so --help, --version and usage errors run none
+from . import automata, formats, measures, petri, stochastic
 from .errors import (
     ConflictingMeasures,
     EmptyLog,
@@ -32,12 +32,9 @@ from .errors import (
     UnboundedModel,
     UnknownOption,
     UsageError,
+    _parse_count,
     _shown,
 )
-from .formats import _parse_count, load_artifact
-from .measures import _language, _matching
-from .petri import PetriNet, StochasticPetriNet, _explored
-from .stochastic import Sdfa, _distribution, _precision_recall, entropic_relevance
 
 VERSION = "1.5-reimpl"
 
@@ -45,13 +42,13 @@ VERSION = "1.5-reimpl"
 class _Measure(NamedTuple):
     id: str  # what RunConfig.measure holds
     name: str  # printed before the value
-    rel: tuple[type, ...]  # artifact types accepted as -rel, matched exactly
-    ret: tuple[type, ...]  # the same for -ret; empty when -ret is not used
+    rel: tuple[str, ...]  # class names of the artifacts accepted as -rel, matched exactly
+    ret: tuple[str, ...]  # the same for -ret; empty when -ret is not used
     side: str | None = None  # the PrecisionRecall field printed, if any
 
 
-_LANGUAGE = (EventLog, PetriNet)
-_STOCHASTIC = (EventLog, StochasticPetriNet)
+_LANGUAGE = ("EventLog", "PetriNet")
+_STOCHASTIC = ("EventLog", "StochasticPetriNet")
 
 # the one list of measures, keyed by flag; HELP_TEXT describes the same.
 # A precision/recall measure names the side it prints, and solves the
@@ -69,16 +66,16 @@ _MEASURES = {
     ),
     "-sp": _Measure("sp", "stochastic precision", _STOCHASTIC, _STOCHASTIC, "precision"),
     "-sr": _Measure("sr", "stochastic recall", _STOCHASTIC, _STOCHASTIC, "recall"),
-    "-r": _Measure("r", "entropic relevance", (EventLog,), (Sdfa,)),
-    "-b": _Measure("bounded", "boundedness", (PetriNet, StochasticPetriNet), ()),
+    "-r": _Measure("r", "entropic relevance", ("EventLog",), ("Sdfa",)),
+    "-b": _Measure("bounded", "boundedness", ("PetriNet", "StochasticPetriNet"), ()),
 }
 
-# how a rejection message names each artifact type
+# how a rejection message names each artifact type, by class name
 _KINDS = {
-    EventLog: "an event log (.xes)",
-    PetriNet: "a Petri net (.pnml)",
-    StochasticPetriNet: "a stochastic net (.spnml)",
-    Sdfa: "a stochastic automaton (.sdfa or .dfg)",
+    "EventLog": "an event log (.xes)",
+    "PetriNet": "a Petri net (.pnml)",
+    "StochasticPetriNet": "a stochastic net (.spnml)",
+    "Sdfa": "a stochastic automaton (.sdfa or .dfg)",
 }
 
 HELP_TEXT = """\
@@ -225,10 +222,11 @@ def validate_inputs(cfg: RunConfig, rel, ret) -> None:
     """
     flag, measure = _selected(cfg)
     for side, artifact, accepted in (("-rel", rel, measure.rel), ("-ret", ret, measure.ret)):
-        if accepted and type(artifact) not in accepted:
+        kind = type(artifact).__name__
+        if accepted and kind not in accepted:
             raise IncompatibleFormat(
-                f"{flag} needs {' or '.join(_KINDS[t] for t in accepted)} as {side}, "
-                f"not {_KINDS.get(type(artifact), type(artifact).__name__)}"
+                f"{flag} needs {' or '.join(_KINDS[k] for k in accepted)} as {side}, "
+                f"not {_KINDS.get(kind, kind)}"
             )
 
 
@@ -242,32 +240,32 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
     if measure == "bounded":
         sizes = {"places": len(rel.places), "transitions": len(rel.transitions)}
         try:
-            _explored(rel)
+            petri._explored(rel)
         except UnboundedModel as unbounded:
             return unbounded, sizes
         return True, sizes
     if measure == "r":
-        relevance = entropic_relevance(rel, ret)
+        relevance = stochastic.entropic_relevance(rel, ret)
         sizes = {"log_instances": rel.total_instances(), "model_states": len(ret.states)}
         return relevance.bits, sizes
     side = _selected(cfg)[1].side
     # each side is taken as the public functions take it, rel first, so an
     # empty log is rejected before a net on the other side is explored
     if measure.startswith("s"):
-        forms = [_distribution(a) for a in (rel, ret)]
-        (value,) = _precision_recall(*forms, (side,))
+        forms = [stochastic._distribution(a) for a in (rel, ret)]
+        (value,) = stochastic._precision_recall(*forms, (side,))
     else:
-        budgets = {"em": (0, 0), "pm": (UNBOUNDED, UNBOUNDED)}  # cpm: -srel, -sret
+        budgets = {"em": (0, 0), "pm": (automata.UNBOUNDED,) * 2}  # cpm: -srel, -sret
         skips = budgets.get(measure[:2], (cfg.skips_rel or 0, cfg.skips_ret or 0))
-        forms = [_language(a, k) for a, k in zip((rel, ret), skips)]
-        (value,) = _matching(*forms, skips, (side,))
+        forms = [measures._language(a, k) for a, k in zip((rel, ret), skips)]
+        (value,) = measures._matching(*forms, skips, (side,))
     # a log reports its prefix tree's size: its trie's, or counted without
     # one under a budget of 0, which leaves the log its set of traces
     states = [
         len(form) if isinstance(form, list)
         else len(form.states) if hasattr(form, "states")
-        else len(_log_rows(form)) if isinstance(form, EventLog)
-        else _prefix_tree_states(artifact)
+        else len(automata._log_rows(form)) if isinstance(form, automata.EventLog)
+        else automata._prefix_tree_states(artifact)
         for form, artifact in zip(forms, (rel, ret))
     ]
     return value, {"relevant_states": states[0], "retrieved_states": states[1]}
@@ -275,7 +273,10 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
 
 def _rounded(value: float) -> str:
     # repr keeps the shortest faithful decimal, so half-even acts on the
-    # intended digits rather than on binary noise
+    # intended digits rather than on binary noise; decimal is imported here,
+    # so that --help, --version and usage errors do not load it
+    from decimal import ROUND_HALF_EVEN, Decimal
+
     return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
 
 
@@ -290,15 +291,15 @@ def run(cfg: RunConfig, stdout=None, stderr=None) -> int:
         stdout.write(VERSION + "\n")
         return 0
     started = time.perf_counter()
-    rel = load_artifact(cfg.rel_path)
+    rel = formats.load_artifact(cfg.rel_path)
     # a -ret that the measure does not use is not read
-    ret = load_artifact(cfg.ret_path) if _selected(cfg)[1].ret else None
+    ret = formats.load_artifact(cfg.ret_path) if _selected(cfg)[1].ret else None
     validate_inputs(cfg, rel, ret)
     try:
         value, sizes = _evaluate(cfg, rel, ret)
     except EmptyLog as error:
         # named by its path, as load_artifact names an input; rel is taken first
-        path = cfg.rel_path if rel == EventLog({}) else cfg.ret_path
+        path = cfg.rel_path if rel == automata.EventLog({}) else cfg.ret_path
         raise EmptyLog(f"{_shown(path)}: {error}") from None
     elapsed = time.perf_counter() - started
     witness = None

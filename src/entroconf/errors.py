@@ -1,4 +1,5 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the two helpers that the readers and the
+command line share: how a message shows an id, and the count rule.
 
 Four branches mirror the CLI exit codes: usage (1), input (2),
 semantic rejection (3), numerical failure (4).
@@ -10,6 +11,24 @@ def _shown(ident: str) -> str:
     a character that is not printable, such as a line separator, which
     would split the message's one line."""
     return ident if ident.isprintable() else repr(ident)
+
+
+def _parse_count(token: str, context: str) -> int:
+    """A count as the input formats and -srel/-sret write it: ASCII digits,
+    optionally signed, and not negative; else ParseError naming context."""
+    digits = token.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    try:
+        # int() alone would also take "1_0" and non-ASCII digits such as "١"
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        value = int(token)
+    except ValueError:
+        raise ParseError(f"{context}: cannot read integer {token!r}") from None
+    if value < 0:
+        raise ParseError(f"{context}: negative count {value}")
+    return value
 
 
 class EntroconfError(Exception):

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 from xml.parsers import expat
 
+from . import petri, stochastic
 from .automata import EventLog, Trace, _reachable, _Record
 from .errors import (
     DanglingArc,
@@ -46,15 +47,18 @@ from .errors import (
     StochasticSumViolation,
     UnknownExtension,
     UnreachableNode,
+    _parse_count,
     _shown,
 )
-from .petri import Marking, PetriNet, StochasticPetriNet
-from .stochastic import Sdfa
 
-# ElementTree is imported by the functions that read or write a tree, so
-# that runs reading only XES, which expat streams, start without it
+# petri and stochastic run only when a parser builds a net or an SDFA, and
+# ElementTree is imported by the functions that read or write a tree, so that
+# runs reading only XES, which expat streams, load neither
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
+
+    from .petri import Marking, PetriNet, StochasticPetriNet
+    from .stochastic import Sdfa
 
 # transitions carrying this ProM marker are silent regardless of their name
 _INVISIBLE = "$invisible$"
@@ -114,22 +118,6 @@ def _parse_probability(token: str, context: str) -> Fraction:
     value = _parse_number(token, context)
     if not 0 <= value <= 1:
         raise ParseError(f"{context}: probability {token} outside [0, 1]")
-    return value
-
-
-def _parse_count(token: str, context: str) -> int:
-    digits = token.strip()
-    if digits[:1] in ("+", "-"):
-        digits = digits[1:]
-    try:
-        # int() alone would also take "1_0" and non-ASCII digits such as "١"
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"{context}: cannot read integer {token!r}") from None
-    if value < 0:
-        raise ParseError(f"{context}: negative count {value}")
     return value
 
 
@@ -482,7 +470,7 @@ def _parse_net_elements(root: ET.Element):
                         count_text = place_el.text or "1"
                     count = _parse_count(count_text, f"final marking of {_shown(idref)}")
                     tokens[idref] = tokens.get(idref, 0) + count
-                finals.append(Marking.of(tokens))
+                finals.append(petri.Marking.of(tokens))
     for source, target in arcs:
         for endpoint in (source, target):
             if endpoint not in places and endpoint not in transitions:
@@ -499,11 +487,11 @@ def _parse_net(text: str | bytes, weighted: bool) -> PetriNet:
                 raise NonPositiveWeight(f"transition {_shown(ident)} has weight {weight}")
         extra["weights"] = {t: w or Fraction(1) for t, w in weights.items()}
     try:
-        return (StochasticPetriNet if weighted else PetriNet)(
+        return (petri.StochasticPetriNet if weighted else petri.PetriNet)(
             places=frozenset(places),
             transitions=transitions,
             arcs=arcs,
-            initial_marking=Marking.of(places),
+            initial_marking=petri.Marking.of(places),
             final_markings=frozenset(finals) if finals is not None else None,
             **extra,
         )
@@ -636,7 +624,7 @@ def parse_sdfa(text: str) -> Sdfa:
             raise DuplicateTransition(f"second arc for label {label!r} at state {src}")
         transitions[(src, label)] = (dst, probability)
     try:
-        return Sdfa(
+        return stochastic.Sdfa(
             states=frozenset(termination),
             alphabet=frozenset(label for _, label in transitions),
             initial=initial,
@@ -746,7 +734,7 @@ def parse_dfg(text: str) -> Sdfa:
                 "the stochastic interpretation would be ambiguous"
             )
         transitions[(src, label)] = (dst, probability)
-    return Sdfa(
+    return stochastic.Sdfa(
         states=frozenset(dfg.nodes) | {dfg.source},
         alphabet=frozenset(dfg.nodes.values()),
         initial=dfg.source,

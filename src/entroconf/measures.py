@@ -15,6 +15,8 @@ from collections import Counter
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
+# petri runs only in _language, for a net side
+from . import petri
 from .automata import (
     UNBOUNDED,
     Dfa,
@@ -370,12 +372,10 @@ def _language(side, k):
         return _trim(_rows(side))
     if isinstance(side, EventLog):
         return _traces(side) if k == 0 else _log_rows(side)
-    from .petri import PetriNet, _explored, _net_rows  # petri imports this module
-
-    if not isinstance(side, PetriNet):
+    if not isinstance(side, petri.PetriNet):
         raise TypeError(f"not a Dfa, EventLog or PetriNet: {type(side).__name__}")
-    _, edges, finals = _explored(side)
-    return _net_rows(side, edges, finals)
+    _, edges, finals = petri._explored(side)
+    return petri._net_rows(side, edges, finals)
 
 
 def _matching(rel, ret, skips, sides=("precision", "recall")) -> list[float]:

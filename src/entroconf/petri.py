@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
+# stochastic runs only in stochastic_rg_to_sdfa, the one function that builds an Sdfa
+from . import stochastic
 from .automata import Dfa, _determinized, _dfa, _explore, _positive_integer, _Record, _trim
 from .errors import (
     InvalidFinalMarking,
@@ -23,7 +25,9 @@ from .errors import (
     UnboundedModel,
     _shown,
 )
-from .stochastic import Sdfa, _sdfa
+
+if TYPE_CHECKING:
+    from .stochastic import Sdfa
 
 
 class Marking(_Record):
@@ -335,4 +339,4 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
                 "two equally labeled transitions enabled at one marking"
             )
         rows.append((int(not out), named))
-    return _sdfa(rows, frozenset(net.transitions.values()))
+    return stochastic._sdfa(rows, frozenset(net.transitions.values()))

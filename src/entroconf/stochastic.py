@@ -27,6 +27,9 @@ import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
+# precision, recall and entropy run measures, and a stochastic net petri;
+# entropic relevance runs neither
+from . import measures, petri
 from .automata import (
     EventLog,
     Trace,
@@ -41,9 +44,9 @@ from .automata import (
     _trim,
 )
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
-from .measures import PrecisionRecall, _accepts, _quotient, _reverse_topological_order
 
 if TYPE_CHECKING:
+    from .measures import PrecisionRecall
     from .petri import StochasticPetriNet
 
 _BACKWARD_ERROR_TOL = 1e-9
@@ -233,7 +236,7 @@ def _entropy(weights: list) -> StochasticEntropy:
         # or above 1 within the parsed inputs' slack
         raise NotConverged("a state's exit probability is not positive as a float")
     # predecessors first, as every successor comes first in the reverse graph
-    order = _reverse_topological_order([[j for j, _ in edges] for edges in incoming])
+    order = measures._reverse_topological_order([[j for j, _ in edges] for edges in incoming])
     try:
         if order is None:
             counts = _sparse_counts(diagonal, incoming)
@@ -354,7 +357,7 @@ def stochastic_precision_recall(
     A model with a state that cannot terminate raises NonTerminatingSdfa
     unless the supports are disjoint (see _precision_recall).
     """
-    return PrecisionRecall(*_precision_recall(_distribution(rel), _distribution(ret)))
+    return measures.PrecisionRecall(*_precision_recall(_distribution(rel), _distribution(ret)))
 
 
 def _distribution(side):
@@ -362,8 +365,6 @@ def _distribution(side):
     _traces finds it not empty, a stochastic net as its Sdfa; else TypeError."""
     if isinstance(side, Sdfa) or (isinstance(side, EventLog) and _traces(side)):
         return side
-    from . import petri  # which imports this module
-
     if not isinstance(side, petri.StochasticPetriNet):
         raise TypeError(f"not an Sdfa, EventLog or StochasticPetriNet: {type(side).__name__}")
     return petri.stochastic_rg_to_sdfa(side)
@@ -411,7 +412,7 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
             else:
                 bits = _tree_bits(tree, kept, other, i != t)
             own = sdfa_entropy(side).bits if isinstance(side, Sdfa) else _tree_bits(rows[i])
-            values[name] = _quotient(bits, own)
+            values[name] = measures._quotient(bits, own)
         elif isinstance(side, Sdfa):
             sdfa_entropy(side)
     return [values[name] for name in sides]
@@ -423,7 +424,7 @@ def _pair(log, tree, other) -> dict:
     other's row there; empty when no trace does."""
     kept = {}
     for trace in log.entries:
-        if _accepts(other, trace):
+        if measures._accepts(other, trace):
             i = j = kept[0] = 0
             for label in trace:
                 i, j = tree[i][1][label][0], other[j][1][label][0]

@@ -7,11 +7,18 @@ pytest report, so a transcript shows one line per criterion.
 
 import ast
 import functools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
+
+import pytest
 
 import entroconf
 from entroconf.automata import (
@@ -278,3 +285,118 @@ def test_the_readme_library_usage_prints_its_comments(capsys, fixtures, monkeypa
     printed = capsys.readouterr().out.splitlines()
     commented = [line.split("#", 1)[1].strip() for line in block.splitlines() if "#" in line]
     assert printed == commented
+
+
+# each public name by the module that defines it
+PUBLIC = {
+    "automata": "SILENT UNBOUNDED Dfa EventLog Nfa ShortCircuitGraph Trace determinize "
+    "log_to_dfa product short_circuit skip_closure trim",
+    "formats": "Dfg load_artifact parse_dfg parse_pnml parse_sdfa parse_spnml parse_xes "
+    "read_dfg serialize_dfg serialize_pnml serialize_sdfa serialize_spnml serialize_xes",
+    "measures": "EntropyValue PrecisionRecall controlled_partial_precision_recall "
+    "exact_precision_recall partial_precision_recall spectral_radius topological_entropy",
+    "petri": "Marking PetriNet ReachabilityGraph StochasticPetriNet is_bounded "
+    "reachability_graph rg_to_dfa stochastic_rg_to_sdfa",
+    "stochastic": "RelevanceValue Sdfa StochasticEntropy conjunction entropic_relevance "
+    "log_to_sdfa sdfa_entropy stochastic_precision_recall trace_probability",
+}
+
+API_PROBE = """
+import importlib, json, sys
+
+first, public, net = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3]
+importlib.import_module(first)
+import entroconf
+
+assert sorted(entroconf.__all__) == sorted(["errors", *" ".join(public.values()).split()])
+assert entroconf.errors is sys.modules["entroconf.errors"]
+# every layer is an attribute of the package once it is imported
+for home in ("errors", *public):
+    assert getattr(entroconf, home) is sys.modules[f"entroconf.{home}"], home
+for home, names in public.items():
+    for name in names.split():
+        # through the package first, then through the home module
+        value = getattr(entroconf, name)
+        module = importlib.import_module(f"entroconf.{home}")
+        assert value is getattr(module, name), name
+        assert getattr(entroconf, home) is module is sys.modules[module.__name__], home
+# so an artifact read by either route is an instance of either route's class
+assert isinstance(entroconf.load_artifact(net), sys.modules["entroconf.petri"].PetriNet)
+assert isinstance(sys.modules["entroconf.formats"].load_artifact(net), entroconf.PetriNet)
+assert {*entroconf.__all__, *public} <= set(dir(entroconf))
+namespace = {}
+exec("from entroconf import *", namespace)
+assert all(namespace[name] is getattr(entroconf, name) for name in entroconf.__all__)
+for statement in ("entroconf.no_such_name", "from entroconf import no_such_name"):
+    try:
+        exec(statement)
+    except (AttributeError, ImportError) as error:
+        assert "'no_such_name'" in str(error), error
+    else:
+        raise AssertionError(statement)
+"""
+
+
+@pytest.mark.parametrize("first", ["entroconf", "entroconf.petri", "entroconf.cli"])
+def test_public_names_resolve_on_first_access_in_any_import_order(fixtures, first):
+    # a fresh process per order, since each order registers the modules differently
+    package_root = Path(entroconf.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", API_PROBE, first, json.dumps(PUBLIC), str(fixtures / "N.pnml")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+
+
+THREAD_PROBE = """
+import importlib, sys, threading
+
+sys.setswitchinterval(1e-6)
+import entroconf.cli as cli
+
+# stochastic's first access runs it, and automata from its body
+routes = [
+    lambda: cli.stochastic.sdfa_entropy,
+    lambda: importlib.import_module("entroconf.stochastic").sdfa_entropy,
+    lambda: sys.modules["entroconf"].sdfa_entropy,
+    lambda: cli.automata.Dfa and cli.stochastic.sdfa_entropy,
+]
+barrier = threading.Barrier(len(routes))
+seen = []
+
+
+def touch(route):
+    barrier.wait(30)
+    try:
+        seen.append(route())
+    except Exception as error:
+        seen.append(repr(error))
+
+
+threads = [threading.Thread(target=touch, args=(route,)) for route in routes]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(30)
+assert not any(thread.is_alive() for thread in threads)
+assert len(seen) == len(routes), seen
+assert all(value is cli.stochastic.sdfa_entropy for value in seen), seen
+"""
+
+
+def test_threads_that_first_touch_a_layer_together_share_one_fully_run_module():
+    # four threads, switching every microsecond, so that one
+    # reads while another runs the module; each try is a fresh process, in
+    # which the layer has not run yet
+    package_root = Path(entroconf.__file__).resolve().parents[1]
+    for _ in range(5):
+        result = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

@@ -455,9 +455,9 @@ def test_sp_and_sr_build_each_logs_trie_once_and_no_sdfa_by_its_constructor(fixt
     def forbidden(*args):
         raise AssertionError(f"called with {args!r}")
 
-    # the size is the trie's length, and every SDFA is built by its builder only
-    for module in (automata, cli):
-        monkeypatch.setattr(module, "_prefix_tree_states", forbidden)
+    # the size is the trie's length, and every SDFA is built by its builder only;
+    # the command line calls both through automata
+    monkeypatch.setattr(automata, "_prefix_tree_states", forbidden)
     monkeypatch.setattr(stochastic.Sdfa, "__init__", forbidden)
     tries = {}
     read = automata._log_rows
@@ -467,7 +467,7 @@ def test_sp_and_sr_build_each_logs_trie_once_and_no_sdfa_by_its_constructor(fixt
         tries.setdefault(id(log), (log, []))[1].append(rows)
         return rows
 
-    for module in (automata, stochastic, cli):
+    for module in (automata, stochastic):
         monkeypatch.setattr(module, "_log_rows", spied)
     e, f, n = (str(fixtures / name) for name in ("E.xes", "F.xes", "N.spnml"))
     sizes = {(e, f): (23, 17), (f, e): (17, 23), (e, e): (23, 23), (n, f): (6, 17)}
@@ -1041,13 +1041,69 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     *values, report = result.stdout.splitlines()
     assert values == ["0.842", "1"]
     imported, after_xes, after_pnml = json.loads(report)
-    # every module is loaded by the import, as a tracer wrapping the
-    # package's functions at that point needs
+    # every module is registered by the import, as a tracer wrapping the
+    # package's functions at that point needs; each is compiled and run on
+    # its first use (see test_each_run_compiles_only_the_modules_it_uses)
     modules = sorted(f"entroconf.{p.stem}" for p in package.glob("*.py") if p.stem[0] != "_")
     assert imported["entroconf"] == modules
     # records are built without dataclasses, and XES is read by expat alone
     assert imported["watched"] == after_xes["watched"] == []
     assert after_pnml["watched"] == ["xml.etree.ElementTree"]
+
+
+COMPILE_PROBE = """
+import json, os, runpy, sys
+
+package, argv = sys.argv[1], sys.argv[2:]
+compiled = set()
+
+
+def record(event, args):
+    if event == "compile" and os.path.dirname(str(args[1])) == package:
+        compiled.add(os.path.basename(args[1]).removesuffix(".py"))
+
+
+sys.addaudithook(record)
+sys.argv = ["entroconf", *argv]
+try:
+    runpy.run_module("entroconf", run_name="__main__", alter_sys=True)
+except SystemExit as stop:
+    code = stop.code
+print(json.dumps([code, sorted(compiled)]))
+"""
+
+# the modules that every start compiles: the package, its entry point and
+# the command line with its errors
+STARTUP = ["__init__", "__main__", "cli", "errors"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        ("--version", 0, ""),
+        ("--help", 0, ""),
+        ("-emp -ret F.xes", 1, ""),
+        ("-cpmp -srel x -rel E.xes -ret F.xes", 1, ""),
+        ("-emp -rel E.xes -ret F.xes", 0, "automata formats measures"),
+        ("-emp -rel E.xes -ret N.pnml", 0, "automata formats measures petri"),
+        ("-b -rel N.pnml", 0, "automata formats petri"),
+        ("-r -rel E.xes -ret A.sdfa", 0, "automata formats stochastic"),
+        ("-sr -rel E.xes -ret L.spnml", 0, "automata formats measures petri stochastic"),
+    ],
+)
+def test_each_run_compiles_only_the_modules_it_uses(fixtures, tmp_path, argv, code, loaded):
+    package = Path(entroconf.__file__).resolve().parent
+    paths = [str(fixtures / a) if "." in a else a for a in argv.split()]
+    # -B and an empty cache prefix: every module that runs is compiled
+    env = {**os.environ, "PYTHONPATH": str(package.parent), "PYTHONPYCACHEPREFIX": str(tmp_path)}
+    result = subprocess.run(
+        [sys.executable, "-B", "-c", COMPILE_PROBE, str(package), *paths],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    compiled = sorted(STARTUP + loaded.split())
+    assert json.loads(result.stdout.splitlines()[-1]) == [code, compiled], result.stderr
 
 
 @pytest.mark.parametrize("flag", ["-sp", "-sr"])
