@@ -95,7 +95,6 @@ class EventLog(_Record):
     """Finite multiset of traces with occurrence counts."""
 
     entries: Mapping[Trace, int]
-    _rows: list | None = None  # _log_rows' counted trie, built on its first call
 
     def __init__(self, entries) -> None:
         object.__setattr__(self, "entries", entries)
@@ -127,24 +126,23 @@ class EventLog(_Record):
 
 
 def _log_rows(log: EventLog) -> list:
-    """A log's counted trie, built in one pass over its entries when first
-    asked for and kept on the log, as rows laid out as Sdfa._weights' first
-    two fields: per prefix, the instances ending there and {label: [child,
-    instances reaching it]}, the root row 0; EmptyLog for a log with no traces."""
-    if log._rows is None and _traces(log):
-        rows = [[0, {}]]
-        for trace, count in log.entries.items():
-            row = rows[0]
-            for label in trace:
-                edge = row[1].get(label)
-                if edge is None:
-                    edge = row[1][label] = [len(rows), 0]
-                    rows.append([0, {}])
-                edge[1] += count
-                row = rows[edge[0]]
-            row[0] += count
-        object.__setattr__(log, "_rows", rows)
-    return log._rows
+    """A log's counted trie, built in one pass over its entries and kept
+    nowhere, as rows laid out as Sdfa._weights' first two fields: per prefix,
+    the instances ending there and {label: [child, instances reaching it]},
+    the root row 0, trim as every prefix ends a trace; EmptyLog if empty."""
+    _traces(log)
+    rows = [[0, {}]]
+    for trace, count in log.entries.items():
+        row = rows[0]
+        for label in trace:
+            edge = row[1].get(label)
+            if edge is None:
+                edge = row[1][label] = [len(rows), 0]
+                rows.append([0, {}])
+            edge[1] += count
+            row = rows[edge[0]]
+        row[0] += count
+    return rows
 
 
 class Dfa(_Record):

@@ -259,12 +259,11 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
         skips = budgets.get(measure[:2], (cfg.skips_rel or 0, cfg.skips_ret or 0))
         forms = [measures._language(a, k) for a, k in zip((rel, ret), skips)]
         (value,) = measures._matching(*forms, skips, (side,))
-    # a log reports its prefix tree's size: its trie's, or counted without
-    # one under a budget of 0, which leaves the log its set of traces
+    # a log reports its prefix tree's size: its trie's length, or, where the
+    # measure took the log as it is, the same number counted from its traces
     states = [
         len(form) if isinstance(form, list)
         else len(form.states) if hasattr(form, "states")
-        else len(automata._log_rows(form)) if isinstance(form, automata.EventLog)
         else automata._prefix_tree_states(artifact)
         for form, artifact in zip(forms, (rel, ret))
     ]

@@ -416,16 +416,16 @@ def _accepts(rows: list, word) -> bool:
 
 
 def _closure(a, k):
-    """determinize(skip_closure(trim(a), k)) on rows, the skip closure read
-    from a's rows as state q = s * copies + used: state s of a with used of
-    k deletions spent, or s itself when k is UNBOUNDED. An acyclic a's k is
-    lowered to its longest word, as the copies past it are unreachable. A
-    checked k of 0 closes nothing: a, a set of traces or rows, is returned.
+    """determinize(skip_closure(a, k)) on rows, the skip closure read from
+    a's rows as state q = s * copies + used: state s of a with used of k
+    deletions spent, or s itself when k is UNBOUNDED. a is read as built and
+    must be trim, as _language's rows are. An acyclic a's k is lowered to
+    its longest word, as the copies past it are unreachable. A checked k of
+    0 closes nothing: a, a set of traces or rows, is returned.
     """
     if k == 0:
         _check_budget(k, 0)
         return a
-    a = _trim(a)
     out = [[j for j, _ in row[1].values()] for row in a]
     order = _reverse_topological_order(out)
     if order is not None and isinstance(k, int):

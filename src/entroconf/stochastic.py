@@ -180,7 +180,7 @@ def _sdfa(rows: list, alphabet) -> Sdfa:
 
 
 def log_to_sdfa(log: EventLog) -> Sdfa:
-    """Frequency prefix tree of a log: its one trie, numbered as log_to_dfa
+    """Frequency prefix tree of a log: its counted trie, numbered as log_to_dfa
     numbers it. A prefix continues with a label, or ends, with the share of
     the instances reaching it that do; sums are exactly 1 by construction.
     """

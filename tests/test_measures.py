@@ -425,6 +425,40 @@ def test_a_budget_above_the_longest_word_is_lowered_to_it():
             assert _dfa(closed, a.alphabet) == determinize(skip_closure(trim(a), k))
 
 
+def test_the_closure_reads_its_trim_input_as_built(monkeypatch):
+    # _language gives trimmed rows or a log's trie, which is trim already:
+    # trimming it again changes no closure, and the closure trims only the
+    # subset construction it builds
+    rng = random.Random(34)
+    sides = [oracles.random_log(rng, max_traces=8, max_len=6) for _ in range(30)]
+    sides += [oracles.random_dfa(rng) for _ in range(30)]
+    while len(sides) < 90:
+        net = oracles.random_net(rng)
+        try:
+            measures._language(net, 1)
+        except SemanticError:  # unbounded, or no marking to accept in
+            continue
+        sides.append(net)
+    cases = []
+    for side in sides:
+        for k in (1, 2, UNBOUNDED):
+            form = measures._language(side, k)
+            cases.append((form, k, measures._closure(measures._trim(form), k)))
+    trim_rows = measures._trim
+    trimmed = []
+
+    def spied(rows):
+        trimmed.append(trim_rows(rows))
+        return trimmed[-1]
+
+    monkeypatch.setattr(measures, "_trim", spied)
+    for form, k, expected in cases:
+        trimmed.clear()
+        closed = measures._closure(form, k)
+        assert closed == expected
+        assert len(trimmed) == 1 and trimmed[0] is closed
+
+
 def test_a_budget_on_a_cyclic_automaton_is_not_lowered():
     # MODEL's loop makes every budget reachable: 200,001 copies of its 6
     # states exceed the cap

@@ -13,13 +13,19 @@ from fractions import Fraction
 
 import pytest
 
-from entroconf.automata import Dfa, EventLog, Nfa, ShortCircuitGraph
+from entroconf.automata import Dfa, EventLog, Nfa, ShortCircuitGraph, log_to_dfa
 from entroconf.cli import RunConfig
 from entroconf.errors import SilentTransitionUnsupported
 from entroconf.formats import Dfg
-from entroconf.measures import EntropyValue, PrecisionRecall
+from entroconf.measures import EntropyValue, PrecisionRecall, partial_precision_recall
 from entroconf.petri import Marking, PetriNet, ReachabilityGraph, StochasticPetriNet
-from entroconf.stochastic import RelevanceValue, Sdfa, StochasticEntropy
+from entroconf.stochastic import (
+    RelevanceValue,
+    Sdfa,
+    StochasticEntropy,
+    log_to_sdfa,
+    stochastic_precision_recall,
+)
 
 M1 = Marking((("p", 1),))
 M2 = Marking((("p", 2),))
@@ -218,6 +224,20 @@ def test_records_take_their_fields_in_order(cls):
     fields, _, _ = RECORDS[cls]
     values = [base for base, _ in fields.values()] + list(EXTRA.get(cls, {}).values())
     assert cls(*values) == build(cls)
+
+
+def test_a_logs_state_is_its_entries_after_every_measure(log_e):
+    # a measure builds the log's trie for itself and keeps nothing on the log
+    def state():
+        return dict(vars(log_e)), pickle.dumps(log_e), vars(copy.deepcopy(log_e))
+
+    before = state()
+    assert list(before[0]) == ["entries"]
+    partial_precision_recall(log_e, log_e)
+    stochastic_precision_recall(log_e, log_e)
+    log_to_dfa(log_e)
+    log_to_sdfa(log_e)
+    assert state() == before
 
 
 def test_record_defaults():
