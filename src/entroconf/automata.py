@@ -302,8 +302,7 @@ def _rows(a: Dfa) -> list:
 
 
 def _dfa(rows: list, alphabet) -> Dfa:
-    """The Dfa of rows, canonically numbered, accepting where they stop."""
-    rows = _canonical(rows, range(len(rows)))
+    """The Dfa of rows numbered canonically already, accepting where they stop."""
     return Dfa(
         states=frozenset(range(len(rows))),
         alphabet=frozenset(alphabet),
@@ -347,7 +346,8 @@ def log_to_dfa(log: EventLog) -> Dfa:
     trie, canonically numbered, its counts ignored, as the language
     measures are set-of-traces properties. EmptyLog for a log with no traces.
     """
-    return _dfa(_log_rows(log), log.alphabet)
+    rows = _log_rows(log)
+    return _dfa(_canonical(rows, range(len(rows))), log.alphabet)
 
 
 def trim(a: Dfa) -> Dfa:

@@ -79,8 +79,17 @@ class Dfg(_Record):
         object.__setattr__(self, "sink", sink)
 
 
-def _local(tag: str) -> str:
-    return tag.rpartition("}")[2]
+class _LocalNames(dict):
+    """Cache of each raw tag's local name: "{uri}trace" from ElementTree and
+    "uri}trace" from expat are "trace"."""
+
+    def __missing__(self, tag: str) -> str:
+        local = self[tag] = tag.rpartition("}")[2]
+        return local
+
+
+# the ElementTree readers' names
+_local_names = _LocalNames()
 
 
 def _parse_xml(text: str | bytes) -> ET.Element:
@@ -95,9 +104,9 @@ def _parse_xml(text: str | bytes) -> ET.Element:
 
 def _child_text(element: ET.Element, tag: str) -> str | None:
     for child in element:
-        if _local(child.tag) == tag:
+        if _local_names[child.tag] == tag:
             for grandchild in child:
-                if _local(grandchild.tag) == "text":
+                if _local_names[grandchild.tag] == "text":
                     return grandchild.text or ""
             return child.text or ""
     return None
@@ -122,14 +131,6 @@ def _parse_probability(token: str, context: str) -> Fraction:
 
 
 # --- XES ---------------------------------------------------------------
-
-
-class _LocalNames(dict):
-    """Cache of each raw expat tag's local name ("uri}trace" -> "trace")."""
-
-    def __missing__(self, tag: str) -> str:
-        local = self[tag] = tag.rpartition("}")[2]
-        return local
 
 
 _BLOCK = 1 << 18  # bytes read and parsed at a time
@@ -403,16 +404,13 @@ def _parse_net_elements(root: ET.Element):
     weights: dict[str, Fraction | None] = {}
     arcs: dict[tuple[str, str], int] = {}
     finals: list[Marking] | None = None
-    # the <place> elements under <finalmarkings> are idref references, not
-    # declarations, and are handled by the finalmarkings branch below
+    # what is under <finalmarkings>, idref references and not declarations,
+    # is read by its branch below, which the walk reaches first
     nested = set()
-    for el in root.iter():
-        if _local(el.tag) == "finalmarkings":
-            nested.update(sub for sub in el.iter() if sub is not el)
     for el in root.iter():
         if el in nested:
             continue
-        tag = _local(el.tag)
+        tag = _local_names[el.tag]
         if tag in ("place", "transition"):
             ident = el.get("id")
             if ident is None:
@@ -429,12 +427,12 @@ def _parse_net_elements(root: ET.Element):
             label = name.strip() if name else ""
             weight: Fraction | None = None
             for child in el:
-                if _local(child.tag) != "toolspecific":
+                if _local_names[child.tag] != "toolspecific":
                     continue
                 if child.get("activity") == _INVISIBLE:
                     label = ""
                 for grandchild in child:
-                    if _local(grandchild.tag) == "weight":
+                    if _local_names[grandchild.tag] == "weight":
                         weight = _parse_number(
                             (grandchild.text or "").strip(), f"transition {_shown(ident)}"
                         )
@@ -454,13 +452,14 @@ def _parse_net_elements(root: ET.Element):
             key = (source, target)
             arcs[key] = arcs.get(key, 0) + multiplicity
         elif tag == "finalmarkings":
+            nested.update(el.iter())
             finals = []
             for marking_el in el:
-                if _local(marking_el.tag) != "marking":
+                if _local_names[marking_el.tag] != "marking":
                     continue
                 tokens: dict[str, int] = {}
                 for place_el in marking_el:
-                    if _local(place_el.tag) != "place":
+                    if _local_names[place_el.tag] != "place":
                         continue
                     idref = place_el.get("idref")
                     if idref is None:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping
 
 # stochastic runs only in stochastic_rg_to_sdfa, the one function that builds an Sdfa
 from . import stochastic
-from .automata import Dfa, _determinized, _dfa, _explore, _positive_integer, _Record, _trim
+from .automata import _canonical, _determinized, _dfa, _explore, _positive_integer, _Record, _trim
 from .errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -27,6 +27,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from .automata import Dfa
     from .stochastic import Sdfa
 
 
@@ -44,16 +45,6 @@ class Marking(_Record):
             raise ValueError("duplicate place in marking")
         if not all(_positive_integer(c) for _, c in tokens):
             raise ValueError("marking stores only positive token counts")
-
-    # _Record's two methods for the one field, without the field list:
-    # markings key reachability_graph's result and rg_to_dfa's determinization
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.tokens == other.tokens
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.tokens,))
 
     @classmethod
     def of(cls, counts: Mapping[str, int]) -> "Marking":
@@ -312,7 +303,8 @@ def rg_to_dfa(rg: ReachabilityGraph, net: PetriNet) -> Dfa:
 
 
 def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
-    """The SDFA of a weighted net, read from _explored's numbering.
+    """The SDFA of a weighted net, read from _explored's numbering, which
+    follows transition ids, and numbered canonically once more.
 
     At each marking the enabled transitions fire with probability
     proportional to their weights; deadlock markings terminate with
@@ -339,4 +331,5 @@ def stochastic_rg_to_sdfa(net: StochasticPetriNet) -> Sdfa:
                 "two equally labeled transitions enabled at one marking"
             )
         rows.append((int(not out), named))
+    rows = _canonical(rows, range(len(rows)))
     return stochastic._sdfa(rows, frozenset(net.transitions.values()))

@@ -70,8 +70,6 @@ class Sdfa(_Record):
     # the rows of the positive-probability part reachable from initial, numbered
     # by _explore: per state, (stop weight, {label: (j, weight)}, total) by label
     _weights: list
-    # out_edges' lists by state, built on its first call
-    _out: dict | None
 
     def __init__(self, states, alphabet, initial, transitions, termination) -> None:
         object.__setattr__(self, "states", states)
@@ -79,7 +77,6 @@ class Sdfa(_Record):
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "transitions", transitions)
         object.__setattr__(self, "termination", termination)
-        object.__setattr__(self, "_out", None)
         if initial not in states:
             raise ValueError("initial state missing from state set")
         if not termination.keys() <= states:
@@ -113,15 +110,7 @@ class Sdfa(_Record):
 
     def out_edges(self, state) -> list[tuple[str, object, Fraction]]:
         """Positive-probability outgoing edges, sorted by label."""
-        if self._out is None:
-            out: dict = {}
-            for (src, x), (dst, p) in self.transitions.items():
-                if p:
-                    out.setdefault(src, []).append((x, dst, p))
-            for edges in out.values():
-                edges.sort()
-            object.__setattr__(self, "_out", out)
-        return list(self._out.get(state, ()))
+        return sorted((x, d, p) for (s, x), (d, p) in self.transitions.items() if s == state and p)
 
 
 def _ratio(p, kind: str) -> tuple[int, int]:
@@ -163,9 +152,9 @@ def _weighted(rows: list) -> list:
 
 
 def _sdfa(rows: list, alphabet) -> Sdfa:
-    """The SDFA of rows, canonically numbered and kept as its _weights: what
-    Sdfa.__init__, the check of outside input, would rebuild from it."""
-    weights = _weighted(_canonical(rows, range(len(rows))))
+    """The SDFA of rows numbered canonically already, kept as its _weights:
+    what Sdfa.__init__, the check of outside input, would rebuild from it."""
+    weights = _weighted(rows)
     transitions = {
         (i, label): (j, Fraction(w, total))
         for i, (_, out, total) in enumerate(weights)
@@ -175,7 +164,7 @@ def _sdfa(rows: list, alphabet) -> Sdfa:
     sdfa = Sdfa.__new__(Sdfa)
     # Sdfa.__init__'s fields, stored past _Record's __setattr__ as it stores them
     fields = (frozenset(range(len(weights))), frozenset(alphabet), 0, transitions, termination)
-    vars(sdfa).update(zip(Sdfa._fields, fields), _weights=weights, _out=None)
+    vars(sdfa).update(zip(Sdfa._fields, fields), _weights=weights)
     return sdfa
 
 
@@ -184,7 +173,8 @@ def log_to_sdfa(log: EventLog) -> Sdfa:
     numbers it. A prefix continues with a label, or ends, with the share of
     the instances reaching it that do; sums are exactly 1 by construction.
     """
-    return _sdfa(_log_rows(log), log.alphabet)
+    rows = _log_rows(log)
+    return _sdfa(_canonical(rows, range(len(rows))), log.alphabet)
 
 
 def _log2(n: int, d: int) -> float:

@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from entroconf import automata
+from entroconf import automata, cli, formats, measures, petri, stochastic
 from entroconf.automata import (
     SILENT,
     UNBOUNDED,
@@ -16,9 +17,13 @@ from entroconf.automata import (
     skip_closure,
     trim,
 )
-from entroconf.errors import EmptyLog, StateSpaceExceeded
+from entroconf.errors import EmptyConjunction, EmptyLog, StateSpaceExceeded
+from entroconf.petri import reachability_graph, rg_to_dfa, stochastic_rg_to_sdfa
+from entroconf.stochastic import Sdfa
 
 import oracles
+from test_net_parity import earlier_rg_to_dfa, earlier_stochastic_rg_to_sdfa, outcome, rebuilt
+from test_properties import bounded_nets
 
 
 def dfa_for(*words) -> Dfa:
@@ -438,3 +443,78 @@ def test_constructions_are_reproducible():
             assert determinize(skip_closure(copy, k)) == determinize(
                 skip_closure(original, k)
             )
+
+
+def canonically_numbered(a: Dfa) -> bool:
+    """Whether a's states are 0..n-1 in breadth_first's order from 0, and
+    its transitions are stored in that order, each state's by label."""
+    out: dict = {}
+    for (src, label), dst in a.transitions.items():
+        out.setdefault(src, []).append((label, dst))
+    number = oracles.breadth_first(a.initial, lambda s: out.get(s, ()))
+    return number == {s: s for s in range(len(a.states))} and list(a.transitions) == sorted(
+        a.transitions
+    )
+
+
+def test_each_public_builder_numbers_its_rows_once(monkeypatch):
+    """Rows are numbered canonically once, where they are built: _trim
+    numbers what it keeps, a log's trie and a net's SDFA are numbered as
+    they are read, and the product of canonical operands is canonical as
+    it is explored. The records built from them are numbered no further."""
+    numbered = []
+
+    def spy(rows, keep):
+        numbered.append(len(rows))
+        return canonical(rows, keep)
+
+    canonical = automata._canonical
+    for module in (automata, stochastic, petri):
+        monkeypatch.setattr(module, "_canonical", spy)
+    assert not any(hasattr(module, "_canonical") for module in (formats, measures, cli))
+
+    def built(build, *args):
+        numbered.clear()
+        value = build(*args)
+        return value, len(numbered)
+
+    rng = random.Random(3511)
+    conjunctions = 0
+    for _ in range(40):
+        log, other = (oracles.random_log(rng, max_traces=10, max_len=6) for _ in range(2))
+        assert built(log_to_dfa, log) == (oracles.reference_log_to_dfa(log), 1)
+        assert built(stochastic.log_to_sdfa, log) == (oracles.reference_log_to_sdfa(log), 1)
+        sdfas = stochastic.log_to_sdfa(log), stochastic.log_to_sdfa(other)
+        try:
+            expected = oracles.reference_conjunction(*sdfas)
+        except EmptyConjunction:
+            with pytest.raises(EmptyConjunction):
+                stochastic.conjunction(*sdfas)
+        else:
+            assert built(stochastic.conjunction, *sdfas) == (expected, 1)
+            conjunctions += 1
+        a, b = oracles.random_dfa(rng), oracles.random_dfa(rng)
+        joint, count = built(product, a, b)
+        assert count == 0 and canonically_numbered(joint)
+        assert oracles.dfa_language(joint, 5) == oracles.dfa_language(a, 5) & oracles.dfa_language(
+            b, 5
+        )
+        value, count = built(trim, a)
+        assert value is a and count == 1
+        closed, count = built(determinize, skip_closure(a, 1))
+        assert count == 1 and canonically_numbered(closed)
+        # a builder's result that is trim is returned by trim itself
+        for value in (log_to_dfa(log), closed):
+            assert trim(value) is value
+    assert conjunctions > 10
+    for net in bounded_nets(rng, 15):
+        rg = reachability_graph(net)
+        language, count = built(rg_to_dfa, rg, net)
+        assert (language, count) == (earlier_rg_to_dfa(rg, net), 1)
+        assert trim(language) is language
+        weights = {t: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for t in net.transitions}
+        weighted = rebuilt(net, weights=weights)
+        expected = outcome(earlier_stochastic_rg_to_sdfa, weighted)
+        assert outcome(stochastic_rg_to_sdfa, weighted) == expected
+        if isinstance(expected[0], Sdfa):
+            assert built(stochastic_rg_to_sdfa, weighted)[1] == 1
