@@ -232,6 +232,49 @@ def _reachable(seeds, successors) -> dict:
     return found
 
 
+def _condensation(out: list) -> list[list[int]]:
+    """The strongly connected components of the graph with successors out[i]
+    of state i, each in ascending order and listed after every component it
+    reaches: Tarjan's depth-first search from each unvisited state in turn,
+    kept on an explicit path, so a long chain needs no recursion.
+    """
+    n = len(out)
+    # a state's discovery number within its search, from 1, and the least
+    # number it reaches on the stack, past n once its component is listed
+    number, low = [0] * n, [0] * n
+    stack: list[int] = []
+    components = []
+    for root in range(n):
+        if number[root]:
+            continue
+        visited = number[root] = low[root] = 1
+        stack.append(root)
+        path = [(root, iter(out[root]))]
+        while path:
+            i, successors = path[-1]
+            for j in successors:
+                if not number[j]:
+                    visited += 1
+                    number[j] = low[j] = visited
+                    stack.append(j)
+                    path.append((j, iter(out[j])))
+                    break
+                if low[j] < low[i]:
+                    low[i] = low[j]
+            else:
+                path.pop()
+                if low[i] == number[i]:
+                    component = [stack.pop()]
+                    while component[-1] != i:
+                        component.append(stack.pop())
+                    for j in component:
+                        low[j] = n + 1
+                    components.append(sorted(component))
+                elif low[i] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[i]
+    return components
+
+
 def _explore(start, successors, capped: bool = True) -> tuple[dict, list]:
     """Breadth-first construction of what is reachable from start, where
     successors(state) yields (label, target, weight) triples: the numbering
@@ -290,6 +333,28 @@ def _trim(rows: list) -> list:
 def _empty(rows: list) -> bool:
     # trimmed rows accept nothing when their one state neither stops nor moves
     return not (rows[0][0] or rows[0][1])
+
+
+def _accepts(rows: list, word) -> bool:
+    """Whether word walks through rows to a positive stop weight."""
+    i = 0
+    for label in word:
+        edge = rows[i][1].get(label)
+        if edge is None:
+            return False
+        i = edge[0]
+    return bool(rows[i][0])
+
+
+def _quotient(shared: float, own: float) -> float:
+    """A size of the shared behaviour, a growth factor or an entropy, against
+    one input's own: 0 for the empty language (and an entropy's for a single
+    trace). The shared behaviour is included in the own, so an own size of
+    0 leaves only agreement, 1, down to two empty languages; a shared 0
+    against a positive own is 0. Inclusion bounds the ratio by 1; the clamp
+    only absorbs roundoff.
+    """
+    return 1.0 if not own else min(1.0, shared / own)
 
 
 def _rows(a: Dfa) -> list:

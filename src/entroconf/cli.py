@@ -32,6 +32,7 @@ from .errors import (
     UnboundedModel,
     UnknownOption,
     UsageError,
+    _echo,
     _parse_count,
     _shown,
 )
@@ -140,7 +141,7 @@ def _nonnegative_int(option: str, token: str) -> int:
     try:
         return _parse_count(token, option)
     except ParseError:
-        raise UsageError(f"{option} expects a nonnegative integer, got {token!r}") from None
+        raise UsageError(f"{option} expects a nonnegative integer, got {_echo(token)}") from None
 
 
 def _selected(cfg: RunConfig) -> tuple[str, _Measure]:

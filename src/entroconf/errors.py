@@ -1,5 +1,5 @@
-"""Exception hierarchy, and the two helpers that the readers and the
-command line share: how a message shows an id, and the count rule.
+"""Exception hierarchy, and the helpers that the readers and the command
+line share: how a message shows an id and a token, and the count rule.
 
 Four branches mirror the CLI exit codes: usage (1), input (2),
 semantic rejection (3), numerical failure (4).
@@ -11,6 +11,14 @@ def _shown(ident: str) -> str:
     a character that is not printable, such as a line separator, which
     would split the message's one line."""
     return ident if ident.isprintable() else repr(ident)
+
+
+def _echo(token: str, show=repr) -> str:
+    """A token from the input as a message shows it: show(token), or, past 40
+    characters, show of its first 40 and its length, so the line stays short."""
+    if len(token) <= 40:
+        return show(token)
+    return f"{show(token[:40])}... ({len(token)} characters)"
 
 
 def _parse_count(token: str, context: str) -> int:
@@ -25,9 +33,9 @@ def _parse_count(token: str, context: str) -> int:
             raise ValueError
         value = int(token)
     except ValueError:
-        raise ParseError(f"{context}: cannot read integer {token!r}") from None
+        raise ParseError(f"{context}: cannot read integer {_echo(token)}") from None
     if value < 0:
-        raise ParseError(f"{context}: negative count {value}")
+        raise ParseError(f"{context}: negative count {_echo(str(value), str)}")
     return value
 
 

@@ -47,6 +47,7 @@ from .errors import (
     StochasticSumViolation,
     UnknownExtension,
     UnreachableNode,
+    _echo,
     _parse_count,
     _shown,
 )
@@ -116,17 +117,17 @@ def _parse_number(token: str, context: str) -> Fraction:
     # Fraction("1e99999999") spends minutes building the power of ten;
     # leading zeros add nothing to it
     if len(token.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 4:
-        raise ParseError(f"{context}: exponent of {token!r} out of range")
+        raise ParseError(f"{context}: exponent of {_echo(token)} out of range")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"{context}: cannot read number {token!r}") from None
+        raise ParseError(f"{context}: cannot read number {_echo(token)}") from None
 
 
 def _parse_probability(token: str, context: str) -> Fraction:
     value = _parse_number(token, context)
     if not 0 <= value <= 1:
-        raise ParseError(f"{context}: probability {token} outside [0, 1]")
+        raise ParseError(f"{context}: probability {_echo(token, str)} outside [0, 1]")
     return value
 
 

@@ -21,12 +21,15 @@ from .automata import (
     UNBOUNDED,
     Dfa,
     EventLog,
+    _accepts,
     _adjacency,
     _check_budget,
+    _condensation,
     _determinized,
     _empty,
     _log_rows,
     _product,
+    _quotient,
     _Record,
     _rows,
     _traces,
@@ -73,14 +76,14 @@ def spectral_radius(m) -> float:
     way it is stored as CSR without explicit zeros, so only nonzero entries
     link states. Power iteration on (M + I) with an all-ones start vector;
     the +I shift makes periodic graphs (pure cycles) converge. Iteration runs
-    per strongly connected component on sparse blocks because the two-sided
-    Rayleigh bounds that certify the tolerance are only valid on irreducible
-    blocks; the radius of the whole matrix is the maximum over components.
+    per _condensation component of the nonzero entries, on sparse blocks,
+    because the two-sided Rayleigh bounds that certify the tolerance are only
+    valid on irreducible blocks; the radius of the whole matrix is the
+    maximum over components, a single state's its diagonal entry.
     """
     # imported here, not at module load, as in automata
     import numpy as np
     from scipy.sparse import csr_matrix, identity
-    from scipy.sparse.csgraph import connected_components
 
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -91,14 +94,13 @@ def spectral_radius(m) -> float:
         raise ValueError("matrix must be finite")
     if a.nnz and a.data.min() < 0:
         raise ValueError("matrix must be nonnegative")
-    _, labels = connected_components(a, directed=True, connection="strong")
-    sizes = np.bincount(labels)
-    # a singleton component's radius is its self-loop count
-    best = float(a.diagonal()[sizes[labels] == 1].max(initial=0.0))
-    members = np.argsort(labels, kind="stable")
-    ends = np.cumsum(sizes)
-    for comp in np.flatnonzero(sizes > 1):
-        idx = members[ends[comp] - sizes[comp] : ends[comp]]
+    columns, bounds, diagonal = a.indices.tolist(), a.indptr.tolist(), a.diagonal().tolist()
+    best = 0.0
+    for members in _condensation([columns[i:j] for i, j in zip(bounds, bounds[1:])]):
+        if len(members) == 1:
+            best = max(best, diagonal[members[0]])
+            continue
+        idx = np.array(members)
         block = a[idx][:, idx] + identity(idx.size, format="csr")
         v = np.ones(idx.size)
         for _ in range(_MAX_ITERATIONS):
@@ -144,7 +146,7 @@ def _growth_factor(a) -> float:
             for j in succ:
                 depth[j] = depth[i] + 1
         return _words_growth_factor(Counter([depth[i] for i, row in enumerate(a) if row[0]]))
-    order = _reverse_topological_order(out)
+    order = _acyclic_order(out)
     accepting = [float(bool(row[0])) for row in a]
     if order is None:
         # a sparse LU of I - xA would fill in far beyond the edge count on
@@ -178,22 +180,11 @@ def _words_growth_factor(lengths: Counter) -> float:
     return 1.0 / _root(evaluate, 1.0 / lengths.total())
 
 
-def _reverse_topological_order(out: list[list[int]]) -> list[int] | None:
-    """States with every successor listed first, or None on a cycle (Kahn)."""
-    indegree = [0] * len(out)
-    for succ in out:
-        for j in succ:
-            indegree[j] += 1
-    ready = [i for i, d in enumerate(indegree) if d == 0]
-    order = []
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for j in out[i]:
-            indegree[j] -= 1
-            if not indegree[j]:
-                ready.append(j)
-    return order[::-1] if len(order) == len(out) else None
+def _acyclic_order(out: list[list[int]]) -> list[int] | None:
+    """The states, each after its successors, from _condensation, or None on
+    a cycle: a component of two states or more, or a self-loop."""
+    order = [i for i, *rest in _condensation(out) if not rest and i not in out[i]]
+    return order if len(order) == len(out) else None
 
 
 def _back_substitution(out, accepting, order):
@@ -316,17 +307,6 @@ def topological_entropy(a: Dfa) -> EntropyValue:
     return EntropyValue(max(0.0, math.log2(growth)), False)
 
 
-def _quotient(shared: float, own: float) -> float:
-    """A size of the shared behaviour, a growth factor or an entropy, against
-    one input's own: 0 for the empty language (and an entropy's for a single
-    trace). The shared behaviour is included in the own, so an own size of
-    0 leaves only agreement, 1, down to two empty languages; a shared 0
-    against a positive own is 0. Inclusion bounds the ratio by 1; the clamp
-    only absorbs roundoff.
-    """
-    return 1.0 if not own else min(1.0, shared / own)
-
-
 def exact_precision_recall(
     rel: Dfa | EventLog | PetriNet, ret: Dfa | EventLog | PetriNet
 ) -> PrecisionRecall:
@@ -404,17 +384,6 @@ def _shared(rel, ret):
     return rel & ret
 
 
-def _accepts(rows: list, word) -> bool:
-    """Whether word walks through rows to a positive stop weight."""
-    i = 0
-    for label in word:
-        edge = rows[i][1].get(label)
-        if edge is None:
-            return False
-        i = edge[0]
-    return bool(rows[i][0])
-
-
 def _closure(a, k):
     """determinize(skip_closure(a, k)) on rows, the skip closure read from
     a's rows as state q = s * copies + used: state s of a with used of k
@@ -427,8 +396,8 @@ def _closure(a, k):
         _check_budget(k, 0)
         return a
     out = [[j for j, _ in row[1].values()] for row in a]
-    order = _reverse_topological_order(out)
-    if order is not None and isinstance(k, int):
+    order = _acyclic_order(out) if isinstance(k, int) else None
+    if order is not None:
         height = [0] * len(out)
         for i in order:
             height[i] = max((height[j] + 1 for j in out[i]), default=0)

@@ -27,17 +27,20 @@ import warnings
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
-# precision, recall and entropy run measures, and a stochastic net petri;
-# entropic relevance runs neither
+# petri runs for a stochastic net, and measures only for the record that
+# the public stochastic_precision_recall returns
 from . import measures, petri
 from .automata import (
     EventLog,
     Trace,
+    _accepts,
     _canonical,
+    _condensation,
     _empty,
     _explore,
     _log_rows,
     _product,
+    _quotient,
     _reachable,
     _Record,
     _traces,
@@ -200,22 +203,21 @@ def sdfa_entropy(a: Sdfa) -> StochasticEntropy:
     1 - p(self-loop) taken on the exact integer weights. I - P is
     nonsingular only when every reachable state can reach positive
     termination; NonTerminatingSdfa otherwise, raised while the system is
-    built, before any solve. When the only cycles are self-loops one
-    forward pass in Kahn's order solves it, in pure Python; a longer cycle
-    takes a sparse LU. NotConverged when the residual, the backward error
-    ||A c - e||inf / (||A||inf ||c||inf + 1) of A = (I - P)^T, exceeds 1e-9,
-    or when a diagonal is not positive as a float or a count or the sum is
-    not finite.
+    built, before any solve. Each strongly connected component is solved
+    in turn, predecessors first: a single state in pure Python, a longer
+    cycle by a sparse LU of its own block. NotConverged when the residual,
+    the backward error ||A c - e||inf / (||A||inf ||c||inf + 1) of
+    A = (I - P)^T, exceeds 1e-9, or when a diagonal is not positive as a
+    float or a count or the sum is not finite.
     """
     return _entropy(a._weights)
 
 
 def _entropy(weights: list) -> StochasticEntropy:
     """sdfa_entropy of rows laid out as Sdfa._weights: an exact tree by
-    _tree_bits, any other graph by its visit counts, in Kahn's order or by
-    sparse LU on a cycle. An exact tree has one edge fewer than states and
-    each row's weights sum to its total; a parsed row within the 1e-9 slack
-    keeps its own total, so it is solved."""
+    _tree_bits, any other graph by _visit_counts. An exact tree has one edge
+    fewer than states and each row's weights sum to its total; a parsed row
+    within the 1e-9 slack keeps its own total, so it is solved."""
     if sum([len(edges) for _, edges, _ in weights]) == len(weights) - 1 and all(
         [stop + sum([w for _, w in edges.values()]) == total for stop, edges, total in weights]
     ):
@@ -225,13 +227,8 @@ def _entropy(weights: list) -> StochasticEntropy:
         # an exit probability below the float range, or a self-loop mass at
         # or above 1 within the parsed inputs' slack
         raise NotConverged("a state's exit probability is not positive as a float")
-    # predecessors first, as every successor comes first in the reverse graph
-    order = measures._reverse_topological_order([[j for j, _ in edges] for edges in incoming])
     try:
-        if order is None:
-            counts = _sparse_counts(diagonal, incoming)
-        else:
-            counts = _forward_counts(diagonal, incoming, order)
+        counts = _visit_counts(diagonal, incoming)
         residual = _backward_error(diagonal, incoming, counts)
         if not residual <= _BACKWARD_ERROR_TOL:
             raise NotConverged(f"visit-count solve has backward error {residual:.3g}")
@@ -272,24 +269,35 @@ def _visit_system(weights: list):
     return diagonal, incoming, local
 
 
-def _forward_counts(diagonal, incoming, order) -> list[float]:
-    """Visit counts of a system whose only cycles are self-loops.
-
-    c_i = (delta_i0 + sum_j c_j P_ji) / (1 - P_ii) along order, with every
-    in-edge summed by fsum, so the counts do not depend on the numbering.
-    The initial state 0 has no other in-edges, since any would close a cycle.
-    """
+def _visit_counts(diagonal, incoming) -> list[float]:
+    """The counts c of (I - P)^T c = e_initial, as _visit_system gives it,
+    by _condensation of the in-edges, predecessors first: a single state's
+    c_i = (delta_i0 + sum_j c_j P_ji) / (1 - P_ii), each sum an fsum, so
+    independent of the numbering; a larger component's by _sparse_counts,
+    with delta_i0 plus the fsum of the flows from earlier ones as the input."""
     counts = [0.0] * len(diagonal)
-    for i in order:
-        flows = [counts[j] * p for j, p in incoming[i]]
-        c = counts[i] = (math.fsum(flows) + (i == 0)) / diagonal[i]
-        if not math.isfinite(c):
-            raise NotConverged("visit counts overflow a float")
+    for block in _condensation([[j for j, _ in edges] for edges in incoming]):
+        inner = {i: k for k, i in enumerate(block)}
+        flows = [
+            math.fsum([counts[j] * p for j, p in incoming[i] if j not in inner]) + (i == 0)
+            for i in block
+        ]
+        if len(block) > 1:
+            edges = [[(inner[j], p) for j, p in incoming[i] if j in inner] for i in block]
+            flows = _sparse_counts([diagonal[i] for i in block], edges, flows)
+        else:
+            flows = [flows[0] / diagonal[block[0]]]
+            # a nan, from an earlier block singular as floats, is left to the residual
+            if math.isinf(flows[0]):
+                raise NotConverged("visit counts overflow a float")
+        for i, c in zip(block, flows):
+            counts[i] = c
     return counts
 
 
-def _sparse_counts(diagonal, incoming) -> list[float]:
-    """Visit counts of any system by a sparse LU of (I - P)^T."""
+def _sparse_counts(diagonal, incoming, flows) -> list[float]:
+    """The counts of a block of the system, numbered within it, by a sparse
+    LU of its (I - P)^T, with the flows into it as the right-hand side."""
     # imported here, not at module load, as in automata
     import numpy as np
     from scipy.sparse import csc_matrix
@@ -300,12 +308,10 @@ def _sparse_counts(diagonal, incoming) -> list[float]:
     entries += [(i, j, -p) for i, edges in enumerate(incoming) for j, p in edges]
     rows, columns, values = zip(*entries)
     system = csc_matrix((values, (rows, columns)), shape=(n, n))
-    e_initial = np.zeros(n)
-    e_initial[0] = 1.0
     with warnings.catch_warnings():
         # a float-singular system yields NaN counts; the residual check reports it
         warnings.simplefilter("ignore", MatrixRankWarning)
-        return spsolve(system, e_initial).tolist()
+        return spsolve(system, np.array(flows)).tolist()
 
 
 def _backward_error(diagonal, incoming, counts) -> float:
@@ -402,7 +408,7 @@ def _precision_recall(rel, ret, sides=("precision", "recall")) -> list[float]:
             else:
                 bits = _tree_bits(tree, kept, other, i != t)
             own = sdfa_entropy(side).bits if isinstance(side, Sdfa) else _tree_bits(rows[i])
-            values[name] = measures._quotient(bits, own)
+            values[name] = _quotient(bits, own)
         elif isinstance(side, Sdfa):
             sdfa_entropy(side)
     return [values[name] for name in sides]
@@ -414,7 +420,7 @@ def _pair(log, tree, other) -> dict:
     other's row there; empty when no trace does."""
     kept = {}
     for trace in log.entries:
-        if measures._accepts(other, trace):
+        if _accepts(other, trace):
             i = j = kept[0] = 0
             for label in trace:
                 i, j = tree[i][1][label][0], other[j][1][label][0]
@@ -429,8 +435,8 @@ def _tree_bits(tree, kept=None, other=None, by_other=False) -> float:
     by_other, by the row of other that kept maps it to. A kept prefix keeps
     its kept children at their full weight, and its stop if both sides stop
     there, so its total is renormalized as a conjunction's are. A visit
-    count is its parent's times w / total, which is the forward pass's fsum
-    of one in-edge divided by a diagonal of 1.0, and a local entropy is the
+    count is its parent's times w / total, which is _visit_counts' fsum of
+    one in-edge divided by a diagonal of 1.0, and a local entropy is the
     fsum of _visit_system's terms, so the bits are the system's to the
     bit."""
     terms, stack = [], [(0, 1.0)]

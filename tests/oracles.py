@@ -205,6 +205,22 @@ def enumerate_entropy(a: Sdfa, residual: float = 1e-9) -> float:
     return entropy
 
 
+def strongly_connected_components(out) -> set[frozenset]:
+    """The states of the graph with successors out[i] of state i, grouped
+    by mutual reachability: two states share a component when each reaches
+    the other, found by one search from every state."""
+    reach = []
+    for start in range(len(out)):
+        seen, stack = {start}, [start]
+        while stack:
+            for j in out[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    return {frozenset(j for j in reach[i] if i in reach[j]) for i in range(len(out))}
+
+
 def exact_sdfa_entropy(a: Sdfa) -> float:
     """Entropy from exact-fraction visit counts instead of trace sums.
 
@@ -663,6 +679,23 @@ def reference_visit_system(a: Sdfa):
         diagonal.append(float(1 - stay))
         local.append(math.fsum(terms))
     return diagonal, incoming, local
+
+
+def whole_system_counts(diagonal, incoming) -> list[float]:
+    """Visit counts of a visit system, as stochastic._visit_system gives it,
+    from one sparse LU of the whole of (I - P)^T c = e_initial, as
+    sdfa_entropy solved any system with a cycle through two or more states
+    before it solved one strongly connected component at a time."""
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import spsolve
+
+    n = len(diagonal)
+    entries = [(i, i, d) for i, d in enumerate(diagonal)]
+    entries += [(i, j, -p) for i, edges in enumerate(incoming) for j, p in edges]
+    rows, columns, values = zip(*entries)
+    e_initial = np.zeros(n)
+    e_initial[0] = 1.0
+    return spsolve(csc_matrix((values, (rows, columns)), shape=(n, n)), e_initial).tolist()
 
 
 # --- reference copies of the backtracking XES subset patterns -------------

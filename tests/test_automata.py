@@ -422,6 +422,41 @@ def renamed(a: Dfa, rng) -> Dfa:
     )
 
 
+def random_graph(rng) -> list[list[int]]:
+    """Successor lists of a random graph on 0 to 9 states, with self-loops,
+    parallel edges and states with no edge at all."""
+    size = rng.randint(0, 9)
+    out = [[] for _ in range(size)]
+    for _ in range(rng.randint(0, 2 * size)):
+        i, j = rng.randrange(size), rng.randrange(size)
+        out[i] += [j] * rng.randint(1, 2)
+    return out
+
+
+def test_condensation_matches_the_mutual_reachability_oracle():
+    rng = random.Random(1701)
+    graphs = [[], [[]], [[0]], [[0, 0]], [[1, 1], [0]]]
+    graphs += [random_graph(rng) for _ in range(400)]
+    assert sum(any(i in succ for i, succ in enumerate(out)) for out in graphs) > 100
+    assert sum(any(succ.count(j) > 1 for succ in out for j in succ) for out in graphs) > 100
+    for out in graphs:
+        components = automata._condensation(out)
+        assert set(map(frozenset, components)) == oracles.strongly_connected_components(out)
+        assert all(component == sorted(component) for component in components)
+        assert sorted(i for component in components for i in component) == list(range(len(out)))
+        # each edge stays in its component or goes to one listed earlier
+        place = {i: n for n, component in enumerate(components) for i in component}
+        assert all(place[j] <= place[i] for i, succ in enumerate(out) for j in succ)
+
+
+def test_condensation_of_long_paths_needs_no_recursion():
+    n = 200_000
+    chain = [[i + 1] for i in range(n - 1)] + [[]]
+    assert automata._condensation(chain) == [[i] for i in reversed(range(n))]
+    cycle = [[(i + 1) % n] for i in range(n)]
+    assert automata._condensation(cycle) == [list(range(n))]
+
+
 def test_constructions_are_reproducible():
     rng_a = random.Random(99)
     rng_b = random.Random(99)

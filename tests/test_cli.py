@@ -827,6 +827,55 @@ def test_parser_rejections_exit_2(capsys, fixtures, tmp_path, flags, name, text,
     assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
 
 
+# 5,001 digits, past Python's 4,300-digit limit on reading an int
+DIGITS = "1" + "0" * 5000
+DFG = "source s\nsink e\nnode n a\narc s n {}\narc n e 1\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, message, length",
+    [
+        (
+            "weight.sdfa", f"initial s0\nstate s0 0\nstate s1 1\narc s0 s1 a 1/{DIGITS}\n",
+            f"line 4: cannot read number '1/{DIGITS[:38]}'... (5003 characters)", 106,
+        ),
+        (
+            "stop.sdfa", f"initial s0\nstate s0 {DIGITS[:4001]}\n",
+            f"line 2: probability {DIGITS[:40]}... (4001 characters) outside [0, 1]", 112,
+        ),
+        (
+            "exponent.sdfa", f"initial s0\nstate s0 1e{'1' * 300}\n",
+            f"line 2: exponent of '1e{'1' * 38}'... (302 characters) out of range", 111,
+        ),
+        (
+            "count.dfg", DFG.format(DIGITS),
+            f"line 4: cannot read integer '{DIGITS[:40]}'... (5001 characters)", 107,
+        ),
+        (
+            "negative.dfg", DFG.format("-" + DIGITS[:4000]),
+            f"line 4: negative count -{DIGITS[:39]}... (4001 characters)", 100,
+        ),
+    ],
+)
+def test_an_overlong_token_is_shown_by_its_first_40_characters(
+    capsys, fixtures, tmp_path, name, text, message, length
+):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = invoke(capsys, "-r", "-rel", fixtures / "E.xes", "-ret", path, "-s")
+    assert (code, out, err) == (2, "", f"input error: {path}: {message}\n")
+    # the one line's length with its newline, less the path's
+    assert len(err) - len(str(path)) == length
+
+
+def test_an_overlong_skip_budget_is_shown_by_its_first_40_characters(capsys, fixtures):
+    log = fixtures / "E.xes"
+    code, out, err = invoke(capsys, "-cpmp", "-rel", log, "-ret", log, "-srel", DIGITS, "-sret", "0")
+    message = f"-srel expects a nonnegative integer, got '{DIGITS[:40]}'... (5001 characters)"
+    assert (code, out, err) == (1, "", f"usage error: {message}\n")
+    assert len(err) == 118
+
+
 def test_a_failed_read_names_the_input_that_failed(capsys, fixtures, tmp_path):
     empty, unnamed = tmp_path / "empty.xes", tmp_path / "unnamed.xes"
     empty.write_text("")
@@ -1087,7 +1136,8 @@ STARTUP = ["__init__", "__main__", "cli", "errors"]
         ("-emp -rel E.xes -ret N.pnml", 0, "automata formats measures petri"),
         ("-b -rel N.pnml", 0, "automata formats petri"),
         ("-r -rel E.xes -ret A.sdfa", 0, "automata formats stochastic"),
-        ("-sr -rel E.xes -ret L.spnml", 0, "automata formats measures petri stochastic"),
+        ("-sr -rel E.xes -ret L.spnml", 0, "automata formats petri stochastic"),
+        ("-sp -rel E.xes -ret L.spnml", 0, "automata formats petri stochastic"),
     ],
 )
 def test_each_run_compiles_only_the_modules_it_uses(fixtures, tmp_path, argv, code, loaded):

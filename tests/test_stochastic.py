@@ -324,37 +324,96 @@ def random_visit_model(rng, cycles: str) -> Sdfa:
     return Sdfa(frozenset(range(size)), frozenset("abc"), 0, transitions, termination)
 
 
+def random_mixed_model(rng) -> Sdfa:
+    """Random SDFA in which every state terminates with positive probability,
+    with one cycle through two or more states, a chain of states before it
+    and acyclic states after it, and self-loops anywhere."""
+    before, cycle, after = rng.randint(1, 3), rng.randint(2, 4), rng.randint(1, 3)
+    size = before + cycle + after
+    first, last = before, before + cycle - 1
+    targets: dict[int, list[int]] = {}
+    for state in range(size):
+        # a chain into the cycle, its ring, and a chain after it, which the
+        # exit from the cycle's last state, added below, enters
+        goes = [first if state == last else state + 1] if state + 1 < size else []
+        if state < first:
+            goes += rng.sample(range(state + 1, size), rng.randint(0, 1))
+        elif state <= last:
+            goes += rng.sample(range(last + 1, size), rng.randint(0, 1))
+        else:
+            goes += rng.sample(range(state + 1, size), rng.randint(0, min(1, size - state - 1)))
+        if rng.random() < 0.4:
+            goes.append(state)
+        targets[state] = goes
+    targets[last].append(last + 1)
+    transitions, termination = {}, {}
+    for state, goes in targets.items():
+        weights = [rng.randint(1, 9) for _ in goes]
+        stop = rng.randint(1, 4)
+        total = stop + sum(weights)
+        termination[state] = Fraction(stop, total)
+        for label, dst, weight in zip("abcdefg", goes, weights):
+            transitions[state, label] = (dst, Fraction(weight, total))
+    return Sdfa(frozenset(range(size)), frozenset("abcdefg"), 0, transitions, termination)
+
+
+def successors(model: Sdfa) -> list[list[int]]:
+    return [[j for j, _ in edges.values()] for _, edges, _ in model._weights]
+
+
 def test_entropy_matches_exact_counts_on_either_solve(monkeypatch):
-    sparse_calls = []
+    blocks = []
     sparse = stochastic._sparse_counts
 
     def spy(*args):
-        sparse_calls.append(args)
+        blocks.append(args[0])
         return sparse(*args)
 
     monkeypatch.setattr(stochastic, "_sparse_counts", spy)
     rng = random.Random(71)
-    took_sparse = {"none": 0, "self": 0, "long": 0}
+    mixed = random.Random(72)
+    took_sparse = {"none": 0, "self": 0, "long": 0, "mixed": 0}
     for cycles in took_sparse:
         for _ in range(40):
-            model = random_visit_model(rng, cycles)
-            before = len(sparse_calls)
+            if cycles == "mixed":
+                model = random_mixed_model(mixed)
+            else:
+                model = random_visit_model(rng, cycles)
+            blocks.clear()
             value = sdfa_entropy(model)
-            took_sparse[cycles] += len(sparse_calls) - before
+            took_sparse[cycles] += len(blocks)
             assert value.bits == pytest.approx(
                 oracles.exact_sdfa_entropy(model), rel=1e-9
             )
             assert value.residual <= 1e-9
+            # the sparse LU solves each cycle through two or more states on
+            # the rows of that cycle's states alone, in ascending order
+            diagonal = stochastic._visit_system(model._weights)[0]
+            cyclic = [
+                [diagonal[i] for i in sorted(component)]
+                for component in oracles.strongly_connected_components(successors(model))
+                if len(component) > 1
+            ]
+            assert sorted(blocks) == sorted(cyclic)
     # only a cycle through two or more states needs the sparse LU
     assert took_sparse["none"] == took_sparse["self"] == 0
     assert 0 < took_sparse["long"] < 40
+    assert took_sparse["mixed"] == 40
 
 
 def sparse_entropy(a: Sdfa) -> float:
+    """a's entropy from one sparse LU of its whole visit system."""
     diagonal, incoming, local = stochastic._visit_system(a._weights)
-    counts = stochastic._sparse_counts(diagonal, incoming)
+    counts = oracles.whole_system_counts(diagonal, incoming)
     assert stochastic._backward_error(diagonal, incoming, counts) <= 1e-9
     return math.fsum(c * h for c, h in zip(counts, local))
+
+
+def is_mixed(model: Sdfa) -> bool:
+    """Whether a model has a cycle through two or more states and other
+    states besides, so that its cycles are solved apart from the rest."""
+    components = oracles.strongly_connected_components(successors(model))
+    return len(components) > 1 and any(len(component) > 1 for component in components)
 
 
 def test_entropy_of_a_large_log_matches_the_sparse_solve():
@@ -379,13 +438,9 @@ def test_entropy_of_a_large_log_matches_the_sparse_solve():
 
 def reference_entropy(a: Sdfa) -> tuple[float, float]:
     """Bits and residual of a's entropy, solved from the Fraction-based
-    visit system of oracles by the package's own solvers."""
+    visit system of oracles by the package's own block pass."""
     diagonal, incoming, local = oracles.reference_visit_system(a)
-    order = measures._reverse_topological_order([[j for j, _ in edges] for edges in incoming])
-    if order is None:
-        counts = stochastic._sparse_counts(diagonal, incoming)
-    else:
-        counts = stochastic._forward_counts(diagonal, incoming, order)
+    counts = stochastic._visit_counts(diagonal, incoming)
     residual = stochastic._backward_error(diagonal, incoming, counts)
     return math.fsum(map(operator.mul, counts, local)), residual
 
@@ -410,6 +465,8 @@ def test_entropy_floats_match_the_fraction_reference(fixtures):
     pairs = [(log, net), (net, log), (net, net)]
     # slack models keep their own totals, which _shaped's renormalized ones are not
     slack = random.Random(1917)
+    mixed = random.Random(1918)
+    pairs += [(random_mixed_model(mixed), random_mixed_model(mixed)) for _ in range(30)]
     for _ in range(60):
         a, b = oracles.random_terminating_sdfa(rng), oracles.random_terminating_sdfa(rng)
         coded = log_to_sdfa(oracles.random_log(rng, alphabet="abcdefgh", max_len=12))
@@ -427,6 +484,7 @@ def test_entropy_floats_match_the_fraction_reference(fixtures):
             assert hexed(system[2]) == hexed(expected[2])
             value = sdfa_entropy(model)
             assert hexed((value.bits, value.residual)) == hexed(reference_entropy(model))
+            assert value.bits == pytest.approx(sparse_entropy(model), rel=1e-12)
         try:
             shared = [
                 reference_entropy(oracles.reference_conjunction(*pair))[0]
@@ -618,9 +676,10 @@ def earlier_entropy(weights) -> tuple[float, float]:
         local.append(math.fsum(terms))
     order = range(len(weights))
     if back:
-        order = measures._reverse_topological_order([[j for j, _ in e] for e in incoming])
+        components = automata._condensation([[j for j, _ in e] for e in incoming])
+        order = [i for (i,) in components] if len(components) == len(weights) else None
     if order is None:
-        counts = stochastic._sparse_counts(diagonal, incoming)
+        counts = oracles.whole_system_counts(diagonal, incoming)
         residual = stochastic._backward_error(diagonal, incoming, counts)
     else:
         counts = [0.0] * len(weights)
@@ -661,7 +720,7 @@ arc s0 s3 c {p}
 
 def test_exact_trees_are_walked_and_other_graphs_solved(monkeypatch, fixtures):
     calls = []
-    for name in ("_tree_bits", "_visit_system", "_forward_counts", "_sparse_counts"):
+    for name in ("_tree_bits", "_visit_system", "_visit_counts", "_sparse_counts"):
         monkeypatch.setattr(
             stochastic,
             name,
@@ -715,7 +774,7 @@ def test_exact_trees_are_walked_and_other_graphs_solved(monkeypatch, fixtures):
     # longer cycle is solved in pure Python
     with monkeypatch.context() as bare:
         bare.setitem(sys.modules, "numpy", None)
-        walked, solved = ["_tree_bits"], ["_visit_system", "_forward_counts"]
+        walked, solved = ["_tree_bits"], ["_visit_system", "_visit_counts"]
         for models, path in ((trees, walked), (graphs, solved)):
             for model in models:
                 calls.clear()
@@ -724,12 +783,14 @@ def test_exact_trees_are_walked_and_other_graphs_solved(monkeypatch, fixtures):
                 assert path == solved or value.residual.hex() == "0x0.0p+0"
                 expected = earlier_entropy(model._weights)
                 assert hexed((value.bits, value.residual)) == hexed(expected)
-    # N.spnml's reachability graph has longer cycles, which take the sparse LU
+    # N.spnml's reachability graph has a cycle through four markings, with
+    # one marking before it and one after: the cycle takes the sparse LU
     net = stochastic_rg_to_sdfa(load_artifact(fixtures / "N.spnml"))
     calls.clear()
     value = sdfa_entropy(net)
-    assert calls == ["_visit_system", "_sparse_counts"]
-    assert hexed((value.bits, value.residual)) == hexed(earlier_entropy(net._weights))
+    assert calls == ["_visit_system", "_visit_counts", "_sparse_counts"]
+    assert hexed((value.bits, value.residual)) == hexed(reference_entropy(net))
+    assert value.bits == pytest.approx(earlier_entropy(net._weights)[0], rel=1e-12)
 
 
 def test_entropy_matches_the_earlier_kernel_to_the_bit(fixtures):
@@ -762,13 +823,20 @@ def test_entropy_matches_the_earlier_kernel_to_the_bit(fixtures):
             models += [conjunction(coded, model), conjunction(model, coded)]
         except EmptyConjunction:
             pass
+    models += [random_mixed_model(rng) for _ in range(20)]
     for model in models:
         value = sdfa_entropy(model)
-        assert hexed((value.bits, value.residual)) == hexed(earlier_entropy(model._weights))
+        expected = earlier_entropy(model._weights)
+        if is_mixed(model):
+            # a cycle is solved apart from the states before and after it,
+            # which moves the last bits of the whole system's LU
+            assert hexed((value.bits, value.residual)) == hexed(reference_entropy(model))
+            assert value.bits == pytest.approx(expected[0], rel=1e-12)
+        else:
+            assert hexed((value.bits, value.residual)) == hexed(expected)
     assert stochastic._visit_system(rounded._weights)[0] == [1.0, 1.0]
-    # a longer cycle still takes the sparse LU, not the forward pass
-    incoming = stochastic._visit_system(net._weights)[1]
-    assert measures._reverse_topological_order([[j for j, _ in e] for e in incoming]) is None
+    # N.spnml has a cycle through two or more states, which the sparse LU solves
+    assert is_mixed(net)
 
 
 def test_a_logs_integer_weights_solve_as_its_sdfa_and_its_shannon_entropy():
