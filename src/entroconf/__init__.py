@@ -25,8 +25,7 @@ _HOMES = {
     name: home
     for home, names in {
         "automata": (
-            "SILENT", "UNBOUNDED", "Dfa", "EventLog", "Nfa", "ShortCircuitGraph", "Trace",
-            "determinize", "log_to_dfa", "product", "short_circuit", "skip_closure", "trim",
+            "UNBOUNDED", "Dfa", "EventLog", "Trace", "log_to_dfa", "product", "trim",
         ),
         "formats": (
             "Dfg", "load_artifact", "parse_dfg", "parse_pnml", "parse_sdfa", "parse_spnml",

@@ -1,6 +1,6 @@
 """Finite automata over activity alphabets and the language constructions
-(trim, product, determinization, skip closure, short-circuiting) that the
-conformance measures are built on.
+(trim, product, the subset construction, the strongly connected
+components) that the conformance measures are built on, in pure Python.
 
 Inside, an automaton is rows, one per state, state 0 initial: a stop
 weight and {label: (target, weight)}, weights 1 in a language automaton,
@@ -8,27 +8,19 @@ instances in a log's trie and probabilities in an SDFA. The constructions
 read and return rows, numbered where built; where a numbering reaches a
 public record or a numbering-sensitive solve it is the canonical one:
 breadth-first from state 0, labels in sorted order. The public functions
-convert a Dfa or Nfa to rows on entry and build a record only for what
-they return, so repeated runs produce identical objects.
+convert a Dfa to rows on entry and build a record only for what they
+return, so repeated runs produce identical objects.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import deque
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EmptyLog, StateSpaceExceeded
 
-# numpy and scipy are imported inside the numeric kernels, so that runs
-# with no numeric solve (--version, -b, -r) start without them
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
-
 Trace = tuple[str, ...]
-
-# unlabeled (silent) edge marker for Nfa transitions
-SILENT = None
 
 # the one cap on the states of products, determinizations, skip closures and
 # net explorations, read as each runs: beyond it StateSpaceExceeded fails fast
@@ -50,11 +42,10 @@ class _Record:
     A record's fields are its public annotated names, its base classes'
     first, in the order its __init__ takes them; __init__ stores each with
     object.__setattr__ and checks them. Records are equal when they are of
-    one class and their _values (all fields, unless the class says
-    otherwise) are equal, hash as that tuple, and show every field in their
-    repr. Assigning or deleting an attribute raises AttributeError. No
-    method is generated, so defining a record type costs an import nothing
-    beyond the class statement.
+    one class and their _values, all fields in order, are equal, hash as
+    that tuple, and show every field in their repr. Assigning or deleting
+    an attribute raises AttributeError. No method is generated, so defining
+    a record type costs an import nothing beyond the class statement.
     """
 
     __slots__ = ()
@@ -181,42 +172,6 @@ class Dfa(_Record):
     def is_empty_language(self) -> bool:
         # exact for trimmed automata, conservative otherwise
         return not self.accepting
-
-
-class Nfa(_Record):
-    """Nondeterministic automaton; silent edges carry SILENT instead of a label."""
-
-    states: frozenset
-    alphabet: frozenset[str]
-    initial: object
-    accepting: frozenset
-    transitions: frozenset  # of (src, label or SILENT, dst)
-
-    def __init__(self, states, alphabet, initial, accepting, transitions) -> None:
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "accepting", accepting)
-        object.__setattr__(self, "transitions", transitions)
-
-
-class ShortCircuitGraph(_Record):
-    """Adjacency counts of a trimmed DFA plus one back edge per accepting state.
-
-    The adjacency is a node_count x node_count int64 csr_matrix; entry
-    [i, j] counts the edges from state i to state j.
-    """
-
-    node_count: int
-    adjacency: csr_matrix
-
-    def __init__(self, node_count, adjacency) -> None:
-        object.__setattr__(self, "node_count", node_count)
-        object.__setattr__(self, "adjacency", adjacency)
-
-    def _values(self) -> tuple:
-        # the adjacency is shown, but neither compared nor hashed
-        return (self.node_count,)
 
 
 def _reachable(seeds, successors) -> dict:
@@ -476,25 +431,6 @@ def _determinized(start, silent, moves, accepting) -> list:
     return [(int(any(map(accepting, subset))), out) for subset, out in zip(number, edges)]
 
 
-def determinize(n: Nfa) -> Dfa:
-    """Subset construction with silent-edge closure; result is trimmed.
-
-    Subsequence closures of large inputs can blow up exponentially, so the
-    number of subset states is capped (StateSpaceExceeded beyond it).
-    """
-    eps: dict[object, list] = {}
-    moves: dict[object, list] = {}
-    for src, label, dst in n.transitions:
-        if label is SILENT:
-            eps.setdefault(src, []).append(dst)
-        else:
-            moves.setdefault(src, []).append((label, dst))
-    rows = _determinized(
-        [n.initial], lambda q: eps.get(q, ()), lambda q: moves.get(q, ()), n.accepting.__contains__
-    )
-    return _dfa(_trim(rows), n.alphabet)
-
-
 def _check_budget(k, states: int) -> None:
     """ValueError unless k is a nonnegative integer or UNBOUNDED;
     StateSpaceExceeded when k + 1 copies of states pass _MAX_STATES."""
@@ -506,58 +442,3 @@ def _check_budget(k, states: int) -> None:
         raise StateSpaceExceeded(
             f"a skip budget of {k} on {states} states exceeds the cap of {_MAX_STATES} states"
         )
-
-
-def skip_closure(a: Dfa, k) -> Nfa:
-    """Close a language under deletion of up to k symbols per word, k a
-    nonnegative integer or UNBOUNDED (all subsequences). Skips are silent
-    edges parallel to the labeled ones; a bounded budget is a per-state
-    counter component, so each word spends its own deletions. Its k + 1
-    copies of the states raise StateSpaceExceeded, before anything is
-    built, when they are more than _MAX_STATES.
-    """
-    _check_budget(k, len(a.states))
-    # a state and its deletions spent, or the state alone when unbounded
-    if k is UNBOUNDED:
-        spent, skip, name = [0], 0, lambda s, used: s
-    else:
-        spent, skip, name = range(k + 1), 1, lambda s, used: (s, used)
-    triples = set()
-    for (src, label), dst in a.transitions.items():
-        for used in spent:
-            triples.add((name(src, used), label, name(dst, used)))
-            if k is UNBOUNDED or used < k:
-                triples.add((name(src, used), SILENT, name(dst, used + skip)))
-    return Nfa(
-        states=frozenset(name(s, used) for s in a.states for used in spent),
-        alphabet=a.alphabet,
-        initial=name(a.initial, 0),
-        accepting=frozenset(name(s, used) for s in a.accepting for used in spent),
-        transitions=frozenset(triples),
-    )
-
-
-def _adjacency(n: int, edges: list) -> csr_matrix:
-    """The n x n int64 csr_matrix counting each pair (i, j) of edges at [i, j]."""
-    import numpy as np
-    from scipy.sparse import csr_matrix
-
-    rows, cols = [i for i, _ in edges], [j for _, j in edges]
-    counts = np.ones(len(edges), dtype=np.int64)
-    return csr_matrix((counts, (rows, cols)), shape=(n, n))
-
-
-def short_circuit(a: Dfa) -> ShortCircuitGraph:
-    """Sparse adjacency of a trimmed DFA plus one back edge per accepting state.
-
-    The back edges (a fresh symbol, to the initial state) make the graph
-    strongly connected, which gives finite languages a well-defined,
-    inclusion-monotone growth rate. Nodes are the states in sorted order;
-    parallel edges add up. The empty language yields the 0-node graph.
-    """
-    if not a.accepting:
-        return ShortCircuitGraph(0, _adjacency(0, []))
-    index = {s: i for i, s in enumerate(sorted(a.states))}
-    edges = [(index[src], index[dst]) for (src, _), dst in a.transitions.items()]
-    edges += [(index[acc], index[a.initial]) for acc in a.accepting]
-    return ShortCircuitGraph(len(index), _adjacency(len(index), edges))

@@ -22,7 +22,6 @@ from .automata import (
     Dfa,
     EventLog,
     _accepts,
-    _adjacency,
     _check_budget,
     _condensation,
     _determinized,
@@ -40,7 +39,7 @@ from .errors import NotConverged
 if TYPE_CHECKING:
     from .petri import PetriNet
 
-# spectral_radius's relative tolerance, and its cap on power iterations
+# _perron_root's relative tolerance, and its cap on power iterations
 _TOL = 1e-9
 _MAX_ITERATIONS = 10**6
 # relative width at which a growth factor's bracket counts as converged
@@ -74,16 +73,14 @@ def spectral_radius(m) -> float:
 
     The matrix may be a dense array-like or a scipy sparse matrix; either
     way it is stored as CSR without explicit zeros, so only nonzero entries
-    link states. Power iteration on (M + I) with an all-ones start vector;
-    the +I shift makes periodic graphs (pure cycles) converge. Iteration runs
-    per _condensation component of the nonzero entries, on sparse blocks,
-    because the two-sided Rayleigh bounds that certify the tolerance are only
-    valid on irreducible blocks; the radius of the whole matrix is the
-    maximum over components, a single state's its diagonal entry.
+    link states. The radius of the whole matrix is the maximum over the
+    _condensation components of those entries: a single state's is its
+    diagonal entry, a larger component's the _perron_root of its block.
     """
-    # imported here, not at module load, as in automata
+    # imported here, not at module load, so that runs with no cyclic
+    # growth factor start without numpy and scipy
     import numpy as np
-    from scipy.sparse import csr_matrix, identity
+    from scipy.sparse import csr_matrix
 
     shape = np.shape(m)
     if len(shape) != 2 or shape[0] != shape[1]:
@@ -99,24 +96,33 @@ def spectral_radius(m) -> float:
     for members in _condensation([columns[i:j] for i, j in zip(bounds, bounds[1:])]):
         if len(members) == 1:
             best = max(best, diagonal[members[0]])
-            continue
-        idx = np.array(members)
-        block = a[idx][:, idx] + identity(idx.size, format="csr")
-        v = np.ones(idx.size)
-        for _ in range(_MAX_ITERATIONS):
-            w = block @ v
-            ratios = w / v
-            lo = float(ratios.min())
-            hi = float(ratios.max())
-            if hi - lo <= _TOL * hi:
-                best = max(best, (lo + hi) / 2.0 - 1.0)
-                break
-            v = w / w.max()
         else:
-            raise NotConverged(
-                f"spectral radius not within {_TOL} after {_MAX_ITERATIONS} iterations"
-            )
+            idx = np.array(members)
+            best = max(best, _perron_root(a[idx][:, idx]))
     return best
+
+
+def _perron_root(block) -> float:
+    """Perron root of an irreducible nonnegative float csr_matrix, to
+    relative tolerance _TOL: power iteration on (block + I) from an all-ones
+    vector, where the +I shift makes periodic graphs (pure cycles) converge.
+    The two-sided Rayleigh bounds that certify the tolerance are valid
+    because the block is irreducible. NotConverged after _MAX_ITERATIONS.
+    """
+    import numpy as np
+    from scipy.sparse import identity
+
+    shifted = block + identity(block.shape[0], format="csr")
+    v = np.ones(block.shape[0])
+    for _ in range(_MAX_ITERATIONS):
+        w = shifted @ v
+        ratios = w / v
+        lo = float(ratios.min())
+        hi = float(ratios.max())
+        if hi - lo <= _TOL * hi:
+            return (lo + hi) / 2.0 - 1.0
+        v = w / w.max()
+    raise NotConverged(f"spectral radius not within {_TOL} after {_MAX_ITERATIONS} iterations")
 
 
 def _growth_factor(a) -> float:
@@ -125,7 +131,7 @@ def _growth_factor(a) -> float:
     a is trimmed, canonically numbered rows, or a finite set of words,
     solved from its length profile by _words_growth_factor. Rows have the
     Perron root of their graph plus one back edge per accepting state: by
-    spectral_radius of that short-circuit graph on a cycle, a self-loop
+    _perron_root of that short-circuit graph on a cycle, a self-loop
     included, and directly, in pure Python, for a finite language: with A
     the adjacency and g = (I - xA)^-1 acc, the determinant lemma gives
     det(I - x(A + acc e0')) = det(I - xA) (1 - x g0(x)), so the root is 1/x*
@@ -149,12 +155,18 @@ def _growth_factor(a) -> float:
     order = _acyclic_order(out)
     accepting = [float(bool(row[0])) for row in a]
     if order is None:
-        # a sparse LU of I - xA would fill in far beyond the edge count on
-        # the reachability graphs of concurrent nets. The power iteration's
-        # rounding depends on the numbering, which is canonical.
+        # trim rows reach an accepting state from each state, and its back
+        # edge leads to state 0, so the short-circuit graph is one
+        # irreducible block, which needs no condensation. A sparse LU of
+        # I - xA would fill in far beyond the edge count on the reachability
+        # graphs of concurrent nets. The power iteration's rounding depends
+        # on the numbering, which is canonical.
+        from scipy.sparse import csr_matrix
+
         edges = [(i, j) for i, succ in enumerate(out) for j in succ]
         edges += [(i, 0) for i, acc in enumerate(accepting) if acc]
-        return spectral_radius(_adjacency(len(a), edges))
+        rows, cols = zip(*edges)
+        return _perron_root(csr_matrix(([1.0] * len(edges), (rows, cols)), shape=(len(a),) * 2))
     # the short-circuit graph's largest row sum bounds its Perron root
     lo = 1.0 / max(len(succ) + acc for succ, acc in zip(out, accepting))
     return 1.0 / _root(_back_substitution(out, accepting, order), lo)
@@ -385,12 +397,14 @@ def _shared(rel, ret):
 
 
 def _closure(a, k):
-    """determinize(skip_closure(a, k)) on rows, the skip closure read from
-    a's rows as state q = s * copies + used: state s of a with used of k
-    deletions spent, or s itself when k is UNBOUNDED. a is read as built and
-    must be trim, as _language's rows are. An acyclic a's k is lowered to
-    its longest word, as the copies past it are unreachable. A checked k of
-    0 closes nothing: a, a set of traces or rows, is returned.
+    """The trimmed rows of the subset construction of a's closure under
+    deleting up to k symbols per word, read from a's rows as it goes: state
+    q = s * copies + used is state s of a with used of k deletions spent,
+    or s itself when k is UNBOUNDED, and each labelled edge has a silent
+    twin that spends one deletion. a is read as built and must be trim, as
+    _language's rows are. An acyclic a's k is lowered to its longest word,
+    as the copies past it are unreachable. A checked k of 0 closes nothing:
+    a, a set of traces or rows, is returned.
     """
     if k == 0:
         _check_budget(k, 0)

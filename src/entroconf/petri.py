@@ -265,7 +265,7 @@ def _net_rows(net: PetriNet, edges: list, finals) -> list:
     """Trimmed rows of the language of a net's reachability graph, given as
     each state's edges {transition id: (state, _)}, 0 initial, and the
     reachable declared finals (None when none are declared). Edges take
-    their transition's label, None (SILENT) when silent. Accepting are the
+    their transition's label, None when silent. Accepting are the
     declared finals, else the deadlocks; a net with neither raises
     NoAcceptingState rather than accept nothing. The graph is determinized
     only when a state has a silent edge or two equally labelled ones.

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from entroconf.automata import SILENT, Dfa, EventLog, Nfa
+from entroconf.automata import UNBOUNDED, Dfa, EventLog
 from entroconf.errors import (
     EmptyConjunction,
     EmptyLog,
@@ -75,6 +75,61 @@ def canonical_dfa(initial, accepting, transitions, alphabet) -> Dfa:
     )
 
 
+def subset_construction(initial, accepting, triples, alphabet) -> Dfa:
+    """The textbook determinization of the automaton whose edges are the
+    (src, label, dst) triples, label None on a silent edge: a state is the
+    set of states that one word leads to from initial, closed under silent
+    edges, and accepts when it holds an accepting state; trimmed and
+    numbered by canonical_dfa."""
+    silent: dict = {}
+    labeled: dict = {}
+    for src, label, dst in triples:
+        if label is None:
+            silent.setdefault(src, set()).add(dst)
+        else:
+            labeled.setdefault(src, {}).setdefault(label, set()).add(dst)
+
+    def closure(states) -> frozenset:
+        closed, pending = set(states), list(states)
+        while pending:
+            for dst in silent.get(pending.pop(), ()):
+                if dst not in closed:
+                    closed.add(dst)
+                    pending.append(dst)
+        return frozenset(closed)
+
+    def successors(subset) -> list:
+        moves: dict = {}
+        for state in subset:
+            for label, targets in labeled.get(state, {}).items():
+                moves.setdefault(label, set()).update(targets)
+        return [(label, closure(targets)) for label, targets in sorted(moves.items())]
+
+    start = closure([initial])
+    subsets = breadth_first(start, successors)
+    transitions = {
+        (subset, label): target for subset in subsets for label, target in successors(subset)
+    }
+    finals = [subset for subset in subsets if subset & accepting]
+    return canonical_dfa(start, finals, transitions, alphabet)
+
+
+def closed_dfa(a: Dfa, budget) -> Dfa:
+    """subset_construction of a's closure under deleting up to budget
+    symbols per word, or any number when budget is UNBOUNDED: a state
+    (s, used) is s with used deletions spent, and each edge of a has a
+    silent twin that spends one, while budget allows."""
+    step, copies = (0, [0]) if budget is UNBOUNDED else (1, range(budget + 1))
+    triples = set()
+    for (src, label), dst in a.transitions.items():
+        for used in copies:
+            triples.add(((src, used), label, (dst, used)))
+            if budget is UNBOUNDED or used < budget:
+                triples.add(((src, used), None, (dst, used + step)))
+    accepting = frozenset((s, used) for s in a.accepting for used in copies)
+    return subset_construction((a.initial, 0), accepting, triples, a.alphabet)
+
+
 def words_up_to(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(sorted(alphabet), repeat=length)
@@ -99,38 +154,6 @@ def sdfa_language(a: Sdfa, max_len: int) -> set:
         return a.termination.get(state, 0) > 0
 
     return {w for w in words_up_to(a.alphabet, max_len) if positive(w)}
-
-
-def nfa_accepts(n: Nfa, word) -> bool:
-    """Membership by breadth-first search over (state, position) pairs."""
-    labeled: dict[tuple, set] = {}
-    silent: dict[object, set] = {}
-    for src, label, dst in n.transitions:
-        if label is SILENT:
-            silent.setdefault(src, set()).add(dst)
-        else:
-            labeled.setdefault((src, label), set()).add(dst)
-    frontier = {(n.initial, 0)}
-    seen = set(frontier)
-    while frontier:
-        state, position = frontier.pop()
-        if position == len(word) and state in n.accepting:
-            return True
-        steps = set()
-        for dst in silent.get(state, ()):
-            steps.add((dst, position))
-        if position < len(word):
-            for dst in labeled.get((state, word[position]), ()):
-                steps.add((dst, position + 1))
-        for step in steps:
-            if step not in seen:
-                seen.add(step)
-                frontier.add(step)
-    return False
-
-
-def nfa_language(n: Nfa, max_len: int) -> set:
-    return {w for w in words_up_to(n.alphabet, max_len) if nfa_accepts(n, w)}
 
 
 def deletion_closure(words, budget=None) -> set:

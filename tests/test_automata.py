@@ -1,24 +1,15 @@
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from entroconf import automata, cli, formats, measures, petri, stochastic
-from entroconf.automata import (
-    SILENT,
-    UNBOUNDED,
-    Dfa,
-    EventLog,
-    Nfa,
-    determinize,
-    log_to_dfa,
-    product,
-    short_circuit,
-    skip_closure,
-    trim,
-)
+from entroconf.automata import UNBOUNDED, Dfa, EventLog, _dfa, log_to_dfa, product, trim
 from entroconf.errors import EmptyConjunction, EmptyLog, StateSpaceExceeded
-from entroconf.petri import reachability_graph, rg_to_dfa, stochastic_rg_to_sdfa
+from entroconf.petri import PetriNet, reachability_graph, rg_to_dfa, stochastic_rg_to_sdfa
 from entroconf.stochastic import Sdfa
 
 import oracles
@@ -28,6 +19,12 @@ from test_properties import bounded_nets
 
 def dfa_for(*words) -> Dfa:
     return log_to_dfa(EventLog.from_traces(words))
+
+
+def closed(a: Dfa, k) -> Dfa:
+    """The closure of a under k deletions per word, as a measure builds it
+    from a's trimmed rows, as a Dfa."""
+    return _dfa(measures._closure(automata._trim(automata._rows(a)), k), a.alphabet)
 
 
 def test_event_log_counts_and_alphabet():
@@ -267,144 +264,173 @@ def test_product_is_language_intersection():
         assert oracles.dfa_language(product(a, b), 6) == expected
 
 
-def test_determinize_silent_edge():
-    nfa = Nfa(
-        states=frozenset({0, 1}),
-        alphabet=frozenset("a"),
-        initial=0,
-        accepting=frozenset({1}),
-        transitions=frozenset({(0, SILENT, 1)}),
-    )
-    dfa = determinize(nfa)
-    assert oracles.dfa_language(dfa, 3) == {()}
+# each budget by the words that the closure of {ab} accepts
+EXAMPLES = [
+    (UNBOUNDED, {(), ("a",), ("b",), ("a", "b")}),
+    (1, {("a",), ("b",), ("a", "b")}),
+    (0, {("a", "b")}),
+]
+BUDGETS = [0, 1, 2, UNBOUNDED]
 
 
-def test_determinize_skip_edges():
-    dfa = dfa_for(("a", "b"))
-    closed = determinize(skip_closure(dfa, UNBOUNDED))
-    assert oracles.dfa_language(closed, 3) == {(), ("a",), ("b",), ("a", "b")}
+def budget_id(k) -> str:
+    return "unbounded" if k is UNBOUNDED else str(k)
 
 
-def test_determinize_preserves_language():
+@pytest.mark.parametrize("k, words", EXAMPLES, ids=[budget_id(k) for k, _ in EXAMPLES])
+def test_closure_examples(k, words):
+    assert oracles.dfa_language(closed(dfa_for(("a", "b")), k), 3) == words
+
+
+@pytest.mark.parametrize("budget", [-1, 1.5])
+def test_closure_rejects_bad_budget(budget):
+    rows = automata._rows(dfa_for(("a",)))
+    log = EventLog.from_traces([("a",)])
+    with pytest.raises(ValueError, match="skip budget"):
+        measures._closure(rows, budget)
+    with pytest.raises(ValueError, match="skip budget"):
+        measures.controlled_partial_precision_recall(log, log, budget, 0)
+
+
+@pytest.mark.parametrize("k", BUDGETS, ids=budget_id)
+def test_closure_matches_the_reference_subset_construction(k):
     rng = random.Random(23)
     for _ in range(25):
         dfa = oracles.random_dfa(rng)
-        nfa = skip_closure(dfa, rng.choice([0, 1, 2, UNBOUNDED]))
-        result = determinize(nfa)
-        for word in oracles.words_up_to(dfa.alphabet, 5):
-            assert result.accepts(word) == oracles.nfa_accepts(nfa, word)
+        assert closed(dfa, k) == oracles.closed_dfa(dfa, k)
 
 
-def test_determinize_state_cap(monkeypatch):
-    dfa = dfa_for(("a", "b"))
-    monkeypatch.setattr(automata, "_MAX_STATES", 1)
-    with pytest.raises(StateSpaceExceeded, match=r"\b1\b"):
-        determinize(skip_closure(dfa, UNBOUNDED))
-
-
-def test_skip_closure_examples():
-    dfa = dfa_for(("a", "b"))
-    assert oracles.nfa_language(skip_closure(dfa, UNBOUNDED), 3) == {
-        (), ("a",), ("b",), ("a", "b")
-    }
-    assert oracles.nfa_language(skip_closure(dfa, 1), 3) == {("a",), ("b",), ("a", "b")}
-    assert oracles.nfa_language(skip_closure(dfa, 0), 3) == {("a", "b")}
-
-
-def test_skip_closure_rejects_bad_budget():
-    dfa = dfa_for(("a",))
-    with pytest.raises(ValueError):
-        skip_closure(dfa, -1)
-    with pytest.raises(ValueError):
-        skip_closure(dfa, 1.5)
-
-
-def test_skip_closure_state_cap(monkeypatch):
-    dfa = dfa_for(("a", "b"))  # three states, one copy of them per budget step
-    monkeypatch.setattr(automata, "_MAX_STATES", 12)
-    assert len(skip_closure(dfa, 3).states) == 12
-    monkeypatch.setattr(automata, "_MAX_STATES", 14)
-    with pytest.raises(StateSpaceExceeded, match=r"budget of 4 on 3 states .* cap of 14 states"):
-        skip_closure(dfa, 4)
-    # a budget unbounded in effect is refused before any state is built
-    monkeypatch.undo()
-    with pytest.raises(StateSpaceExceeded, match=r"cap of 1000000 states"):
-        skip_closure(dfa, 10**12)
-    assert len(skip_closure(dfa, UNBOUNDED).states) == 3
-
-
-def test_skip_closure_matches_deletion_oracle():
+@pytest.mark.parametrize("k", BUDGETS, ids=budget_id)
+def test_closure_matches_deletion_oracle(k):
+    budget = None if k is UNBOUNDED else k
     rng = random.Random(31)
     for _ in range(15):
         log = oracles.random_log(rng, max_traces=4, max_len=4)
         dfa = log_to_dfa(log)
-        words = oracles.dfa_language(dfa, 4)
-        for budget in (0, 1, 2, None):
-            closure = skip_closure(dfa, UNBOUNDED if budget is None else budget)
-            assert oracles.nfa_language(closure, 4) == oracles.deletion_closure(
-                words, budget
-            )
+        expected = oracles.deletion_closure(oracles.dfa_language(dfa, 4), budget)
+        assert oracles.dfa_language(closed(dfa, k), 4) == expected
+        assert oracles.dfa_language(oracles.closed_dfa(dfa, k), 4) == expected
+        if k != 0:
+            # a log side is closed from its counted trie, to the same automaton
+            trie = measures._language(log, k)
+            assert _dfa(measures._closure(trie, k), log.alphabet) == closed(dfa, k)
 
 
-def test_skip_closure_monotone_in_budget():
+def test_closure_of_cyclic_automata_matches_deletion_oracle():
+    # a word of the closure up to length 4 under k deletions comes from a
+    # word of the automaton up to length 4 + k
+    rng = random.Random(43)
+    cyclic = 0
+    for _ in range(30):
+        dfa = oracles.random_dfa(rng)
+        cyclic += oracles.dfa_language(dfa, 8) != oracles.dfa_language(dfa, 7)
+        for k in (1, 2):
+            words = oracles.dfa_language(dfa, 4 + k)
+            expected = {w for w in oracles.deletion_closure(words, k) if len(w) <= 4}
+            assert oracles.dfa_language(closed(dfa, k), 4) == expected
+    assert cyclic > 5
+
+
+def test_closures_compose():
+    # deleting up to j symbols and then up to k deletes up to j + k, and
+    # a closure under any number of deletions is closed already; the
+    # subset constructions differ, so their languages are compared
+    rng = random.Random(47)
+    for _ in range(15):
+        dfa = oracles.random_dfa(rng)
+        for j, k in ((1, 1), (1, 2), (2, 1)):
+            expected = oracles.dfa_language(closed(dfa, j + k), 5)
+            assert oracles.dfa_language(closed(closed(dfa, j), k), 5) == expected
+        unbounded = closed(dfa, UNBOUNDED)
+        expected = oracles.dfa_language(unbounded, 5)
+        for k in (1, UNBOUNDED):
+            assert oracles.dfa_language(closed(unbounded, k), 5) == expected
+
+
+def test_closure_of_a_net_matches_the_reference_subset_construction():
+    # a net side is closed from the rows of its language, silent
+    # transitions already gone from them
+    rng = random.Random(53)
+    for net in bounded_nets(rng, 15):
+        dfa = rg_to_dfa(reachability_graph(net), net)
+        for k in (1, 2, UNBOUNDED):
+            rows = measures._closure(measures._language(net, k), k)
+            assert _dfa(rows, dfa.alphabet) == oracles.closed_dfa(dfa, k)
+
+
+def test_closure_monotone_in_budget():
     rng = random.Random(37)
     for _ in range(10):
         dfa = oracles.random_dfa(rng)
         previous = set()
         for budget in (0, 1, 2):
-            language = oracles.nfa_language(skip_closure(dfa, budget), 4)
+            language = oracles.dfa_language(closed(dfa, budget), 4)
             assert previous <= language
             previous = language
-        assert previous <= oracles.nfa_language(skip_closure(dfa, UNBOUNDED), 4)
+        assert previous <= oracles.dfa_language(closed(dfa, UNBOUNDED), 4)
 
 
-def test_short_circuit_single_accepting_initial():
-    dfa = dfa_for(())
-    graph = short_circuit(trim(dfa))
-    assert graph.node_count == 1
-    assert graph.adjacency.toarray().tolist() == [[1]]
+def fires(rg, net, word) -> bool:
+    """Whether some path of rg from its initial marking to an accepting one
+    spells word, a silent transition spelling nothing: breadth-first over
+    (marking, position) pairs."""
+    final = rg.deadlocks() if net.final_markings is None else net.final_markings
+    pending = [(rg.initial, 0)]
+    seen = set(pending)
+    while pending:
+        marking, position = pending.pop()
+        if position == len(word) and marking in final:
+            return True
+        for src, t, dst in rg.edges:
+            label = net.transitions[t]
+            if src != marking:
+                continue
+            if label is None:
+                step = (dst, position)
+            elif position < len(word) and label == word[position]:
+                step = (dst, position + 1)
+            else:
+                continue
+            if step not in seen:
+                seen.add(step)
+                pending.append(step)
+    return False
 
 
-def test_short_circuit_two_letter_universal_language():
-    dfa = Dfa(
-        states=frozenset({0}),
-        alphabet=frozenset("ab"),
-        initial=0,
-        accepting=frozenset({0}),
-        transitions={(0, "a"): 0, (0, "b"): 0},
-    )
-    assert short_circuit(trim(dfa)).adjacency.toarray().tolist() == [[3]]
+def test_net_languages_are_the_words_that_fire():
+    rng = random.Random(59)
+    for net in bounded_nets(rng, 20):
+        # the same net with its first transition silent, too
+        first = min(net.transitions)
+        quiet = PetriNet(
+            net.places,
+            {**net.transitions, first: None},
+            net.arcs,
+            net.initial_marking,
+            net.final_markings,
+        )
+        for side in (net, quiet):
+            rg = reachability_graph(side)
+            dfa = rg_to_dfa(rg, side)
+            for word in oracles.words_up_to({*net.transitions.values()}, 4):
+                assert dfa.accepts(word) == fires(rg, side, word), word
 
 
-def test_short_circuit_single_word():
-    graph = short_circuit(trim(dfa_for(("a",))))
-    assert graph.adjacency.toarray().tolist() == [[0, 1], [1, 0]]
-
-
-def test_short_circuit_empty_language_is_zero_nodes():
-    empty = trim(
-        Dfa(frozenset({0}), frozenset("a"), 0, frozenset(), {})
-    )
-    graph = short_circuit(empty)
-    assert graph.node_count == 0
-    assert graph.adjacency.shape == (0, 0)
-
-
-def test_short_circuit_back_edge_per_accepting_state():
-    rng = random.Random(41)
-    for _ in range(20):
-        dfa = oracles.random_dfa(rng)
-        graph = short_circuit(dfa)
-        states = sorted(dfa.states)
-        index = {s: i for i, s in enumerate(states)}
-        plain = [[0] * len(states) for _ in states]
-        for (src, _), dst in dfa.transitions.items():
-            plain[index[src]][index[dst]] += 1
-        for state in states:
-            expected = plain[index[state]][index[dfa.initial]] + (
-                1 if state in dfa.accepting else 0
-            )
-            assert graph.adjacency[index[state], index[dfa.initial]] == expected
+def test_the_automata_layer_needs_neither_numpy_nor_scipy(monkeypatch):
+    tree = ast.parse(Path(automata.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    assert not {name.split(".")[0] for name in modules} & {"numpy", "scipy"}
+    # any import of either fails from here on
+    for name in ("numpy", "scipy", "scipy.sparse"):
+        monkeypatch.setitem(sys.modules, name, None)
+    a, b = dfa_for(("a", "b"), ("b",)), dfa_for(("a",), ("b",), ("b", "a"))
+    assert oracles.dfa_language(trim(product(a, b)), 3) == {("b",)}
+    assert closed(a, 1) == oracles.closed_dfa(a, 1)
 
 
 def renamed(a: Dfa, rng) -> Dfa:
@@ -464,7 +490,7 @@ def test_constructions_are_reproducible():
     second = oracles.random_dfa(rng_b)
     assert first == second
     assert product(first, first) == product(second, second)
-    assert determinize(skip_closure(first, 1)) == determinize(skip_closure(second, 1))
+    assert closed(first, 1) == closed(second, 1)
     # constructions number states canonically: renaming the states of an
     # input and reordering its transitions changes nothing
     rng = random.Random(100)
@@ -475,9 +501,7 @@ def test_constructions_are_reproducible():
         assert trim(copy) == trim(original)
         assert product(copy, renamed(other, rng)) == product(original, other)
         for k in (0, 1, UNBOUNDED):
-            assert determinize(skip_closure(copy, k)) == determinize(
-                skip_closure(original, k)
-            )
+            assert closed(copy, k) == closed(original, k)
 
 
 def canonically_numbered(a: Dfa) -> bool:
@@ -536,10 +560,13 @@ def test_each_public_builder_numbers_its_rows_once(monkeypatch):
         )
         value, count = built(trim, a)
         assert value is a and count == 1
-        closed, count = built(determinize, skip_closure(a, 1))
-        assert count == 1 and canonically_numbered(closed)
+        # a closure numbers only the subsets it keeps
+        rows = automata._trim(automata._rows(a))
+        closure, count = built(measures._closure, rows, 1)
+        closure = _dfa(closure, a.alphabet)
+        assert count == 1 and canonically_numbered(closure)
         # a builder's result that is trim is returned by trim itself
-        for value in (log_to_dfa(log), closed):
+        for value in (log_to_dfa(log), closure):
             assert trim(value) is value
     assert conjunctions > 10
     for net in bounded_nets(rng, 15):

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse import block_diag, csr_matrix, diags
 
-from entroconf.automata import (
-    UNBOUNDED,
-    Dfa,
-    EventLog,
-    _dfa,
-    determinize,
-    log_to_dfa,
-    product,
-    skip_closure,
-    trim,
-)
+from entroconf.automata import UNBOUNDED, Dfa, EventLog, _dfa, log_to_dfa, product, trim
 from entroconf import measures
 from entroconf.errors import NotConverged, SemanticError, StateSpaceExceeded
 from entroconf.measures import (
@@ -261,10 +251,10 @@ def test_trees_are_solved_as_their_lengths_and_other_finite_languages_by_back_su
         "_words_growth_factor": [
             tree,
             product(tree, diamond),
-            determinize(skip_closure(tree, 0)),
+            oracles.closed_dfa(tree, 0),
         ],
         # abc less one symbol: ac and bc meet in one subset
-        "_back_substitution": [ladder, diamond, determinize(skip_closure(dfa_for("abc"), 1))],
+        "_back_substitution": [ladder, diamond, oracles.closed_dfa(dfa_for("abc"), 1)],
     }
     for kernel, automata in kernels.items():
         for a in automata:
@@ -316,9 +306,9 @@ def test_trim_copies_only_what_it_changes():
     # both kinds occur: kept as is, and trim already but numbered otherwise
     assert skipped and renumbered
 
-    # a log's prefix tree and the output of determinize need no rebuild
+    # a log's prefix tree and a closure's rows need no rebuild
     log = dfa_for("abc", "abd", "b", "")
-    closure = determinize(skip_closure(log, UNBOUNDED))
+    closure = _dfa(measures._closure(measures._language(log, UNBOUNDED), UNBOUNDED), log.alphabet)
     assert trim(log) is log
     assert trim(closure) is closure
 
@@ -337,6 +327,108 @@ def test_entropy_matches_the_perron_root_on_random_automata():
         cyclic += bool(np.linalg.matrix_power(adjacency, len(dfa.states)).any())
     # both the back-substitution and the power iteration are exercised
     assert 0 < cyclic < 300
+
+
+def test_a_cyclic_growth_factor_condenses_once(monkeypatch):
+    # trim rows reach state 0 again through a back edge from every state,
+    # so the condensation that finds a cycle is the only one its solve needs
+    calls = []
+    for name in ("_condensation", "_perron_root"):
+        function = getattr(measures, name)
+        spied = lambda arg, name=name, function=function: calls.append(name) or function(arg)
+        monkeypatch.setattr(measures, name, spied)
+    rng = random.Random(7)
+    cyclic = 0
+    for _ in range(300):
+        rows = measures._language(oracles.random_dfa(rng, max_states=9), 0)
+        calls.clear()
+        measures._growth_factor(rows)
+        if "_perron_root" in calls:
+            cyclic += 1
+            assert calls == ["_condensation", "_perron_root"]
+    assert cyclic > 100
+
+
+def kernel_blocks(monkeypatch) -> list:
+    """Each block that _perron_root is handed from now on, as a dense list."""
+    blocks = []
+    kernel = measures._perron_root
+
+    def spied(block):
+        blocks.append(block.toarray().tolist())
+        return kernel(block)
+
+    monkeypatch.setattr(measures, "_perron_root", spied)
+    return blocks
+
+
+# an automaton, the growth factor of its short-circuit graph, and the
+# blocks that the power iteration sees: none for a finite language
+SHORT_CIRCUITS = {
+    "empty word": (dfa_for(()), 1.0, []),
+    "universal over two letters": (
+        Dfa(frozenset({0}), frozenset("ab"), 0, frozenset({0}), {(0, "a"): 0, (0, "b"): 0}),
+        3.0,
+        [[[3.0]]],
+    ),
+    "single word": (dfa_for(("a",)), 1.0, []),
+    "empty language": (Dfa(frozenset({0}), frozenset("a"), 0, frozenset(), {}), 0.0, []),
+}
+
+
+@pytest.mark.parametrize("name", SHORT_CIRCUITS)
+def test_short_circuit_examples(name, monkeypatch):
+    dfa, expected, blocks = SHORT_CIRCUITS[name]
+    seen = kernel_blocks(monkeypatch)
+    assert growth_factor(dfa) == pytest.approx(expected, rel=1e-12)
+    assert seen == blocks
+
+
+def test_short_circuit_back_edge_per_accepting_state(monkeypatch):
+    # the one block of a cyclic growth factor is the whole short-circuit
+    # matrix: each edge of the rows, plus one edge to state 0 per accepting state
+    seen = kernel_blocks(monkeypatch)
+    rng = random.Random(41)
+    cyclic = 0
+    for _ in range(60):
+        rows = measures._language(oracles.random_dfa(rng), 0)
+        seen.clear()
+        measures._growth_factor(rows)
+        if seen:
+            cyclic += 1
+            a = _dfa(rows, frozenset("abc"))
+            assert seen == [oracles.short_circuit_matrix(a)]
+    assert cyclic > 10
+
+
+def test_a_cyclic_growth_factor_is_the_spectral_radius_of_its_short_circuit_matrix():
+    rng = random.Random(7)
+    cyclic = 0
+    for _ in range(300):
+        rows = measures._language(oracles.random_dfa(rng, max_states=9), 0)
+        if measures._acyclic_order([[j for j, _ in row[1].values()] for row in rows]):
+            continue
+        cyclic += 1
+        matrix = oracles.short_circuit_matrix(_dfa(rows, frozenset("abc")))
+        assert measures._growth_factor(rows).hex() == spectral_radius(matrix).hex()
+    assert cyclic > 100
+
+
+def test_a_cyclic_growth_factor_reports_non_convergence(monkeypatch):
+    # short-circuit matrix [[2, 1], [1, 1]]: one power step does not settle it
+    dfa = Dfa(
+        frozenset({0, 1}),
+        frozenset("abc"),
+        0,
+        frozenset({1}),
+        {(0, "a"): 0, (0, "b"): 0, (0, "c"): 1, (1, "a"): 1},
+    )
+    assert growth_factor(dfa) == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-9)
+    monkeypatch.setattr(measures, "_MAX_ITERATIONS", 1)
+    with pytest.raises(NotConverged):
+        growth_factor(dfa)
+    with pytest.raises(NotConverged):
+        topological_entropy(dfa)
 
 
 def test_entropy_of_analytic_languages():
@@ -422,7 +514,7 @@ def test_a_budget_above_the_longest_word_is_lowered_to_it():
     for a in inputs:
         for k in range(9):
             closed = measures._closure(measures._language(a, k), k)
-            assert _dfa(closed, a.alphabet) == determinize(skip_closure(trim(a), k))
+            assert _dfa(closed, a.alphabet) == oracles.closed_dfa(a, k)
 
 
 def test_the_closure_reads_its_trim_input_as_built(monkeypatch):
@@ -543,8 +635,8 @@ def test_partial_matching_on_crossed_pair():
     # {empty, a, b}; both directions land strictly between 0 and 1.
     rel = dfa_for(("a", "b"))
     ret = dfa_for(("b", "a"))
-    closed_rel = determinize(skip_closure(trim(rel), UNBOUNDED))
-    closed_ret = determinize(skip_closure(trim(ret), UNBOUNDED))
+    closed_rel = oracles.closed_dfa(rel, UNBOUNDED)
+    closed_ret = oracles.closed_dfa(ret, UNBOUNDED)
     shared = oracles.perron_root(
         oracles.short_circuit_matrix(trim(product(closed_rel, closed_ret)))
     )

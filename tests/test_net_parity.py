@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from entroconf import automata, cli
-from entroconf.automata import SILENT, UNBOUNDED, Nfa, _dfa, determinize
+from entroconf.automata import UNBOUNDED, _dfa
 from entroconf.cli import parse_args
 from entroconf.errors import (
     EntroconfError,
@@ -49,22 +49,11 @@ def earlier_rg_to_dfa(rg, net):
             raise NoAcceptingState(
                 "no final markings declared and the net never deadlocks"
             )
-    triples = frozenset(
-        (src, net.transitions[t] if net.transitions[t] is not None else SILENT, dst)
-        for src, t, dst in rg.edges
-    )
+    triples = [(src, net.transitions[t], dst) for src, t, dst in rg.edges]
     alphabet = frozenset(
         label for label in net.transitions.values() if label is not None
     )
-    return determinize(
-        Nfa(
-            states=rg.nodes,
-            alphabet=alphabet,
-            initial=rg.initial,
-            accepting=accepting,
-            transitions=triples,
-        )
-    )
+    return oracles.subset_construction(rg.initial, accepting, triples, alphabet)
 
 
 def earlier_stochastic_rg_to_sdfa(net):

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from entroconf import automata
-from entroconf.automata import EventLog, Nfa, determinize, log_to_dfa, product, skip_closure
+from entroconf import automata, measures
+from entroconf.automata import UNBOUNDED, Dfa, EventLog, log_to_dfa, product
 from entroconf.errors import (
     InvalidFinalMarking,
     NoAcceptingState,
@@ -283,13 +283,7 @@ def test_nets_and_automata_share_one_state_cap(monkeypatch):
     n = 6
     log = EventLog.from_traces([("a",) * n])
     chain = log_to_dfa(log)
-    nfa = Nfa(
-        states=chain.states,
-        alphabet=chain.alphabet,
-        initial=chain.initial,
-        accepting=chain.accepting,
-        transitions=frozenset((s, label, d) for (s, label), d in chain.transitions.items()),
-    )
+    rows = automata._rows(chain)
     # n tokens moved one at a time: n + 1 markings
     tokens = PetriNet(
         places=frozenset({"p", "q"}),
@@ -299,11 +293,11 @@ def test_nets_and_automata_share_one_state_cap(monkeypatch):
     )
     sizes = [
         lambda: len(product(chain, chain).states),
-        lambda: len(determinize(nfa).states),
+        # each suffix of the chain is one subset of its deletion closure
+        lambda: len(measures._closure(rows, UNBOUNDED)),
         lambda: len(conjunction(log_to_sdfa(log), log_to_sdfa(log)).states),
         lambda: len(reachability_graph(tokens).nodes),
         lambda: len(stochastic_rg_to_sdfa(weighted(tokens)).states),
-        lambda: len(skip_closure(chain, 0).states),
     ]
     for size in sizes:
         monkeypatch.setattr(automata, "_MAX_STATES", n + 1)
@@ -313,6 +307,19 @@ def test_nets_and_automata_share_one_state_cap(monkeypatch):
             size()
     # a log's prefix tree is not capped: it is no larger than the log read
     assert len(log_to_dfa(log).states) == len(log_to_sdfa(log).states) == n + 1
+    # a deletion budget k is checked as k + 1 copies of the states, before
+    # any subset is built
+    monkeypatch.setattr(automata, "_MAX_STATES", 2 * (n + 1))
+    assert len(measures._closure(rows, 1)) == n + 1
+    monkeypatch.setattr(automata, "_MAX_STATES", 2 * n + 1)
+    with pytest.raises(StateSpaceExceeded, match=rf"budget of 1 on {n + 1} states .* {2 * n + 1} "):
+        measures._closure(rows, 1)
+    # so a budget unbounded in effect is refused on a cycle, where no
+    # longest word lowers it
+    monkeypatch.undo()
+    loop = automata._rows(Dfa(frozenset({0}), frozenset("a"), 0, frozenset({0}), {(0, "a"): 0}))
+    with pytest.raises(StateSpaceExceeded, match=r"cap of 1000000 states"):
+        measures._closure(loop, 10**12)
 
 
 def test_boundedness_of_a_long_token_chain_is_fast():

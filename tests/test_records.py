@@ -1,7 +1,7 @@
 """Value semantics of the public record types.
 
 Every record is an immutable value: it equals another instance of the same
-class whose compared fields are equal, hashes as the tuple of those fields,
+class whose fields are equal, hashes as the tuple of those fields,
 shows them in its repr, and rejects assignment and deletion. The table
 below names each record's fields in order, with a base value and one
 different value per field; the reprs are literal.
@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from entroconf.automata import Dfa, EventLog, Nfa, ShortCircuitGraph, log_to_dfa
+from entroconf.automata import Dfa, EventLog, log_to_dfa
 from entroconf.cli import RunConfig
 from entroconf.errors import SilentTransitionUnsupported
 from entroconf.formats import Dfg
@@ -62,23 +62,6 @@ RECORDS = {
         False,
         "Dfa(states=frozenset({0, 1}), alphabet=frozenset({'a'}), initial=0, "
         "accepting=frozenset({1}), transitions={(0, 'a'): 1})",
-    ),
-    Nfa: (
-        {
-            "states": (frozenset({0, 1}), frozenset({0})),
-            "alphabet": (frozenset({"a"}), frozenset()),
-            "initial": (0, 1),
-            "accepting": (frozenset({1}), frozenset()),
-            "transitions": (frozenset({(0, "a", 1)}), frozenset({(0, None, 1)})),
-        },
-        True,
-        "Nfa(states=frozenset({0, 1}), alphabet=frozenset({'a'}), initial=0, "
-        "accepting=frozenset({1}), transitions=frozenset({(0, 'a', 1)}))",
-    ),
-    ShortCircuitGraph: (
-        {"node_count": (2, 3)},
-        True,
-        "ShortCircuitGraph(node_count=2, adjacency='adjacency')",
     ),
     Marking: (
         {"tokens": ((("p", 1),), (("p", 1), ("q", 1)))},
@@ -154,8 +137,6 @@ RECORDS = {
         "Dfg(nodes={'n': 'a'}, arcs={('s', 'n'): 1, ('n', 'e'): 1}, source='s', sink='e')",
     ),
 }
-# fields that the constructor takes but == and hash ignore
-EXTRA = {ShortCircuitGraph: {"adjacency": "adjacency"}}
 # the changes that a field's different value needs to stay valid: an SDFA's
 # added state needs its termination, which only a state may have
 ALONGSIDE = {(Sdfa, "states"): {"termination": {1: Fraction(1), 2: Fraction(1)}}}
@@ -164,7 +145,7 @@ ALONGSIDE = {(Sdfa, "states"): {"termination": {1: Fraction(1), 2: Fraction(1)}}
 def build(cls, **changes):
     fields, _, _ = RECORDS[cls]
     values = {name: base for name, (base, _) in fields.items()}
-    return cls(**{**values, **EXTRA.get(cls, {}), **changes})
+    return cls(**{**values, **changes})
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -222,7 +203,7 @@ def test_records_show_their_fields(cls):
 )
 def test_records_take_their_fields_in_order(cls):
     fields, _, _ = RECORDS[cls]
-    values = [base for base, _ in fields.values()] + list(EXTRA.get(cls, {}).values())
+    values = [base for base, _ in fields.values()]
     assert cls(*values) == build(cls)
 
 
@@ -268,13 +249,11 @@ def test_records_of_different_classes_are_never_equal(one, other):
     assert not one == other and not other == one
 
 
-def test_private_and_matrix_fields_are_not_compared():
+def test_private_fields_are_not_compared():
     one, two = build(Sdfa), build(Sdfa)
     assert one.out_edges(0) == [("a", 1, Fraction(1))]
     assert one == two
     assert "_weights" not in repr(one) and "_out" not in repr(one)
-    graph = ShortCircuitGraph(2, "one adjacency")
-    assert graph == ShortCircuitGraph(2, "another") and hash(graph) == hash((2,))
 
 
 INVALID = {
