@@ -1,9 +1,10 @@
 """Entropy-based precision and recall between process models and event logs.
 
 ``import entroconf`` registers every layer (``automata``, ``formats``,
-``measures``, ``petri``, ``stochastic``) but runs none; ``errors`` runs at
-once. A layer's body is compiled and run on the first attribute access to
-its module, by whatever route (``entroconf.Dfa``, ``import entroconf.petri``,
+``measures``, ``petri``, ``stochastic``, and the private readers and
+writers of ``formats``) but runs none; ``errors`` runs at once. A layer's
+body is compiled and run on the first attribute access to its module, by
+whatever route (``entroconf.Dfa``, ``import entroconf.petri``,
 ``vars(entroconf.petri)``): once, under one lock, so that threads share one
 module object per layer and never read one half run. ``from . import petri``
 binds a layer without running it, which is how the layers and the command
@@ -85,8 +86,9 @@ def _lazy(name: str) -> ModuleType:
 
 
 # every layer is registered while the package is imported, under the
-# package's import lock, so no thread can import a layer before that
-for _home in sorted(set(_HOMES.values())):
+# package's import lock, so no thread can import a layer before that; so are
+# the readers and writers that formats reaches on first use
+for _home in sorted({*_HOMES.values(), "_lines", "_pnml", "_writers"}):
     _lazy(_home)
 del _home
 

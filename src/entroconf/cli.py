@@ -272,12 +272,23 @@ def _evaluate(cfg: RunConfig, rel, ret) -> tuple[float | bool | UnboundedModel, 
 
 
 def _rounded(value: float) -> str:
-    # repr keeps the shortest faithful decimal, so half-even acts on the
-    # intended digits rather than on binary noise; decimal is imported here,
-    # so that --help, --version and usage errors do not load it
-    from decimal import ROUND_HALF_EVEN, Decimal
-
-    return str(Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN))
+    # three decimals, rounded half-even on the digits of repr, the shortest
+    # decimal that reads back as value, so that a tie is decided on the
+    # intended digits rather than on binary noise. Integers do it, as
+    # Decimal.quantize would, without loading decimal on every run.
+    mantissa, _, exponent = repr(value).partition("e")
+    _, sign, mantissa = mantissa.rpartition("-")
+    whole, _, fraction = mantissa.partition(".")
+    # value is digits * 10**shift thousandths
+    digits, shift = int(whole + fraction), int(exponent or 0) - len(fraction) + 3
+    if shift >= 0:
+        thousandths = digits * 10**shift
+    else:
+        thousandths, rest = divmod(digits, 10**-shift)
+        half = 5 * 10 ** (-shift - 1)
+        thousandths += rest > half or (rest == half and thousandths % 2)
+    units, thousandths = divmod(thousandths, 1000)
+    return f"{sign}{units}.{thousandths:03d}"
 
 
 def run(cfg: RunConfig, stdout=None, stderr=None) -> int:

@@ -1,5 +1,17 @@
 """Readers and writers for the five artifact formats.
 
+This module reads XES and dispatches a path to its format's reader by
+extension. The other readers and the writers live in private modules,
+registered with the package's layers, each compiled and run on the first
+use of one of its names, so that a run compiles only the readers of the
+formats it reads:
+
+- ``_pnml``: PNML and sPNML nets, read with ElementTree;
+- ``_lines``: the SDFA and DFG line formats, and ``Dfg``;
+- ``_writers``: the five ``serialize_*`` functions.
+
+Every public name resolves from here (PEP 562).
+
 XML formats: XES event logs (only the concept:name of each event is used),
 PNML Petri nets (initialMarking, optional finalmarkings section, silent
 transitions by empty name or an invisible marker), and sPNML stochastic
@@ -23,61 +35,71 @@ Line formats, with '#' comments and blank lines ignored:
 
 Probabilities and weights may be decimals ("0.5") or fractions ("4/5") and
 are kept as exact rationals, so serializing and reparsing is lossless.
+``fractions`` is imported by the first one read, so a run over logs and
+unweighted nets does not load it.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 from xml.parsers import expat
 
-from . import petri, stochastic
-from .automata import EventLog, Trace, _reachable, _Record
+# petri, stochastic, ElementTree and fractions are loaded by the readers of
+# nets (_pnml) and of the line formats (_lines), and by the writers, each run
+# on first use, so that a run reading only XES, which expat streams here,
+# loads none of them
+from . import _lines, _pnml, _writers
+from .automata import EventLog, Trace
 from .errors import (
-    DanglingArc,
-    DeadEndNode,
-    DuplicateTransition,
     InputError,
     MalformedXml,
     MissingConceptName,
-    NonPositiveWeight,
     ParseError,
-    StochasticSumViolation,
     UnknownExtension,
-    UnreachableNode,
     _echo,
-    _parse_count,
     _shown,
 )
 
-# petri and stochastic run only when a parser builds a net or an SDFA, and
-# ElementTree is imported by the functions that read or write a tree, so that
-# runs reading only XES, which expat streams, load neither
 if TYPE_CHECKING:
-    import xml.etree.ElementTree as ET
-
-    from .petri import Marking, PetriNet, StochasticPetriNet
-    from .stochastic import Sdfa
+    from fractions import Fraction
 
 # transitions carrying this ProM marker are silent regardless of their name
 _INVISIBLE = "$invisible$"
 
+# each public name that a private module defines, by that module
+_HOMES = {
+    **dict.fromkeys(("parse_pnml", "parse_spnml"), _pnml),
+    **dict.fromkeys(("Dfg", "parse_dfg", "parse_sdfa", "read_dfg"), _lines),
+    **dict.fromkeys(
+        ("serialize_dfg", "serialize_pnml", "serialize_sdfa", "serialize_spnml", "serialize_xes"),
+        _writers,
+    ),
+}
 
-class Dfg(_Record):
-    """Directly-follows graph: labeled activity nodes between two endpoints."""
+__all__ = sorted(["load_artifact", "parse_xes", *_HOMES])
 
-    nodes: Mapping[str, str]
-    arcs: Mapping[tuple[str, str], int]
-    source: str
-    sink: str
 
-    def __init__(self, nodes, arcs, source, sink) -> None:
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "sink", sink)
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+def _public(definition):
+    """A private module's public definition, which names formats, its public
+    home, as its module: help() and pickle point there, and the benchmark's
+    tracer, which names a function's span by its module, counts its time
+    under formats."""
+    definition.__module__ = __name__
+    return definition
 
 
 class _LocalNames(dict):
@@ -89,31 +111,11 @@ class _LocalNames(dict):
         return local
 
 
-# the ElementTree readers' names
-_local_names = _LocalNames()
-
-
-def _parse_xml(text: str | bytes) -> ET.Element:
-    import xml.etree.ElementTree as ET
-
-    try:
-        return ET.fromstring(text)
-    except (ET.ParseError, LookupError, ValueError) as exc:
-        # LookupError and ValueError: see _read_xes
-        raise MalformedXml(str(exc)) from None
-
-
-def _child_text(element: ET.Element, tag: str) -> str | None:
-    for child in element:
-        if _local_names[child.tag] == tag:
-            for grandchild in child:
-                if _local_names[grandchild.tag] == "text":
-                    return grandchild.text or ""
-            return child.text or ""
-    return None
-
-
 def _parse_number(token: str, context: str) -> Fraction:
+    # the one place a weight or probability is read, so fractions is
+    # imported here rather than by every run
+    from fractions import Fraction
+
     # Fraction("1e99999999") spends minutes building the power of ten;
     # leading zeros add nothing to it
     if len(token.lower().partition("e")[2].lstrip("+-").lstrip("0")) > 4:
@@ -122,13 +124,6 @@ def _parse_number(token: str, context: str) -> Fraction:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"{context}: cannot read number {_echo(token)}") from None
-
-
-def _parse_probability(token: str, context: str) -> Fraction:
-    value = _parse_number(token, context)
-    if not 0 <= value <= 1:
-        raise ParseError(f"{context}: probability {_echo(token, str)} outside [0, 1]")
-    return value
 
 
 # --- XES ---------------------------------------------------------------
@@ -380,386 +375,16 @@ def parse_xes(text: str) -> EventLog:
     return _read_xes(text)
 
 
-def serialize_xes(log: EventLog) -> str:
-    import xml.etree.ElementTree as ET
-
-    root = ET.Element("log", {"xes.version": "1.0"})
-    for trace in sorted(log.entries):
-        for _ in range(log.entries[trace]):
-            trace_el = ET.SubElement(root, "trace")
-            for label in trace:
-                event_el = ET.SubElement(trace_el, "event")
-                ET.SubElement(
-                    event_el, "string", {"key": "concept:name", "value": label}
-                )
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
-
-
-# --- PNML / sPNML ------------------------------------------------------
-
-
-def _parse_net_elements(root: ET.Element):
-    places: dict[str, int] = {}
-    transitions: dict[str, str | None] = {}
-    weights: dict[str, Fraction | None] = {}
-    arcs: dict[tuple[str, str], int] = {}
-    finals: list[Marking] | None = None
-    # what is under <finalmarkings>, idref references and not declarations,
-    # is read by its branch below, which the walk reaches first
-    nested = set()
-    for el in root.iter():
-        if el in nested:
-            continue
-        tag = _local_names[el.tag]
-        if tag in ("place", "transition"):
-            ident = el.get("id")
-            if ident is None:
-                raise ParseError(f"{tag} without id")
-            if ident in (places if tag == "place" else transitions):
-                raise ParseError(f"{tag} {_shown(ident)} declared twice")
-        if tag == "place":
-            marking_text = _child_text(el, "initialMarking")
-            places[ident] = (
-                _parse_count(marking_text, f"place {_shown(ident)}") if marking_text else 0
-            )
-        elif tag == "transition":
-            name = _child_text(el, "name")
-            label = name.strip() if name else ""
-            weight: Fraction | None = None
-            for child in el:
-                if _local_names[child.tag] != "toolspecific":
-                    continue
-                if child.get("activity") == _INVISIBLE:
-                    label = ""
-                for grandchild in child:
-                    if _local_names[grandchild.tag] == "weight":
-                        weight = _parse_number(
-                            (grandchild.text or "").strip(), f"transition {_shown(ident)}"
-                        )
-            transitions[ident] = label or None
-            weights[ident] = weight
-        elif tag == "arc":
-            source = el.get("source")
-            target = el.get("target")
-            if source is None or target is None:
-                raise ParseError("arc without source or target")
-            inscription = _child_text(el, "inscription")
-            multiplicity = (
-                _parse_count(inscription, f"arc {_shown(source)}->{_shown(target)}")
-                if inscription
-                else 1
-            )
-            key = (source, target)
-            arcs[key] = arcs.get(key, 0) + multiplicity
-        elif tag == "finalmarkings":
-            nested.update(el.iter())
-            finals = []
-            for marking_el in el:
-                if _local_names[marking_el.tag] != "marking":
-                    continue
-                tokens: dict[str, int] = {}
-                for place_el in marking_el:
-                    if _local_names[place_el.tag] != "place":
-                        continue
-                    idref = place_el.get("idref")
-                    if idref is None:
-                        raise ParseError("final marking place without idref")
-                    count_text = _child_text(place_el, "text")
-                    if count_text is None:
-                        count_text = place_el.text or "1"
-                    count = _parse_count(count_text, f"final marking of {_shown(idref)}")
-                    tokens[idref] = tokens.get(idref, 0) + count
-                finals.append(petri.Marking.of(tokens))
-    for source, target in arcs:
-        for endpoint in (source, target):
-            if endpoint not in places and endpoint not in transitions:
-                raise DanglingArc(f"arc endpoint {endpoint!r} is not declared")
-    return places, transitions, weights, arcs, finals
-
-
-def _parse_net(text: str | bytes, weighted: bool) -> PetriNet:
-    places, transitions, weights, arcs, finals = _parse_net_elements(_parse_xml(text))
-    extra = {}
-    if weighted:
-        for ident, weight in weights.items():
-            if weight is not None and weight <= 0:
-                raise NonPositiveWeight(f"transition {_shown(ident)} has weight {weight}")
-        extra["weights"] = {t: w or Fraction(1) for t, w in weights.items()}
-    try:
-        return (petri.StochasticPetriNet if weighted else petri.PetriNet)(
-            places=frozenset(places),
-            transitions=transitions,
-            arcs=arcs,
-            initial_marking=petri.Marking.of(places),
-            final_markings=frozenset(finals) if finals is not None else None,
-            **extra,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
-
-
-def parse_pnml(text: str | bytes) -> PetriNet:
-    """Petri net from a PNML document.
-
-    Missing initialMarking means zero tokens; a transition with an empty
-    or missing name, or an invisible toolspecific marker, is silent.
-    """
-    return _parse_net(text, weighted=False)
-
-
-def parse_spnml(text: str | bytes) -> StochasticPetriNet:
-    """Stochastic net: PNML plus a positive weight annotation per transition.
-
-    A transition without a weight annotation gets weight 1.
-    """
-    return _parse_net(text, weighted=True)
-
-
-def _serialize_net(net: PetriNet, weighted: bool) -> str:
-    import xml.etree.ElementTree as ET
-
-    root = ET.Element("pnml")
-    net_el = ET.SubElement(root, "net", {"id": "net", "type": "http://www.pnml.org/"})
-    page = ET.SubElement(net_el, "page", {"id": "page"})
-    for place in sorted(net.places):
-        place_el = ET.SubElement(page, "place", {"id": place})
-        tokens = net.initial_marking.count(place)
-        if tokens:
-            marking_el = ET.SubElement(place_el, "initialMarking")
-            ET.SubElement(marking_el, "text").text = str(tokens)
-    for ident in sorted(net.transitions):
-        label = net.transitions[ident]
-        transition_el = ET.SubElement(page, "transition", {"id": ident})
-        if label is not None:
-            name_el = ET.SubElement(transition_el, "name")
-            ET.SubElement(name_el, "text").text = label
-        else:
-            ET.SubElement(
-                transition_el,
-                "toolspecific",
-                {"tool": "entroconf", "version": "1.0", "activity": _INVISIBLE},
-            )
-        if weighted:
-            tool_el = ET.SubElement(
-                transition_el, "toolspecific", {"tool": "stochastic", "version": "1.0"}
-            )
-            weight = net.weights[ident]  # type: ignore[attr-defined]
-            ET.SubElement(tool_el, "weight").text = str(weight)
-    for source, target in sorted(net.arcs):
-        arc_el = ET.SubElement(
-            page, "arc", {"id": f"{source}.to.{target}", "source": source, "target": target}
-        )
-        multiplicity = net.arcs[(source, target)]
-        if multiplicity != 1:
-            inscription_el = ET.SubElement(arc_el, "inscription")
-            ET.SubElement(inscription_el, "text").text = str(multiplicity)
-    if net.final_markings is not None:
-        finals_el = ET.SubElement(net_el, "finalmarkings")
-        for marking in sorted(net.final_markings, key=lambda m: m.tokens):
-            marking_el = ET.SubElement(finals_el, "marking")
-            for place, count in marking.tokens:
-                place_el = ET.SubElement(marking_el, "place", {"idref": place})
-                ET.SubElement(place_el, "text").text = str(count)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode") + "\n"
-
-
-def serialize_pnml(net: PetriNet) -> str:
-    return _serialize_net(net, weighted=False)
-
-
-def serialize_spnml(net: StochasticPetriNet) -> str:
-    return _serialize_net(net, weighted=True)
-
-
-# --- SDFA ---------------------------------------------------------------
-
-
-def _records(text: str):
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield line_number, line.split()
-
-
-def parse_sdfa(text: str) -> Sdfa:
-    """SDFA from the line format; per-state sums checked to 1 +- 1e-9."""
-    initial: str | None = None
-    termination: dict[str, Fraction] = {}
-    arcs: list[tuple[str, str, str, Fraction]] = []
-    for line_number, fields in _records(text):
-        kind = fields[0]
-        if kind == "initial" and len(fields) == 2:
-            if initial is not None:
-                raise ParseError(f"line {line_number}: repeated initial declaration")
-            initial = fields[1]
-        elif kind == "state" and len(fields) == 3:
-            if fields[1] in termination:
-                raise ParseError(f"line {line_number}: state {fields[1]} redeclared")
-            termination[fields[1]] = _parse_probability(
-                fields[2], f"line {line_number}"
-            )
-        elif kind == "arc" and len(fields) == 5:
-            arcs.append(
-                (
-                    fields[1],
-                    fields[2],
-                    fields[3],
-                    _parse_probability(fields[4], f"line {line_number}"),
-                )
-            )
-        else:
-            raise ParseError(f"line {line_number}: unrecognized record {' '.join(fields)!r}")
-    if initial is None:
-        raise ParseError("missing initial declaration")
-    if initial not in termination:
-        raise ParseError(f"initial state {initial} is not declared")
-    transitions: dict[tuple[str, str], tuple[str, Fraction]] = {}
-    for src, dst, label, probability in arcs:
-        for endpoint in (src, dst):
-            if endpoint not in termination:
-                raise ParseError(f"arc endpoint {endpoint} is not declared")
-        if (src, label) in transitions:
-            raise DuplicateTransition(f"second arc for label {label!r} at state {src}")
-        transitions[(src, label)] = (dst, probability)
-    try:
-        return stochastic.Sdfa(
-            states=frozenset(termination),
-            alphabet=frozenset(label for _, label in transitions),
-            initial=initial,
-            transitions=transitions,
-            termination={s: p for s, p in termination.items() if p > 0},
-        )
-    except ValueError as exc:
-        # every other check of Sdfa is made above, with a line number
-        raise StochasticSumViolation(str(exc)) from None
-
-
-def serialize_sdfa(a: Sdfa) -> str:
-    lines = [f"initial {a.initial}"]
-    for state in sorted(a.states, key=str):
-        lines.append(f"state {state} {a.termination.get(state, Fraction(0))}")
-    for (src, label), (dst, probability) in sorted(
-        a.transitions.items(), key=lambda item: (str(item[0][0]), item[0][1])
-    ):
-        lines.append(f"arc {src} {dst} {label} {probability}")
-    return "\n".join(lines) + "\n"
-
-
-# --- DFG ----------------------------------------------------------------
-
-
-def read_dfg(text: str) -> Dfg:
-    """Directly-follows graph from the line format, fully validated."""
-    source: str | None = None
-    sink: str | None = None
-    nodes: dict[str, str] = {}
-    arcs: dict[tuple[str, str], int] = {}
-    for line_number, fields in _records(text):
-        kind = fields[0]
-        if kind == "source" and len(fields) == 2:
-            if source is not None:
-                raise ParseError(f"line {line_number}: repeated source declaration")
-            source = fields[1]
-        elif kind == "sink" and len(fields) == 2:
-            if sink is not None:
-                raise ParseError(f"line {line_number}: repeated sink declaration")
-            sink = fields[1]
-        elif kind == "node" and len(fields) == 3:
-            if fields[1] in nodes:
-                raise ParseError(f"line {line_number}: node {fields[1]} redeclared")
-            nodes[fields[1]] = fields[2]
-        elif kind == "arc" and len(fields) == 4:
-            frequency = _parse_count(fields[3], f"line {line_number}")
-            if frequency < 1:
-                raise ParseError(f"line {line_number}: frequency must be positive")
-            if (fields[1], fields[2]) in arcs:
-                raise ParseError(
-                    f"line {line_number}: repeated arc {fields[1]} -> {fields[2]}"
-                )
-            arcs[(fields[1], fields[2])] = frequency
-        else:
-            raise ParseError(f"line {line_number}: unrecognized record {' '.join(fields)!r}")
-    if source is None or sink is None:
-        raise ParseError("both a source and a sink declaration are required")
-    if source == sink or source in nodes or sink in nodes:
-        raise ParseError("source and sink must be distinct, undeclared endpoints")
-    for src, dst in arcs:
-        if src == sink or dst == source:
-            raise ParseError("arcs may not leave the sink or enter the source")
-        if src not in nodes and src != source:
-            raise ParseError(f"arc leaves unknown node {src!r}")
-        if dst not in nodes and dst != sink:
-            raise ParseError(f"arc enters unknown node {dst!r}")
-
-    outgoing: dict[str, list[str]] = {}
-    for src, dst in arcs:
-        outgoing.setdefault(src, []).append(dst)
-    for node, label in sorted(nodes.items()):
-        if node not in outgoing:
-            raise DeadEndNode(f"node {node} ({label}) has no outgoing arc")
-    if source not in outgoing:
-        raise DeadEndNode("the source has no outgoing arc")
-    reached = _reachable((source,), lambda node: outgoing.get(node, ()))
-    unreachable = sorted(set(nodes) - reached.keys())
-    if unreachable:
-        raise UnreachableNode(f"unreachable from the source: {', '.join(unreachable)}")
-    return Dfg(nodes=nodes, arcs=arcs, source=source, sink=sink)
-
-
-def parse_dfg(text: str) -> Sdfa:
-    """DFG interpreted as an SDFA.
-
-    An arc is a step to its target and takes the target's label; arcs into
-    the sink become termination probability. Frequencies out of each state
-    are normalized exactly, so the stochastic-sum invariant holds with no
-    tolerance.
-    """
-    dfg = read_dfg(text)
-    totals: dict[str, int] = {}
-    for (src, _), frequency in dfg.arcs.items():
-        totals[src] = totals.get(src, 0) + frequency
-    transitions: dict[tuple[str, str], tuple[str, Fraction]] = {}
-    termination: dict[str, Fraction] = {}
-    for (src, dst), frequency in dfg.arcs.items():
-        probability = Fraction(frequency, totals[src])
-        if dst == dfg.sink:
-            termination[src] = termination.get(src, Fraction(0)) + probability
-            continue
-        label = dfg.nodes[dst]
-        if (src, label) in transitions:
-            raise ParseError(
-                f"two successors of {src} carry the label {label!r}; "
-                "the stochastic interpretation would be ambiguous"
-            )
-        transitions[(src, label)] = (dst, probability)
-    return stochastic.Sdfa(
-        states=frozenset(dfg.nodes) | {dfg.source},
-        alphabet=frozenset(dfg.nodes.values()),
-        initial=dfg.source,
-        transitions=transitions,
-        termination=termination,
-    )
-
-
-def serialize_dfg(dfg: Dfg) -> str:
-    lines = [f"source {dfg.source}", f"sink {dfg.sink}"]
-    for node, label in sorted(dfg.nodes.items()):
-        lines.append(f"node {node} {label}")
-    for (src, dst), frequency in sorted(dfg.arcs.items()):
-        lines.append(f"arc {src} {dst} {frequency}")
-    return "\n".join(lines) + "\n"
-
-
 # --- dispatch ------------------------------------------------------------
 
+# each extension's reader, by its public name: the module that defines it
+# runs when the first file of its format is read
 _PARSERS = {
-    ".xes": parse_xes,
-    ".pnml": parse_pnml,
-    ".spnml": parse_spnml,
-    ".sdfa": parse_sdfa,
-    ".dfg": parse_dfg,
+    ".xes": "parse_xes",
+    ".pnml": "parse_pnml",
+    ".spnml": "parse_spnml",
+    ".sdfa": "parse_sdfa",
+    ".dfg": "parse_dfg",
 }
 
 
@@ -794,4 +419,4 @@ def _load(path: str | Path):
         raise InputError(f"cannot read: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read: {exc}") from None
-    return parser(content)
+    return (globals().get(parser) or __getattr__(parser))(content)

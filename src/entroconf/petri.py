@@ -11,7 +11,6 @@ reachability_graph's result and an unbounded verdict's witness.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 # stochastic runs only in stochastic_rg_to_sdfa, the one function that builds an Sdfa
@@ -27,6 +26,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .automata import Dfa
     from .stochastic import Sdfa
 

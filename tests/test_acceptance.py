@@ -314,6 +314,15 @@ assert {*entroconf.__all__, *public} <= set(dir(entroconf))
 namespace = {}
 exec("from entroconf import *", namespace)
 assert all(namespace[name] is getattr(entroconf, name) for name in entroconf.__all__)
+# formats lists its public names, those of its private modules too
+formats = sys.modules["entroconf.formats"]
+assert sorted(formats.__all__) == sorted(public["formats"].split())
+assert set(formats.__all__) <= set(dir(formats))
+namespace = {}
+exec("from entroconf.formats import *", namespace)
+assert all(namespace[name] is getattr(formats, name) for name in formats.__all__)
+# and names itself as their module, wherever they are defined
+assert {getattr(formats, name).__module__ for name in formats.__all__} == {"entroconf.formats"}
 # a name never defined, and the names of a second automaton form that was removed
 absent = "no_such_name SILENT Nfa ShortCircuitGraph determinize short_circuit skip_closure"
 for name in absent.split():
@@ -340,39 +349,77 @@ def test_public_names_resolve_on_first_access_in_any_import_order(fixtures, firs
     assert result.returncode == 0, result.stderr
 
 
+WALK_PROBE = """
+import sys
+import entroconf.cli
+
+# as a tracer wraps functions: each module's namespace read in turn, each
+# value's class asked for, which runs a registered module; an iteration
+# fails if running a module adds a name to a namespace being walked
+modules = [module for name, module in sorted(sys.modules.items()) if name.startswith("entroconf")]
+for module in modules:
+    for value in vars(module).values():
+        isinstance(value, type)
+assert all(type(module).__name__ == "module" for module in modules)
+"""
+
+
+def test_walking_every_namespace_runs_each_module_without_adding_names():
+    package_root = Path(entroconf.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", WALK_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)},
+    )
+    assert result.returncode == 0, result.stderr
+
+
 THREAD_PROBE = """
 import importlib, sys, threading
 
 sys.setswitchinterval(1e-6)
 import entroconf.cli as cli
 
+
+def race(routes):
+    # what each route returns, each route run by its own thread at once
+    barrier = threading.Barrier(len(routes))
+    seen = []
+
+    def touch(route):
+        barrier.wait(30)
+        try:
+            seen.append(route())
+        except Exception as error:
+            seen.append(repr(error))
+
+    threads = [threading.Thread(target=touch, args=(route,)) for route in routes]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == len(routes), seen
+    return seen
+
+
 # stochastic's first access runs it, and automata from its body
-routes = [
+seen = race([
     lambda: cli.stochastic.sdfa_entropy,
     lambda: importlib.import_module("entroconf.stochastic").sdfa_entropy,
     lambda: sys.modules["entroconf"].sdfa_entropy,
     lambda: cli.automata.Dfa and cli.stochastic.sdfa_entropy,
-]
-barrier = threading.Barrier(len(routes))
-seen = []
-
-
-def touch(route):
-    barrier.wait(30)
-    try:
-        seen.append(route())
-    except Exception as error:
-        seen.append(repr(error))
-
-
-threads = [threading.Thread(target=touch, args=(route,)) for route in routes]
-for thread in threads:
-    thread.start()
-for thread in threads:
-    thread.join(30)
-assert not any(thread.is_alive() for thread in threads)
-assert len(seen) == len(routes), seen
+])
 assert all(value is cli.stochastic.sdfa_entropy for value in seen), seen
+# formats' first access registers _lines, whose first access runs it
+seen = race([
+    lambda: cli.formats.parse_sdfa,
+    lambda: importlib.import_module("entroconf.formats").parse_sdfa,
+    lambda: sys.modules["entroconf"].parse_sdfa,
+    lambda: cli.formats.Dfg and cli.formats.parse_sdfa,
+])
+assert all(value is sys.modules["entroconf._lines"].parse_sdfa for value in seen), seen
 """
 
 

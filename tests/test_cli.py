@@ -1050,11 +1050,27 @@ def test_numpy_and_scipy_load_only_in_the_numeric_kernels(fixtures, tmp_path):
     assert stages[0] == [] and {"numpy", "scipy"} <= set(stages[1])
 
 
+@pytest.mark.parametrize("scale", [1, 100])
+def test_a_value_prints_as_decimal_rounds_it_half_even(scale):
+    from decimal import ROUND_HALF_EVEN, Decimal
+
+    rng = random.Random(scale)
+    # ties at the third decimal, reprs with an exponent, and zero
+    values = [0.0005, 0.0015, 0.0025, 1e-07, 1.5e16, 1e22, 0.0]
+    values += [k / 2000 for k in rng.sample(range(2000 * scale), 500)]
+    values += [rng.uniform(0, scale) for _ in range(2000)]
+    for value in values + [-value for value in values]:
+        quantized = Decimal(repr(value)).quantize(Decimal("0.001"), rounding=ROUND_HALF_EVEN)
+        assert cli._rounded(value) == str(quantized), value
+    assert (cli._rounded(0.0015), cli._rounded(0.0025)) == ("0.002", "0.002")
+    assert cli._rounded(-0.0) == "-0.000"
+
+
 IMPORT_PROBE = """
 import json, sys
 import entroconf.cli
 
-WATCHED = ("dataclasses", "inspect", "xml.etree.ElementTree")
+WATCHED = ("dataclasses", "inspect", "xml.etree.ElementTree", "fractions", "decimal")
 
 
 def loaded():
@@ -1077,6 +1093,7 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     runs = [
         ["-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"],
         ["-b", "-rel", fixtures / "N.pnml", "-s"],
+        ["-r", "-rel", fixtures / "E.xes", "-ret", fixtures / "A.sdfa", "-s"],
     ]
     # -S: no site-packages hook may load a module on the package's behalf
     result = subprocess.run(
@@ -1087,16 +1104,24 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     )
     assert result.returncode == 0, result.stderr
     *values, report = result.stdout.splitlines()
-    assert values == ["0.842", "1"]
-    imported, after_xes, after_pnml = json.loads(report)
-    # every module is registered by the import, as a tracer wrapping the
-    # package's functions at that point needs; each is compiled and run on
-    # its first use (see test_each_run_compiles_only_the_modules_it_uses)
-    modules = sorted(f"entroconf.{p.stem}" for p in package.glob("*.py") if p.stem[0] != "_")
+    assert values == ["0.842", "1", "11.368"]
+    imported, after_xes, after_pnml, after_sdfa = json.loads(report)
+    # every module is registered by the import, the private readers and
+    # writers of formats too, as a tracer wrapping the package's functions at
+    # that point needs; each is compiled and run on its first use (see
+    # test_each_run_compiles_only_the_modules_it_uses)
+    modules = sorted(
+        f"entroconf.{p.stem}" for p in package.glob("*.py") if not p.stem.startswith("__")
+    )
     assert imported["entroconf"] == modules
-    # records are built without dataclasses, and XES is read by expat alone
+    # records are built without dataclasses, XES is read by expat alone, and
+    # neither logs nor an unweighted net hold a number that needs fractions,
+    # nor does printing a value need decimal
     assert imported["watched"] == after_xes["watched"] == []
     assert after_pnml["watched"] == ["xml.etree.ElementTree"]
+    # an SDFA's probabilities are exact rationals; fractions may load decimal
+    assert "fractions" in after_sdfa["watched"]
+    assert set(after_sdfa["watched"]) <= {"xml.etree.ElementTree", "fractions", "decimal"}
 
 
 COMPILE_PROBE = """
@@ -1121,7 +1146,9 @@ print(json.dumps([code, sorted(compiled)]))
 """
 
 # the modules that every start compiles: the package, its entry point and
-# the command line with its errors
+# the command line with its errors. A run that reads a net compiles _pnml,
+# and one that reads an SDFA or a DFG compiles _lines; formats reads XES
+# itself, and no run compiles the writers, _writers.
 STARTUP = ["__init__", "__main__", "cli", "errors"]
 
 
@@ -1133,11 +1160,12 @@ STARTUP = ["__init__", "__main__", "cli", "errors"]
         ("-emp -ret F.xes", 1, ""),
         ("-cpmp -srel x -rel E.xes -ret F.xes", 1, ""),
         ("-emp -rel E.xes -ret F.xes", 0, "automata formats measures"),
-        ("-emp -rel E.xes -ret N.pnml", 0, "automata formats measures petri"),
-        ("-b -rel N.pnml", 0, "automata formats petri"),
-        ("-r -rel E.xes -ret A.sdfa", 0, "automata formats stochastic"),
-        ("-sr -rel E.xes -ret L.spnml", 0, "automata formats petri stochastic"),
-        ("-sp -rel E.xes -ret L.spnml", 0, "automata formats petri stochastic"),
+        ("-emp -rel E.xes -ret N.pnml", 0, "_pnml automata formats measures petri"),
+        ("-b -rel N.pnml", 0, "_pnml automata formats petri"),
+        ("-r -rel E.xes -ret A.sdfa", 0, "_lines automata formats stochastic"),
+        ("-r -rel E.xes -ret billing.dfg", 0, "_lines automata formats stochastic"),
+        ("-sr -rel E.xes -ret L.spnml", 0, "_pnml automata formats petri stochastic"),
+        ("-sp -rel E.xes -ret L.spnml", 0, "_pnml automata formats petri stochastic"),
     ],
 )
 def test_each_run_compiles_only_the_modules_it_uses(fixtures, tmp_path, argv, code, loaded):
