@@ -37,10 +37,10 @@ def _serialize_net(net: PetriNet, weighted: bool) -> str:
     root = ET.Element("pnml")
     net_el = ET.SubElement(root, "net", {"id": "net", "type": "http://www.pnml.org/"})
     page = ET.SubElement(net_el, "page", {"id": "page"})
+    initial = net.initial_marking.as_dict()
     for place in sorted(net.places):
         place_el = ET.SubElement(page, "place", {"id": place})
-        tokens = net.initial_marking.count(place)
-        if tokens:
+        if tokens := initial.get(place):
             marking_el = ET.SubElement(place_el, "initialMarking")
             ET.SubElement(marking_el, "text").text = str(tokens)
     for ident in sorted(net.transitions):

@@ -78,22 +78,17 @@ class PetriNet(_Record):
         object.__setattr__(self, "final_markings", final_markings)
         if self.places & set(self.transitions):
             raise ValueError("place and transition ids must be disjoint")
+        nodes = self.places | set(self.transitions)
         for (src, dst), weight in self.arcs.items():
             if not _positive_integer(weight):
                 raise ValueError(f"arc weights must be positive integers, got {weight!r}")
-            known = {src, dst} <= (self.places | set(self.transitions))
             mixed = (src in self.places) != (dst in self.places)
-            if not (known and mixed):
+            if not (src in nodes and dst in nodes and mixed):
                 raise ValueError(f"arc {src}->{dst} must connect a place and a transition")
-        for marking in self._declared_markings():
+        for marking in [self.initial_marking, *(self.final_markings or ())]:
             for place, _ in marking.tokens:
                 if place not in self.places:
                     raise ValueError(f"marking mentions unknown place {place}")
-
-    def _declared_markings(self):
-        yield self.initial_marking
-        if self.final_markings is not None:
-            yield from self.final_markings
 
 
 class StochasticPetriNet(PetriNet):
@@ -144,17 +139,16 @@ def _firing_data(net: PetriNet):
     """
     order = sorted(net.places)
     index = {p: i for i, p in enumerate(order)}
-    pre = {t: [0] * len(order) for t in net.transitions}
-    post = {t: [0] * len(order) for t in net.transitions}
+    # per transition, {place index: [tokens consumed, tokens produced]}
+    flows: dict = {t: {} for t in net.transitions}
     for (src, dst), weight in net.arcs.items():
-        if src in index:
-            pre[dst][index[src]] += weight
-        else:
-            post[src][index[dst]] += weight
+        t, i, side = (dst, index[src], 0) if src in index else (src, index[dst], 1)
+        flows[t].setdefault(i, [0, 0])[side] = weight
     rules = []
     for t in sorted(net.transitions):
-        needs = [(i, need) for i, need in enumerate(pre[t]) if need]
-        changes = [(i, b - a) for i, (a, b) in enumerate(zip(pre[t], post[t])) if a != b]
+        pairs = sorted(flows[t].items())
+        needs = [(i, a) for i, (a, _) in pairs if a]
+        changes = [(i, b - a) for i, (a, b) in pairs if a != b]
         rules.append((t, needs, changes))
     return order, rules
 
@@ -198,7 +192,12 @@ def _explored(net: PetriNet) -> tuple[dict, list, frozenset | None]:
     transitions fired from the one to the other.
     """
     order, rules = _firing_data(net)
-    start = tuple(net.initial_marking.count(p) for p in order)
+
+    def vector(marking: Marking) -> tuple[int, ...]:
+        tokens = marking.as_dict()
+        return tuple(tokens.get(p, 0) for p in order)
+
+    start = vector(net.initial_marking)
     # marking -> (its BFS parent, the transition fired from there, and the
     # least token total on its path from start)
     parent: dict[tuple[int, ...], tuple[tuple[int, ...] | None, str | None, int]] = {
@@ -243,8 +242,8 @@ def _explored(net: PetriNet) -> tuple[dict, list, frozenset | None]:
     number, edges = _explore(start, successors)
     if net.final_markings is None:
         return number, edges, None
-    finals = [tuple(m.count(p) for p in order) for m in net.final_markings]
-    return number, edges, frozenset(number[v] for v in finals if v in number)
+    finals = frozenset(number[v] for v in map(vector, net.final_markings) if v in number)
+    return number, edges, finals
 
 
 def reachability_graph(net: PetriNet) -> ReachabilityGraph:

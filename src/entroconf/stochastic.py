@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping
 
 # petri runs for a stochastic net, and measures only for the record that
@@ -49,6 +48,8 @@ from .automata import (
 from .errors import EmptyConjunction, EmptyLog, NonTerminatingSdfa, NotConverged
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .measures import PrecisionRecall
     from .petri import StochasticPetriNet
 
@@ -157,6 +158,9 @@ def _weighted(rows: list) -> list:
 def _sdfa(rows: list, alphabet) -> Sdfa:
     """The SDFA of rows numbered canonically already, kept as its _weights:
     what Sdfa.__init__, the check of outside input, would rebuild from it."""
+    # imported here, so a run that builds no Fraction does not load fractions
+    from fractions import Fraction
+
     weights = _weighted(rows)
     transitions = {
         (i, label): (j, Fraction(w, total))
@@ -470,16 +474,24 @@ def _tree_bits(tree, kept=None, other=None, by_other=False) -> float:
 
 def trace_probability(a: Sdfa, t: Trace) -> Fraction:
     """Probability the SDFA assigns to one trace; exact, 0 on a missing step."""
+    from fractions import Fraction
+
+    return Fraction(*_trace_weight(a, t))
+
+
+def _trace_weight(a: Sdfa, t: Trace) -> tuple[int, int]:
+    """trace_probability as an unreduced (numerator, denominator) pair,
+    (0, 1) on a missing step."""
     state, numerator, denominator = 0, 1, 1
     for label in t:
         _, edges, total = a._weights[state]
         step = edges.get(label)
         if step is None:
-            return Fraction(0)
+            return 0, 1
         state, w = step
         numerator, denominator = numerator * w, denominator * total
     stop, _, total = a._weights[state]
-    return Fraction(numerator * stop, denominator * total)
+    return numerator * stop, denominator * total
 
 
 def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:
@@ -498,10 +510,10 @@ def entropic_relevance(log: EventLog, model: Sdfa) -> RelevanceValue:
     fitting = 0
     cost_sum = 0.0
     for trace, count in sorted(log.entries.items()):
-        probability = trace_probability(model, trace)
-        if probability:
+        numerator, denominator = _trace_weight(model, trace)
+        if numerator:
             fitting += count
-            cost_sum += count * -_log2(probability.numerator, probability.denominator)
+            cost_sum += count * -_log2(numerator, denominator)
         else:
             cost_sum += count * (len(trace) + 1) * background_bits
     selector = 0.0

@@ -1092,6 +1092,8 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     package = Path(entroconf.__file__).resolve().parent
     runs = [
         ["-emp", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"],
+        ["-sp", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"],
+        ["-sr", "-rel", fixtures / "E.xes", "-ret", fixtures / "F.xes", "-s"],
         ["-b", "-rel", fixtures / "N.pnml", "-s"],
         ["-r", "-rel", fixtures / "E.xes", "-ret", fixtures / "A.sdfa", "-s"],
     ]
@@ -1104,8 +1106,8 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     )
     assert result.returncode == 0, result.stderr
     *values, report = result.stdout.splitlines()
-    assert values == ["0.842", "1", "11.368"]
-    imported, after_xes, after_pnml, after_sdfa = json.loads(report)
+    assert values == ["0.842", "0.418", "0.342", "1", "11.368"]
+    imported, after_xes, after_sp, after_sr, after_pnml, after_sdfa = json.loads(report)
     # every module is registered by the import, the private readers and
     # writers of formats too, as a tracer wrapping the package's functions at
     # that point needs; each is compiled and run on its first use (see
@@ -1116,8 +1118,10 @@ def test_the_command_line_imports_only_what_a_run_needs(fixtures):
     assert imported["entroconf"] == modules
     # records are built without dataclasses, XES is read by expat alone, and
     # neither logs nor an unweighted net hold a number that needs fractions,
-    # nor does printing a value need decimal
+    # nor does printing a value need decimal; the stochastic measures walk a
+    # log's counted trie in integer weights, so two logs build no Fraction
     assert imported["watched"] == after_xes["watched"] == []
+    assert after_sp["watched"] == after_sr["watched"] == []
     assert after_pnml["watched"] == ["xml.etree.ElementTree"]
     # an SDFA's probabilities are exact rationals; fractions may load decimal
     assert "fractions" in after_sdfa["watched"]

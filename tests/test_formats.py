@@ -21,6 +21,7 @@ from entroconf.errors import (
     DanglingArc,
     DeadEndNode,
     DuplicateTransition,
+    EntroconfError,
     InputError,
     MalformedXml,
     MissingConceptName,
@@ -46,8 +47,17 @@ from entroconf.formats import (
     serialize_spnml,
     serialize_xes,
 )
-from entroconf.petri import Marking, PetriNet, StochasticPetriNet
+from entroconf.petri import (
+    Marking,
+    PetriNet,
+    StochasticPetriNet,
+    is_bounded,
+    reachability_graph,
+    rg_to_dfa,
+    stochastic_rg_to_sdfa,
+)
 from entroconf.stochastic import Sdfa, trace_probability
+from test_net_parity import parity_nets
 
 
 def test_bundled_log(log_e):
@@ -1013,6 +1023,34 @@ def test_spnml_round_trip(fixtures):
     restored = parse_spnml(serialize_spnml(weighted))
     assert restored == weighted
     assert restored.weights["ta"] == Fraction(3, 2)
+
+
+def test_no_net_path_reads_a_marking_place_by_place(fixtures, monkeypatch):
+    # Marking.count scans the marking's tokens, so a reader that asks it for
+    # every place is quadratic in the marked places; each path reads a
+    # marking once, as a dict, and its results stay the same without count
+    builds = [is_bounded, reachability_graph, lambda n: rg_to_dfa(reachability_graph(n), n)]
+    builds.append(serialize_pnml)
+    nets = parity_nets(fixtures)
+
+    def results():
+        values = []
+        for net in nets:
+            weighted = isinstance(net, StochasticPetriNet)
+            for build in builds + ([stochastic_rg_to_sdfa, serialize_spnml] if weighted else []):
+                try:
+                    values.append(build(net))
+                except EntroconfError as error:
+                    values.append((type(error), str(error), vars(error)))
+        return values
+
+    expected = results()
+
+    def forbidden(self, place):
+        raise AssertionError("a marking was read place by place")
+
+    monkeypatch.setattr(Marking, "count", forbidden)
+    assert results() == expected
 
 
 def test_spnml_errors():
